@@ -237,7 +237,9 @@ def _initial_state(profile: str, n_points: int) -> evolution.EvolutionState:
 
 def _cmd_evolve(args) -> None:
     state = _initial_state(args.profile, args.points)
-    if args.tau > 0:
+    # every tau but the initial time goes to the backend, which rejects
+    # negative and non-finite values
+    if args.tau != 0.0:
         if args.backend == "matrix":
             state = evolution.evolve_matrix(state, args.tau, n_trunc=args.n_trunc)
         else:
@@ -366,7 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", choices=sorted(PROFILES), default="xi-sq")
     p.add_argument("--backend", choices=["matrix", "spectral"], default="matrix")
     p.add_argument("--points", type=int, default=96, help="xi-grid size")
-    p.add_argument("--n-trunc", type=int, default=96, help="matrix-backend truncation")
+    p.add_argument(
+        "--n-trunc", type=int, default=960, help="matrix-backend truncation (runs N and 2N)"
+    )
     _add_common(p, resolution=False)
     p.set_defaults(func=_cmd_evolve)
 

@@ -12,8 +12,8 @@ evolves at the rate exp(-kappa(k) tau).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import BarycentricInterpolator
@@ -133,6 +133,8 @@ def mm_rhs(state: EvolutionState, xi: float) -> float:
 
 
 def _delta_tau(state: EvolutionState, tau_final: float) -> float:
+    if not math.isfinite(tau_final):
+        raise ValueError(f"evolve: tau_final={tau_final} must be finite")
     if tau_final < state.tau:
         raise ValueError(
             f"evolve: tau_final={tau_final} precedes the state time {state.tau}"
@@ -140,14 +142,44 @@ def _delta_tau(state: EvolutionState, tau_final: float) -> float:
     return tau_final - state.tau
 
 
-def _matrix_step(phi0, xi_grid: np.ndarray, dtau: float, n_trunc: int) -> np.ndarray:
-    """u-values after one truncated-Galerkin exponential at size n_trunc."""
-    coeffs = project(phi0, n_trunc)
-    coefficient_tail_warning(coeffs)
+def _state_coeffs(state: EvolutionState, n_trunc: int) -> np.ndarray:
+    """First n_trunc orthonormal Legendre coefficients of phi(x) = u(xi)/xi.
+
+    Modes below min(points, n_trunc) come from the points-node Gauss rule,
+    which is exact (see evolve_matrix); the rest are zero.  Projecting all
+    n_trunc modes on that small rule would alias.
+    """
+    f = state_interpolant(state)
+
+    def phi0(x):
+        xi = 0.5 * (1.0 + x)
+        return f(xi) / xi
+
+    points = state.xi_grid.size
+    n_modes = min(points, n_trunc)
+    coeffs = np.zeros(n_trunc)
+    coeffs[:n_modes] = project(phi0, n_modes, quad_order=points).coeffs
+    return coeffs
+
+
+@lru_cache(maxsize=2)
+def _k01_matrix(n_trunc: int) -> np.ndarray:
+    """Read-only Galerkin matrix of K_{01}; one evolve_matrix call uses N and 2N."""
     mat = galerkin_matrix(OperatorParams(0.0, 1.0), n_trunc).entries
-    evolved = expm_multiply(-dtau * mat, coeffs.coeffs)
-    phi_new = synthesize(SpectralCoeffs(evolved), 2.0 * xi_grid - 1.0)
-    return math.exp(dtau * _LOG2) * xi_grid * phi_new
+    mat.flags.writeable = False
+    return mat
+
+
+def _matrix_step(coeffs: np.ndarray, xi_grid: np.ndarray, dtau: float) -> np.ndarray:
+    """xi phi after one truncated-Galerkin exponential at size coeffs.size.
+
+    The exp(dtau log 2) factor is left to the caller.
+    """
+    coefficient_tail_warning(SpectralCoeffs(coeffs))
+    # an overflowing growth is reported once, by evolve_matrix's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        evolved = expm_multiply(-dtau * _k01_matrix(coeffs.size), coeffs)
+    return xi_grid * synthesize(evolved, 2.0 * xi_grid - 1.0)
 
 
 def evolve_matrix(
@@ -158,22 +190,33 @@ def evolve_matrix(
     The profile is mapped to phi(x) = u(xi)/xi with x = 2 xi - 1, expanded in
     the orthonormal Legendre basis, propagated with the scaling-and-squaring
     exponential action, and mapped back with the exp(dtau log 2) prefactor.
+    The expansion needs a Gauss rule sized to the state, not to n_trunc: the
+    interpolant through the points + 1 nodes (xi = 0 included) has degree
+    points, so phi has degree points - 1, only its first points coefficients
+    are nonzero, and their integrands, of degree <= 2 points - 2, are exact
+    on the points-node rule.  The K_{01} matrix depends on neither tau nor
+    the profile and is built once per size and cached.
     The log-potential matrix couples all mode pairs with 1/(n-m) decay, so the
     truncation error falls off like 1/n_trunc; the step is therefore run at
     n_trunc and 2 n_trunc and Richardson-extrapolated, with the difference of
     the two sizes kept as an error estimate.
     """
     dtau = _delta_tau(state, tau_final)
-    f = state_interpolant(state)
-
-    def phi0(x):
-        xi = 0.5 * (1.0 + np.asarray(x, dtype=float))
-        return f(xi) / xi
-
-    u_coarse = _matrix_step(phi0, state.xi_grid, dtau, n_trunc)
-    u_fine = _matrix_step(phi0, state.xi_grid, dtau, 2 * n_trunc)
-    u_new = 2.0 * u_fine - u_coarse
-    err = float(np.max(np.abs(u_fine - u_coarse)))
+    try:
+        growth = math.exp(dtau * _LOG2)
+    except OverflowError:
+        raise OverflowError(
+            f"evolve_matrix: growth factor exp({dtau:g} log 2) overflows"
+        ) from None
+    coeffs = _state_coeffs(state, 2 * n_trunc)
+    u_coarse = _matrix_step(coeffs[:n_trunc], state.xi_grid, dtau)
+    u_fine = _matrix_step(coeffs, state.xi_grid, dtau)
+    u_new = growth * (2.0 * u_fine - u_coarse)
+    if not np.all(np.isfinite(u_new)):
+        raise RuntimeError(
+            f"evolve_matrix: evolved profile is not finite at tau={tau_final:g}"
+        )
+    err = growth * float(np.max(np.abs(u_fine - u_coarse)))
     return EvolutionState(
         tau=tau_final,
         xi_grid=state.xi_grid.copy(),

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 from scipy import integrate
 
-from .operators import OperatorParams, UGrid, apply_k_pointwise
+from .operators import OperatorParams, UGrid, apply_k_pointwise, harmonic_numbers
 from .specfun import g_dispersion, lipatov_kappa
 
 __all__ = [
@@ -176,7 +176,7 @@ def conical_legendre_grid(k, r) -> np.ndarray:
     small = r <= _R_SERIES_CUT
     for i in np.nonzero(small)[0]:
         out[i] = 1.0 if r[i] == 0.0 else _conical_series(k, r[i])[0]
-    targets = r[~small]
+    targets = np.nonzero(~small)[0]
     if targets.size == 0:
         return out
 
@@ -187,8 +187,8 @@ def conical_legendre_grid(k, r) -> np.ndarray:
     yp = math.sqrt(s0) * dp0 + 0.5 * math.cosh(r0) / math.sqrt(s0) * p0
     gpt = math.sqrt(3.0) / 6.0
     rc = r0
-    vals = []
-    for rt in targets:
+    for i in targets:
+        rt = r[i]
         while rc < rt - 1e-14:
             # beyond r ~ 6 the frequency is essentially constant and the exact
             # 2x2 step exponential permits much larger steps
@@ -205,8 +205,7 @@ def conical_legendre_grid(k, r) -> np.ndarray:
             sn = np.sinc(th / np.pi)
             y, yp = cs * y + sn * (d * y + h * yp), cs * yp + sn * (-h * wb * y - d * yp)
             rc += h
-        vals.append(y / math.sqrt(math.sinh(rc)))
-    out[~small] = np.array(vals)
+        out[i] = y / math.sqrt(math.sinh(rc))
     return out
 
 
@@ -402,9 +401,7 @@ def mm_commutator_projections(n: int) -> tuple[float, float]:
     n_rows = n + 4
     pn = np.zeros(n + 1)
     pn[n] = 1.0
-    h = np.array(
-        [math.fsum(1.0 / j for j in range(1, m + 1)) for m in range(n_rows + 2)]
-    )
+    h = harmonic_numbers(n_rows + 2)
 
     def m_action(c: np.ndarray, rows: int) -> np.ndarray:
         # M applied to a polynomial, truncated to the first `rows` Legendre rows
@@ -500,6 +497,9 @@ def verify_g_of_ell(
 # Mehler-Fock transform
 
 
+_K_BLOCK = 1024
+
+
 def _default_k_grid(k_max: float, dk: float) -> np.ndarray:
     n = int(round(k_max / dk))
     return np.linspace(0.0, k_max, n + 1)
@@ -525,17 +525,24 @@ def mehler_fock_forward(
     r_max = math.acosh(t_max)
     n_r = 4096
     r = np.linspace(0.0, r_max, n_r + 1)
-    p = conical_legendre_grid(kg, r)
     t = np.cosh(r)
     uvals = np.array([float(u_func(2.0 / (1.0 + tt))) for tt in t])
-    integrand = p * (uvals * np.sinh(r))[:, None]
-    tail = float(np.max(np.abs(integrand[-1])))
+    weight = (uvals * np.sinh(r))[:, None]
+    # the (n_r + 1) x len(kg) integrand is built for at most _K_BLOCK
+    # wavenumbers at a time, so memory stays fixed as the k-grid is refined
+    vals = np.empty_like(kg)
+    tail = 0.0
+    edges = np.linspace(0, kg.size, -(-kg.size // _K_BLOCK) + 1).astype(int)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        integrand = conical_legendre_grid(kg[lo:hi], r)
+        integrand *= weight
+        tail = max(tail, float(np.max(np.abs(integrand[-1]))))
+        vals[lo:hi] = integrate.simpson(integrand, x=r, axis=0)
     if tail > tail_tol:
         raise RuntimeError(
             f"mehler_fock_forward: integrand magnitude {tail:.3e} at t_max={t_max:g} "
             f"exceeds tail tolerance {tail_tol:g}; u decays too slowly"
         )
-    vals = integrate.simpson(integrand, x=r, axis=0)
     c = kg * np.tanh(np.pi * kg) * vals
     return MehlerFockCoeffs(
         k_grid=kg,

@@ -25,6 +25,7 @@ __all__ = [
     "UGrid",
     "SpectralResult",
     "harmonic",
+    "harmonic_numbers",
     "monomial_action_k11",
     "log_matrix_elements",
     "galerkin_matrix",
@@ -137,6 +138,11 @@ def harmonic(n: int) -> float:
     return math.fsum(1.0 / j for j in range(1, n + 1))
 
 
+def harmonic_numbers(n: int) -> np.ndarray:
+    """h_0, ..., h_{n-1} from one running sum (scalar harmonic is the reference)."""
+    return np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, n))))[:n]
+
+
 def monomial_action_k11(n: int) -> np.ndarray:
     """Coefficients (by ascending degree) of K_{11} x^n.
 
@@ -159,15 +165,15 @@ def _log_plus_raw(n_trunc: int) -> np.ndarray:
     the diagonal follows from a three-term recurrence seeded by
     W_00 = 2 log 2 - 2.
     """
-    idx = np.arange(n_trunc)
-    mm, nn = np.meshgrid(idx, idx, indexing="ij")
-    lo = np.minimum(mm, nn)
-    hi = np.maximum(mm, nn)
-    w = np.zeros((n_trunc, n_trunc))
-    off = hi != lo
-    w[off] = (2.0 * (-1.0) ** ((lo[off] + hi[off]) % 2 + 1)) / (
-        (hi[off] - lo[off]) * (hi[off] + lo[off] + 1)
-    )
+    idx = np.arange(n_trunc, dtype=float)
+    w = np.subtract.outer(idx, idx)
+    np.abs(w, out=w)
+    w *= np.add.outer(idx, idx + 1.0)
+    np.fill_diagonal(w, 1.0)
+    np.divide(-2.0, w, out=w)
+    # (-1)^(m+n) applied in place, by odd rows then odd columns
+    w[1::2] *= -1.0
+    w[:, 1::2] *= -1.0
     diag = np.empty(n_trunc)
     diag[0] = 2.0 * CONSTANTS.log2 - 2.0
     for n in range(1, n_trunc):
@@ -175,7 +181,7 @@ def _log_plus_raw(n_trunc: int) -> np.ndarray:
             (2 * n - 1) / (2 * n + 1) * (-(n + 1) / (2 * n + 1) + n * diag[n - 1])
             + (n - 1) / (2 * n - 1)
         ) / n
-    w[idx, idx] = diag
+    np.fill_diagonal(w, diag)
     return w
 
 
@@ -209,12 +215,14 @@ def log_matrix_elements(sign: int, n_trunc: int, method: str = "exact") -> np.nd
     if n_trunc < 1:
         raise ValueError("log_matrix_elements: n_trunc must be >= 1")
     if method == "exact":
-        w = _log_plus_raw(n_trunc)
+        # symmetric scalings keep the matrix exactly symmetric, so
+        # galerkin_matrix needs no symmetrizing pass
+        mat = _log_plus_raw(n_trunc)
         norm = np.sqrt(np.arange(n_trunc) + 0.5)
-        mat = w * norm[:, None] * norm[None, :]
+        mat *= np.outer(norm, norm)
         if sign == -1:
-            d = (-1.0) ** np.arange(n_trunc)
-            mat = mat * d[:, None] * d[None, :]
+            mat[1::2] *= -1.0
+            mat[:, 1::2] *= -1.0
         return mat
     if method == "quadrature":
         mat = np.empty((n_trunc, n_trunc))
@@ -229,13 +237,13 @@ def galerkin_matrix(params: OperatorParams, n_trunc: int) -> GalerkinMatrix:
     """Truncated matrix of K_{alpha,beta}: diag(2 h_n) + (1-a) L+ + (1-b) L-."""
     if n_trunc < 1:
         raise ValueError("galerkin_matrix: n_trunc must be >= 1")
-    h = np.array([harmonic(n) for n in range(n_trunc)])
-    mat = np.diag(2.0 * h)
-    if params.alpha != 1.0:
-        mat = mat + (1.0 - params.alpha) * log_matrix_elements(+1, n_trunc)
-    if params.beta != 1.0:
-        mat = mat + (1.0 - params.beta) * log_matrix_elements(-1, n_trunc)
-    mat = 0.5 * (mat + mat.T)
+    mat = np.zeros((n_trunc, n_trunc))
+    for sign, p in ((+1, params.alpha), (-1, params.beta)):
+        if p != 1.0:
+            log_mat = log_matrix_elements(sign, n_trunc)
+            log_mat *= 1.0 - p
+            mat += log_mat
+    mat[np.diag_indices(n_trunc)] += 2.0 * harmonic_numbers(n_trunc)
     return GalerkinMatrix(entries=mat, params=params, n_trunc=n_trunc)
 
 

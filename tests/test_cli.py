@@ -170,6 +170,33 @@ class TestEvolve:
         assert meta["backend"] == "matrix"
         assert "truncation_estimate" in meta
 
+    def test_default_truncation_meets_a8(self):
+        # A-8: the default matrix run agrees with the spectral backend
+        docs = [
+            json.loads(run_cli("evolve", "--tau", "1", *extra, "--format", "json").stdout)
+            for extra in ((), ("--backend", "spectral"))
+        ]
+        xi = np.array(docs[0]["xi"])
+        um, us = (np.array(d["u"]) for d in docs)
+        mask = (xi >= 0.05) & (xi <= 0.95)
+        diff = np.max(np.abs(um[mask] - us[mask])) / np.max(np.abs(um[mask]))
+        assert diff < 1e-3
+
+    @pytest.mark.parametrize("tau", ["nan", "inf", "-1"])
+    def test_invalid_tau_exit_2(self, tau):
+        res = run_cli(
+            "evolve", "--tau", tau, "--points", "8", "--n-trunc", "32", timeout=60
+        )
+        assert res.returncode == 2
+        assert json.loads(res.stderr)["kind"] == "validation"
+
+    def test_huge_tau_exit_3_promptly(self):
+        res = run_cli(
+            "evolve", "--tau", "1e6", "--points", "8", "--n-trunc", "32", timeout=10
+        )
+        assert res.returncode == 3
+        assert json.loads(res.stderr)["kind"] == "numerical"
+
 
 class TestBoundaryFit:
     def test_json_fields(self):

@@ -10,6 +10,7 @@ import pytest
 
 from kab.evolution import (
     EvolutionState,
+    _state_coeffs,
     default_xi_grid,
     evolve_matrix,
     evolve_spectral,
@@ -94,6 +95,48 @@ class TestRhs:
         s = make_state(lambda t: t)
         with pytest.raises(ValueError):
             mm_rhs(s, 1e-8)
+
+
+class TestValidation:
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    @pytest.mark.parametrize("evolve", [evolve_matrix, evolve_spectral])
+    def test_non_finite_tau_rejected(self, smooth_profiles, evolve, tau):
+        s = make_state(smooth_profiles["xi-sq"], n_points=16)
+        with pytest.raises(ValueError):
+            evolve(s, tau)
+
+    def test_overflowing_growth_raises(self, smooth_profiles):
+        # the exp(dtau log 2) prefactor overflows before any exponential work
+        s = make_state(smooth_profiles["xi-sq"], n_points=8)
+        with pytest.raises(OverflowError):
+            evolve_matrix(s, 1e6, n_trunc=32)
+
+    def test_non_finite_result_raises(self, smooth_profiles):
+        # the prefactor is finite at tau = 600 but the growth of the slowest
+        # mode overflows
+        s = make_state(smooth_profiles["xi-sq"], n_points=8)
+        with pytest.raises(RuntimeError):
+            evolve_matrix(s, 600.0, n_trunc=32)
+
+
+class TestProjection:
+    @pytest.mark.parametrize("n_points,n_trunc", [(32, 128), (96, 128), (96, 32)])
+    def test_right_sized_matches_full_rule(self, n_points, n_trunc):
+        # the points-node rule integrates the degree points - 1 interpolant
+        # exactly, so it reproduces the 2 n_trunc-node projection; the profile
+        # is not a polynomial, so every mode of the interpolant is populated
+        s = make_state(lambda t: t**1.5 * (1.0 - t), n_points)
+        f = state_interpolant(s)
+
+        def phi0(x):
+            xi = 0.5 * (1.0 + x)
+            return f(xi) / xi
+
+        full = project(phi0, n_trunc).coeffs
+        right = _state_coeffs(s, n_trunc)
+        assert right.shape == (n_trunc,)
+        assert np.all(right[n_points:] == 0.0)
+        assert np.max(np.abs(right - full)) <= 1e-12 * np.max(np.abs(full))
 
 
 class TestMatrixBackend:

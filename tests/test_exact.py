@@ -176,6 +176,19 @@ class TestMehlerFock:
             back = mehler_fock_inverse(coeffs, xi)
         assert np.max(np.abs(back - u(xi))) < 1e-4
 
+    def test_blocked_matches_single_block(self, monkeypatch):
+        # the forward transform is built a block of wavenumbers at a time;
+        # uneven blocks must give the one-block coefficients
+        import kab.exact
+
+        u = lambda xi: xi**2 * (1.0 - xi)
+        whole = mehler_fock_forward(u, k_max=5.0, dk=0.25)
+        monkeypatch.setattr(kab.exact, "_K_BLOCK", 6)
+        blocked = mehler_fock_forward(u, k_max=5.0, dk=0.25)
+        assert np.array_equal(blocked.k_grid, whole.k_grid)
+        assert np.max(np.abs(blocked.c - whole.c)) <= 1e-12 * np.max(np.abs(whole.c))
+        assert blocked.meta["tail_estimate"] == whole.meta["tail_estimate"]
+
     def test_slow_decay_raises(self):
         # u ~ const near xi = 0 maps to a non-decaying integrand
         with pytest.raises(RuntimeError):

@@ -21,6 +21,7 @@ from kab.operators import (
     galerkin_matrix,
     galerkin_spectrum,
     harmonic,
+    harmonic_numbers,
     kinetic_matrix,
     log_matrix_elements,
     monomial_action_k11,
@@ -71,6 +72,14 @@ class TestHarmonic:
     @settings(max_examples=60, deadline=None)
     def test_recurrence(self, n):
         assert harmonic(n) == pytest.approx(harmonic(n - 1) + 1.0 / n, abs=1e-14)
+
+    def test_running_sum_matches_scalar(self):
+        # the running sum behind the Galerkin diagonal against the fsum
+        # reference, at A-3's 1e-12; its rounding grows like n eps h_n at worst
+        assert harmonic_numbers(1).tolist() == [0.0]
+        n = 2048
+        ref = np.array([harmonic(k) for k in range(n)])
+        assert np.max(np.abs(harmonic_numbers(n) - ref)) < 1e-12
 
 
 class TestMonomialAction:
