@@ -12,17 +12,12 @@ import sys
 import numpy as np
 
 from kab.evolution import (
+    PROFILES,
     EvolutionState,
     default_xi_grid,
     evolve_matrix,
     evolve_spectral,
 )
-
-PROFILES = {
-    "xi-sq": lambda xi: xi * xi * (1.0 - xi),
-    "xi-sq-sq": lambda xi: (xi * (1.0 - xi)) ** 2,
-    "xi-cube": lambda xi: xi**3 * (1.0 - xi),
-}
 
 
 def main() -> int:

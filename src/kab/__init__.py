@@ -7,7 +7,6 @@ from .specfun import (
     CONSTANTS,
     big_g,
     big_g_inverse,
-    bessel_j0,
     conical_legendre,
     digamma,
     g_dispersion,

@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from . import evolution, exact, operators, semiclassics
+from .evolution import PROFILES
 from .specfun import CONSTANTS
 
 _SCHEMAS = {
@@ -69,15 +70,6 @@ _SCHEMAS = {
         "required": ["error", "kind"],
     },
 }
-
-# named initial profiles for transforms and evolution runs; all vanish
-# quadratically at xi = 0 so the conical t-integral tail is negligible
-PROFILES = {
-    "xi-sq": lambda xi: xi * xi * (1.0 - xi),
-    "xi-sq-sq": lambda xi: (xi * (1.0 - xi)) ** 2,
-    "xi-cube": lambda xi: xi**3 * (1.0 - xi),
-}
-
 
 def _fmt(x) -> str:
     if x is None or (isinstance(x, float) and math.isnan(x)):
@@ -155,30 +147,28 @@ def _cmd_spectrum(args) -> None:
 
 
 def _cmd_wkb_table(args) -> None:
-    rows = []
     reference = None
     if args.with_reference:
         u_max, m = _resolution(args)
-        reference = [
-            0.5 * v
-            for v in operators.pseudospectral_spectrum(
-                args.alpha, args.beta, n_eigs=args.n, u_max=u_max, m_points=m
-            )
-        ]
-    for n in range(args.n):
-        bs = (
-            0.5 * semiclassics.bohr_sommerfeld_solve(n, args.alpha, args.beta)
-            if args.bohr_sommerfeld
-            else None
+        reference = operators.pseudospectral_spectrum(
+            args.alpha, args.beta, n_eigs=args.n, u_max=u_max, m_points=m
         )
-        rows.append(
-            (
-                n,
-                reference[n] if reference is not None else None,
-                0.5 * semiclassics.wkb_eigenvalue(n, args.alpha, args.beta),
-                bs,
-            )
+    table = semiclassics.wkb_table(
+        args.alpha, args.beta, args.n, args.bohr_sommerfeld, reference
+    )
+
+    def half(v):
+        return None if v is None else 0.5 * v
+
+    rows = [
+        (
+            r.n,
+            half(r.reference),
+            0.5 * r.kappa_closed_form,
+            half(r.kappa_bohr_sommerfeld),
         )
+        for r in table
+    ]
     meta = {"command": "wkb-table", "alpha": args.alpha, "beta": args.beta}
     _emit(
         args.output,

@@ -31,6 +31,7 @@ from .operators import (
 from .specfun import CONSTANTS, lipatov_kappa
 
 __all__ = [
+    "PROFILES",
     "EvolutionState",
     "default_xi_grid",
     "state_interpolant",
@@ -40,6 +41,15 @@ __all__ = [
 ]
 
 _LOG2 = CONSTANTS.log2
+_LOG_DBL_MAX = math.log(np.finfo(float).max)
+
+# named initial profiles for transforms and evolution runs; all vanish
+# quadratically at xi = 0 so the conical t-integral tail is negligible
+PROFILES = {
+    "xi-sq": lambda xi: xi * xi * (1.0 - xi),
+    "xi-sq-sq": lambda xi: (xi * (1.0 - xi)) ** 2,
+    "xi-cube": lambda xi: xi**3 * (1.0 - xi),
+}
 
 
 @dataclass
@@ -133,13 +143,27 @@ def mm_rhs(state: EvolutionState, xi: float) -> float:
 
 
 def _delta_tau(state: EvolutionState, tau_final: float) -> float:
+    """The step tau_final - state.tau, checked against the a-priori growth bound.
+
+    kappa(k) >= kappa(0) = -4 log 2, so no mode of u grows faster than
+    16^dtau; a step whose bound 16^dtau max|u| overflows a double is
+    refused before any work (max|u| is floored at the smallest normal
+    double, so a zero profile is bounded too).
+    """
     if not math.isfinite(tau_final):
         raise ValueError(f"evolve: tau_final={tau_final} must be finite")
     if tau_final < state.tau:
         raise ValueError(
             f"evolve: tau_final={tau_final} precedes the state time {state.tau}"
         )
-    return tau_final - state.tau
+    dtau = tau_final - state.tau
+    peak = max(float(np.max(np.abs(state.u_values))), np.finfo(float).tiny)
+    if 4.0 * _LOG2 * dtau + math.log(peak) > _LOG_DBL_MAX:
+        raise OverflowError(
+            f"evolve: the growth bound 16^{dtau:g} * max|u| (max|u| = {peak:.3g}) "
+            "overflows a double"
+        )
+    return dtau
 
 
 def _state_coeffs(state: EvolutionState, n_trunc: int) -> np.ndarray:
@@ -202,12 +226,7 @@ def evolve_matrix(
     the two sizes kept as an error estimate.
     """
     dtau = _delta_tau(state, tau_final)
-    try:
-        growth = math.exp(dtau * _LOG2)
-    except OverflowError:
-        raise OverflowError(
-            f"evolve_matrix: growth factor exp({dtau:g} log 2) overflows"
-        ) from None
+    growth = math.exp(dtau * _LOG2)
     coeffs = _state_coeffs(state, 2 * n_trunc)
     u_coarse = _matrix_step(coeffs[:n_trunc], state.xi_grid, dtau)
     u_fine = _matrix_step(coeffs, state.xi_grid, dtau)

@@ -18,7 +18,7 @@ from numpy.polynomial import legendre as npleg
 from scipy import integrate
 
 from .operators import OperatorParams, UGrid, apply_k_pointwise, harmonic_numbers
-from .specfun import g_dispersion, lipatov_kappa
+from .specfun import conical_legendre, g_dispersion, lipatov_kappa
 
 __all__ = [
     "DiffOperatorL",
@@ -213,41 +213,32 @@ def conical_legendre_grid(k, r) -> np.ndarray:
 # eigenfunctions
 
 
+# the Laplace-integral route converges within 256 panels for t <= 100 and
+# k <= 100; beyond, its O(1/t) endpoint peak is left to ODE propagation
+_T_LAPLACE_MAX = 100.0
+
+
 def mm_eigenfunction(k: float, xi) -> np.ndarray | float:
     """Continuum eigenfunction of K_{01}: phi(k, xi) = P_{-1/2+ik}(2/xi - 1)/xi.
 
     Real convention; xi * phi is the conical Legendre function itself.  Near
     xi = 0 the modulus grows like the xi^(-1/2) envelope (times log-periodic
-    oscillation).  K_{01} phi = (kappa(k) + log 2) phi.
+    oscillation).  K_{01} phi = (kappa(k) + log 2) phi.  Each point is
+    evaluated on its own, by the route its argument t = 2/xi - 1 selects, so
+    its value does not depend on the other points of the call.
     """
-    from .specfun import conical_legendre
-
     scalar = np.isscalar(xi)
     xa = np.atleast_1d(np.asarray(xi, dtype=float))
     if np.any(xa <= 0) or np.any(xa > 1):
         raise ValueError("mm_eigenfunction: xi must lie in (0, 1]")
-    t = 2.0 / xa - 1.0
-    if xa.size <= 64:
-        # the Laplace-integral route cannot resolve the O(1/t) endpoint peak
-        # of its integrand past t ~ 1e3; fall back to ODE propagation there
-        vals = np.array(
-            [
-                conical_legendre(k, tt)
-                if tt <= 1e3
-                else float(
-                    conical_legendre_grid(np.array([k]), np.array([math.acosh(tt)]))[
-                        0, 0
-                    ]
-                )
-                for tt in t
-            ]
-        )
-    else:
-        r = np.arccosh(t)
-        order = np.argsort(r)
-        p = conical_legendre_grid(np.array([k]), r[order])[:, 0]
-        vals = np.empty_like(xa)
-        vals[order] = p
+    vals = np.array(
+        [
+            conical_legendre(k, tt)
+            if tt <= _T_LAPLACE_MAX
+            else conical_legendre_grid([k], [math.acosh(tt)])[0, 0]
+            for tt in 2.0 / xa - 1.0
+        ]
+    )
     vals = vals / xa
     return float(vals[0]) if scalar else vals
 
@@ -501,6 +492,11 @@ _K_BLOCK = 1024
 
 
 def _default_k_grid(k_max: float, dk: float) -> np.ndarray:
+    for name, v in (("k_max", k_max), ("dk", dk)):
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(
+                f"mehler_fock_forward: {name}={v} must be positive and finite"
+            )
     n = int(round(k_max / dk))
     return np.linspace(0.0, k_max, n + 1)
 
@@ -593,8 +589,6 @@ def hyperbolic_similarity_check(k: float, r_grid, h: float = 5e-3) -> float:
     derivative is taken by 5-point central differences on scalar
     conical-Legendre evaluations.
     """
-    from .specfun import conical_legendre
-
     r_grid = np.atleast_1d(np.asarray(r_grid, dtype=float))
     if np.any(r_grid <= 2 * h):
         raise ValueError("hyperbolic_similarity_check: r must exceed the stencil width")

@@ -60,6 +60,12 @@ class OperatorParams:
         """True when both parameters are positive (confining potential)."""
         return self.alpha > 0 and self.beta > 0
 
+    def require_discrete(self, caller: str) -> None:
+        """Raise when alpha or beta vanishes: the potential no longer confines
+        and the spectrum is continuous (use the exact module instead)."""
+        if not self.discrete_spectrum:
+            raise ValueError(f"{caller}: spectrum is continuous for alpha=0 or beta=0")
+
 
 @dataclass
 class SpectralCoeffs:
@@ -271,13 +277,9 @@ def kinetic_matrix(grid: UGrid) -> np.ndarray:
 def pseudospectral_matrix(params: OperatorParams, grid: UGrid) -> np.ndarray:
     """Dense symmetric matrix of G(p) + V(u) on the grid.
 
-    Raises when alpha or beta vanishes: the potential no longer confines and
-    the spectrum is continuous (use the exact module instead).
+    Raises when the spectrum is continuous (OperatorParams.require_discrete).
     """
-    if not params.discrete_spectrum:
-        raise ValueError(
-            "pseudospectral_matrix: spectrum is continuous for alpha=0 or beta=0"
-        )
+    params.require_discrete("pseudospectral_matrix")
     h = kinetic_matrix(grid) + np.diag(potential_v(grid.nodes, params))
     return 0.5 * (h + h.T)
 
@@ -423,9 +425,11 @@ def galerkin_spectrum(
     """Lowest eigenvalues of K_{alpha,beta} from the Galerkin backend.
 
     Runs truncations N and 2N; returns (eigenvalues at 2N, per-eigenvalue
-    truncation-error estimates |lam_2N - lam_N|).
+    truncation-error estimates |lam_2N - lam_N|).  Raises when the spectrum
+    is continuous, as the pseudospectral backend does.
     """
     params = OperatorParams(alpha, beta)
+    params.require_discrete("galerkin_spectrum")
     lam = {}
     for n in (n_trunc, 2 * n_trunc) if extrapolate else (n_trunc,):
         mat = galerkin_matrix(params, n).entries

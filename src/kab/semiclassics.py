@@ -12,7 +12,14 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .operators import OperatorParams, potential_v
-from .specfun import BIG_G_MIN, CONSTANTS, big_g, phase_integral
+from .specfun import (
+    BIG_G_MIN,
+    CONSTANTS,
+    _gauss_nodes,
+    big_g,
+    big_g_inverse,
+    phase_integral,
+)
 
 __all__ = [
     "WkbSpectrumRow",
@@ -74,24 +81,6 @@ def wkb_eigenvalue(n: int, alpha: float, beta: float) -> float:
 # Bohr-Sommerfeld with exact G^{-1}
 
 
-def _big_g_inverse_vec(y: np.ndarray) -> np.ndarray:
-    """Vectorized inverse of G on p >= 0 by bracketed bisection."""
-    y = np.asarray(y, dtype=float)
-    lo = np.zeros_like(y)
-    hi = np.exp(np.minimum(y, 120.0) / 2.0) + 1.0
-    while True:
-        bad = big_g(hi) < y
-        if not np.any(bad):
-            break
-        hi[bad] *= 2.0
-    for _ in range(70):
-        mid = 0.5 * (lo + hi)
-        high = big_g(mid) > y
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-    return 0.5 * (lo + hi)
-
-
 def _turning_points(params: OperatorParams, level: float) -> tuple[float, float]:
     """Solve V(u) = level on both sides of the potential minimum."""
     u_star = 0.5 * math.log(params.alpha / params.beta)
@@ -123,11 +112,11 @@ def _bs_phase(params: OperatorParams, kappa_prime: float) -> float:
     a, b = _turning_points(params, kappa_prime - BIG_G_MIN)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    x, w = np.polynomial.legendre.leggauss(_BS_QUAD_N)
+    x, w = _gauss_nodes(_BS_QUAD_N)
     theta = 0.5 * math.pi * x
     u = mid + half * np.sin(theta)
     arg = np.maximum(kappa_prime - potential_v(u, params), BIG_G_MIN)
-    p = _big_g_inverse_vec(arg)
+    p = big_g_inverse(arg)
     return float(np.sum(w * p * np.cos(theta)) * half * 0.5 * math.pi / math.pi)
 
 
@@ -179,7 +168,7 @@ def _sc_amplitude(n: int, alpha: float, beta: float, kappa_prime: float) -> floa
 
 def _sc_values(amp, alpha, beta, kappa_prime, u: np.ndarray) -> np.ndarray:
     params = OperatorParams(alpha, beta)
-    phase = np.array([phase_integral(float(uu), alpha, beta, kappa_prime) for uu in u])
+    phase = phase_integral(u, alpha, beta, kappa_prime)
     return amp * np.sin(phase + 0.25 * math.pi) * np.exp(
         -0.25 * potential_v(u, params)
     )
@@ -332,6 +321,8 @@ def wkb_table(
     reference=None,
 ) -> list[WkbSpectrumRow]:
     """Rows (n, closed-form kappa_n, optional Bohr-Sommerfeld, optional ref)."""
+    if n_rows < 1:
+        raise ValueError(f"wkb_table: n_rows={n_rows} must be >= 1")
     rows = []
     for n in range(n_rows):
         bs = bohr_sommerfeld_solve(n, alpha, beta) if with_bohr_sommerfeld else None

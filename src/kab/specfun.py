@@ -1,8 +1,11 @@
-"""Self-contained special functions: complex digamma, the dispersion
-functions kappa(k) and g(k), the shifted kinetic function G and its inverse,
-conical Legendre functions, Bessel J0 and the beta-type phase integral.
+"""Special functions: complex digamma, the dispersion functions kappa(k) and
+g(k), the shifted kinetic function G and its inverse, conical Legendre
+functions and the beta-type phase integral.
 
-Everything here is a pure function of its arguments; no state is shared.
+Digamma, the incomplete beta function and the logistic map come from
+scipy.special; this module adds the argument checks and the closed forms
+built on them.  Everything here is a pure function of its arguments; no
+state is shared.
 """
 from __future__ import annotations
 
@@ -11,8 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
-from scipy.optimize import brentq
+from scipy import special
 
 __all__ = [
     "CONSTANTS",
@@ -24,7 +26,6 @@ __all__ = [
     "big_g_inverse",
     "conical_legendre",
     "hyp2f1_conical",
-    "bessel_j0",
     "phase_integral",
 ]
 
@@ -39,60 +40,44 @@ class Constants:
 
 CONSTANTS = Constants()
 
-# Bernoulli numbers B_2 .. B_14 for the Stirling tail of psi.
-_BERNOULLI = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-    7.0 / 6.0,
-)
-
-_SHIFT_RE = 10.0
-
 
 @lru_cache(maxsize=16)
 def _gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _check_finite(*vals: float) -> None:
+def _check_finite(*vals) -> None:
     for v in vals:
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite argument: {v!r}")
+        a = np.asarray(v, dtype=float)
+        bad = ~np.isfinite(a)
+        if np.any(bad):
+            raise ValueError(f"non-finite argument: {float(a[bad][0])!r}")
 
 
 def digamma(z: complex | np.ndarray) -> complex | np.ndarray:
-    """psi(z) = d log Gamma / dz for complex z, accurate to >= 12 digits.
+    """psi(z) = d log Gamma / dz for complex z (scipy.special.psi).
 
-    Recurrence-shifts to Re z >= 10 and applies the asymptotic series with
-    Bernoulli coefficients through B_14.  Raises on non-positive integers
-    (poles) and on NaN input.
+    Raises on non-positive integers (poles) and on NaN input.
     """
     scalar = np.isscalar(z)
-    zz = np.atleast_1d(np.asarray(z, dtype=complex)).copy()
+    zz = np.atleast_1d(np.asarray(z, dtype=complex))
     if np.any(np.isnan(zz)):
         raise ValueError("digamma: NaN argument")
     pole = (zz.imag == 0) & (zz.real <= 0) & (zz.real == np.round(zz.real))
     if np.any(pole):
         raise ValueError("digamma: argument is a non-positive integer (pole)")
-    acc = np.zeros_like(zz)
-    while True:
-        m = zz.real < _SHIFT_RE
-        if not np.any(m):
-            break
-        acc[m] -= 1.0 / zz[m]
-        zz[m] += 1.0
-    res = np.log(zz) - 0.5 / zz
-    inv2 = 1.0 / (zz * zz)
-    t = inv2.copy()
-    for i, b in enumerate(_BERNOULLI, start=1):
-        res -= b / (2 * i) * t
-        t *= inv2
-    res += acc
+    res = special.psi(zz)
     return complex(res[0]) if scalar else res
+
+
+def _two_re_psi(t, scale: float, shift: float) -> float | np.ndarray:
+    """2 Re psi(1/2 + i scale t) + shift for finite real t, scalar or array:
+    the one function behind kappa, g and G."""
+    scalar = np.isscalar(t)
+    ta = np.atleast_1d(np.asarray(t, dtype=float))
+    _check_finite(ta)
+    val = 2.0 * np.real(digamma(0.5 + 1j * (scale * ta))) + shift
+    return float(val[0]) if scalar else val
 
 
 def lipatov_kappa(k: float | np.ndarray) -> float | np.ndarray:
@@ -100,11 +85,7 @@ def lipatov_kappa(k: float | np.ndarray) -> float | np.ndarray:
 
     Real and even in k; kappa(0) = -4 log 2.
     """
-    scalar = np.isscalar(k)
-    ka = np.atleast_1d(np.asarray(k, dtype=float))
-    _check_finite(*ka.ravel())
-    val = 2.0 * np.real(digamma(0.5 + 1j * ka)) + 2.0 * CONSTANTS.euler_gamma
-    return float(val[0]) if scalar else val
+    return _two_re_psi(k, 1.0, 2.0 * CONSTANTS.euler_gamma)
 
 
 def g_dispersion(k: float | np.ndarray) -> float | np.ndarray:
@@ -112,15 +93,7 @@ def g_dispersion(k: float | np.ndarray) -> float | np.ndarray:
 
     Satisfies g(k) = kappa(k/2) + 2 log 2 and g(0) = -2 log 2.
     """
-    scalar = np.isscalar(k)
-    ka = np.atleast_1d(np.asarray(k, dtype=float))
-    _check_finite(*ka.ravel())
-    val = (
-        2.0 * np.real(digamma(0.5 * (1.0 + 1j * ka)))
-        + 2.0 * CONSTANTS.euler_gamma
-        + 2.0 * CONSTANTS.log2
-    )
-    return float(val[0]) if scalar else val
+    return _two_re_psi(k, 0.5, 2.0 * CONSTANTS.euler_gamma + 2.0 * CONSTANTS.log2)
 
 
 def big_g(p: float | np.ndarray) -> float | np.ndarray:
@@ -128,33 +101,38 @@ def big_g(p: float | np.ndarray) -> float | np.ndarray:
 
     Behaves like G(0) + (7/2) zeta(3) p^2 near zero and log p^2 at infinity.
     """
-    scalar = np.isscalar(p)
-    pa = np.atleast_1d(np.asarray(p, dtype=float))
-    _check_finite(*pa.ravel())
-    val = 2.0 * np.real(digamma(0.5 * (1.0 + 1j * pa))) + 2.0 * CONSTANTS.log2
-    return float(val[0]) if scalar else val
+    return _two_re_psi(p, 0.5, 2.0 * CONSTANTS.log2)
 
 
 #: minimum of G, attained at p = 0: G(0) = -2 log 2 - 2 gamma_E
 BIG_G_MIN = -2.0 * CONSTANTS.log2 - 2.0 * CONSTANTS.euler_gamma
 
 
-def big_g_inverse(y: float) -> float:
-    """Return p >= 0 with G(p) = y, to 1e-10.
+def big_g_inverse(y: float | np.ndarray) -> float | np.ndarray:
+    """Return p >= 0 with G(p) = y, elementwise, to the rounding of G.
 
-    Root-finding is a safeguarded bracketing iteration on [0, exp(y/2) + 1];
-    G is smooth, even, and strictly increasing for p >= 0.  Raises for
-    y < G(0).
+    Bisection on [0, exp(y/2) + 1], whose upper end is doubled until it
+    brackets the root; G is smooth, even, and strictly increasing for
+    p >= 0.  Raises for y < G(0).
     """
-    _check_finite(y)
-    if y < BIG_G_MIN - 1e-12:
-        raise ValueError(f"big_g_inverse: y={y} below the minimum G(0)={BIG_G_MIN}")
-    if y <= BIG_G_MIN:
-        return 0.0
-    hi = math.exp(min(y, 60.0) / 2.0) + 1.0
-    while big_g(hi) < y:
-        hi *= 2.0
-    return brentq(lambda p: big_g(p) - y, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
+    scalar = np.isscalar(y)
+    ya = np.atleast_1d(np.asarray(y, dtype=float))
+    _check_finite(ya)
+    if np.any(ya < BIG_G_MIN - 1e-12):
+        raise ValueError(
+            f"big_g_inverse: y={ya.min()} below the minimum G(0)={BIG_G_MIN}"
+        )
+    lo = np.zeros_like(ya)
+    hi = np.exp(np.minimum(ya, 120.0) / 2.0) + 1.0
+    while np.any(short := big_g(hi) < ya):
+        hi[short] *= 2.0
+    for _ in range(70):
+        mid = 0.5 * (lo + hi)
+        high = big_g(mid) > ya
+        hi = np.where(high, mid, hi)
+        lo = np.where(high, lo, mid)
+    p = 0.5 * (lo + hi)
+    return float(p[0]) if scalar else p
 
 
 def big_g_inverse_leading(y: float) -> float:
@@ -168,7 +146,8 @@ def conical_legendre(k: float, t: float) -> float:
 
     Uses the Laplace-type integral: the average over theta in [0, pi] of
     (t + sqrt(t^2-1) cos theta)^(-1/2+ik), evaluated with Gauss-Legendre
-    rules whose size is doubled until two successive results agree.
+    rules whose size is doubled until two successive results agree; raises
+    RuntimeError when 512 panels do not (large t and k).
     """
     _check_finite(k, t)
     if t < 1.0:
@@ -191,7 +170,10 @@ def conical_legendre(k: float, t: float) -> float:
             return val
         prev = val
         panels *= 2
-    return prev
+    raise RuntimeError(
+        f"conical_legendre: Laplace integral at k={k:g}, t={t:g} not converged "
+        "on 512 panels"
+    )
 
 
 def hyp2f1_conical(k: float, z: float) -> complex:
@@ -226,76 +208,29 @@ def hyp2f1_conical(k: float, z: float) -> complex:
     return p * np.exp((-0.5 - 1j * k) * math.log(x))
 
 
-_J0_SERIES_CUT = 16.0
-
-
-def bessel_j0(z: float) -> float:
-    """Bessel function J0(z) to >= 12 digits.
-
-    Power series in extended precision for |z| <= 16, Hankel asymptotic
-    expansion (truncated at its smallest term) beyond.
-    """
-    _check_finite(z)
-    z = abs(float(z))
-    if z <= _J0_SERIES_CUT:
-        q = -np.longdouble(z) * np.longdouble(z) / 4.0
-        term = np.longdouble(1.0)
-        total = np.longdouble(1.0)
-        for m in range(1, 200):
-            term *= q / (np.longdouble(m) * np.longdouble(m))
-            total += term
-            if abs(term) < 1e-22 * max(np.longdouble(1.0), abs(total)):
-                break
-        return float(total)
-    # Hankel expansion of H0^(1): sqrt(2/(pi z)) e^{i(z - pi/4)} sum_k (-i)^k a_k / z^k
-    # with a_k = ((2k-1)!!)^2 / (8^k k!)
-    a = 1.0
-    total = complex(1.0)
-    term_prev = 1.0
-    for kk in range(1, 30):
-        a *= (2 * kk - 1.0) ** 2 / (8.0 * kk)
-        mag = a / z**kk
-        if mag > term_prev:
-            break  # past the optimal truncation point
-        total += (-1j) ** kk * mag
-        term_prev = mag
-    phase = complex(math.cos(z - math.pi / 4.0), math.sin(z - math.pi / 4.0))
-    return math.sqrt(2.0 / (math.pi * z)) * (phase * total).real
-
-
-def phase_integral(u: float, alpha: float, beta: float, kappa_prime: float) -> float:
+def phase_integral(u, alpha: float, beta: float, kappa_prime: float):
     """The WKB phase: integral of exp((kappa' - V)/2) from -infinity to u,
     with V(u) = -alpha log(1 + tanh u) - beta log(1 - tanh u).
 
     After s = tanh(u') the integrand is the beta-type weight
-    (1+s)^(alpha/2-1) (1-s)^(beta/2-1); the quadrature handles the endpoint
-    weights explicitly.  u may be +-inf; the full-line value equals
-    exp(kappa'/2) 2^((alpha+beta)/2 - 1) B(alpha/2, beta/2).
+    (1+s)^(a-1) (1-s)^(b-1) with a = alpha/2, b = beta/2, so the phase is
+    exp(kappa'/2) 2^(a+b-1) B(a, b) I_x(a, b): the regularized incomplete
+    beta function at x = (1 + tanh u)/2 = expit(2u), formed without the
+    cancellation in 1 + tanh u.  u may be an array and may be +-inf; the
+    full-line value is exp(kappa'/2) 2^(a+b-1) B(a, b).
     """
     _check_finite(alpha, beta, kappa_prime)
     if alpha <= 0.0:
         raise ValueError("phase_integral: divergent at -infinity for alpha <= 0")
     if beta <= 0.0:
         raise ValueError("phase_integral: beta must be positive")
-    if math.isnan(u):
+    ua = np.asarray(u, dtype=float)
+    if np.any(np.isnan(ua)):
         raise ValueError("phase_integral: u is NaN")
-    if u == -math.inf:
-        return 0.0
-    s = 1.0 if u == math.inf else math.tanh(u)
     a = 0.5 * alpha
     b = 0.5 * beta
-    if s <= -1.0:  # tanh underflow for very negative u
-        return 0.0
-    if s >= 1.0:
-        val, _ = integrate.quad(
-            lambda t: 1.0, -1.0, 1.0, weight="alg", wvar=(a - 1.0, b - 1.0)
-        )
-    else:
-        val, _ = integrate.quad(
-            lambda t: (1.0 - t) ** (b - 1.0),
-            -1.0,
-            s,
-            weight="alg",
-            wvar=(a - 1.0, 0.0),
-        )
-    return math.exp(0.5 * kappa_prime) * val
+    scale = math.exp(
+        0.5 * kappa_prime + (a + b - 1.0) * CONSTANTS.log2 + special.betaln(a, b)
+    )
+    val = scale * special.betainc(a, b, special.expit(2.0 * ua))
+    return float(val) if np.isscalar(u) else val

@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+from kab.evolution import PROFILES
+
 # Reference spectrum table for the operator family: columns are the printed
 # values (as strings, so each entry carries its own decimal precision).
 # numeric_22: converged numerical kappa_n/2 for (alpha, beta) = (2, 2)
@@ -27,13 +29,6 @@ def printed_tolerance(entry: str) -> float:
     return 0.5 * 10.0 ** (-len(entry.split(".")[1]))
 
 
-SMOOTH_PROFILES = {
-    "xi-sq": lambda t: t**2 * (1.0 - t),
-    "xi-sq-sq": lambda t: (t * (1.0 - t)) ** 2,
-    "xi-cube": lambda t: t**3 * (1.0 - t),
-}
-
-
 @pytest.fixture(scope="session")
 def table1():
     return TABLE1
@@ -41,7 +36,7 @@ def table1():
 
 @pytest.fixture(scope="session")
 def smooth_profiles():
-    return SMOOTH_PROFILES
+    return PROFILES
 
 
 @pytest.fixture(scope="session")

@@ -7,8 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import j0
 
 from kab.evolution import (
+    PROFILES,
     EvolutionState,
     default_xi_grid,
     evolve_matrix,
@@ -35,8 +37,8 @@ from kab.semiclassics import (
     stable_log_one_minus_x,
     wkb_eigenvalue,
 )
-from kab.specfun import CONSTANTS, bessel_j0, lipatov_kappa
-from tests.conftest import SMOOTH_PROFILES, TABLE1, printed_tolerance
+from kab.specfun import CONSTANTS, lipatov_kappa
+from tests.conftest import TABLE1, printed_tolerance
 
 GAMMA = CONSTANTS.euler_gamma
 
@@ -122,7 +124,7 @@ def test_a8_evolution_cross_validation():
     xi = default_xi_grid(96)
     mask = (xi >= 0.05) & (xi <= 0.95)
     worst = 0.0
-    for profile in SMOOTH_PROFILES.values():
+    for profile in PROFILES.values():
         s = EvolutionState(tau=0.0, xi_grid=xi, u_values=profile(xi))
         for tau in (0.5, 1.0, 2.0):
             um = evolve_matrix(s, tau)
@@ -134,15 +136,15 @@ def test_a8_evolution_cross_validation():
             )
 
     # V-2 semigroup: one step to tau = 1 vs two steps through tau = 0.5
-    s = EvolutionState(tau=0.0, xi_grid=xi, u_values=SMOOTH_PROFILES["xi-sq"](xi))
+    s = EvolutionState(tau=0.0, xi_grid=xi, u_values=PROFILES["xi-sq"](xi))
     one = evolve_matrix(s, 1.0)
     two = evolve_matrix(evolve_matrix(s, 0.5), 1.0)
     scale = float(np.max(np.abs(one.u_values[mask])))
     semi = float(np.max(np.abs(one.u_values[mask] - two.u_values[mask]))) / scale
 
     # V-3 linearity
-    u1 = SMOOTH_PROFILES["xi-sq"](xi)
-    u2 = SMOOTH_PROFILES["xi-cube"](xi)
+    u1 = PROFILES["xi-sq"](xi)
+    u2 = PROFILES["xi-cube"](xi)
     combo = evolve_matrix(
         EvolutionState(tau=0.0, xi_grid=xi, u_values=1.5 * u1 - 0.5 * u2), 0.5
     )
@@ -197,7 +199,7 @@ def test_a10_boundary_exponents():
     u = np.array([0.2, 0.7, 1.2, 2.0])
     vals = linear_potential_solution(1.0, kp, u)
     y = np.exp(-u + 0.5 * kp)
-    ref = y * np.array([bessel_j0(2.0 * yy) for yy in y])
+    ref = y * j0(2.0 * y)
     scale = vals[0] / ref[0]
     bessel_err = float(np.max(np.abs(vals - scale * ref)))
 

@@ -124,6 +124,13 @@ class TestEigenfunction:
         cos = np.dot(num, sc) / np.sqrt(np.dot(num, num) * np.dot(sc, sc))
         assert cos > 0.99
 
+    def test_generic_parameters_leave_stderr_empty(self):
+        res = run_cli(
+            "eigenfunction", "--alpha", "0.7", "--beta", "1.9", "--m-points", "256",
+        )
+        assert res.returncode == 0
+        assert res.stderr == ""
+
 
 class TestMehlerFock:
     def test_slow_decay_exit_3(self):
@@ -191,11 +198,14 @@ class TestEvolve:
         assert json.loads(res.stderr)["kind"] == "validation"
 
     def test_huge_tau_exit_3_promptly(self):
-        res = run_cli(
-            "evolve", "--tau", "1e6", "--points", "8", "--n-trunc", "32", timeout=10
-        )
-        assert res.returncode == 3
-        assert json.loads(res.stderr)["kind"] == "numerical"
+        for args in (
+            ("--tau", "1e6", "--points", "8", "--n-trunc", "32"),
+            ("--tau", "500"),
+            ("--backend", "spectral", "--tau", "1e6"),
+        ):
+            res = run_cli("evolve", *args, timeout=10)
+            assert res.returncode == 3
+            assert json.loads(res.stderr)["kind"] == "numerical"
 
 
 class TestBoundaryFit:
@@ -218,6 +228,20 @@ class TestSchemaAndErrors:
         assert set(schemas) >= {"spectrum", "mehler-fock", "evolve", "boundary-fit", "error"}
         for doc in schemas.values():
             assert doc["type"] == "object"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("mehler-fock", "--dk", "0"),
+            ("wkb-table", "--alpha", "2", "--beta", "2", "--n", "-1"),
+            ("spectrum", "--alpha", "0", "--beta", "0", "--backend", "galerkin"),
+            ("spectrum", "--alpha", "0", "--beta", "0", "--backend", "pseudospectral"),
+        ],
+    )
+    def test_validation_exit_2(self, args):
+        res = run_cli(*args, timeout=60)
+        assert res.returncode == 2
+        assert json.loads(res.stderr)["kind"] == "validation"
 
     def test_no_command_exit_2(self):
         res = run_cli()

@@ -106,17 +106,25 @@ class TestValidation:
             evolve(s, tau)
 
     def test_overflowing_growth_raises(self, smooth_profiles):
-        # the exp(dtau log 2) prefactor overflows before any exponential work
+        # kappa >= -4 log 2 bounds the growth by 16^dtau; both backends refuse
+        # a step whose bound overflows before any work
         s = make_state(smooth_profiles["xi-sq"], n_points=8)
-        with pytest.raises(OverflowError):
-            evolve_matrix(s, 1e6, n_trunc=32)
+        for evolve in (evolve_matrix, evolve_spectral):
+            for tau in (600.0, 1e6):
+                with pytest.raises(OverflowError):
+                    evolve(s, tau)
 
-    def test_non_finite_result_raises(self, smooth_profiles):
-        # the prefactor is finite at tau = 600 but the growth of the slowest
-        # mode overflows
+    def test_non_finite_result_raises(self, smooth_profiles, monkeypatch):
+        # a step within the growth bound whose exponential still comes back
+        # non-finite is reported, not returned
+        import kab.evolution
+
         s = make_state(smooth_profiles["xi-sq"], n_points=8)
+        monkeypatch.setattr(
+            kab.evolution, "expm_multiply", lambda a, b: np.full_like(b, np.nan)
+        )
         with pytest.raises(RuntimeError):
-            evolve_matrix(s, 600.0, n_trunc=32)
+            evolve_matrix(s, 1.0, n_trunc=32)
 
 
 class TestProjection:

@@ -121,6 +121,12 @@ class TestMMEigenfunction:
             ref = conical_legendre(k, 2.0 / xi - 1.0) / xi
             assert mm_eigenfunction(k, xi) == pytest.approx(ref, rel=1e-10)
 
+    def test_value_independent_of_batch(self):
+        # more than 64 points, on both sides of the Laplace/ODE route boundary
+        xi = np.geomspace(5e-3, 1.0, 70)
+        one_by_one = [mm_eigenfunction(2.0, float(x)) for x in xi]
+        assert np.array_equal(mm_eigenfunction(2.0, xi), one_by_one)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             mm_eigenfunction(1.0, 0.0)
@@ -193,6 +199,13 @@ class TestMehlerFock:
         # u ~ const near xi = 0 maps to a non-decaying integrand
         with pytest.raises(RuntimeError):
             mehler_fock_forward(lambda xi: 1.0 - xi, t_max=1e4)
+
+    @pytest.mark.parametrize(
+        "k_max,dk", [(40.0, 0.0), (40.0, math.nan), (math.inf, 0.05)]
+    )
+    def test_invalid_k_grid_raises(self, k_max, dk):
+        with pytest.raises(ValueError):
+            mehler_fock_forward(lambda xi: xi**2 * (1.0 - xi), k_max=k_max, dk=dk)
 
     def test_coeffs_validation(self):
         with pytest.raises(ValueError):
