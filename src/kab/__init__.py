@@ -18,10 +18,8 @@ from .operators import (
     GalerkinMatrix,
     OperatorParams,
     SpectralCoeffs,
-    SpectralResult,
     UGrid,
     apply_k_pointwise,
-    eigendecompose,
     galerkin_matrix,
     galerkin_spectrum,
     harmonic,

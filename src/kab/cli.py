@@ -232,6 +232,10 @@ def _cmd_evolve(args) -> None:
     if args.tau != 0.0:
         if args.backend == "matrix":
             state = evolution.evolve_matrix(state, args.tau, n_trunc=args.n_trunc)
+            # an error estimate needs no more digits, and its last ones vary
+            # between runs, so 3 keep repeated runs byte-identical
+            est = state.meta["truncation_estimate"]
+            state.meta["truncation_estimate"] = float(f"{est:.3g}")
         else:
             state = evolution.evolve_spectral(state, args.tau)
     meta = {
@@ -286,7 +290,10 @@ def _add_common(p, *, resolution=True, fmt=True):
             "--u-max", type=float, default=None, help="pseudospectral half-width in u"
         )
         p.add_argument(
-            "--m-points", type=int, default=None, help="pseudospectral grid size (power of two)"
+            "--m-points",
+            type=int,
+            default=None,
+            help="pseudospectral grid size (power of two, 64 to 65536)",
         )
 
 

@@ -517,6 +517,8 @@ def mehler_fock_forward(
     propagation grid.  The magnitude of the integrand at t_max is recorded as
     the tail estimate and must fall below tail_tol.
     """
+    if not (math.isfinite(t_max) and t_max > 1):
+        raise ValueError(f"mehler_fock_forward: t_max={t_max} must be finite and > 1")
     kg = _default_k_grid(k_max, dk) if k_grid is None else np.asarray(k_grid, float)
     r_max = math.acosh(t_max)
     n_r = 4096

@@ -3,18 +3,20 @@
 Two backends are provided: a Legendre-Galerkin truncation in the orthonormal
 basis Phat_n = sqrt(n + 1/2) P_n, and a Fourier pseudospectral grid in the
 variable u (x = tanh u) where the kinetic part G(p) is diagonal in frequency
-space and the potential is diagonal on the grid.
+space and the potential is diagonal on the grid.  The pseudospectral operator
+is applied matrix-free by FFT and its lowest states come from Lanczos.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
 from scipy import integrate, linalg
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .specfun import CONSTANTS, big_g
 
@@ -23,7 +25,6 @@ __all__ = [
     "SpectralCoeffs",
     "GalerkinMatrix",
     "UGrid",
-    "SpectralResult",
     "harmonic",
     "harmonic_numbers",
     "monomial_action_k11",
@@ -31,7 +32,6 @@ __all__ = [
     "galerkin_matrix",
     "potential_v",
     "pseudospectral_matrix",
-    "eigendecompose",
     "schroedinger_forward",
     "schroedinger_inverse",
     "apply_k_pointwise",
@@ -93,7 +93,11 @@ class GalerkinMatrix:
 
 @dataclass(frozen=True)
 class UGrid:
-    """Uniform periodic grid on [-u_max, u_max] with m points (power of two)."""
+    """Uniform periodic grid on [-u_max, u_max] with m points (power of two).
+
+    At most 2^16 points: the largest grid a self-convergence study needs,
+    and a bound on the time and memory of a solve.
+    """
 
     u_max: float
     m_points: int
@@ -102,8 +106,10 @@ class UGrid:
         if not (self.u_max > 0 and math.isfinite(self.u_max)):
             raise ValueError("UGrid.u_max must be positive and finite")
         m = self.m_points
-        if m < 64 or (m & (m - 1)) != 0:
-            raise ValueError("UGrid.m_points must be a power of two >= 64")
+        if m < 64 or m > 65536 or (m & (m - 1)) != 0:
+            raise ValueError(
+                f"UGrid.m_points must be a power of two in [64, 65536], got {m}"
+            )
 
     @property
     def spacing(self) -> float:
@@ -116,25 +122,6 @@ class UGrid:
     @property
     def frequencies(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.m_points, d=self.spacing)
-
-
-@dataclass
-class SpectralResult:
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
-    backend: str
-    n_trunc: int
-    meta: dict = field(default_factory=dict)
-
-    def to_json_dict(self, params: OperatorParams | None = None) -> dict:
-        d = {
-            "backend": self.backend,
-            "n": int(self.n_trunc),
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-        }
-        if params is not None:
-            d["params"] = {"alpha": params.alpha, "beta": params.beta}
-        return d
 
 
 def harmonic(n: int) -> float:
@@ -264,24 +251,24 @@ def potential_v(u: np.ndarray | float, params: OperatorParams) -> np.ndarray | f
     return float(val) if np.isscalar(u) else val
 
 
-def kinetic_matrix(grid: UGrid) -> np.ndarray:
-    """Dense symmetric matrix of G(p) on the periodic grid (circulant)."""
-    gvals = big_g(grid.frequencies)
-    col = np.real(np.fft.ifft(gvals))
-    m = grid.m_points
-    idx = (np.arange(m)[:, None] - np.arange(m)[None, :]) % m
-    k = col[idx]
-    return 0.5 * (k + k.T)
+def pseudospectral_matrix(params: OperatorParams, grid: UGrid) -> LinearOperator:
+    """G(p) + V(u) on the grid as a symmetric matrix-free operator.
 
-
-def pseudospectral_matrix(params: OperatorParams, grid: UGrid) -> np.ndarray:
-    """Dense symmetric matrix of G(p) + V(u) on the grid.
-
-    Raises when the spectrum is continuous (OperatorParams.require_discrete).
+    The kinetic part is the Fourier multiplier G(p), applied by FFT, and the
+    potential is diagonal, so a product costs O(M log M) time and O(M)
+    memory.  Raises when the spectrum is continuous
+    (OperatorParams.require_discrete).
     """
     params.require_discrete("pseudospectral_matrix")
-    h = kinetic_matrix(grid) + np.diag(potential_v(grid.nodes, params))
-    return 0.5 * (h + h.T)
+    g = big_g(grid.frequencies)
+    v = potential_v(grid.nodes, params)
+
+    def matvec(x):
+        x = np.ravel(x)  # LinearOperator hands over (M,) or (M, 1)
+        return np.fft.ifft(g * np.fft.fft(x)).real + v * x
+
+    m = grid.m_points
+    return LinearOperator((m, m), matvec=matvec, dtype=float)
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
@@ -292,38 +279,6 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
         if nz.size and col[nz[0]] < 0:
             out[:, j] = -col
     return out
-
-
-def eigendecompose(matrix: np.ndarray, backend: str = "galerkin") -> SpectralResult:
-    """Full ordered symmetric eigendecomposition with deterministic signs.
-
-    Eigenvectors are unit-norm columns whose first entry of magnitude > 1e-8
-    is positive; the residual ||M v - lam v|| <= 1e-8 ||v|| is verified.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("eigendecompose: matrix must be square")
-    if not np.allclose(matrix, matrix.T, atol=1e-10, rtol=1e-10):
-        raise ValueError("eigendecompose: matrix is not symmetric")
-    try:
-        vals, vecs = linalg.eigh(matrix)
-    except linalg.LinAlgError as exc:  # pragma: no cover
-        raise RuntimeError(f"eigendecompose: eigensolver failed: {exc}") from exc
-    order = np.argsort(vals)
-    vals = vals[order]
-    vecs = _fix_signs(vecs[:, order])
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    resid = np.linalg.norm(matrix @ vecs - vecs * vals[None, :], axis=0)
-    if np.any(resid > 1e-8 * scale):
-        raise RuntimeError(
-            f"eigendecompose: residual {resid.max():.3e} exceeds tolerance"
-        )
-    return SpectralResult(
-        eigenvalues=vals,
-        eigenvectors=vecs,
-        backend=backend,
-        n_trunc=matrix.shape[0],
-    )
 
 
 def schroedinger_forward(phi):
@@ -443,6 +398,37 @@ def galerkin_spectrum(
     return tuple(map(float, best)), tuple(map(float, err))
 
 
+def _pseudospectral_solve(
+    alpha: float, beta: float, n_eigs: int, u_max: float, m_points: int
+) -> tuple[UGrid, np.ndarray, np.ndarray]:
+    """Lowest n_eigs eigenpairs of G(p) + V(u), ascending and sign-fixed.
+
+    ARPACK's implicitly restarted Lanczos on the matrix-free operator, started
+    from a fixed generic vector: the default start is random, and a symmetric
+    one would miss the odd states when alpha = beta.  Each pair must satisfy
+    ||H v - lam v|| <= 1e-8 max(1, max |lam|).
+    """
+    params = OperatorParams(alpha, beta)
+    grid = UGrid(u_max, m_points)
+    if not 1 <= n_eigs < m_points:
+        raise ValueError(
+            f"pseudospectral: n_eigs={n_eigs} must lie in [1, m_points={m_points})"
+        )
+    h = pseudospectral_matrix(params, grid)
+    v0 = np.random.default_rng(0).standard_normal(m_points)
+    vals, vecs = eigsh(h, k=n_eigs, which="SA", tol=0, v0=v0)
+    order = np.argsort(vals)
+    vals = vals[order]
+    vecs = _fix_signs(vecs[:, order])
+    scale = max(1.0, float(np.max(np.abs(vals))))
+    resid = np.linalg.norm(h.matmat(vecs) - vecs * vals, axis=0)
+    if np.any(resid > 1e-8 * scale):
+        raise RuntimeError(
+            f"pseudospectral: eigenpair residual {resid.max():.3e} exceeds tolerance"
+        )
+    return grid, vals, vecs
+
+
 @lru_cache(maxsize=32)
 def pseudospectral_spectrum(
     alpha: float,
@@ -453,10 +439,7 @@ def pseudospectral_spectrum(
 ) -> tuple[float, ...]:
     """Lowest eigenvalues of G(p) + V(u), reported on the kappa scale
     (shifted back by kappa = kappa' + 2 gamma_E)."""
-    params = OperatorParams(alpha, beta)
-    grid = UGrid(u_max, m_points)
-    h = pseudospectral_matrix(params, grid)
-    vals = linalg.eigh(h, eigvals_only=True, subset_by_index=[0, n_eigs - 1])
+    _, vals, _ = _pseudospectral_solve(alpha, beta, n_eigs, u_max, m_points)
     return tuple(float(v + 2.0 * CONSTANTS.euler_gamma) for v in vals)
 
 
@@ -469,11 +452,7 @@ def pseudospectral_eigensystem(
     m_points: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(u_nodes, kappa values, eigenvector columns) for the lowest states."""
-    params = OperatorParams(alpha, beta)
-    grid = UGrid(u_max, m_points)
-    h = pseudospectral_matrix(params, grid)
-    vals, vecs = linalg.eigh(h, subset_by_index=[0, n_eigs - 1])
-    vecs = _fix_signs(vecs)
+    grid, vals, vecs = _pseudospectral_solve(alpha, beta, n_eigs, u_max, m_points)
     return grid.nodes, vals + 2.0 * CONSTANTS.euler_gamma, vecs
 
 

@@ -93,6 +93,19 @@ class TestSpectrum:
         err = json.loads(res.stderr)
         assert err["kind"] == "validation"
 
+    def test_huge_grid_exit_2_promptly(self):
+        # the grid is bounded, so an absurd size is refused before any work
+        for args, env in (
+            (("--m-points", "1073741824"), None),
+            ((), {"KAB_M_POINTS": "1073741824"}),
+        ):
+            res = run_cli(
+                "spectrum", "--alpha", "2", "--beta", "2", *args,
+                env_extra=env, timeout=10,
+            )
+            assert res.returncode == 2
+            assert json.loads(res.stderr)["kind"] == "validation"
+
 
 class TestWkbTable:
     def test_with_bohr_sommerfeld(self):
@@ -197,6 +210,13 @@ class TestEvolve:
         assert res.returncode == 2
         assert json.loads(res.stderr)["kind"] == "validation"
 
+    def test_reproducible(self):
+        # repeated runs print the same bytes, the error estimate included
+        args = ("evolve", "--tau", "1.0", "--n-trunc", "64", "--points", "16")
+        a, b = run_cli(*args), run_cli(*args)
+        assert a.returncode == b.returncode == 0
+        assert a.stdout == b.stdout
+
     def test_huge_tau_exit_3_promptly(self):
         for args in (
             ("--tau", "1e6", "--points", "8", "--n-trunc", "32"),
@@ -233,9 +253,13 @@ class TestSchemaAndErrors:
         "args",
         [
             ("mehler-fock", "--dk", "0"),
+            ("mehler-fock", "--t-max", "0.5"),
+            ("mehler-fock", "--t-max", "nan"),
             ("wkb-table", "--alpha", "2", "--beta", "2", "--n", "-1"),
             ("spectrum", "--alpha", "0", "--beta", "0", "--backend", "galerkin"),
             ("spectrum", "--alpha", "0", "--beta", "0", "--backend", "pseudospectral"),
+            ("spectrum", "--alpha", "2", "--beta", "2", "--n", "0"),
+            ("eigenfunction", "--alpha", "2", "--beta", "2", "--n", "64", "--m-points", "64"),
         ],
     )
     def test_validation_exit_2(self, args):

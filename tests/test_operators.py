@@ -2,7 +2,8 @@
 
 Oracles: exact harmonic-number spectrum of K_{11} on Legendre polynomials,
 closed-form monomial action, quadrature evaluation of log-potential matrix
-elements, and plane waves for the kinetic multiplier.
+elements, plane waves for the kinetic multiplier, and a dense circulant
+eigensolve for the matrix-free pseudospectral solve.
 """
 import math
 
@@ -11,22 +12,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import legendre as npleg
+from scipy import linalg
 
 from kab.operators import (
     OperatorParams,
     SpectralCoeffs,
     UGrid,
     apply_k_pointwise,
-    eigendecompose,
     galerkin_matrix,
     galerkin_spectrum,
     harmonic,
     harmonic_numbers,
-    kinetic_matrix,
     log_matrix_elements,
     monomial_action_k11,
     potential_v,
     project,
+    pseudospectral_eigensystem,
     pseudospectral_matrix,
     pseudospectral_spectrum,
     schroedinger_forward,
@@ -53,6 +54,8 @@ class TestTypes:
     def test_ugrid_validation(self):
         with pytest.raises(ValueError):
             UGrid(10.0, 100)  # not a power of two
+        with pytest.raises(ValueError):
+            UGrid(10.0, 2**17)  # above the 2^16 bound
         g = UGrid(10.0, 128)
         assert g.nodes.size == 128
         assert g.frequencies.size == 128
@@ -179,13 +182,15 @@ class TestPseudospectral:
 
     def test_kinetic_plane_waves(self):
         # O-5: commensurate plane waves are exact eigenvectors of the
-        # circulant kinetic matrix with eigenvalue G(k)
+        # kinetic multiplier, so (H - V) wave = G(k) wave
         grid = UGrid(24.0, 512)
-        kin = kinetic_matrix(grid)
+        params = OperatorParams(2.0, 2.0)
+        h = pseudospectral_matrix(params, grid)
+        v = potential_v(grid.nodes, params)
         for j in (2, 17, 100):
             k = abs(float(grid.frequencies[j]))
-            wave = np.exp(1j * k * grid.nodes)
-            assert np.max(np.abs(kin @ wave - big_g(k) * wave)) < 1e-10
+            for wave in (np.cos(k * grid.nodes), np.sin(k * grid.nodes)):
+                assert np.max(np.abs(h @ wave - v * wave - big_g(k) * wave)) < 1e-10
 
     def test_continuous_spectrum_params_raise(self):
         with pytest.raises(ValueError):
@@ -198,20 +203,40 @@ class TestPseudospectral:
             assert 0.5 * eigs[n] == pytest.approx(harmonic(n), abs=1e-4)
 
 
-class TestEigendecompose:
-    def test_sign_convention_and_residual(self, rng):
-        a = rng.normal(size=(12, 12))
-        m = 0.5 * (a + a.T)
-        res = eigendecompose(m)
-        assert np.all(np.diff(res.eigenvalues) >= 0)
-        for j in range(12):
-            v = res.eigenvectors[:, j]
-            first = v[np.abs(v) > 1e-8][0]
-            assert first > 0
+def _dense_eigensystem(params, grid, n_eigs):
+    """Oracle: the dense circulant of G(p) plus diag(V), solved by eigh, with
+    the first entry of magnitude > 1e-8 of each eigenvector made positive."""
+    col = np.fft.ifft(big_g(grid.frequencies)).real
+    h = linalg.circulant(col) + np.diag(potential_v(grid.nodes, params))
+    vals, vecs = linalg.eigh(h, subset_by_index=[0, n_eigs - 1])
+    for j in range(n_eigs):
+        first = vecs[np.abs(vecs[:, j]) > 1e-8, j][0]
+        vecs[:, j] *= np.sign(first)
+    return vals, vecs
 
-    def test_asymmetric_raises(self):
-        with pytest.raises(ValueError):
-            eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+class TestPseudospectralSolve:
+    @pytest.mark.parametrize("alpha,beta", [(2.0, 2.0), (1.0, 2.0), (0.7, 1.9)])
+    def test_matches_dense_oracle(self, alpha, beta):
+        grid = UGrid(20.0, 256)
+        dense_vals, dense_vecs = _dense_eigensystem(OperatorParams(alpha, beta), grid, 10)
+        nodes, kappas, vecs = pseudospectral_eigensystem.__wrapped__(
+            alpha, beta, 10, grid.u_max, grid.m_points
+        )
+        assert np.array_equal(nodes, grid.nodes)
+        vals = kappas - 2.0 * CONSTANTS.euler_gamma
+        assert np.max(np.abs(vals - dense_vals)) <= 1e-12
+        assert np.max(np.abs(vecs - dense_vecs)) <= 1e-10
+        for j in range(10):
+            assert vecs[np.abs(vecs[:, j]) > 1e-8, j][0] > 0
+
+    def test_uncached_solves_bitwise_equal(self):
+        # the Lanczos start vector is fixed, so repeated solves agree exactly
+        solve = pseudospectral_eigensystem.__wrapped__
+        first = solve(0.7, 1.9, 6, 30.0, 1024)
+        second = solve(0.7, 1.9, 6, 30.0, 1024)
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
 
 
 class TestSchroedingerMaps:
