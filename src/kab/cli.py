@@ -232,8 +232,7 @@ def _cmd_evolve(args) -> None:
     if args.tau != 0.0:
         if args.backend == "matrix":
             state = evolution.evolve_matrix(state, args.tau, n_trunc=args.n_trunc)
-            # an error estimate needs no more digits, and its last ones vary
-            # between runs, so 3 keep repeated runs byte-identical
+            # an error estimate needs no more than 3 significant digits
             est = state.meta["truncation_estimate"]
             state.meta["truncation_estimate"] = float(f"{est:.3g}")
         else:

@@ -103,10 +103,14 @@ def default_xi_grid(n_points: int = 96) -> np.ndarray:
 
 
 def state_interpolant(state: EvolutionState) -> BarycentricInterpolator:
-    """Polynomial interpolant through the state samples with u(0) pinned to 0."""
+    """Polynomial interpolant through the state samples with u(0) pinned to 0.
+
+    The barycentric weights are formed in a random node order; its own seeded
+    generator keeps them reproducible and numpy's global RNG untouched.
+    """
     nodes = np.concatenate(([0.0], state.xi_grid))
     vals = np.concatenate(([0.0], state.u_values))
-    return BarycentricInterpolator(nodes, vals)
+    return BarycentricInterpolator(nodes, vals, rng=0)
 
 
 def mm_rhs(state: EvolutionState, xi: float) -> float:
@@ -186,23 +190,38 @@ def _state_coeffs(state: EvolutionState, n_trunc: int) -> np.ndarray:
     return coeffs
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def _k01_matrix(n_trunc: int) -> np.ndarray:
-    """Read-only Galerkin matrix of K_{01}; one evolve_matrix call uses N and 2N."""
+    """Read-only Galerkin matrix of K_{01}.
+
+    evolve_matrix asks for size 2N only: the size-N matrix is its leading
+    block, bit for bit.
+    """
     mat = galerkin_matrix(OperatorParams(0.0, 1.0), n_trunc).entries
     mat.flags.writeable = False
     return mat
 
 
-def _matrix_step(coeffs: np.ndarray, xi_grid: np.ndarray, dtau: float) -> np.ndarray:
-    """xi phi after one truncated-Galerkin exponential at size coeffs.size.
+def _matrix_step(
+    mat: np.ndarray, coeffs: np.ndarray, xi_grid: np.ndarray, dtau: float
+) -> np.ndarray:
+    """xi phi after one truncated-Galerkin exponential of the matrix mat.
 
     The exp(dtau log 2) factor is left to the caller.
     """
     coefficient_tail_warning(SpectralCoeffs(coeffs))
-    # an overflowing growth is reported once, by evolve_matrix's finiteness check
-    with np.errstate(over="ignore", invalid="ignore"):
-        evolved = expm_multiply(-dtau * _k01_matrix(coeffs.size), coeffs)
+    # expm_multiply sizes its steps with onenormest, which draws random sign
+    # vectors from numpy's global RNG; a fixed seed makes the result
+    # reproducible, and the caller's RNG state is restored
+    rng_state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        # an overflowing growth is reported once, by evolve_matrix's
+        # finiteness check
+        with np.errstate(over="ignore", invalid="ignore"):
+            evolved = expm_multiply(-dtau * mat, coeffs)
+    finally:
+        np.random.set_state(rng_state)
     return xi_grid * synthesize(evolved, 2.0 * xi_grid - 1.0)
 
 
@@ -219,7 +238,8 @@ def evolve_matrix(
     points, so phi has degree points - 1, only its first points coefficients
     are nonzero, and their integrands, of degree <= 2 points - 2, are exact
     on the points-node rule.  The K_{01} matrix depends on neither tau nor
-    the profile and is built once per size and cached.
+    the profile; the 2 n_trunc matrix is built once and cached, and the
+    n_trunc step uses its leading block.
     The log-potential matrix couples all mode pairs with 1/(n-m) decay, so the
     truncation error falls off like 1/n_trunc; the step is therefore run at
     n_trunc and 2 n_trunc and Richardson-extrapolated, with the difference of
@@ -228,8 +248,11 @@ def evolve_matrix(
     dtau = _delta_tau(state, tau_final)
     growth = math.exp(dtau * _LOG2)
     coeffs = _state_coeffs(state, 2 * n_trunc)
-    u_coarse = _matrix_step(coeffs[:n_trunc], state.xi_grid, dtau)
-    u_fine = _matrix_step(coeffs, state.xi_grid, dtau)
+    mat = _k01_matrix(2 * n_trunc)
+    u_coarse = _matrix_step(
+        mat[:n_trunc, :n_trunc], coeffs[:n_trunc], state.xi_grid, dtau
+    )
+    u_fine = _matrix_step(mat, coeffs, state.xi_grid, dtau)
     u_new = growth * (2.0 * u_fine - u_coarse)
     if not np.all(np.isfinite(u_new)):
         raise RuntimeError(
@@ -264,9 +287,7 @@ def evolve_spectral(
     # the decay factor sharpens the k-integrand around k = 0 as dtau grows,
     # so the k-grid is refined accordingly
     dk_eff = dk / (1.0 + dtau)
-    coeffs = mehler_fock_forward(
-        lambda xi: float(f(xi)), k_max=k_max, dk=dk_eff, t_max=t_max
-    )
+    coeffs = mehler_fock_forward(f, k_max=k_max, dk=dk_eff, t_max=t_max)
     decay = np.exp(-lipatov_kappa(coeffs.k_grid) * dtau)
     coeffs.c = coeffs.c * decay
     u_new = mehler_fock_inverse(coeffs, state.xi_grid)

@@ -156,15 +156,81 @@ def _conical_series(k: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 _R_SERIES_CUT = 0.2
+# Magnus steps whose 2x2 exponentials are formed together, as (B, len(k)) arrays
+_STEP_BLOCK = 64
+
+
+def _conical_rows(k: np.ndarray, r: np.ndarray):
+    """Yield (i, P_{-1/2+ik}(cosh r_i)) for every radius, in order of r.
+
+    Small radii use the hypergeometric series; larger ones propagate
+    y'' = -(k^2 + 1/(4 sinh^2 r)) y for y = sqrt(sinh r) P with a fourth
+    order Magnus scheme (exact 2x2 step exponentials at two Gauss points),
+    accurate to ~1e-9.  A scalar pre-pass lists the steps and the radii each
+    one lands on (coincident radii land together); the step exponentials are
+    then formed _STEP_BLOCK steps at a time, so memory is O(len(k)).
+    """
+    big = r > _R_SERIES_CUT
+    for i in np.nonzero(~big)[0]:
+        yield i, (np.ones_like(k) if r[i] == 0.0 else _conical_series(k, r[i])[0])
+    targets = np.nonzero(big)[0]
+    if targets.size == 0:
+        return
+
+    r0 = _R_SERIES_CUT
+    rc = r0
+    starts, steps = [], []
+    lands = [[]]  # lands[s]: (i, sqrt(sinh r)) of the radii reached after s steps
+    for i in targets:
+        rt = r[i]
+        while rc < rt - 1e-14:
+            # beyond r ~ 6 the frequency is essentially constant and the exact
+            # 2x2 step exponential permits much larger steps
+            hmax = 0.005 if rc <= 6.0 else (0.05 if rc <= 12.0 else 0.25)
+            h = min(hmax, max(rc / 40.0, 1e-4), rt - rc)
+            starts.append(rc)
+            steps.append(h)
+            lands.append([])
+            rc += h
+        lands[-1].append((i, math.sqrt(math.sinh(rc))))
+    h = np.array(steps)
+    gpt = math.sqrt(3.0) / 6.0
+    # beyond r ~ 355 sinh^2 overflows and 1/(4 sinh^2) takes its limit 0
+    with np.errstate(over="ignore"):
+        s1 = 1.0 / (4.0 * np.sinh(np.array(starts) + (0.5 - gpt) * h) ** 2)
+        s2 = 1.0 / (4.0 * np.sinh(np.array(starts) + (0.5 + gpt) * h) ** 2)
+    wbar = 0.5 * (s1 + s2)
+    d = math.sqrt(3.0) * h * h * (s2 - s1) / 12.0
+
+    p0, dp0 = _conical_series(k, r0)
+    s0 = math.sinh(r0)
+    y = math.sqrt(s0) * p0
+    yp = math.sqrt(s0) * dp0 + 0.5 * math.cosh(r0) / math.sqrt(s0) * p0
+    for i, norm in lands[0]:
+        yield i, y / norm
+    k2 = k * k
+    for lo in range(0, h.size, _STEP_BLOCK):
+        hb = h[lo : lo + _STEP_BLOCK, None]
+        db = d[lo : lo + _STEP_BLOCK, None]
+        hw = hb * (k2 + wbar[lo : lo + _STEP_BLOCK, None])
+        # theta vanishes only at k = 0 where 1/(4 sinh^2) is 0; the floor
+        # gives sin(theta)/theta its limit 1 there
+        th = np.maximum(np.sqrt(hb * hw - db * db), 1e-300)
+        cs = np.cos(th)
+        sn = np.sin(th) / th
+        ds = db * sn
+        # the 2x2 step exponential [[a, b], [-c, e]]
+        a, b, c, e = cs + ds, hb * sn, hw * sn, cs - ds
+        for j in range(hb.shape[0]):
+            y, yp = a[j] * y + b[j] * yp, e[j] * yp - c[j] * y
+            for i, norm in lands[lo + j + 1]:
+                yield i, y / norm
 
 
 def conical_legendre_grid(k, r) -> np.ndarray:
     """P_{-1/2+ik}(cosh r) for a vector of wavenumbers and radii at once.
 
-    Shape (len(r), len(k)).  Small radii use the hypergeometric series; larger
-    ones propagate y'' = -(k^2 + 1/(4 sinh^2 r)) y for y = sqrt(sinh r) P with
-    a fourth order Magnus scheme (exact 2x2 step exponentials at two Gauss
-    points), accurate to ~1e-9.
+    Shape (len(r), len(k)); the rows come from one pass of _conical_rows.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
     r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -173,39 +239,8 @@ def conical_legendre_grid(k, r) -> np.ndarray:
     if np.any(np.diff(r) < 0):
         raise ValueError("conical_legendre_grid: r must be nondecreasing")
     out = np.empty((r.size, k.size))
-    small = r <= _R_SERIES_CUT
-    for i in np.nonzero(small)[0]:
-        out[i] = 1.0 if r[i] == 0.0 else _conical_series(k, r[i])[0]
-    targets = np.nonzero(~small)[0]
-    if targets.size == 0:
-        return out
-
-    r0 = _R_SERIES_CUT
-    p0, dp0 = _conical_series(k, r0)
-    s0 = math.sinh(r0)
-    y = math.sqrt(s0) * p0
-    yp = math.sqrt(s0) * dp0 + 0.5 * math.cosh(r0) / math.sqrt(s0) * p0
-    gpt = math.sqrt(3.0) / 6.0
-    rc = r0
-    for i in targets:
-        rt = r[i]
-        while rc < rt - 1e-14:
-            # beyond r ~ 6 the frequency is essentially constant and the exact
-            # 2x2 step exponential permits much larger steps
-            hmax = 0.005 if rc <= 6.0 else (0.05 if rc <= 12.0 else 0.25)
-            h = min(hmax, max(rc / 40.0, 1e-4), rt - rc)
-            r1 = rc + (0.5 - gpt) * h
-            r2 = rc + (0.5 + gpt) * h
-            w1 = k**2 + 1.0 / (4.0 * math.sinh(r1) ** 2)
-            w2 = k**2 + 1.0 / (4.0 * math.sinh(r2) ** 2)
-            wb = 0.5 * (w1 + w2)
-            d = math.sqrt(3.0) * h * h * (w2 - w1) / 12.0
-            th = np.sqrt(h * h * wb - d * d)
-            cs = np.cos(th)
-            sn = np.sinc(th / np.pi)
-            y, yp = cs * y + sn * (d * y + h * yp), cs * yp + sn * (-h * wb * y - d * yp)
-            rc += h
-        out[i] = y / math.sqrt(math.sinh(rc))
+    for i, row in _conical_rows(k, r):
+        out[i] = row
     return out
 
 
@@ -488,9 +523,6 @@ def verify_g_of_ell(
 # Mehler-Fock transform
 
 
-_K_BLOCK = 1024
-
-
 def _default_k_grid(k_max: float, dk: float) -> np.ndarray:
     for name, v in (("k_max", k_max), ("dk", dk)):
         if not (math.isfinite(v) and v > 0):
@@ -514,8 +546,11 @@ def mehler_fock_forward(
 
     The substitution t = cosh r turns the slowly decaying conical tail into a
     bounded oscillation; the r-integral is done by Simpson's rule on the
-    propagation grid.  The magnitude of the integrand at t_max is recorded as
-    the tail estimate and must fall below tail_tol.
+    propagation grid, summed row by row as the conical functions are
+    propagated, so memory is O(len(k)).  u_func is called once, on the array
+    of all n_r + 1 points, and must accept an array.  The magnitude of the
+    integrand at t_max is recorded as the tail estimate and must fall below
+    tail_tol.
     """
     if not (math.isfinite(t_max) and t_max > 1):
         raise ValueError(f"mehler_fock_forward: t_max={t_max} must be finite and > 1")
@@ -523,19 +558,17 @@ def mehler_fock_forward(
     r_max = math.acosh(t_max)
     n_r = 4096
     r = np.linspace(0.0, r_max, n_r + 1)
-    t = np.cosh(r)
-    uvals = np.array([float(u_func(2.0 / (1.0 + tt))) for tt in t])
-    weight = (uvals * np.sinh(r))[:, None]
-    # the (n_r + 1) x len(kg) integrand is built for at most _K_BLOCK
-    # wavenumbers at a time, so memory stays fixed as the k-grid is refined
-    vals = np.empty_like(kg)
-    tail = 0.0
-    edges = np.linspace(0, kg.size, -(-kg.size // _K_BLOCK) + 1).astype(int)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        integrand = conical_legendre_grid(kg[lo:hi], r)
-        integrand *= weight
-        tail = max(tail, float(np.max(np.abs(integrand[-1]))))
-        vals[lo:hi] = integrate.simpson(integrand, x=r, axis=0)
+    u_sinh = np.asarray(u_func(2.0 / (1.0 + np.cosh(r))), dtype=float) * np.sinh(r)
+    # composite Simpson weights (h/3) [1, 4, 2, ..., 2, 4, 1]
+    simpson = np.full(n_r + 1, 2.0)
+    simpson[1::2] = 4.0
+    simpson[[0, -1]] = 1.0
+    weight = u_sinh * simpson * (r_max / n_r / 3.0)
+    vals = np.zeros_like(kg)
+    for i, row in _conical_rows(kg, r):
+        vals += weight[i] * row
+    # rows arrive in order of r, so the last one is at t_max
+    tail = float(np.max(np.abs(u_sinh[-1] * row)))
     if tail > tail_tol:
         raise RuntimeError(
             f"mehler_fock_forward: integrand magnitude {tail:.3e} at t_max={t_max:g} "

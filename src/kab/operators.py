@@ -385,10 +385,13 @@ def galerkin_spectrum(
     """
     params = OperatorParams(alpha, beta)
     params.require_discrete("galerkin_spectrum")
-    lam = {}
-    for n in (n_trunc, 2 * n_trunc) if extrapolate else (n_trunc,):
-        mat = galerkin_matrix(params, n).entries
-        lam[n] = linalg.eigh(mat, eigvals_only=True, subset_by_index=[0, n_eigs - 1])
+    sizes = (n_trunc, 2 * n_trunc) if extrapolate else (n_trunc,)
+    # the size-N matrix is the leading block of the size-2N one
+    mat = galerkin_matrix(params, sizes[-1]).entries
+    lam = {
+        n: linalg.eigh(mat[:n, :n], eigvals_only=True, subset_by_index=[0, n_eigs - 1])
+        for n in sizes
+    }
     if extrapolate:
         best = lam[2 * n_trunc]
         err = np.abs(lam[2 * n_trunc] - lam[n_trunc])

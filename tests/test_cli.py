@@ -217,6 +217,18 @@ class TestEvolve:
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
+    def test_reproducible_json(self):
+        # JSON prints every value at full repr, so every random choice in the
+        # step (the interpolant's node order, expm_multiply's norm estimate)
+        # must be seeded, not only rounded away
+        args = (
+            "evolve", "--tau", "1.0", "--n-trunc", "64", "--points", "16",
+            "--format", "json",
+        )
+        a, b = run_cli(*args), run_cli(*args)
+        assert a.returncode == b.returncode == 0
+        assert a.stdout == b.stdout
+
     def test_huge_tau_exit_3_promptly(self):
         for args in (
             ("--tau", "1e6", "--points", "8", "--n-trunc", "32"),

@@ -173,6 +173,22 @@ class TestMatrixBackend:
         )
         assert w > 1.0
 
+    @pytest.mark.parametrize("tau", [1.0, 10.0])
+    def test_independent_of_global_rng(self, smooth_profiles, tau):
+        # the interpolant's node permutation and, for long steps,
+        # expm_multiply's norm estimate are random; the step must neither
+        # depend on numpy's global RNG nor change it
+        s = make_state(smooth_profiles["xi-sq"], n_points=16)
+        outs = []
+        for seed in (1, 2):
+            np.random.seed(seed)
+            before = np.random.get_state()
+            outs.append(evolve_matrix(s, tau, n_trunc=64).u_values)
+            after = np.random.get_state()
+            assert np.array_equal(before[1], after[1])
+            assert before[:1] + before[2:] == after[:1] + after[2:]
+        assert np.array_equal(outs[0], outs[1])
+
     def test_meta(self, smooth_profiles):
         s = make_state(smooth_profiles["xi-sq"])
         out = evolve_matrix(s, 0.25)

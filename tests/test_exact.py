@@ -1,13 +1,15 @@
 """Unit tests for exact eigenfunctions, commuting operators and the
 Mehler-Fock transform.
 
-Oracles: closed-form tridiagonal coefficients of L, finite-difference
-application of the differential operators against their exact polynomial
-action, plane waves under the Schroedinger map, and transform round trips.
+Oracles: mpmath for the conical Legendre grid, closed-form tridiagonal
+coefficients of L, finite-difference application of the differential
+operators against their exact polynomial action, plane waves under the
+Schroedinger map, and transform round trips.
 """
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from kab.exact import (
     apply_L_legendre,
     apply_commutator_c_legendre,
     apply_ell,
+    conical_legendre_grid,
     hyperbolic_similarity_check,
     k00_eigenfunction,
     mehler_fock_forward,
@@ -183,17 +186,40 @@ class TestMehlerFock:
         assert np.max(np.abs(back - u(xi))) < 1e-4
 
     def test_blocked_matches_single_block(self, monkeypatch):
-        # the forward transform is built a block of wavenumbers at a time;
-        # uneven blocks must give the one-block coefficients
+        # the step exponentials are formed a block of Magnus steps at a time;
+        # other block sizes, uneven ones included, must give the default's
+        # coefficients
         import kab.exact
 
         u = lambda xi: xi**2 * (1.0 - xi)
         whole = mehler_fock_forward(u, k_max=5.0, dk=0.25)
-        monkeypatch.setattr(kab.exact, "_K_BLOCK", 6)
-        blocked = mehler_fock_forward(u, k_max=5.0, dk=0.25)
-        assert np.array_equal(blocked.k_grid, whole.k_grid)
-        assert np.max(np.abs(blocked.c - whole.c)) <= 1e-12 * np.max(np.abs(whole.c))
-        assert blocked.meta["tail_estimate"] == whole.meta["tail_estimate"]
+        for step_block in (1, 7):
+            monkeypatch.setattr(kab.exact, "_STEP_BLOCK", step_block)
+            blocked = mehler_fock_forward(u, k_max=5.0, dk=0.25)
+            assert np.array_equal(blocked.k_grid, whole.k_grid)
+            assert np.max(np.abs(blocked.c - whole.c)) <= 1e-12 * np.max(np.abs(whole.c))
+            assert blocked.meta["tail_estimate"] == whole.meta["tail_estimate"]
+
+    def test_profile_called_once_on_array(self):
+        calls = []
+
+        def u(xi):
+            calls.append(np.shape(xi))
+            return xi**2 * (1.0 - xi)
+
+        coeffs = mehler_fock_forward(u, k_max=5.0, dk=0.25)
+        assert calls == [(coeffs.meta["n_r"] + 1,)]
+
+    def test_huge_t_max(self):
+        # beyond t ~ 1e154, 1/(4 sinh^2 r) is 0 in doubles and the k = 0 step
+        # angle vanishes; the transform stays finite, silent, and close to
+        # the default t_max = 1e4 (the coarser r-grid costs ~2e-4)
+        u = lambda xi: xi**2 * (1.0 - xi)
+        ref = mehler_fock_forward(u, k_max=5.0, dk=0.25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            far = mehler_fock_forward(u, k_max=5.0, dk=0.25, t_max=1e300)
+        assert np.max(np.abs(far.c - ref.c)) < 1e-3 * np.max(np.abs(ref.c))
 
     def test_slow_decay_raises(self):
         # u ~ const near xi = 0 maps to a non-decaying integrand
@@ -226,6 +252,30 @@ class TestMehlerFock:
         d = c.to_json_dict()
         assert d["k"] == [0.0, 0.5, 1.0]
         assert c.to_csv_rows()[1] == (0.5, 2.0)
+
+
+class TestConicalLegendreGrid:
+    def test_matches_mpmath(self):
+        # series below r = 0.2, Magnus propagation beyond; the repeated
+        # radius must land on its own row
+        k = np.array([0.0, 0.5, 3.0, 15.0, 40.0])
+        r = np.array([0.0, 0.1, 0.2, 0.7, 3.0, 3.0, 6.5, 9.9])
+        grid = conical_legendre_grid(k, r)
+        ref = np.array(
+            [
+                [
+                    float(mp.legenp(-0.5 + 1j * kk, 0, mp.cosh(rr), type=3).real)
+                    for kk in k
+                ]
+                for rr in r
+            ]
+        )
+        assert np.max(np.abs(grid - ref)) < 1e-9
+        assert np.array_equal(grid[4], grid[5])
+
+    def test_rejects_decreasing_radii(self):
+        with pytest.raises(ValueError):
+            conical_legendre_grid([1.0], [0.5, 0.3])
 
 
 class TestHyperbolicSimilarity:

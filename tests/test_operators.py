@@ -144,6 +144,16 @@ class TestGalerkin:
         target = np.diag([2.0 * harmonic(n) for n in range(64)])
         assert np.max(np.abs(mat - target)) < 1e-12
 
+    @pytest.mark.parametrize("alpha,beta", [(0.7, 1.9), (0.0, 1.0), (2.0, 2.0)])
+    @pytest.mark.parametrize("n", [96, 97])
+    def test_leading_block_of_double_size(self, alpha, beta, n):
+        # the N and 2N truncations share one assembly: the size-N matrix is
+        # the leading block of the size-2N one, bit for bit
+        p = OperatorParams(alpha, beta)
+        small = galerkin_matrix(p, n).entries
+        big = galerkin_matrix(p, 2 * n).entries
+        assert np.array_equal(big[:n, :n], small)
+
     def test_symmetry(self):
         mat = galerkin_matrix(OperatorParams(0.5, 2.5), 48).entries
         assert np.max(np.abs(mat - mat.T)) < 1e-13
