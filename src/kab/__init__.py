@@ -15,7 +15,6 @@ from .specfun import (
     phase_integral,
 )
 from .operators import (
-    GalerkinMatrix,
     OperatorParams,
     SpectralCoeffs,
     UGrid,

@@ -320,7 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--backend", choices=["galerkin", "pseudospectral"], default="pseudospectral"
     )
-    p.add_argument("--n-trunc", type=int, default=1024, help="Galerkin truncation")
+    p.add_argument(
+        "--n-trunc",
+        type=int,
+        default=1024,
+        help="Galerkin truncation (runs N and 2N, N <= 4096)",
+    )
     _add_common(p)
     p.set_defaults(func=_cmd_spectrum)
 
@@ -363,9 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, required=True, help="evolution time (log energy)")
     p.add_argument("--profile", choices=sorted(PROFILES), default="xi-sq")
     p.add_argument("--backend", choices=["matrix", "spectral"], default="matrix")
-    p.add_argument("--points", type=int, default=96, help="xi-grid size")
+    p.add_argument("--points", type=int, default=96, help="xi-grid size (4 to 4096)")
     p.add_argument(
-        "--n-trunc", type=int, default=960, help="matrix-backend truncation (runs N and 2N)"
+        "--n-trunc",
+        type=int,
+        default=960,
+        help="matrix-backend truncation (runs N and 2N, N <= 4096)",
     )
     _add_common(p, resolution=False)
     p.set_defaults(func=_cmd_evolve)

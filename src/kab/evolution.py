@@ -97,7 +97,13 @@ class EvolutionState:
 
 
 def default_xi_grid(n_points: int = 96) -> np.ndarray:
-    """Chebyshev-distributed nodes on (0, 1], clustered at xi = 0."""
+    """Chebyshev-distributed nodes on (0, 1], clustered at xi = 0.
+
+    4 to 4096 points: an evolution state needs at least 4, and the cost of
+    its interpolant and projection grows with the point count.
+    """
+    if not 4 <= n_points <= 4096:
+        raise ValueError(f"default_xi_grid: n_points={n_points} must lie in [4, 4096]")
     j = np.arange(1, n_points + 1)
     return 0.5 * (1.0 - np.cos(math.pi * j / n_points))
 
@@ -197,7 +203,7 @@ def _k01_matrix(n_trunc: int) -> np.ndarray:
     evolve_matrix asks for size 2N only: the size-N matrix is its leading
     block, bit for bit.
     """
-    mat = galerkin_matrix(OperatorParams(0.0, 1.0), n_trunc).entries
+    mat = galerkin_matrix(OperatorParams(0.0, 1.0), n_trunc)
     mat.flags.writeable = False
     return mat
 
@@ -246,9 +252,11 @@ def evolve_matrix(
     the two sizes kept as an error estimate.
     """
     dtau = _delta_tau(state, tau_final)
+    # the matrix first: galerkin_matrix validates the size before the
+    # projection allocates for it
+    mat = _k01_matrix(2 * n_trunc)
     growth = math.exp(dtau * _LOG2)
     coeffs = _state_coeffs(state, 2 * n_trunc)
-    mat = _k01_matrix(2 * n_trunc)
     u_coarse = _matrix_step(
         mat[:n_trunc, :n_trunc], coeffs[:n_trunc], state.xi_grid, dtau
     )

@@ -17,8 +17,14 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 from scipy import integrate
 
-from .operators import OperatorParams, UGrid, apply_k_pointwise, harmonic_numbers
-from .specfun import conical_legendre, g_dispersion, lipatov_kappa
+from .operators import (
+    OperatorParams,
+    UGrid,
+    apply_k_pointwise,
+    harmonic_numbers,
+    log_matrix_elements,
+)
+from .specfun import CONSTANTS, conical_legendre, g_dispersion, lipatov_kappa
 
 __all__ = [
     "DiffOperatorL",
@@ -68,13 +74,6 @@ class DiffOperatorL:
         return (
             -(n**2) * (n + 1.0) + self.a * n * (n + 1.0) + self.b * n
         ) / (2.0 * n + 1.0)
-
-    def coeff_b(self, n: int) -> float:
-        """Diagonal symbol B_n, obtained by projecting L P_n onto P_n."""
-        c = np.zeros(n + 1)
-        c[n] = 1.0
-        lc = apply_L_legendre(c)
-        return float(lc[n])
 
     @staticmethod
     def eigenvalue(k: float) -> float:
@@ -345,7 +344,7 @@ def mm_k01_residual(k: float, x_points) -> np.ndarray:
         y = 2.0 * np.exp(-s) - 1.0
         integ = (phix - phi_nodes[sl]) / np.abs(x - y) * 2.0 * np.exp(-s)
         lhs = float(np.sum(all_weights[i] * integ)) + math.log1p(x) * phix
-        rhs = (lipatov_kappa(k) + CONST_LOG2) * phix
+        rhs = (lipatov_kappa(k) + CONSTANTS.log2) * phix
         out[i] = abs(lhs - rhs) / abs(rhs)
     return out
 
@@ -404,15 +403,6 @@ def apply_commutator_c_legendre(coeffs: np.ndarray) -> np.ndarray:
     return npleg.legsub(out, 2.0 * npleg.legmul(np.array([0.0, 1.0]), c))
 
 
-def _log_plus_column(n: int, n_rows: int) -> np.ndarray:
-    """Legendre coefficients of log(1+x) P_n(x), rows 0..n_rows-1."""
-    from .operators import _log_plus_raw
-
-    size = max(n_rows, n + 2)
-    w = _log_plus_raw(size)
-    return w[:n_rows, n] * (np.arange(n_rows) + 0.5)
-
-
 def mm_commutator_projections(n: int) -> tuple[float, float]:
     """Projections of [L, M] P_n onto P_{n+1} and P_{n-1} (M = K_{01} - log 2).
 
@@ -428,15 +418,16 @@ def mm_commutator_projections(n: int) -> tuple[float, float]:
     pn = np.zeros(n + 1)
     pn[n] = 1.0
     h = harmonic_numbers(n_rows + 2)
+    # one log(1+x) matrix serves every action below: rows reach n_rows + 1
+    # and columns the degree n + 1 of L P_n
+    log_plus = log_matrix_elements(+1, n_rows + 1)
+    norm = np.sqrt(np.arange(n_rows + 1) + 0.5)
 
     def m_action(c: np.ndarray, rows: int) -> np.ndarray:
-        # M applied to a polynomial, truncated to the first `rows` Legendre rows
-        out = np.zeros(rows)
-        deg = c.size - 1
-        out[: c.size] += (2.0 * h[: c.size] - 2.0 * CONST_LOG2) * c
-        for j in range(deg + 1):
-            if c[j] != 0.0:
-                out += c[j] * _log_plus_column(j, rows)
+        # M applied to a polynomial, truncated to the first `rows` Legendre
+        # rows; Legendre coefficients c_j are orthonormal ones times sqrt(j+1/2)
+        out = norm[:rows] * (log_plus[:rows, : c.size] @ (c / norm[: c.size]))
+        out[: c.size] += (2.0 * h[: c.size] - 2.0 * CONSTANTS.log2) * c
         return out
 
     # L M P_n: only the components m in {n-1, n, n+1, n+2} of M P_n reach
@@ -454,9 +445,6 @@ def mm_commutator_projections(n: int) -> tuple[float, float]:
     ml = m_action(lp, n_rows + 1)
     comm = lm - ml
     return float(comm[n + 1]), float(comm[n - 1])
-
-
-CONST_LOG2 = math.log(2.0)
 
 
 def apply_ell(phi, x: float, form: str = "direct", h: float | None = None) -> complex:

@@ -23,7 +23,6 @@ from .specfun import CONSTANTS, big_g
 __all__ = [
     "OperatorParams",
     "SpectralCoeffs",
-    "GalerkinMatrix",
     "UGrid",
     "harmonic",
     "harmonic_numbers",
@@ -82,13 +81,6 @@ class SpectralCoeffs:
 
     def __len__(self) -> int:
         return self.coeffs.size
-
-
-@dataclass
-class GalerkinMatrix:
-    entries: np.ndarray
-    params: OperatorParams
-    n_trunc: int
 
 
 @dataclass(frozen=True)
@@ -151,22 +143,22 @@ def monomial_action_k11(n: int) -> np.ndarray:
     return out
 
 
-def _log_plus_raw(n_trunc: int) -> np.ndarray:
-    """W_{mn} = int_{-1}^{1} P_m P_n log(1+x) dx in the unnormalized basis.
+def _log_potential(w_plus: float, w_minus: float, n_trunc: int) -> np.ndarray:
+    """w_plus L+ + w_minus L- in the orthonormal basis, where L+- is the
+    matrix of multiplication by log(1 +- x).
 
-    Off-diagonal entries have the closed form 2(-1)^(m+n+1)/((n-m)(n+m+1));
-    the diagonal follows from a three-term recurrence seeded by
-    W_00 = 2 log 2 - 2.
+    In the unnormalized basis L+ has the off-diagonal entries
+    2(-1)^(m+n+1)/((n-m)(n+m+1)) and a diagonal from a three-term recurrence
+    seeded by W_00 = 2 log 2 - 2.  L- = D L+ D with D = diag((-1)^n), so the
+    sum is the sign-free matrix scaled by w_plus + w_minus where m + n is
+    even and by w_minus - w_plus where m + n is odd.
     """
     idx = np.arange(n_trunc, dtype=float)
-    w = np.subtract.outer(idx, idx)
-    np.abs(w, out=w)
-    w *= np.add.outer(idx, idx + 1.0)
-    np.fill_diagonal(w, 1.0)
-    np.divide(-2.0, w, out=w)
-    # (-1)^(m+n) applied in place, by odd rows then odd columns
-    w[1::2] *= -1.0
-    w[:, 1::2] *= -1.0
+    mat = np.subtract.outer(idx, idx)
+    np.abs(mat, out=mat)
+    mat *= np.add.outer(idx, idx + 1.0)
+    np.fill_diagonal(mat, 1.0)
+    np.divide(-2.0, mat, out=mat)
     diag = np.empty(n_trunc)
     diag[0] = 2.0 * CONSTANTS.log2 - 2.0
     for n in range(1, n_trunc):
@@ -174,70 +166,42 @@ def _log_plus_raw(n_trunc: int) -> np.ndarray:
             (2 * n - 1) / (2 * n + 1) * (-(n + 1) / (2 * n + 1) + n * diag[n - 1])
             + (n - 1) / (2 * n - 1)
         ) / n
-    np.fill_diagonal(w, diag)
-    return w
+    np.fill_diagonal(mat, diag)
+    # symmetric scalings keep the matrix exactly symmetric, so no
+    # symmetrizing pass is needed
+    norm = np.sqrt(idx + 0.5)
+    mat *= np.outer(norm, norm)
+    even, odd = w_plus + w_minus, w_minus - w_plus
+    s0, s1 = slice(0, None, 2), slice(1, None, 2)
+    for rows, cols, w in ((s0, s0, even), (s1, s1, even), (s0, s1, odd), (s1, s0, odd)):
+        if w != 1.0:
+            mat[rows, cols] *= w
+    return mat
 
 
-def _log_quadrature_entry(m: int, n: int, sign: int) -> float:
-    norm = math.sqrt((m + 0.5) * (n + 0.5))
-    cm = np.zeros(m + 1)
-    cm[m] = 1.0
-    cn = np.zeros(n + 1)
-    cn[n] = 1.0
-
-    def f(x):
-        return npleg.legval(sign * x, cm) * npleg.legval(sign * x, cn)
-
-    # 'alg-loga' weight is (x+1)^0 (1-x)^0 log(x+1); x -> sign*x maps the
-    # log(1-x) case onto the same form.
-    val, _ = integrate.quad(
-        f, -1.0, 1.0, weight="alg-loga", wvar=(0.0, 0.0), limit=200
-    )
-    return norm * val
-
-
-def log_matrix_elements(sign: int, n_trunc: int, method: str = "exact") -> np.ndarray:
-    """Matrix of multiplication by log(1 + sign*x) in the orthonormal basis.
-
-    method='exact' uses closed-form entries (fast, O(N^2)); method='quadrature'
-    evaluates every entry by adaptive quadrature with a log-aware weight and is
-    meant as an independent cross-check at small N.
-    """
+def log_matrix_elements(sign: int, n_trunc: int) -> np.ndarray:
+    """Matrix of multiplication by log(1 + sign*x) in the orthonormal basis."""
     if sign not in (1, -1):
         raise ValueError("log_matrix_elements: sign must be +1 or -1")
     if n_trunc < 1:
         raise ValueError("log_matrix_elements: n_trunc must be >= 1")
-    if method == "exact":
-        # symmetric scalings keep the matrix exactly symmetric, so
-        # galerkin_matrix needs no symmetrizing pass
-        mat = _log_plus_raw(n_trunc)
-        norm = np.sqrt(np.arange(n_trunc) + 0.5)
-        mat *= np.outer(norm, norm)
-        if sign == -1:
-            mat[1::2] *= -1.0
-            mat[:, 1::2] *= -1.0
-        return mat
-    if method == "quadrature":
-        mat = np.empty((n_trunc, n_trunc))
-        for m in range(n_trunc):
-            for n in range(m, n_trunc):
-                mat[m, n] = mat[n, m] = _log_quadrature_entry(m, n, sign)
-        return mat
-    raise ValueError(f"log_matrix_elements: unknown method {method!r}")
+    return _log_potential(float(sign == 1), float(sign == -1), n_trunc)
 
 
-def galerkin_matrix(params: OperatorParams, n_trunc: int) -> GalerkinMatrix:
-    """Truncated matrix of K_{alpha,beta}: diag(2 h_n) + (1-a) L+ + (1-b) L-."""
-    if n_trunc < 1:
-        raise ValueError("galerkin_matrix: n_trunc must be >= 1")
-    mat = np.zeros((n_trunc, n_trunc))
-    for sign, p in ((+1, params.alpha), (-1, params.beta)):
-        if p != 1.0:
-            log_mat = log_matrix_elements(sign, n_trunc)
-            log_mat *= 1.0 - p
-            mat += log_mat
+def galerkin_matrix(params: OperatorParams, n_trunc: int) -> np.ndarray:
+    """Truncated matrix of K_{alpha,beta}: diag(2 h_n) + (1-a) L+ + (1-b) L-.
+
+    At most 8192 modes (a 512 MB matrix), so the solves at N and 2N
+    accept N <= 4096.
+    """
+    if not 1 <= n_trunc <= 8192:
+        raise ValueError(f"galerkin_matrix: n_trunc={n_trunc} must lie in [1, 8192]")
+    if params.alpha == params.beta == 1.0:
+        mat = np.zeros((n_trunc, n_trunc))
+    else:
+        mat = _log_potential(1.0 - params.alpha, 1.0 - params.beta, n_trunc)
     mat[np.diag_indices(n_trunc)] += 2.0 * harmonic_numbers(n_trunc)
-    return GalerkinMatrix(entries=mat, params=params, n_trunc=n_trunc)
+    return mat
 
 
 def potential_v(u: np.ndarray | float, params: OperatorParams) -> np.ndarray | float:
@@ -375,7 +339,6 @@ def galerkin_spectrum(
     beta: float,
     n_eigs: int = 10,
     n_trunc: int = 1024,
-    extrapolate: bool = True,
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Lowest eigenvalues of K_{alpha,beta} from the Galerkin backend.
 
@@ -385,20 +348,17 @@ def galerkin_spectrum(
     """
     params = OperatorParams(alpha, beta)
     params.require_discrete("galerkin_spectrum")
-    sizes = (n_trunc, 2 * n_trunc) if extrapolate else (n_trunc,)
+    if not 1 <= n_eigs <= n_trunc:
+        raise ValueError(
+            f"galerkin_spectrum: n_eigs={n_eigs} must lie in [1, n_trunc={n_trunc}]"
+        )
     # the size-N matrix is the leading block of the size-2N one
-    mat = galerkin_matrix(params, sizes[-1]).entries
-    lam = {
-        n: linalg.eigh(mat[:n, :n], eigvals_only=True, subset_by_index=[0, n_eigs - 1])
-        for n in sizes
-    }
-    if extrapolate:
-        best = lam[2 * n_trunc]
-        err = np.abs(lam[2 * n_trunc] - lam[n_trunc])
-    else:
-        best = lam[n_trunc]
-        err = np.full(n_eigs, np.nan)
-    return tuple(map(float, best)), tuple(map(float, err))
+    mat = galerkin_matrix(params, 2 * n_trunc)
+    coarse, fine = (
+        linalg.eigh(mat[:n, :n], eigvals_only=True, subset_by_index=[0, n_eigs - 1])
+        for n in (n_trunc, 2 * n_trunc)
+    )
+    return tuple(map(float, fine)), tuple(map(float, np.abs(fine - coarse)))
 
 
 def _pseudospectral_solve(

@@ -9,6 +9,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 from scipy.optimize import brentq
 
 from .operators import OperatorParams, potential_v
@@ -53,10 +54,6 @@ class BoundaryExponents:
     d_beta: float
 
 
-def _log_beta(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-
 def wkb_eigenvalue(n: int, alpha: float, beta: float) -> float:
     """Closed-form WKB eigenvalue on the kappa scale:
 
@@ -71,7 +68,7 @@ def wkb_eigenvalue(n: int, alpha: float, beta: float) -> float:
         raise ValueError("wkb_eigenvalue: alpha and beta must be positive")
     return 2.0 * (
         math.log(math.pi * (n + 0.5))
-        - _log_beta(0.5 * alpha, 0.5 * beta)
+        - float(special.betaln(0.5 * alpha, 0.5 * beta))
         + (1.0 - 0.5 * (alpha + beta)) * _LOG2
         + _GAMMA
     )

@@ -69,7 +69,7 @@ def test_a2_reference_column():
 
 
 def test_a3_harmonic_spectrum():
-    mat = galerkin_matrix(OperatorParams(1.0, 1.0), 64).entries
+    mat = galerkin_matrix(OperatorParams(1.0, 1.0), 64)
     target = np.diag([2.0 * harmonic(n) for n in range(64)])
     gal_err = float(np.max(np.abs(mat - target)))
     eigs = pseudospectral_spectrum(1.0, 1.0, 10, u_max=40.0, m_points=4096)

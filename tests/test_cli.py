@@ -272,6 +272,11 @@ class TestSchemaAndErrors:
             ("spectrum", "--alpha", "0", "--beta", "0", "--backend", "pseudospectral"),
             ("spectrum", "--alpha", "2", "--beta", "2", "--n", "0"),
             ("eigenfunction", "--alpha", "2", "--beta", "2", "--n", "64", "--m-points", "64"),
+            ("spectrum", "--alpha", "2", "--beta", "2", "--backend", "galerkin",
+             "--n-trunc", "10000000"),
+            ("evolve", "--tau", "1", "--n-trunc", "10000000"),
+            ("evolve", "--tau", "1", "--n-trunc", "0"),
+            ("evolve", "--tau", "1", "--points", "10000000"),
         ],
     )
     def test_validation_exit_2(self, args):

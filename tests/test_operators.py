@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import legendre as npleg
-from scipy import linalg
+from scipy import integrate, linalg
 
 from kab.operators import (
     OperatorParams,
@@ -116,11 +116,33 @@ class TestMonomialAction:
         assert np.allclose(monomial_action_k11(1), [0.0, 2.0])
 
 
+def _log_quadrature_entry(m: int, n: int, sign: int) -> float:
+    """<Phat_m, log(1 + sign*x) Phat_n> by adaptive quadrature."""
+    norm = math.sqrt((m + 0.5) * (n + 0.5))
+    cm = np.zeros(m + 1)
+    cm[m] = 1.0
+    cn = np.zeros(n + 1)
+    cn[n] = 1.0
+
+    def f(x):
+        return npleg.legval(sign * x, cm) * npleg.legval(sign * x, cn)
+
+    # 'alg-loga' weight is (x+1)^0 (1-x)^0 log(x+1); x -> sign*x maps the
+    # log(1-x) case onto the same form.
+    val, _ = integrate.quad(
+        f, -1.0, 1.0, weight="alg-loga", wvar=(0.0, 0.0), limit=200
+    )
+    return norm * val
+
+
 class TestLogMatrix:
     def test_exact_vs_quadrature(self):
         n = 10
-        exact = log_matrix_elements(+1, n, method="exact")
-        quad = log_matrix_elements(+1, n, method="quadrature")
+        exact = log_matrix_elements(+1, n)
+        quad = np.empty((n, n))
+        for m in range(n):
+            for k in range(m, n):
+                quad[m, k] = quad[k, m] = _log_quadrature_entry(m, k, +1)
         assert np.max(np.abs(exact - quad)) < 1e-9
 
     def test_parity_relation(self):
@@ -140,7 +162,7 @@ class TestLogMatrix:
 class TestGalerkin:
     def test_k11_diagonal_harmonic(self):
         # A-3: the (1,1) matrix is diagonal with entries 2 h_n
-        mat = galerkin_matrix(OperatorParams(1.0, 1.0), 64).entries
+        mat = galerkin_matrix(OperatorParams(1.0, 1.0), 64)
         target = np.diag([2.0 * harmonic(n) for n in range(64)])
         assert np.max(np.abs(mat - target)) < 1e-12
 
@@ -150,12 +172,38 @@ class TestGalerkin:
         # the N and 2N truncations share one assembly: the size-N matrix is
         # the leading block of the size-2N one, bit for bit
         p = OperatorParams(alpha, beta)
-        small = galerkin_matrix(p, n).entries
-        big = galerkin_matrix(p, 2 * n).entries
+        small = galerkin_matrix(p, n)
+        big = galerkin_matrix(p, 2 * n)
         assert np.array_equal(big[:n, :n], small)
 
+    @pytest.mark.parametrize(
+        "alpha,beta", [(0.7, 1.9), (2.9, 0.6), (1.0, 2.0), (2.0, 1.0), (0.0, 1.0)]
+    )
+    def test_log_weights(self, alpha, beta):
+        # the log terms carry the weights (1 - alpha) and (1 - beta)
+        n = 64
+        mat = galerkin_matrix(OperatorParams(alpha, beta), n)
+        ref = (
+            (1.0 - alpha) * log_matrix_elements(+1, n)
+            + (1.0 - beta) * log_matrix_elements(-1, n)
+            + np.diag(2.0 * harmonic_numbers(n))
+        )
+        if (alpha, beta) == (0.0, 1.0):
+            assert np.array_equal(mat, ref)
+        else:
+            assert np.max(np.abs(mat - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    def test_size_bounds_name_argument(self):
+        with pytest.raises(ValueError, match="n_trunc=8193"):
+            galerkin_matrix(OperatorParams(2.0, 2.0), 8193)
+        with pytest.raises(ValueError, match="n_trunc=0"):
+            galerkin_matrix(OperatorParams(2.0, 2.0), 0)
+        for n_eigs in (0, 33):
+            with pytest.raises(ValueError, match=f"n_eigs={n_eigs}"):
+                galerkin_spectrum(2.0, 2.0, n_eigs, 32)
+
     def test_symmetry(self):
-        mat = galerkin_matrix(OperatorParams(0.5, 2.5), 48).entries
+        mat = galerkin_matrix(OperatorParams(0.5, 2.5), 48)
         assert np.max(np.abs(mat - mat.T)) < 1e-13
 
     @given(
@@ -167,8 +215,8 @@ class TestGalerkin:
         # O-2: D K_{alpha beta} D = K_{beta alpha}, D = diag((-1)^n)
         n = 32
         d = np.diag((-1.0) ** np.arange(n))
-        m_ab = galerkin_matrix(OperatorParams(alpha, beta), n).entries
-        m_ba = galerkin_matrix(OperatorParams(beta, alpha), n).entries
+        m_ab = galerkin_matrix(OperatorParams(alpha, beta), n)
+        m_ba = galerkin_matrix(OperatorParams(beta, alpha), n)
         assert np.max(np.abs(d @ m_ab @ d - m_ba)) < 1e-10
 
     def test_parity_spectra_coincide(self):
@@ -322,7 +370,7 @@ class TestApplyKPointwise:
         for n in (64, 256, 1024):
             c = np.zeros(n)
             c[:8] = c8
-            kc = galerkin_matrix(p, n).entries @ c
+            kc = galerkin_matrix(p, n) @ c
             vals = synthesize(SpectralCoeffs(kc), xs)
             errs.append(np.max(np.abs(vals - point)))
         assert errs[0] < 2e-2
