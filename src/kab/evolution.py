@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import BarycentricInterpolator
 from scipy.sparse.linalg import expm_multiply
 
 from .exact import mehler_fock_forward, mehler_fock_inverse
@@ -108,15 +107,37 @@ def default_xi_grid(n_points: int = 96) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(math.pi * j / n_points))
 
 
-def state_interpolant(state: EvolutionState) -> BarycentricInterpolator:
+def state_interpolant(state: EvolutionState):
     """Polynomial interpolant through the state samples with u(0) pinned to 0.
 
-    The barycentric weights are formed in a random node order; its own seeded
-    generator keeps them reproducible and numpy's global RNG untouched.
+    A callable on scalars and arrays, in the barycentric form
+    sum_j w_j u_j/(x - x_j) / sum_j w_j/(x - x_j) with w_j = 1/prod_k (x_j - x_k),
+    formed from sums of log|x_j - x_k| so it neither overflows nor
+    underflows; no node order is random.  A point that lands on a node
+    returns that node's sample.
     """
     nodes = np.concatenate(([0.0], state.xi_grid))
     vals = np.concatenate(([0.0], state.u_values))
-    return BarycentricInterpolator(nodes, vals, rng=0)
+    diff = np.subtract.outer(nodes, nodes)
+    np.fill_diagonal(diff, 1.0)
+    np.abs(diff, out=diff)
+    log_w = -np.sum(np.log(diff, out=diff), axis=1)
+    # the nodes increase, so node j has n - 1 - j factors x_j - x_k < 0
+    weights = np.exp(log_w - log_w.max())
+    weights[-2::-2] *= -1.0
+
+    def interpolant(x):
+        xa = np.asarray(x, dtype=float)
+        c = np.atleast_1d(xa)[..., None] - nodes
+        on_node = c == 0.0
+        c[on_node] = 1.0
+        np.divide(weights, c, out=c)
+        p = (c @ vals) / np.sum(c, axis=-1)
+        hit = np.nonzero(on_node)
+        p[hit[:-1]] = vals[hit[-1]]
+        return p.reshape(xa.shape)
+
+    return interpolant
 
 
 def mm_rhs(state: EvolutionState, xi: float) -> float:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from scipy import integrate
 
 from .operators import (
     OperatorParams,
@@ -24,7 +23,13 @@ from .operators import (
     harmonic_numbers,
     log_matrix_elements,
 )
-from .specfun import CONSTANTS, conical_legendre, g_dispersion, lipatov_kappa
+from .specfun import (
+    CONSTANTS,
+    _simpson_weights,
+    conical_legendre,
+    g_dispersion,
+    lipatov_kappa,
+)
 
 __all__ = [
     "DiffOperatorL",
@@ -101,7 +106,11 @@ class ContinuumMode:
 
 @dataclass
 class MehlerFockCoeffs:
-    """Transform data c(k) on a k-grid, with quadrature metadata."""
+    """Transform data c(k) on a uniform k-grid, with quadrature metadata.
+
+    The spacings may differ by 1e-8 k_max: a grid written with 10
+    significant digits and read back stays uniform.
+    """
 
     k_grid: np.ndarray
     c: np.ndarray
@@ -113,8 +122,11 @@ class MehlerFockCoeffs:
         self.c = np.asarray(self.c, dtype=float)
         if self.k_grid.ndim != 1 or self.k_grid.size < 3:
             raise ValueError("MehlerFockCoeffs: k_grid must be 1-d with >= 3 points")
-        if self.k_grid[0] < 0 or np.any(np.diff(self.k_grid) <= 0):
+        steps = np.diff(self.k_grid)
+        if self.k_grid[0] < 0 or np.any(steps <= 0):
             raise ValueError("MehlerFockCoeffs: k_grid must be increasing, starting >= 0")
+        if np.ptp(steps) > 1e-8 * self.k_grid[-1]:
+            raise ValueError("MehlerFockCoeffs: k_grid must be uniformly spaced")
         if self.c.shape != self.k_grid.shape:
             raise ValueError("MehlerFockCoeffs: c and k_grid shapes differ")
 
@@ -357,6 +369,7 @@ _FD5_D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 
 
 def _fd_derivs(phi, x: float, h: float):
+    """(phi(x), phi'(x), phi''(x)) by 5-point central differences of step h."""
     vals = np.array([phi(x + j * h) for j in (-2, -1, 0, 1, 2)])
     d1 = np.sum(_FD5_D1 * vals) / h
     d2 = np.sum(_FD5_D2 * vals) / (h * h)
@@ -457,15 +470,10 @@ def apply_ell(phi, x: float, form: str = "direct", h: float | None = None) -> co
         raise ValueError("apply_ell: x must lie in (-1, 1)")
     hh = h if h is not None else 1e-3 * (1.0 - abs(x))
     if form == "direct":
-        vals = np.array([phi(x + j * hh) for j in (-2, -1, 0, 1, 2)], dtype=complex)
-        d1 = np.sum(_FD5_D1 * vals) / hh
-        return 1j * (-(1.0 - x * x) * d1 + x * vals[2])
+        f, d1, _ = _fd_derivs(phi, x, hh)
+        return 1j * (-(1.0 - x * x) * d1 + x * f)
     if form == "factored":
-        def g(t):
-            return math.sqrt(1.0 - t * t) * phi(t)
-
-        vals = np.array([g(x + j * hh) for j in (-2, -1, 0, 1, 2)], dtype=complex)
-        d1 = np.sum(_FD5_D1 * vals) / hh
+        _, d1, _ = _fd_derivs(lambda t: math.sqrt(1.0 - t * t) * phi(t), x, hh)
         return -1j * math.sqrt(1.0 - x * x) * d1
     raise ValueError(f"apply_ell: unknown form {form!r}")
 
@@ -521,6 +529,12 @@ def _default_k_grid(k_max: float, dk: float) -> np.ndarray:
     return np.linspace(0.0, k_max, n + 1)
 
 
+# the integrand magnitude at t_max above which the forward transform raises,
+# and the full- versus half-grid disagreement above which the inverse warns
+_TAIL_TOL = 0.05
+_INVERSE_WARN_TOL = 1e-6
+
+
 def mehler_fock_forward(
     u_func,
     k_grid: np.ndarray | None = None,
@@ -528,17 +542,18 @@ def mehler_fock_forward(
     k_max: float = 40.0,
     dk: float = 0.05,
     t_max: float = 1e4,
-    tail_tol: float = 0.05,
 ) -> MehlerFockCoeffs:
     """c(k) = k tanh(pi k) * integral_1^t_max u(2/(1+t)) P_{-1/2+ik}(t) dt.
 
     The substitution t = cosh r turns the slowly decaying conical tail into a
     bounded oscillation; the r-integral is done by Simpson's rule on the
     propagation grid, summed row by row as the conical functions are
-    propagated, so memory is O(len(k)).  u_func is called once, on the array
-    of all n_r + 1 points, and must accept an array.  The magnitude of the
-    integrand at t_max is recorded as the tail estimate and must fall below
-    tail_tol.
+    propagated, so memory is O(len(k)).  Simpson's rule on the even rows is
+    summed in the same pass, and the largest difference of the two
+    coefficient sets is recorded as the r-quadrature estimate.  u_func is
+    called once, on the array of all n_r + 1 points, and must accept an
+    array.  The magnitude of the integrand at t_max is recorded as the tail
+    estimate and must fall below _TAIL_TOL.
     """
     if not (math.isfinite(t_max) and t_max > 1):
         raise ValueError(f"mehler_fock_forward: t_max={t_max} must be finite and > 1")
@@ -547,36 +562,43 @@ def mehler_fock_forward(
     n_r = 4096
     r = np.linspace(0.0, r_max, n_r + 1)
     u_sinh = np.asarray(u_func(2.0 / (1.0 + np.cosh(r))), dtype=float) * np.sinh(r)
-    # composite Simpson weights (h/3) [1, 4, 2, ..., 2, 4, 1]
-    simpson = np.full(n_r + 1, 2.0)
-    simpson[1::2] = 4.0
-    simpson[[0, -1]] = 1.0
-    weight = u_sinh * simpson * (r_max / n_r / 3.0)
+    h3 = r_max / n_r / 3.0
+    weight = u_sinh * _simpson_weights(n_r + 1) * h3
+    half_weight = u_sinh[::2] * _simpson_weights(n_r // 2 + 1) * (2.0 * h3)
     vals = np.zeros_like(kg)
+    half = np.zeros_like(kg)
     for i, row in _conical_rows(kg, r):
         vals += weight[i] * row
+        if i % 2 == 0:
+            half += half_weight[i // 2] * row
     # rows arrive in order of r, so the last one is at t_max
     tail = float(np.max(np.abs(u_sinh[-1] * row)))
-    if tail > tail_tol:
+    if tail > _TAIL_TOL:
         raise RuntimeError(
             f"mehler_fock_forward: integrand magnitude {tail:.3e} at t_max={t_max:g} "
-            f"exceeds tail tolerance {tail_tol:g}; u decays too slowly"
+            f"exceeds tail tolerance {_TAIL_TOL:g}; u decays too slowly"
         )
-    c = kg * np.tanh(np.pi * kg) * vals
+    scale = kg * np.tanh(np.pi * kg)
+    c = scale * vals
     return MehlerFockCoeffs(
         k_grid=kg,
         c=c,
         t_max=t_max,
-        meta={"tail_estimate": tail, "n_r": n_r, "r_max": r_max},
+        meta={
+            "tail_estimate": tail,
+            "r_quadrature_estimate": float(np.max(np.abs(c - scale * half))),
+            "n_r": n_r,
+            "r_max": r_max,
+        },
     )
 
 
-def mehler_fock_inverse(coeffs: MehlerFockCoeffs, xi, warn_tol: float = 1e-6):
+def mehler_fock_inverse(coeffs: MehlerFockCoeffs, xi):
     """u(xi) = integral_0^k_max P_{-1/2+ik}(2/xi - 1) c(k) dk.
 
-    Simpson's rule on the stored k-grid; a second Simpson estimate on every
-    other grid point is compared and a warning is issued when the two
-    disagree beyond warn_tol (under-resolved k-grid).
+    Simpson's rule on the stored (uniform) k-grid; a second Simpson estimate
+    on every other grid point is compared and a warning is issued when the
+    two disagree beyond _INVERSE_WARN_TOL (under-resolved k-grid).
     """
     scalar = np.isscalar(xi)
     xa = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -585,11 +607,15 @@ def mehler_fock_inverse(coeffs: MehlerFockCoeffs, xi, warn_tol: float = 1e-6):
     tvals = 2.0 / xa - 1.0
     r = np.arccosh(tvals)
     order = np.argsort(r)
-    p = conical_legendre_grid(coeffs.k_grid, r[order])  # (n_xi, n_k)
+    kg = coeffs.k_grid
+    p = conical_legendre_grid(kg, r[order])  # (n_xi, n_k)
     integrand = p * coeffs.c[None, :]
-    simps = integrate.simpson(integrand, x=coeffs.k_grid, axis=1)
-    coarse = integrate.simpson(integrand[:, ::2], x=coeffs.k_grid[::2], axis=1)
-    if np.max(np.abs(simps - coarse)) > warn_tol * max(1.0, float(np.max(np.abs(simps)))):
+    h = (kg[-1] - kg[0]) / (kg.size - 1)
+    simps = integrand @ _simpson_weights(kg.size) * (h / 3.0)
+    coarse = integrand[:, ::2] @ _simpson_weights((kg.size + 1) // 2) * (2.0 * h / 3.0)
+    if np.max(np.abs(simps - coarse)) > _INVERSE_WARN_TOL * max(
+        1.0, float(np.max(np.abs(simps)))
+    ):
         warnings.warn(
             "mehler_fock_inverse: full- and half-resolution Simpson estimates "
             "disagree; k-grid may be under-resolved",
@@ -617,10 +643,6 @@ def hyperbolic_similarity_check(k: float, r_grid, h: float = 5e-3) -> float:
         raise ValueError("hyperbolic_similarity_check: r must exceed the stencil width")
     res = 0.0
     for r in r_grid:
-        vals = np.array(
-            [conical_legendre(k, math.cosh(r + j * h)) for j in (-2, -1, 0, 1, 2)]
-        )
-        d1 = np.sum(_FD5_D1 * vals) / h
-        d2 = np.sum(_FD5_D2 * vals) / (h * h)
-        res = max(res, abs(d2 + d1 / math.tanh(r) + (0.25 + k * k) * vals[2]))
+        f, d1, d2 = _fd_derivs(lambda rr: conical_legendre(k, math.cosh(rr)), r, h)
+        res = max(res, abs(d2 + d1 / math.tanh(r) + (0.25 + k * k) * f))
     return float(res)

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from scipy import integrate, linalg
+from scipy import linalg
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .specfun import CONSTANTS, big_g
@@ -31,8 +31,6 @@ __all__ = [
     "galerkin_matrix",
     "potential_v",
     "pseudospectral_matrix",
-    "schroedinger_forward",
-    "schroedinger_inverse",
     "apply_k_pointwise",
     "synthesize",
     "project",
@@ -245,26 +243,6 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def schroedinger_forward(phi):
-    """Map phi(x) on (-1,1) to Psi(u) = phi(tanh u)/cosh u."""
-
-    def psi(u):
-        ua = np.asarray(u, dtype=float)
-        return phi(np.tanh(ua)) / np.cosh(ua)
-
-    return psi
-
-
-def schroedinger_inverse(psi):
-    """Map Psi(u) back to phi(x) = Psi(atanh x) cosh(atanh x)."""
-
-    def phi(x):
-        xa = np.asarray(x, dtype=float)
-        return psi(np.arctanh(xa)) / np.sqrt(1.0 - xa * xa)
-
-    return phi
-
-
 def apply_k_pointwise(params: OperatorParams, phi, x: float) -> float:
     """(K_{alpha,beta} phi)(x) for a smooth callable phi and -1 < x < 1.
 
@@ -278,6 +256,8 @@ def apply_k_pointwise(params: OperatorParams, phi, x: float) -> float:
     """
     if not -1.0 < x < 1.0:
         raise ValueError(f"apply_k_pointwise: x={x} outside (-1, 1)")
+    from scipy.integrate import quad
+
     phix = float(phi(x))
 
     def integrand(y):
@@ -288,7 +268,7 @@ def apply_k_pointwise(params: OperatorParams, phi, x: float) -> float:
     delta = min(0.125, 0.5 * (1.0 - abs(x)))
     s0 = -math.log(delta)
     s_max = 34.0
-    mid, _ = integrate.quad(
+    mid, _ = quad(
         integrand,
         -1.0 + delta,
         1.0 - delta,
@@ -297,7 +277,7 @@ def apply_k_pointwise(params: OperatorParams, phi, x: float) -> float:
         epsabs=1e-11,
         epsrel=1e-11,
     )
-    left, _ = integrate.quad(
+    left, _ = quad(
         lambda s: integrand(-1.0 + math.exp(-s)) * math.exp(-s),
         s0,
         s_max,
@@ -305,7 +285,7 @@ def apply_k_pointwise(params: OperatorParams, phi, x: float) -> float:
         epsabs=1e-10,
         epsrel=1e-10,
     )
-    right, _ = integrate.quad(
+    right, _ = quad(
         lambda s: integrand(1.0 - math.exp(-s)) * math.exp(-s),
         s0,
         s_max,
@@ -419,12 +399,18 @@ def pseudospectral_eigensystem(
     return grid.nodes, vals + 2.0 * CONSTANTS.euler_gamma, vecs
 
 
-def coefficient_tail_warning(coeffs: SpectralCoeffs, frac: float = 0.1, tol: float = 1e-8):
+# coefficient_tail_warning: the trailing share of the coefficients checked,
+# and the largest relative norm it may carry
+_TAIL_FRACTION = 0.1
+_TAIL_NORM_TOL = 1e-8
+
+
+def coefficient_tail_warning(coeffs: SpectralCoeffs):
     """Warn when the trailing coefficient block carries too much weight."""
     c = coeffs.coeffs
-    tail = max(1, int(frac * c.size))
+    tail = max(1, int(_TAIL_FRACTION * c.size))
     total = np.linalg.norm(c)
-    if total > 0 and np.linalg.norm(c[-tail:]) > tol * total:
+    if total > 0 and np.linalg.norm(c[-tail:]) > _TAIL_NORM_TOL * total:
         warnings.warn(
             "spectral coefficient tail exceeds tolerance; increase n_trunc",
             RuntimeWarning,

@@ -10,13 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.optimize import brentq
 
 from .operators import OperatorParams, potential_v
 from .specfun import (
     BIG_G_MIN,
     CONSTANTS,
     _gauss_nodes,
+    _simpson_weights,
     big_g,
     big_g_inverse,
     phase_integral,
@@ -80,6 +80,8 @@ def wkb_eigenvalue(n: int, alpha: float, beta: float) -> float:
 
 def _turning_points(params: OperatorParams, level: float) -> tuple[float, float]:
     """Solve V(u) = level on both sides of the potential minimum."""
+    from scipy.optimize import brentq
+
     u_star = 0.5 * math.log(params.alpha / params.beta)
     v_min = float(potential_v(u_star, params))
     if level <= v_min:
@@ -127,6 +129,8 @@ def bohr_sommerfeld_solve(n: int, alpha: float, beta: float) -> float:
         raise ValueError("bohr_sommerfeld_solve: n must be >= 0")
     if alpha <= 0 or beta <= 0:
         raise ValueError("bohr_sommerfeld_solve: alpha and beta must be positive")
+    from scipy.optimize import brentq
+
     params = OperatorParams(alpha, beta)
     target = n + 0.5
     guess = wkb_eigenvalue(n, alpha, beta) - 2.0 * _GAMMA
@@ -205,17 +209,20 @@ def stable_log_one_minus_x(u) -> np.ndarray:
     return _LOG2 - 2.0 * ua - np.logaddexp(0.0, -2.0 * ua)
 
 
+# the asymptotic window of fit_boundary_exponent, in units of |kappa'|/beta + 1
+_WINDOW_FACTOR = 3.0
+
+
 def fit_boundary_exponent(
     x,
     phi_abs,
     beta: float,
     kappa_prime: float = 0.0,
     log_one_minus_x=None,
-    window_factor: float = 3.0,
 ) -> float:
     """Least-squares slope of log|phi| against log|log(1-x)| near x = 1.
 
-    Samples are filtered to the asymptotic window |log(1-x)| >= window_factor
+    Samples are filtered to the asymptotic window |log(1-x)| >= _WINDOW_FACTOR
     * (|kappa'|/beta + 1); at least 10 must survive.  Pass log_one_minus_x
     when 1 - x underflows in double precision (x from tanh of a large u).
     """
@@ -232,7 +239,7 @@ def fit_boundary_exponent(
     else:
         lg = np.asarray(log_one_minus_x, dtype=float)
     ell = np.abs(lg)
-    threshold = window_factor * (abs(kappa_prime) / beta + 1.0)
+    threshold = _WINDOW_FACTOR * (abs(kappa_prime) / beta + 1.0)
     keep = (ell >= threshold) & (phi_abs > 0.0)
     if np.count_nonzero(keep) < 10:
         raise ValueError(
@@ -246,6 +253,9 @@ def fit_boundary_exponent(
 # ---------------------------------------------------------------------------
 # linear-potential Fourier solution
 
+# the largest disagreement of the two tapered integrals that passes
+_TAPER_CHECK_TOL = 1e-5
+
 
 def linear_potential_solution(
     beta: float,
@@ -253,7 +263,6 @@ def linear_potential_solution(
     u,
     p_max: float = 160.0,
     dp: float = 0.002,
-    check_tol: float = 1e-5,
 ):
     """The decaying solution of the exact linear-potential model
     (2 Re psi((1+ip)/2) - kappa' + 2 beta u) Psi = 0 via its Fourier
@@ -268,7 +277,7 @@ def linear_potential_solution(
     only shifts u by log 2.
 
     Convergence is monitored by comparing tapers ending at p_max and 2 p_max;
-    disagreement beyond check_tol raises.
+    disagreement beyond _TAPER_CHECK_TOL raises.
     """
     if beta <= 0:
         raise ValueError("linear_potential_solution: beta must be positive")
@@ -292,16 +301,15 @@ def linear_potential_solution(
         w[p >= cut] = 0.0
         return w
 
-    from scipy.integrate import simpson
-
     osc = np.cos(theta[None, :] - np.outer(ua, p))
-    full = simpson(osc * taper(p_end)[None, :], x=p, axis=1) / math.pi
-    half = simpson(osc * taper(p_max)[None, :], x=p, axis=1) / math.pi
+    weight = _simpson_weights(p.size) * (h / 3.0)
+    full = osc @ (taper(p_end) * weight) / math.pi
+    half = osc @ (taper(p_max) * weight) / math.pi
     err = float(np.max(np.abs(full - half)))
-    if err > check_tol:
+    if err > _TAPER_CHECK_TOL:
         raise RuntimeError(
             f"linear_potential_solution: tapered integrals at p_max={p_max:g} and "
-            f"{p_end:g} differ by {err:.3e} (> {check_tol:g}); increase p_max"
+            f"{p_end:g} differ by {err:.3e} (> {_TAPER_CHECK_TOL:g}); increase p_max"
         )
     return float(full[0]) if scalar else full
 

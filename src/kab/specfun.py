@@ -46,6 +46,26 @@ def _gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
+def _simpson_weights(n: int) -> np.ndarray:
+    """Weights of Simpson's rule on n >= 2 uniform points, in units of h/3.
+
+    Odd n: [1, 4, 2, ..., 2, 4, 1].  Even n: that rule on the first n - 1
+    points plus (-1, 8, 5)/4 on the last three (the parabola through them,
+    integrated over the last interval), as scipy.integrate.simpson does;
+    n = 2 is the trapezoid.
+    """
+    if n == 2:
+        return np.array([1.5, 1.5])
+    m = n - 1 + n % 2
+    w = np.zeros(n)
+    w[:m] = 2.0
+    w[1:m:2] = 4.0
+    w[[0, m - 1]] = 1.0
+    if m < n:
+        w[-3:] += np.array([-0.25, 2.0, 1.25])
+    return w
+
+
 def _check_finite(*vals) -> None:
     for v in vals:
         a = np.asarray(v, dtype=float)
@@ -133,12 +153,6 @@ def big_g_inverse(y: float | np.ndarray) -> float | np.ndarray:
         lo = np.where(high, lo, mid)
     p = 0.5 * (lo + hi)
     return float(p[0]) if scalar else p
-
-
-def big_g_inverse_leading(y: float) -> float:
-    """Leading large-argument approximation exp(y/2) of the inverse of G."""
-    _check_finite(y)
-    return math.exp(y / 2.0)
 
 
 def conical_legendre(k: float, t: float) -> float:

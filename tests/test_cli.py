@@ -252,6 +252,19 @@ class TestBoundaryFit:
         assert abs(doc["d_beta_fitted"] - doc["d_beta_exact"]) < 0.05
 
 
+class TestImport:
+    def test_cold_import_skips_heavy_scipy_subpackages(self):
+        # quadrature, interpolation and root finding are imported only by the
+        # functions that need them, so a cold command does not pay for them
+        heavy = ("scipy.integrate", "scipy.interpolate", "scipy.optimize")
+        code = f"import sys, kab.cli; print([m for m in {heavy!r} if m in sys.modules])"
+        res = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
+
+
 class TestSchemaAndErrors:
     def test_schema_dump(self):
         res = run_cli("--schema")

@@ -175,9 +175,9 @@ class TestMatrixBackend:
 
     @pytest.mark.parametrize("tau", [1.0, 10.0])
     def test_independent_of_global_rng(self, smooth_profiles, tau):
-        # the interpolant's node permutation and, for long steps,
-        # expm_multiply's norm estimate are random; the step must neither
-        # depend on numpy's global RNG nor change it
+        # for long steps expm_multiply's norm estimate is random (the
+        # interpolant's weights are not); the step must neither depend on
+        # numpy's global RNG nor change it
         s = make_state(smooth_profiles["xi-sq"], n_points=16)
         outs = []
         for seed in (1, 2):

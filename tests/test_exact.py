@@ -221,6 +221,16 @@ class TestMehlerFock:
             far = mehler_fock_forward(u, k_max=5.0, dk=0.25, t_max=1e300)
         assert np.max(np.abs(far.c - ref.c)) < 1e-3 * np.max(np.abs(ref.c))
 
+    def test_r_quadrature_estimate_bounds_huge_t_max_error(self):
+        # at t_max = 1e300 the fixed 4096 r-panels are coarse; the full- versus
+        # half-grid Simpson difference must bound the coefficients' true error
+        u = lambda xi: xi**2 * (1.0 - xi)
+        ref = mehler_fock_forward(u, k_max=5.0, dk=0.25)
+        far = mehler_fock_forward(u, k_max=5.0, dk=0.25, t_max=1e300)
+        scale = np.max(np.abs(ref.c))
+        assert ref.meta["r_quadrature_estimate"] < 1e-8 * scale
+        assert far.meta["r_quadrature_estimate"] >= np.max(np.abs(far.c - ref.c))
+
     def test_slow_decay_raises(self):
         # u ~ const near xi = 0 maps to a non-decaying integrand
         with pytest.raises(RuntimeError):
@@ -240,6 +250,17 @@ class TestMehlerFock:
             MehlerFockCoeffs(
                 np.array([0.0, 2.0, 1.0]), np.zeros(3), 1e4
             )
+        # the inverse's Simpson rule assumes one k spacing
+        with pytest.raises(ValueError, match="uniform"):
+            MehlerFockCoeffs(np.array([0.0, 0.5, 1.0, 2.0]), np.zeros(4), 1e4)
+
+    def test_coeffs_accept_printed_grid(self):
+        # a grid written with 10 significant digits, as the CLI's CSV does,
+        # reads back as uniform
+        k = np.linspace(0.0, 40.0, 1101)
+        printed = np.array([float(f"{v:.10g}") for v in k])
+        coeffs = MehlerFockCoeffs(printed, np.zeros_like(k), 1e4)
+        assert coeffs.k_grid.size == 1101
 
     def test_underresolved_warns(self):
         u = lambda xi: xi**2 * (1.0 - xi)

@@ -30,8 +30,6 @@ from kab.operators import (
     pseudospectral_eigensystem,
     pseudospectral_matrix,
     pseudospectral_spectrum,
-    schroedinger_forward,
-    schroedinger_inverse,
     synthesize,
 )
 from kab.specfun import CONSTANTS, big_g
@@ -295,21 +293,6 @@ class TestPseudospectralSolve:
         second = solve(0.7, 1.9, 6, 30.0, 1024)
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
-
-
-class TestSchroedingerMaps:
-    def test_round_trip(self, rng):
-        c = rng.normal(size=6)
-        phi = lambda x: synthesize(SpectralCoeffs(c), x)
-        back = schroedinger_inverse(schroedinger_forward(phi))
-        x = np.linspace(-0.99, 0.99, 41)
-        assert np.max(np.abs(back(x) - phi(x))) < 1e-10
-
-    def test_weight_factor(self):
-        phi = lambda x: np.ones_like(np.asarray(x, dtype=float))
-        psi = schroedinger_forward(phi)
-        assert psi(0.0) == pytest.approx(1.0, abs=1e-14)
-        assert psi(3.0) == pytest.approx(1.0 / math.cosh(3.0), abs=1e-14)
 
 
 class TestProjectSynthesize:

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import simpson
 
 from kab.specfun import (
     BIG_G_MIN,
     CONSTANTS,
+    _simpson_weights,
     big_g,
     big_g_inverse,
-    big_g_inverse_leading,
     conical_legendre,
     digamma,
     g_dispersion,
@@ -125,7 +126,18 @@ class TestBigG:
     def test_leading_inverse_asymptotics(self):
         # G(p) ~ 2 log p for large p, so G^{-1}(y) ~ exp(y/2)
         y = 28.0
-        assert abs(big_g_inverse(y) / big_g_inverse_leading(y) - 1.0) < 0.01
+        assert abs(big_g_inverse(y) / math.exp(y / 2.0) - 1.0) < 0.01
+
+
+class TestSimpsonWeights:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 33, 64])
+    def test_matches_scipy_simpson(self, n):
+        # scipy is the oracle, on odd and even point counts
+        x = np.linspace(0.2, 1.7, n)
+        y = np.cos(3.0 * x) + x**2
+        h = x[1] - x[0]
+        ref = simpson(y, x=x)
+        assert y @ _simpson_weights(n) * (h / 3.0) == pytest.approx(ref, rel=1e-14)
 
 
 class TestConicalLegendre:
