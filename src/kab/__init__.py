@@ -7,10 +7,8 @@ from .specfun import (
     CONSTANTS,
     big_g,
     big_g_inverse,
-    conical_legendre,
     digamma,
     g_dispersion,
-    hyp2f1_conical,
     lipatov_kappa,
     phase_integral,
 )
@@ -28,11 +26,12 @@ from .operators import (
     pseudospectral_spectrum,
 )
 from .exact import (
-    ContinuumMode,
     DiffOperatorL,
     MehlerFockCoeffs,
     apply_L,
     apply_ell,
+    conical_legendre,
+    hyp2f1_conical,
     k00_eigenfunction,
     mehler_fock_forward,
     mehler_fock_inverse,

@@ -214,6 +214,10 @@ def _cmd_mehler_fock(args) -> None:
             "profile": args.profile,
             "t_max": args.t_max,
             "tail_estimate": coeffs.meta["tail_estimate"],
+            # an error estimate needs no more than 3 significant digits
+            "r_quadrature_estimate": float(
+                f"{coeffs.meta['r_quadrature_estimate']:.3g}"
+            ),
         }
         _emit(args.output, _csv(meta, ["k", "c"], coeffs.to_csv_rows()))
 

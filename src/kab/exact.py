@@ -25,15 +25,14 @@ from .operators import (
 )
 from .specfun import (
     CONSTANTS,
+    _check_finite,
     _simpson_weights,
-    conical_legendre,
     g_dispersion,
     lipatov_kappa,
 )
 
 __all__ = [
     "DiffOperatorL",
-    "ContinuumMode",
     "MehlerFockCoeffs",
     "mm_eigenfunction",
     "mm_k01_residual",
@@ -44,7 +43,9 @@ __all__ = [
     "mm_commutator_projections",
     "apply_ell",
     "verify_g_of_ell",
+    "conical_legendre",
     "conical_legendre_grid",
+    "hyp2f1_conical",
     "mehler_fock_forward",
     "mehler_fock_inverse",
     "hyperbolic_similarity_check",
@@ -84,24 +85,6 @@ class DiffOperatorL:
     def eigenvalue(k: float) -> float:
         """L phi(k,.) = lambda phi with lambda = -1/2 - 2k^2."""
         return -0.5 - 2.0 * k * k
-
-
-@dataclass(frozen=True)
-class ContinuumMode:
-    """A continuous-spectrum mode: wavenumber k and its dispersion value."""
-
-    k: float
-    family: str  # 'mm' | 'k00'
-    dispersion: float = field(default=math.nan)
-
-    def __post_init__(self):
-        if self.family not in ("mm", "k00"):
-            raise ValueError(f"ContinuumMode.family must be 'mm' or 'k00', got {self.family!r}")
-        if self.k < 0 or not math.isfinite(self.k):
-            raise ValueError("ContinuumMode.k must be finite and >= 0")
-        if math.isnan(self.dispersion):
-            disp = lipatov_kappa(self.k) if self.family == "mm" else g_dispersion(self.k)
-            object.__setattr__(self, "dispersion", float(disp))
 
 
 @dataclass
@@ -147,23 +130,30 @@ class MehlerFockCoeffs:
 
 
 # ---------------------------------------------------------------------------
-# conical Legendre functions on grids
+# conical Legendre functions P_{-1/2+ik}: one series-plus-Magnus evaluator
 
 
-def _conical_series(k: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """(P, dP/dr) of P_{-1/2+ik}(cosh r) by the hypergeometric series in
-    w = sinh^2(r/2); converges fast for r <~ 0.5."""
-    w = math.sinh(r / 2.0) ** 2
-    tot = np.ones_like(k)
-    dtot = np.zeros_like(k)
+def _conical_series(k: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P, dP/dr) of P_{-1/2+ik}(cosh r), shape (len(r), len(k)), by the
+    hypergeometric series in w = sinh^2(r/2), summed for all radii at once;
+    converges fast for r <~ 0.5."""
+    w = [math.sinh(ri / 2.0) ** 2 for ri in r]
+    tot = np.ones((len(w), k.size))
+    dtot = np.zeros_like(tot)
     cj = np.ones_like(k)
+    w_prev = np.ones((len(w), 1))  # w^(j-1)
     for j in range(1, 500):
         cj = -cj * (((j - 0.5) ** 2 + k**2) / j**2)
-        tot = tot + cj * w**j
-        dtot = dtot + cj * j * w ** (j - 1)
-        if np.all(np.abs(cj) * w**j < 1e-18):
+        # powers by Python's float pow, one radius at a time: numpy's
+        # vectorised power can differ in the last bit, which the series'
+        # cancellation at large k amplifies
+        wj = np.array([wi**j for wi in w])[:, None]
+        tot = tot + cj * wj
+        dtot = dtot + cj * j * w_prev
+        w_prev = wj
+        if np.all(np.abs(cj) * wj < 1e-18):
             break
-    return tot, dtot * 0.5 * math.sinh(r)
+    return tot, dtot * 0.5 * np.sinh(r)[:, None]
 
 
 _R_SERIES_CUT = 0.2
@@ -172,18 +162,24 @@ _STEP_BLOCK = 64
 
 
 def _conical_rows(k: np.ndarray, r: np.ndarray):
-    """Yield (i, P_{-1/2+ik}(cosh r_i)) for every radius, in order of r.
+    """Yield (i, P_{-1/2+ik}(cosh r_i)) for every radius of the nondecreasing
+    r, in order.
 
-    Small radii use the hypergeometric series; larger ones propagate
+    Radii up to _R_SERIES_CUT, and the start value at the cut, come from one
+    vectorised pass of the hypergeometric series; larger ones propagate
     y'' = -(k^2 + 1/(4 sinh^2 r)) y for y = sqrt(sinh r) P with a fourth
-    order Magnus scheme (exact 2x2 step exponentials at two Gauss points),
-    accurate to ~1e-9.  A scalar pre-pass lists the steps and the radii each
-    one lands on (coincident radii land together); the step exponentials are
-    then formed _STEP_BLOCK steps at a time, so memory is O(len(k)).
+    order Magnus scheme (exact 2x2 step exponentials at two Gauss points).
+    The step is at most r^2/40, so it is short just past the cut, where
+    1/(4 sinh^2 r) varies fastest; values agree with mpmath to ~1e-10 relative.
+    A scalar pre-pass lists the steps and the radii each one lands on
+    (coincident radii land together); the step exponentials are then formed
+    _STEP_BLOCK steps at a time, so memory is O(len(k)).
     """
     big = r > _R_SERIES_CUT
-    for i in np.nonzero(~big)[0]:
-        yield i, (np.ones_like(k) if r[i] == 0.0 else _conical_series(k, r[i])[0])
+    small = np.nonzero(~big)[0]
+    p, dp = _conical_series(k, np.append(r[small], _R_SERIES_CUT))
+    for n, i in enumerate(small):
+        yield i, p[n]
     targets = np.nonzero(big)[0]
     if targets.size == 0:
         return
@@ -198,7 +194,7 @@ def _conical_rows(k: np.ndarray, r: np.ndarray):
             # beyond r ~ 6 the frequency is essentially constant and the exact
             # 2x2 step exponential permits much larger steps
             hmax = 0.005 if rc <= 6.0 else (0.05 if rc <= 12.0 else 0.25)
-            h = min(hmax, max(rc / 40.0, 1e-4), rt - rc)
+            h = min(hmax, rc * rc / 40.0, rt - rc)
             starts.append(rc)
             steps.append(h)
             lands.append([])
@@ -213,7 +209,7 @@ def _conical_rows(k: np.ndarray, r: np.ndarray):
     wbar = 0.5 * (s1 + s2)
     d = math.sqrt(3.0) * h * h * (s2 - s1) / 12.0
 
-    p0, dp0 = _conical_series(k, r0)
+    p0, dp0 = p[-1], dp[-1]
     s0 = math.sinh(r0)
     y = math.sqrt(s0) * p0
     yp = math.sqrt(s0) * dp0 + 0.5 * math.cosh(r0) / math.sqrt(s0) * p0
@@ -241,27 +237,67 @@ def _conical_rows(k: np.ndarray, r: np.ndarray):
 def conical_legendre_grid(k, r) -> np.ndarray:
     """P_{-1/2+ik}(cosh r) for a vector of wavenumbers and radii at once.
 
-    Shape (len(r), len(k)); the rows come from one pass of _conical_rows.
+    Shape (len(r), len(k)).  The radii may come in any order: they are
+    sorted once, and the rows of one _conical_rows pass are returned in the
+    caller's order, so permuted radii give the same rows, permuted.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(r < 0) or not np.all(np.isfinite(r)) or not np.all(np.isfinite(k)):
         raise ValueError("conical_legendre_grid: r must be finite and >= 0")
-    if np.any(np.diff(r) < 0):
-        raise ValueError("conical_legendre_grid: r must be nondecreasing")
+    order = np.argsort(r)
     out = np.empty((r.size, k.size))
-    for i, row in _conical_rows(k, r):
-        out[i] = row
+    for i, row in _conical_rows(k, r[order]):
+        out[order[i]] = row
     return out
+
+
+def conical_legendre(k: float, t: float) -> float:
+    """Conical Legendre function P_{-1/2+ik}(t) for t >= 1 and real k.
+
+    The one-radius view of conical_legendre_grid at r = acosh t (exactly 1
+    at t = 1).
+    """
+    _check_finite(k, t)
+    if t < 1.0:
+        raise ValueError(f"conical_legendre: t={t} < 1 outside the domain")
+    return float(conical_legendre_grid([k], [math.acosh(t)])[0, 0])
+
+
+def hyp2f1_conical(k: float, z: float) -> complex:
+    """F(1/2 + ik, 1/2 + ik; 1; z) for 0 <= z < 1.
+
+    Power series for z <= 0.75; closer to the unit argument the series is
+    only conditionally useful, so the value is routed through the conical
+    Legendre function via x^(-1/2-ik) P_{-1/2+ik}(2/x - 1) with x = 1 - z.
+    """
+    _check_finite(k, z)
+    if z < 0.0 or z >= 1.0:
+        raise ValueError(f"hyp2f1_conical: z={z} outside [0, 1)")
+    if z == 0.0:
+        return 1.0 + 0.0j
+    if z <= 0.75:
+        a = 0.5 + 1j * k
+        total = 1.0 + 0.0j
+        term = 1.0 + 0.0j
+        small = 0
+        for j in range(0, 100000):
+            term *= (a + j) * (a + j) / ((j + 1.0) * (j + 1.0)) * z
+            total += term
+            if abs(term) < 1e-16 * abs(total):
+                small += 1
+                if small >= 3:
+                    break
+            else:
+                small = 0
+        return total
+    x = 1.0 - z
+    p = conical_legendre(k, 2.0 / x - 1.0)
+    return p * np.exp((-0.5 - 1j * k) * math.log(x))
 
 
 # ---------------------------------------------------------------------------
 # eigenfunctions
-
-
-# the Laplace-integral route converges within 256 panels for t <= 100 and
-# k <= 100; beyond, its O(1/t) endpoint peak is left to ODE propagation
-_T_LAPLACE_MAX = 100.0
 
 
 def mm_eigenfunction(k: float, xi) -> np.ndarray | float:
@@ -269,23 +305,15 @@ def mm_eigenfunction(k: float, xi) -> np.ndarray | float:
 
     Real convention; xi * phi is the conical Legendre function itself.  Near
     xi = 0 the modulus grows like the xi^(-1/2) envelope (times log-periodic
-    oscillation).  K_{01} phi = (kappa(k) + log 2) phi.  Each point is
-    evaluated on its own, by the route its argument t = 2/xi - 1 selects, so
-    its value does not depend on the other points of the call.
+    oscillation).  K_{01} phi = (kappa(k) + log 2) phi.  Each point gets its
+    own one-radius conical_legendre propagation, so its value does not
+    depend on the other points of the call.
     """
     scalar = np.isscalar(xi)
     xa = np.atleast_1d(np.asarray(xi, dtype=float))
     if np.any(xa <= 0) or np.any(xa > 1):
         raise ValueError("mm_eigenfunction: xi must lie in (0, 1]")
-    vals = np.array(
-        [
-            conical_legendre(k, tt)
-            if tt <= _T_LAPLACE_MAX
-            else conical_legendre_grid([k], [math.acosh(tt)])[0, 0]
-            for tt in 2.0 / xa - 1.0
-        ]
-    )
-    vals = vals / xa
+    vals = np.array([conical_legendre(k, tt) for tt in 2.0 / xa - 1.0]) / xa
     return float(vals[0]) if scalar else vals
 
 
@@ -343,10 +371,7 @@ def mm_k01_residual(k: float, x_points) -> np.ndarray:
     sig = np.concatenate(all_nodes)
     xi = np.exp(-sig)
     r = np.arccosh(2.0 / xi - 1.0)
-    order = np.argsort(r)
-    p = np.empty_like(r)
-    p[order] = conical_legendre_grid(np.array([k]), r[order])[:, 0]
-    phi_nodes = p / xi
+    phi_nodes = conical_legendre_grid([k], r)[:, 0] / xi
 
     out = np.empty(xs.size)
     for i, x in enumerate(xs):
@@ -445,7 +470,6 @@ def mm_commutator_projections(n: int) -> tuple[float, float]:
 
     # L M P_n: only the components m in {n-1, n, n+1, n+2} of M P_n reach
     # P_{n+1} through the tridiagonal L, so a finite truncation is exact.
-    op = DiffOperatorL()
     mp = m_action(pn, n_rows)
     lm = np.zeros(n_rows + 1)
     for m in range(n_rows):
@@ -537,7 +561,6 @@ _INVERSE_WARN_TOL = 1e-6
 
 def mehler_fock_forward(
     u_func,
-    k_grid: np.ndarray | None = None,
     *,
     k_max: float = 40.0,
     dk: float = 0.05,
@@ -557,7 +580,7 @@ def mehler_fock_forward(
     """
     if not (math.isfinite(t_max) and t_max > 1):
         raise ValueError(f"mehler_fock_forward: t_max={t_max} must be finite and > 1")
-    kg = _default_k_grid(k_max, dk) if k_grid is None else np.asarray(k_grid, float)
+    kg = _default_k_grid(k_max, dk)
     r_max = math.acosh(t_max)
     n_r = 4096
     r = np.linspace(0.0, r_max, n_r + 1)
@@ -604,11 +627,8 @@ def mehler_fock_inverse(coeffs: MehlerFockCoeffs, xi):
     xa = np.atleast_1d(np.asarray(xi, dtype=float))
     if np.any(xa <= 0) or np.any(xa > 1):
         raise ValueError("mehler_fock_inverse: xi must lie in (0, 1]")
-    tvals = 2.0 / xa - 1.0
-    r = np.arccosh(tvals)
-    order = np.argsort(r)
     kg = coeffs.k_grid
-    p = conical_legendre_grid(kg, r[order])  # (n_xi, n_k)
+    p = conical_legendre_grid(kg, np.arccosh(2.0 / xa - 1.0))  # (n_xi, n_k)
     integrand = p * coeffs.c[None, :]
     h = (kg[-1] - kg[0]) / (kg.size - 1)
     simps = integrand @ _simpson_weights(kg.size) * (h / 3.0)
@@ -622,9 +642,7 @@ def mehler_fock_inverse(coeffs: MehlerFockCoeffs, xi):
             RuntimeWarning,
             stacklevel=2,
         )
-    out = np.empty_like(xa)
-    out[order] = simps
-    return float(out[0]) if scalar else out
+    return float(simps[0]) if scalar else simps
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +653,7 @@ def hyperbolic_similarity_check(k: float, r_grid, h: float = 5e-3) -> float:
     """Max residual of (Delta_r + 1/4 + k^2) P_{-1/2+ik}(cosh r) = 0.
 
     Delta_r = d^2/dr^2 + coth(r) d/dr is the radial hyperbolic Laplacian; the
-    derivative is taken by 5-point central differences on scalar
+    derivative is taken by 5-point central differences on one-radius
     conical-Legendre evaluations.
     """
     r_grid = np.atleast_1d(np.asarray(r_grid, dtype=float))
@@ -643,6 +661,6 @@ def hyperbolic_similarity_check(k: float, r_grid, h: float = 5e-3) -> float:
         raise ValueError("hyperbolic_similarity_check: r must exceed the stencil width")
     res = 0.0
     for r in r_grid:
-        f, d1, d2 = _fd_derivs(lambda rr: conical_legendre(k, math.cosh(rr)), r, h)
+        f, d1, d2 = _fd_derivs(lambda rr: conical_legendre_grid([k], [rr])[0, 0], r, h)
         res = max(res, abs(d2 + d1 / math.tanh(r) + (0.25 + k * k) * f))
     return float(res)

@@ -17,7 +17,6 @@ from .specfun import (
     CONSTANTS,
     _gauss_nodes,
     _simpson_weights,
-    big_g,
     big_g_inverse,
     phase_integral,
 )
@@ -269,7 +268,9 @@ def linear_potential_solution(
     representation.
 
     The spectral amplitude is a pure phase, Theta(p) = (1/(2 beta)) *
-    integral_0^p (kappa' + 2 log 2 - G(q)) dq, and Psi(u) is the tapered
+    integral_0^p (kappa' + 2 log 2 - G(q)) dq, in closed form
+    (kappa' p - 4 Im log Gamma((1 + ip)/2))/(2 beta) since the derivative
+    of log Gamma((1 + ip)/2) is (i/2) psi((1 + ip)/2); Psi(u) is the tapered
     oscillatory integral (1/pi) integral_0^inf cos(Theta(p) - p u) dp.
     Overall normalization is arbitrary (fix it at a reference point, e.g.
     u = kappa'/2).  For beta = 1 the result is proportional to y J_0(2y)
@@ -286,13 +287,9 @@ def linear_potential_solution(
     p_end = 2.0 * p_max
     m = int(round(p_end / dp))
     p = np.linspace(0.0, p_end, m + 1)
-    # accumulate Theta by per-interval 2-point Gauss quadrature of kappa' - G
-    g_off = 0.5 / math.sqrt(3.0)
-    mid = 0.5 * (p[1:] + p[:-1])
     h = p[1] - p[0]
-    f1 = kappa_prime + 2.0 * _LOG2 - big_g(mid - g_off * h)
-    f2 = kappa_prime + 2.0 * _LOG2 - big_g(mid + g_off * h)
-    theta = np.concatenate(([0.0], np.cumsum(0.5 * h * (f1 + f2)))) / (2.0 * beta)
+    lg = special.loggamma(0.5 + 0.5j * p)
+    theta = (kappa_prime * p - 4.0 * lg.imag) / (2.0 * beta)
 
     def taper(cut: float) -> np.ndarray:
         w = np.ones_like(p)

@@ -1,6 +1,7 @@
 """Special functions: complex digamma, the dispersion functions kappa(k) and
-g(k), the shifted kinetic function G and its inverse, conical Legendre
-functions and the beta-type phase integral.
+g(k), the shifted kinetic function G and its inverse, and the beta-type
+phase integral.  The conical Legendre functions live in module exact,
+beside the propagation that evaluates them.
 
 Digamma, the incomplete beta function and the logistic map come from
 scipy.special; this module adds the argument checks and the closed forms
@@ -24,8 +25,6 @@ __all__ = [
     "g_dispersion",
     "big_g",
     "big_g_inverse",
-    "conical_legendre",
-    "hyp2f1_conical",
     "phase_integral",
 ]
 
@@ -153,73 +152,6 @@ def big_g_inverse(y: float | np.ndarray) -> float | np.ndarray:
         lo = np.where(high, lo, mid)
     p = 0.5 * (lo + hi)
     return float(p[0]) if scalar else p
-
-
-def conical_legendre(k: float, t: float) -> float:
-    """Conical Legendre function P_{-1/2 + ik}(t) for t >= 1, real k.
-
-    Uses the Laplace-type integral: the average over theta in [0, pi] of
-    (t + sqrt(t^2-1) cos theta)^(-1/2+ik), evaluated with Gauss-Legendre
-    rules whose size is doubled until two successive results agree; raises
-    RuntimeError when 512 panels do not (large t and k).
-    """
-    _check_finite(k, t)
-    if t < 1.0:
-        raise ValueError(f"conical_legendre: t={t} < 1 outside the domain")
-    if t == 1.0:
-        return 1.0
-    s = math.sqrt(t * t - 1.0)
-    x, w = _gauss_nodes(100)
-    prev = None
-    panels = 2
-    while panels <= 512:
-        edges = np.linspace(0.0, math.pi, panels + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1] - edges[0])
-        theta = (mid[:, None] + half * x[None, :]).ravel()
-        wt = np.broadcast_to(half * w[None, :] / math.pi, (panels, x.size)).ravel()
-        lg = np.log(t + s * np.cos(theta))
-        val = float(np.sum(wt * np.exp(-0.5 * lg) * np.cos(k * lg)))
-        if prev is not None and abs(val - prev) <= 1e-13 * max(1.0, abs(val)):
-            return val
-        prev = val
-        panels *= 2
-    raise RuntimeError(
-        f"conical_legendre: Laplace integral at k={k:g}, t={t:g} not converged "
-        "on 512 panels"
-    )
-
-
-def hyp2f1_conical(k: float, z: float) -> complex:
-    """F(1/2 + ik, 1/2 + ik; 1; z) for 0 <= z < 1.
-
-    Power series for z <= 0.75; closer to the unit argument the series is
-    only conditionally useful, so the value is routed through the conical
-    Legendre function via x^(-1/2-ik) P_{-1/2+ik}(2/x - 1) with x = 1 - z.
-    """
-    _check_finite(k, z)
-    if z < 0.0 or z >= 1.0:
-        raise ValueError(f"hyp2f1_conical: z={z} outside [0, 1)")
-    if z == 0.0:
-        return 1.0 + 0.0j
-    if z <= 0.75:
-        a = 0.5 + 1j * k
-        total = 1.0 + 0.0j
-        term = 1.0 + 0.0j
-        small = 0
-        for j in range(0, 100000):
-            term *= (a + j) * (a + j) / ((j + 1.0) * (j + 1.0)) * z
-            total += term
-            if abs(term) < 1e-16 * abs(total):
-                small += 1
-                if small >= 3:
-                    break
-            else:
-                small = 0
-        return total
-    x = 1.0 - z
-    p = conical_legendre(k, 2.0 / x - 1.0)
-    return p * np.exp((-0.5 - 1j * k) * math.log(x))
 
 
 def phase_integral(u, alpha: float, beta: float, kappa_prime: float):

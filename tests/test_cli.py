@@ -4,6 +4,7 @@ Checks output formats, schemas, exit codes and byte-for-byte
 reproducibility of repeated runs.
 """
 import json
+import math
 import subprocess
 import sys
 
@@ -166,6 +167,18 @@ class TestMehlerFock:
         doc = json.loads(res.stdout)
         assert set(doc) >= {"k", "c", "t_max", "meta"}
         assert len(doc["k"]) == len(doc["c"]) == 101
+
+    def test_csv_header_has_r_quadrature_estimate(self):
+        args = ("mehler-fock", "--profile", "xi-sq", "--k-max", "5", "--dk", "0.25")
+        first, second = run_cli(*args), run_cli(*args)
+        assert first.returncode == 0
+        assert first.stdout == second.stdout
+        meta, columns, _ = parse_csv(first.stdout)
+        assert columns == ["k", "c"]
+        est = meta["r_quadrature_estimate"]
+        assert math.isfinite(est)
+        # rounded to 3 significant digits
+        assert est == float(f"{est:.3g}")
 
 
 class TestEvolve:

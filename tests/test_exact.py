@@ -17,13 +17,14 @@ from hypothesis import strategies as st
 from numpy.polynomial import legendre as npleg
 
 from kab.exact import (
-    ContinuumMode,
     DiffOperatorL,
     MehlerFockCoeffs,
+    _conical_series,
     apply_L,
     apply_L_legendre,
     apply_commutator_c_legendre,
     apply_ell,
+    conical_legendre,
     conical_legendre_grid,
     hyperbolic_similarity_check,
     k00_eigenfunction,
@@ -34,7 +35,7 @@ from kab.exact import (
     mm_k01_residual,
     verify_g_of_ell,
 )
-from kab.specfun import conical_legendre, g_dispersion, lipatov_kappa
+from kab.specfun import lipatov_kappa
 
 
 class TestDiffOperatorL:
@@ -104,20 +105,6 @@ class TestCommutator:
             assert abs(2.0 * op.coeff_c(n) / n + s_nm1) < 1e-12
 
 
-class TestContinuumMode:
-    def test_dispersion_autofill(self):
-        m = ContinuumMode(1.5, "mm")
-        assert m.dispersion == pytest.approx(float(lipatov_kappa(1.5)), abs=1e-14)
-        m2 = ContinuumMode(1.5, "k00")
-        assert m2.dispersion == pytest.approx(float(g_dispersion(1.5)), abs=1e-14)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ContinuumMode(1.0, "bogus")
-        with pytest.raises(ValueError):
-            ContinuumMode(-1.0, "mm")
-
-
 class TestMMEigenfunction:
     def test_value_is_conical_over_xi(self):
         for k, xi in [(0.5, 0.3), (1.0, 0.9), (2.0, 0.05)]:
@@ -125,7 +112,7 @@ class TestMMEigenfunction:
             assert mm_eigenfunction(k, xi) == pytest.approx(ref, rel=1e-10)
 
     def test_value_independent_of_batch(self):
-        # more than 64 points, on both sides of the Laplace/ODE route boundary
+        # more than 64 points, from the series region out to t ~ 400
         xi = np.geomspace(5e-3, 1.0, 70)
         one_by_one = [mm_eigenfunction(2.0, float(x)) for x in xi]
         assert np.array_equal(mm_eigenfunction(2.0, xi), one_by_one)
@@ -291,12 +278,37 @@ class TestConicalLegendreGrid:
                 for rr in r
             ]
         )
-        assert np.max(np.abs(grid - ref)) < 1e-9
+        assert np.max(np.abs(grid - ref)) < 1e-10
         assert np.array_equal(grid[4], grid[5])
 
-    def test_rejects_decreasing_radii(self):
-        with pytest.raises(ValueError):
-            conical_legendre_grid([1.0], [0.5, 0.3])
+    def test_series_matches_one_radius_loop(self):
+        # reference: the series summed for one radius at a time
+        def one_radius(k, r):
+            w = math.sinh(r / 2.0) ** 2
+            tot, dtot, cj = np.ones_like(k), np.zeros_like(k), np.ones_like(k)
+            for j in range(1, 500):
+                cj = -cj * (((j - 0.5) ** 2 + k**2) / j**2)
+                tot = tot + cj * w**j
+                dtot = dtot + cj * j * w ** (j - 1)
+                if np.all(np.abs(cj) * w**j < 1e-18):
+                    break
+            return tot, dtot * 0.5 * math.sinh(r)
+
+        k = np.linspace(0.0, 40.0, 161)
+        r = np.append(np.linspace(0.0, 0.2, 21), [0.2, 0.013])
+        p, dp = _conical_series(k, r)
+        for i, ri in enumerate(r):
+            p_ref, dp_ref = one_radius(k, ri)
+            assert np.max(np.abs(p[i] - p_ref)) <= 1e-15 * np.max(np.abs(p_ref))
+            assert np.max(np.abs(dp[i] - dp_ref)) <= 1e-15 * np.max(np.abs(dp_ref))
+
+    def test_permuted_radii_give_permuted_rows(self, rng):
+        # radii in any order: one sorted pass, rows in the caller's order
+        k = np.array([0.0, 0.7, 12.0])
+        r = np.array([0.0, 0.05, 0.2, 0.2, 1.3, 4.0, 7.5, 13.0])
+        perm = rng.permutation(r.size)
+        grid = conical_legendre_grid(k, r)
+        assert np.array_equal(conical_legendre_grid(k, r[perm]), grid[perm])
 
 
 class TestHyperbolicSimilarity:
