@@ -31,6 +31,7 @@ _SCHEMAS = {
             "backend": {"type": "string", "enum": ["galerkin", "pseudospectral"]},
             "n": {"type": "integer"},
             "eigenvalues": {"type": "array", "items": {"type": "number"}},
+            "truncation_estimate": {"type": "number"},
         },
         "required": ["params", "backend", "n", "eigenvalues"],
     },
@@ -123,25 +124,27 @@ def _cmd_table1(args) -> None:
 
 def _cmd_spectrum(args) -> None:
     params = operators.OperatorParams(args.alpha, args.beta)
+    doc = {
+        "params": {"alpha": params.alpha, "beta": params.beta},
+        "backend": args.backend,
+        "n": args.n,
+    }
     if args.backend == "galerkin":
-        vals, _err = operators.galerkin_spectrum(
+        vals, err = operators.galerkin_spectrum(
             params.alpha, params.beta, n_eigs=args.n, n_trunc=args.n_trunc
         )
+        # an error estimate needs no more than 3 significant digits
+        doc["truncation_estimate"] = float(f"{max(err):.3g}")
     else:
         u_max, m = _resolution(args)
         vals = operators.pseudospectral_spectrum(
             params.alpha, params.beta, n_eigs=args.n, u_max=u_max, m_points=m
         )
-    doc = {
-        "params": {"alpha": params.alpha, "beta": params.beta},
-        "backend": args.backend,
-        "n": args.n,
-        "eigenvalues": [float(f"{v:.10g}") for v in vals],
-    }
+    doc["eigenvalues"] = [float(f"{v:.10g}") for v in vals]
     if args.format == "json":
         _emit(args.output, json.dumps(doc, sort_keys=True) + "\n")
     else:
-        meta = {k: doc[k] for k in ("params", "backend", "n")}
+        meta = {k: v for k, v in doc.items() if k != "eigenvalues"}
         rows = [(i, v) for i, v in enumerate(vals)]
         _emit(args.output, _csv(meta, ["n", "kappa"], rows))
 

@@ -4,7 +4,9 @@ Two backends are provided: a Legendre-Galerkin truncation in the orthonormal
 basis Phat_n = sqrt(n + 1/2) P_n, and a Fourier pseudospectral grid in the
 variable u (x = tanh u) where the kinetic part G(p) is diagonal in frequency
 space and the potential is diagonal on the grid.  The pseudospectral operator
-is applied matrix-free by FFT and its lowest states come from Lanczos.
+is applied matrix-free by real FFT.  The lowest states of both backends come
+from one shifted Lanczos helper; the Galerkin backend also solves the size-N
+block densely, as its error estimate and as an interlacing check.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from numpy.polynomial import legendre as npleg
 from scipy import linalg
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .specfun import CONSTANTS, big_g
+from .specfun import BIG_G_MIN, CONSTANTS, big_g
 
 __all__ = [
     "OperatorParams",
@@ -216,20 +218,20 @@ def potential_v(u: np.ndarray | float, params: OperatorParams) -> np.ndarray | f
 def pseudospectral_matrix(params: OperatorParams, grid: UGrid) -> LinearOperator:
     """G(p) + V(u) on the grid as a symmetric matrix-free operator.
 
-    The kinetic part is the Fourier multiplier G(p), applied by FFT, and the
-    potential is diagonal, so a product costs O(M log M) time and O(M)
-    memory.  Raises when the spectrum is continuous
-    (OperatorParams.require_discrete).
+    The kinetic part is the Fourier multiplier G(p), applied by real FFT on
+    the M/2 + 1 non-negative frequencies (G is even), and the potential is
+    diagonal, so a product costs O(M log M) time and O(M) memory.  Raises
+    when the spectrum is continuous (OperatorParams.require_discrete).
     """
     params.require_discrete("pseudospectral_matrix")
-    g = big_g(grid.frequencies)
+    m = grid.m_points
+    g = big_g(2.0 * np.pi * np.fft.rfftfreq(m, d=grid.spacing))
     v = potential_v(grid.nodes, params)
 
     def matvec(x):
         x = np.ravel(x)  # LinearOperator hands over (M,) or (M, 1)
-        return np.fft.ifft(g * np.fft.fft(x)).real + v * x
+        return np.fft.irfft(g * np.fft.rfft(x), n=m) + v * x
 
-    m = grid.m_points
     return LinearOperator((m, m), matvec=matvec, dtype=float)
 
 
@@ -322,23 +324,63 @@ def galerkin_spectrum(
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Lowest eigenvalues of K_{alpha,beta} from the Galerkin backend.
 
-    Runs truncations N and 2N; returns (eigenvalues at 2N, per-eigenvalue
-    truncation-error estimates |lam_2N - lam_N|).  Raises when the spectrum
-    is continuous, as the pseudospectral backend does.
+    Runs truncations N and 2N (N <= 4096); returns (eigenvalues at 2N,
+    per-eigenvalue truncation-error estimates |lam_2N - lam_N|).  The size-N
+    matrix is the leading block of the size-2N one: a dense solve of that
+    block gives lam_N, and shifted Lanczos (_lowest_eigenpairs) gives lam_2N.
+    By Cauchy interlacing lam_2N <= lam_N state by state; a state that
+    Lanczos missed breaks this and raises RuntimeError naming (alpha, beta,
+    N).  Raises ValueError when the spectrum is continuous, as the
+    pseudospectral backend does.
     """
     params = OperatorParams(alpha, beta)
     params.require_discrete("galerkin_spectrum")
+    if not 1 <= n_trunc <= 4096:
+        raise ValueError(f"galerkin_spectrum: n_trunc={n_trunc} must lie in [1, 4096]")
     if not 1 <= n_eigs <= n_trunc:
         raise ValueError(
             f"galerkin_spectrum: n_eigs={n_eigs} must lie in [1, n_trunc={n_trunc}]"
         )
-    # the size-N matrix is the leading block of the size-2N one
     mat = galerkin_matrix(params, 2 * n_trunc)
-    coarse, fine = (
-        linalg.eigh(mat[:n, :n], eigvals_only=True, subset_by_index=[0, n_eigs - 1])
-        for n in (n_trunc, 2 * n_trunc)
+    coarse = linalg.eigh(
+        mat[:n_trunc, :n_trunc], eigvals_only=True, subset_by_index=[0, n_eigs - 1]
     )
+    # interlacing puts lam_2N[0] - shift at or below 1, and near 1 while the
+    # truncation error is small
+    fine, _ = _lowest_eigenpairs(mat, n_eigs, coarse[0] - 1.0)
+    if np.any(fine > coarse + 1e-10 * np.maximum(1.0, np.abs(coarse))):
+        raise RuntimeError(
+            f"galerkin_spectrum: Lanczos missed a state at alpha={alpha}, "
+            f"beta={beta}, N={n_trunc} (its size-2N eigenvalues exceed the "
+            "size-N ones)"
+        )
     return tuple(map(float, fine)), tuple(map(float, np.abs(fine - coarse)))
+
+
+def _lowest_eigenpairs(
+    op: np.ndarray | LinearOperator, n_eigs: int, shift: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest n_eigs eigenpairs of the symmetric op, ascending.
+
+    ARPACK's implicitly restarted Lanczos runs on op - shift I from a fixed
+    generic start vector: the default start is random, and a symmetric one
+    would miss the odd states when alpha = beta.  With tol = 0 ARPACK accepts
+    a Ritz value theta only once its error bound falls below
+    eps max(eps^(2/3), |theta|), which a state at theta ~ 0 can miss, so the
+    caller picks the shift to put the wanted eigenvalues of op - shift I at
+    about 1 or above.  Each pair must satisfy
+    ||op v - lam v|| <= 1e-8 max(1, max |lam|).
+    """
+    shifted = LinearOperator(op.shape, matvec=lambda x: op @ x - shift * x, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(op.shape[0])
+    vals, vecs = eigsh(shifted, k=n_eigs, which="SA", tol=0, v0=v0)
+    order = np.argsort(vals)
+    vals, vecs = vals[order] + shift, vecs[:, order]
+    scale = max(1.0, float(np.max(np.abs(vals))))
+    resid = np.linalg.norm(op @ vecs - vecs * vals, axis=0)
+    if np.any(resid > 1e-8 * scale):
+        raise RuntimeError(f"Lanczos: eigenpair residual {resid.max():.3e} exceeds tolerance")
+    return vals, vecs
 
 
 def _pseudospectral_solve(
@@ -346,10 +388,8 @@ def _pseudospectral_solve(
 ) -> tuple[UGrid, np.ndarray, np.ndarray]:
     """Lowest n_eigs eigenpairs of G(p) + V(u), ascending and sign-fixed.
 
-    ARPACK's implicitly restarted Lanczos on the matrix-free operator, started
-    from a fixed generic vector: the default start is random, and a symmetric
-    one would miss the odd states when alpha = beta.  Each pair must satisfy
-    ||H v - lam v|| <= 1e-8 max(1, max |lam|).
+    G >= G(0) and V is diagonal, so G(0) + min V - 1 lies at least 1 below
+    the spectrum; it is the Lanczos shift.
     """
     params = OperatorParams(alpha, beta)
     grid = UGrid(u_max, m_points)
@@ -358,18 +398,9 @@ def _pseudospectral_solve(
             f"pseudospectral: n_eigs={n_eigs} must lie in [1, m_points={m_points})"
         )
     h = pseudospectral_matrix(params, grid)
-    v0 = np.random.default_rng(0).standard_normal(m_points)
-    vals, vecs = eigsh(h, k=n_eigs, which="SA", tol=0, v0=v0)
-    order = np.argsort(vals)
-    vals = vals[order]
-    vecs = _fix_signs(vecs[:, order])
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    resid = np.linalg.norm(h.matmat(vecs) - vecs * vals, axis=0)
-    if np.any(resid > 1e-8 * scale):
-        raise RuntimeError(
-            f"pseudospectral: eigenpair residual {resid.max():.3e} exceeds tolerance"
-        )
-    return grid, vals, vecs
+    shift = BIG_G_MIN + float(np.min(potential_v(grid.nodes, params))) - 1.0
+    vals, vecs = _lowest_eigenpairs(h, n_eigs, shift)
+    return grid, vals, _fix_signs(vecs)
 
 
 @lru_cache(maxsize=32)

@@ -88,6 +88,37 @@ class TestSpectrum:
         assert columns == ["n", "kappa"]
         assert abs(0.5 * float(rows[0][1]) - 0.2332) < 5e-3
 
+    def test_galerkin_truncation_estimate(self):
+        # the largest |lam_2N - lam_N| at 3 significant digits, in the JSON
+        # document and the CSV header, identical over repeated runs
+        args = ("spectrum", "--alpha", "0.7", "--beta", "1.9", "--n", "4",
+                "--backend", "galerkin", "--n-trunc", "128")
+        a = run_cli(*args, "--format", "json")
+        b = run_cli(*args, "--format", "json")
+        assert a.returncode == b.returncode == 0
+        assert a.stdout == b.stdout
+        est = json.loads(a.stdout)["truncation_estimate"]
+        assert math.isfinite(est) and est > 0
+        assert est == float(f"{est:.3g}")
+        meta, _, _ = parse_csv(run_cli(*args).stdout)
+        assert meta["truncation_estimate"] == est
+
+    def test_pseudospectral_has_no_truncation_estimate(self):
+        res = run_cli("spectrum", "--alpha", "2", "--beta", "2", "--n", "3",
+                      "--format", "json")
+        assert res.returncode == 0
+        assert "truncation_estimate" not in json.loads(res.stdout)
+
+    def test_galerkin_size_names_callers_n(self):
+        res = run_cli(
+            "spectrum", "--alpha", "2", "--beta", "2", "--backend", "galerkin",
+            "--n-trunc", "5000", timeout=30,
+        )
+        assert res.returncode == 2
+        err = json.loads(res.stderr)
+        assert err["kind"] == "validation"
+        assert "n_trunc=5000 must lie in [1, 4096]" in err["error"]
+
     def test_invalid_params_exit_2(self):
         res = run_cli("spectrum", "--alpha", "-1", "--beta", "1")
         assert res.returncode == 2
@@ -286,6 +317,9 @@ class TestSchemaAndErrors:
         assert set(schemas) >= {"spectrum", "mehler-fock", "evolve", "boundary-fit", "error"}
         for doc in schemas.values():
             assert doc["type"] == "object"
+        spectrum = schemas["spectrum"]
+        assert spectrum["properties"]["truncation_estimate"] == {"type": "number"}
+        assert "truncation_estimate" not in spectrum["required"]
 
     @pytest.mark.parametrize(
         "args",

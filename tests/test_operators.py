@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import legendre as npleg
 from scipy import integrate, linalg
 
+from kab import operators
 from kab.operators import (
     OperatorParams,
     SpectralCoeffs,
@@ -223,6 +224,49 @@ class TestGalerkin:
         assert np.max(np.abs(np.array(e_ab) - np.array(e_ba))) < 1e-10
 
 
+class TestGalerkinSpectrum:
+    @pytest.mark.parametrize("n_trunc", [1024, 2048])
+    def test_k11_lowest_state_found(self, n_trunc):
+        # the (1,1) matrix is diag(2 h_n), whose lowest eigenvalue is exactly 0;
+        # unshifted Lanczos misses it while every pair it returns converges
+        vals, est = galerkin_spectrum.__wrapped__(1.0, 1.0, 10, n_trunc)
+        assert np.max(np.abs(np.array(vals) - 2.0 * harmonic_numbers(10))) < 1e-12
+        assert max(est) < 1e-12
+
+    def test_interlacing_guard_catches_missed_state(self, monkeypatch):
+        # an eigensolver that drops the lowest pair passes the residual gate;
+        # Cauchy interlacing against the dense size-N solve catches it
+        real_eigsh = operators.eigsh
+
+        def drop_lowest(op, k, **kwargs):
+            vals, vecs = real_eigsh(op, k=k + 1, **kwargs)
+            order = np.argsort(vals)
+            return vals[order][1:], vecs[:, order][:, 1:]
+
+        monkeypatch.setattr(operators, "eigsh", drop_lowest)
+        with pytest.raises(RuntimeError, match=r"alpha=0\.7, beta=1\.9, N=64"):
+            galerkin_spectrum.__wrapped__(0.7, 1.9, 6, 64)
+
+    @pytest.mark.parametrize(
+        "alpha,beta,n_eigs,n_trunc", [(0.7, 1.9, 32, 32), (2.0, 2.0, 1, 1), (1.0, 2.0, 1, 1)]
+    )
+    def test_small_truncations_match_dense(self, alpha, beta, n_eigs, n_trunc):
+        # n_eigs = n_trunc and the 2 x 2 problem against dense eigvalsh
+        mat = galerkin_matrix(OperatorParams(alpha, beta), 2 * n_trunc)
+        fine = linalg.eigvalsh(mat)[:n_eigs]
+        coarse = linalg.eigvalsh(mat[:n_trunc, :n_trunc])[:n_eigs]
+        vals, est = galerkin_spectrum.__wrapped__(alpha, beta, n_eigs, n_trunc)
+        scale = np.maximum(1.0, np.abs(fine))
+        assert np.all(np.abs(np.array(vals) - fine) <= 1e-12 * scale)
+        assert np.all(np.abs(np.array(est) - np.abs(fine - coarse)) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("n_trunc", [0, 4097, 5000])
+    def test_size_bounds_name_callers_n(self, n_trunc):
+        # the solve runs at 2N, but the message names the N that was passed
+        with pytest.raises(ValueError, match=rf"n_trunc={n_trunc} must lie in \[1, 4096\]"):
+            galerkin_spectrum.__wrapped__(2.0, 2.0, 1, n_trunc)
+
+
 class TestPseudospectral:
     def test_potential_overflow_safe(self):
         p = OperatorParams(2.0, 2.0)
@@ -285,6 +329,18 @@ class TestPseudospectralSolve:
         assert np.max(np.abs(vecs - dense_vecs)) <= 1e-10
         for j in range(10):
             assert vecs[np.abs(vecs[:, j]) > 1e-8, j][0] > 0
+
+    def test_near_zero_level_found(self):
+        # at this pair level 1 sits at about -1e-14 on the kappa' scale, where
+        # ARPACK's relative convergence test is hardest to meet without a shift
+        a = b = 0.5042489734855321
+        grid = UGrid(40.0, 2048)
+        h = pseudospectral_matrix(OperatorParams(a, b), grid)
+        dense = linalg.eigvalsh(h.matmat(np.eye(grid.m_points)))[:4]
+        assert abs(dense[1]) < 1e-12
+        kappas = pseudospectral_spectrum.__wrapped__(a, b, 4, 40.0, 2048)
+        vals = np.array(kappas) - 2.0 * CONSTANTS.euler_gamma
+        assert np.max(np.abs(vals - dense)) <= 1e-12
 
     def test_uncached_solves_bitwise_equal(self):
         # the Lanczos start vector is fixed, so repeated solves agree exactly
