@@ -32,6 +32,9 @@ _SCHEMAS = {
             "n": {"type": "integer"},
             "eigenvalues": {"type": "array", "items": {"type": "number"}},
             "truncation_estimate": {"type": "number"},
+            "n_trunc": {"type": "integer"},
+            "u_max": {"type": "number"},
+            "m_points": {"type": "integer"},
         },
         "required": ["params", "backend", "n", "eigenvalues"],
     },
@@ -51,7 +54,17 @@ _SCHEMAS = {
             "tau": {"type": "number"},
             "xi": {"type": "array", "items": {"type": "number"}},
             "u": {"type": "array", "items": {"type": "number"}},
-            "meta": {"type": "object"},
+            "meta": {
+                "type": "object",
+                "properties": {
+                    "backend": {"type": "string", "enum": ["matrix", "spectral"]},
+                    "n_trunc": {"type": "integer"},
+                    "truncation_estimate": {"type": "number"},
+                    "s_max": {"type": "number"},
+                    "n_fft": {"type": "integer"},
+                    "abel_nodes": {"type": "integer"},
+                },
+            },
         },
         "required": ["tau", "xi", "u"],
     },
@@ -135,11 +148,13 @@ def _cmd_spectrum(args) -> None:
         )
         # an error estimate needs no more than 3 significant digits
         doc["truncation_estimate"] = float(f"{max(err):.3g}")
+        doc["n_trunc"] = args.n_trunc
     else:
         u_max, m = _resolution(args)
         vals = operators.pseudospectral_spectrum(
             params.alpha, params.beta, n_eigs=args.n, u_max=u_max, m_points=m
         )
+        doc.update(u_max=u_max, m_points=m)
     doc["eigenvalues"] = [float(f"{v:.10g}") for v in vals]
     if args.format == "json":
         _emit(args.output, json.dumps(doc, sort_keys=True) + "\n")

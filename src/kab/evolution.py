@@ -5,9 +5,12 @@ substitution u = exp(tau log 2) xi phi(tau, 2 xi - 1) turns it into
 d phi / d tau = -K_{01} phi.  (Direct algebra on the integral equation gives
 d u/d tau = -xi (K_{01} - log 2) phi, fixing the sign of the exponent; the
 u = xi test profile, where the right-hand side is -xi log xi, confirms it.)
-The matrix backend exponentiates the truncated Galerkin operator; the
-spectral backend uses the Mehler-Fock decomposition, where each u-mode
-evolves at the rate exp(-kappa(k) tau).
+The matrix backend exponentiates the truncated Galerkin operator.  The
+spectral backend evolves each Mehler-Fock mode of u at the rate
+exp(-kappa(k) tau) without forming a conical function: Mehler's integral
+factors the transform into an Abel transform followed by a cosine transform
+(Koornwinder 1984; DLMF 14.20), so the evolution is a Fourier multiplier on
+the Abel transform of u.
 """
 from __future__ import annotations
 
@@ -18,7 +21,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.sparse.linalg import expm_multiply
 
-from .exact import mehler_fock_forward, mehler_fock_inverse
 from .operators import (
     OperatorParams,
     SpectralCoeffs,
@@ -27,7 +29,7 @@ from .operators import (
     project,
     synthesize,
 )
-from .specfun import CONSTANTS, lipatov_kappa
+from .specfun import CONSTANTS, _gauss_nodes, lipatov_kappa
 
 __all__ = [
     "PROFILES",
@@ -42,8 +44,18 @@ __all__ = [
 _LOG2 = CONSTANTS.log2
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
 
+#: Gauss-Legendre nodes per Abel integral, in w = sqrt(t - x)
+_ABEL_NODES = 96
+#: spacing of the spectral backend's s-grid: the cosine series of the Abel
+#: transform is resolved to rounding at 3/16 (at 0.3 a round trip loses 1e-9)
+_S_STEP = 3.0 / 16.0
+#: interpolant cells formed at once by the forward Abel transform (8 MB of
+#: doubles), so the memory of a step does not grow with S or the state size
+_BLOCK_CELLS = 1 << 20
+
 # named initial profiles for transforms and evolution runs; all vanish
-# quadratically at xi = 0 so the conical t-integral tail is negligible
+# quadratically at xi = 0, so the t-integral tail of the Mehler-Fock
+# transform (kab mehler-fock) is negligible
 PROFILES = {
     "xi-sq": lambda xi: xi * xi * (1.0 - xi),
     "xi-sq-sq": lambda xi: (xi * (1.0 - xi)) ** 2,
@@ -297,29 +309,103 @@ def evolve_matrix(
     )
 
 
-def evolve_spectral(
-    state: EvolutionState,
-    tau_final: float,
-    *,
-    k_max: float = 40.0,
-    dk: float = 0.05,
-    t_max: float = 1e4,
-) -> EvolutionState:
-    """Evolve via the Mehler-Fock decomposition of the profile.
+def _abel_grid(dtau: float) -> tuple[float, int]:
+    """Half-period S and FFT length n of the s-grid for a step dtau.
 
-    The transform coefficients of u itself pick up the factor
-    exp(-kappa(k) dtau): the mode rate kappa(k) + log 2 of K_{01} minus the
-    overall log 2 rate of the change of variables.
+    The kernel of the multiplier exp(-kappa(k) dtau) falls like
+    exp(-s/2 + 2 sqrt(dtau s)), up to powers of s (kappa has poles at
+    k = +-i/2), so its periodic images at distance 2S need a period that
+    grows with dtau: S = max(60, 20 + 25 sqrt(dtau)), rounded up to a whole
+    block of 32 spacings.  S = 60 and n = 640 for every dtau <= 2.5.
+    """
+    half = 32 * math.ceil(max(60.0, 20.0 + 25.0 * math.sqrt(dtau)) / (32 * _S_STEP))
+    return half * _S_STEP, 2 * half
+
+
+def _abel_rule(x: np.ndarray, s_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t and weights of integral_x^s_max g(t) dt / sqrt(cosh t - cosh x).
+
+    After t = x + w^2 the root is sqrt(2 sinh(x + w^2/2) sinh(w^2/2)).  For
+    x > 0 it vanishes like w, as dt = 2 w dw does; at x = 0 it vanishes like
+    w^2, and so do both integrands of this module, f(cosh t) sinh t and the
+    odd A'(t).  The integrand in w is therefore smooth at every x, and
+    Gauss-Legendre on [0, sqrt(s_max - x)] converges.  Rows of the returned
+    (x.size, _ABEL_NODES) arrays follow x.
+    """
+    z, wz = _gauss_nodes(_ABEL_NODES)
+    half = 0.5 * np.sqrt(s_max - x)[:, None]
+    w = half * (z + 1.0)
+    b = 0.5 * w * w
+    weight = (2.0 * half * wz) * w / np.sqrt(2.0 * np.sinh(x[:, None] + b) * np.sinh(b))
+    return x[:, None] + 2.0 * b, weight
+
+
+def _abel_fourier_step(
+    state: EvolutionState, dtau: float, s_max: float, n: int
+) -> np.ndarray:
+    """u at the state's grid after a step dtau, on the s-grid (s_max, n).
+
+    With f(y) = u(2/(1 + y)) and y = cosh r (so xi = sech^2(r/2)):
+      1. A(s) = integral_s^S f(cosh r) sinh r / sqrt(cosh r - cosh s) dr at
+         s_j = j S/(n/2), j = 0..n/2;
+      2. the real FFT of the even extension of A over [-S, S), a DCT-I,
+         times exp(-kappa(k_m) dtau) at k_m = pi m/S;
+      3. u(cosh r) = -(1/pi) integral_r^S A_dtau'(s) / sqrt(cosh s - cosh r) ds,
+         with A_dtau' summed from its sine series at the quadrature nodes.
+    """
+    xi = state.xi_grid
+    r = 2.0 * np.arcsinh(np.sqrt((1.0 - xi) / xi))
+    if r[0] >= s_max:
+        raise ValueError(
+            f"evolve_spectral: xi={xi[0]:.3e} lies beyond the s-grid; the step "
+            f"resolves xi > sech^2(S/2) = {math.cosh(0.5 * s_max) ** -2:.3e}"
+        )
+    f = state_interpolant(state)
+    half = n // 2
+    s = (s_max / half) * np.arange(half + 1)
+    a = np.zeros(half + 1)  # the integral at s = S is empty
+    step = max(1, _BLOCK_CELLS // (_ABEL_NODES * (xi.size + 1)))
+    for j in range(0, half, step):
+        rows = slice(j, min(j + step, half))
+        t, weight = _abel_rule(s[rows], s_max)
+        a[rows] = np.sum(weight * np.sinh(t) * f(np.cosh(0.5 * t) ** -2.0), axis=1)
+    k = (math.pi / s_max) * np.arange(half + 1)
+    a_hat = np.fft.rfft(np.concatenate((a, a[-2:0:-1]))).real
+    # A_dtau'(s) = sum_m b_m sin(m theta), theta = pi s/S, the Nyquist term
+    # at half weight; summed by Clenshaw's recurrence, which needs one cosine
+    # and one sine per node
+    b = (-2.0 / n) * k * a_hat * np.exp(-lipatov_kappa(k) * dtau)
+    b[-1] *= 0.5
+    t, weight = _abel_rule(r, s_max)
+    theta = (math.pi / s_max) * t
+    two_cos = 2.0 * np.cos(theta)
+    c1, c2 = np.zeros_like(t), np.zeros_like(t)
+    for bm in b[:0:-1]:
+        c1, c2 = bm + two_cos * c1 - c2, c1
+    return np.sum(weight * c1 * np.sin(theta), axis=1) / -math.pi
+
+
+def evolve_spectral(state: EvolutionState, tau_final: float) -> EvolutionState:
+    """Evolve each Mehler-Fock mode of u by exp(-kappa(k) dtau).
+
+    kappa(k) is the mode rate kappa(k) + log 2 of K_{01} minus the overall
+    log 2 rate of the change of variables.  Mehler's integral writes the
+    transform as an Abel transform A(s) of u followed by a cosine transform,
+    so the step is a forward Abel transform, a real-FFT multiplier on the
+    even periodic extension of A, and an inverse Abel transform (see
+    _abel_fourier_step); no conical function is formed.  The s-grid depends
+    on dtau alone (_abel_grid), and meta states it: the half-period s_max,
+    the FFT length n_fft and the Gauss nodes per Abel integral.
     """
     dtau = _delta_tau(state, tau_final)
-    f = state_interpolant(state)
-    # the decay factor sharpens the k-integrand around k = 0 as dtau grows,
-    # so the k-grid is refined accordingly
-    dk_eff = dk / (1.0 + dtau)
-    coeffs = mehler_fock_forward(f, k_max=k_max, dk=dk_eff, t_max=t_max)
-    decay = np.exp(-lipatov_kappa(coeffs.k_grid) * dtau)
-    coeffs.c = coeffs.c * decay
-    u_new = mehler_fock_inverse(coeffs, state.xi_grid)
+    s_max, n = _abel_grid(dtau)
+    # an overflowing growth is reported once, by the finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_new = _abel_fourier_step(state, dtau, s_max, n)
+    if not np.all(np.isfinite(u_new)):
+        raise RuntimeError(
+            f"evolve_spectral: evolved profile is not finite at tau={tau_final:g}"
+        )
     return EvolutionState(
         tau=tau_final,
         xi_grid=state.xi_grid.copy(),
@@ -327,9 +413,8 @@ def evolve_spectral(
         small_bound=max(state.small_bound, 1e-3),
         meta={
             "backend": "spectral",
-            "k_max": k_max,
-            "dk": dk,
-            "t_max": t_max,
-            "tail_estimate": coeffs.meta.get("tail_estimate"),
+            "s_max": s_max,
+            "n_fft": n,
+            "abel_nodes": _ABEL_NODES,
         },
     )

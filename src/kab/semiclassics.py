@@ -302,11 +302,17 @@ def linear_potential_solution(
     weight = _simpson_weights(p.size) * (h / 3.0)
     full = osc @ (taper(p_end) * weight) / math.pi
     half = osc @ (taper(p_max) * weight) / math.pi
-    err = float(np.max(np.abs(full - half)))
-    if err > _TAPER_CHECK_TOL:
+    gap = np.abs(full - half)
+    bad = gap > _TAPER_CHECK_TOL
+    if np.any(bad):
+        worst = int(np.argmax(gap))
+        listed = ", ".join(f"{v:g}" for v in ua[bad][:8])
+        if np.count_nonzero(bad) > 8:
+            listed += f", ... ({np.count_nonzero(bad)} in all)"
         raise RuntimeError(
             f"linear_potential_solution: tapered integrals at p_max={p_max:g} and "
-            f"{p_end:g} differ by {err:.3e} (> {_TAPER_CHECK_TOL:g}); increase p_max"
+            f"{p_end:g} differ by more than {_TAPER_CHECK_TOL:g} at u = [{listed}], "
+            f"worst at u = {ua[worst]:g} ({gap[worst]:.3e}); increase p_max"
         )
     return float(full[0]) if scalar else full
 

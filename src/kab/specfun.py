@@ -126,13 +126,21 @@ def big_g(p: float | np.ndarray) -> float | np.ndarray:
 #: minimum of G, attained at p = 0: G(0) = -2 log 2 - 2 gamma_E
 BIG_G_MIN = -2.0 * CONSTANTS.log2 - 2.0 * CONSTANTS.euler_gamma
 
+#: the Illinois iteration converges with order 3^(1/3) ~ 1.44; on the
+#: Bohr-Sommerfeld inputs no element needs more than 33 steps
+_ILLINOIS_MAX_STEPS = 100
+
 
 def big_g_inverse(y: float | np.ndarray) -> float | np.ndarray:
     """Return p >= 0 with G(p) = y, elementwise, to the rounding of G.
 
-    Bisection on [0, exp(y/2) + 1], whose upper end is doubled until it
-    brackets the root; G is smooth, even, and strictly increasing for
-    p >= 0.  Raises for y < G(0).
+    Illinois iteration (Dowell & Jarratt, BIT 11, 1971) on the bracket
+    [0, exp(y/2) + 1], whose upper end is doubled until it brackets the
+    root; G is smooth, even, and strictly increasing for p >= 0.  Each
+    element stops on its own, when its best residual is within one ulp of
+    |y| + 2 log 2 (the size of the terms G sums) or its bracket has closed
+    to adjacent doubles, so a value does not depend on the batch.  Raises
+    for y < G(0).
     """
     scalar = np.isscalar(y)
     ya = np.atleast_1d(np.asarray(y, dtype=float))
@@ -143,15 +151,39 @@ def big_g_inverse(y: float | np.ndarray) -> float | np.ndarray:
         )
     lo = np.zeros_like(ya)
     hi = np.exp(np.minimum(ya, 120.0) / 2.0) + 1.0
-    while np.any(short := big_g(hi) < ya):
+    f_hi = big_g(hi) - ya
+    while np.any(short := f_hi < 0.0):
         hi[short] *= 2.0
-    for _ in range(70):
-        mid = 0.5 * (lo + hi)
-        high = big_g(mid) > ya
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-    p = 0.5 * (lo + hi)
-    return float(p[0]) if scalar else p
+        f_hi[short] = big_g(hi[short]) - ya[short]
+    f_lo = BIG_G_MIN - ya
+    tol = np.spacing(np.abs(ya) + 2.0 * CONSTANTS.log2)
+    # y at or below G(0) (within the 1e-12 slack above) has the root p = 0
+    p = np.where(f_lo >= 0.0, 0.0, hi)
+    f_best = np.where(f_lo >= 0.0, 0.0, f_hi)
+    active = np.flatnonzero(np.abs(f_best) > tol)
+    for _ in range(_ILLINOIS_MAX_STEPS):
+        if active.size == 0:
+            return float(p[0]) if scalar else p
+        a, b, fa, fb = lo[active], hi[active], f_lo[active], f_hi[active]
+        c = b - fb * (b - a) / (fb - fa)
+        fc = big_g(c) - ya[active]
+        better = np.abs(fc) < np.abs(f_best[active])
+        p[active[better]] = c[better]
+        f_best[active[better]] = fc[better]
+        # the end on fc's side of the root is replaced; an end kept twice in
+        # a row has its residual halved, which stops regula falsi stalling
+        flip = np.signbit(fc) != np.signbit(fb)
+        lo[active] = np.where(flip, b, a)
+        f_lo[active] = np.where(flip, fb, 0.5 * fa)
+        hi[active], f_hi[active] = c, fc
+        done = (np.abs(f_best[active]) <= tol[active]) | (
+            np.abs(lo[active] - c) <= np.spacing(c)
+        )
+        active = active[~done]
+    raise RuntimeError(
+        f"big_g_inverse: no convergence in {_ILLINOIS_MAX_STEPS} steps "
+        f"at y={ya[active[0]]!r}"
+    )
 
 
 def phase_integral(u, alpha: float, beta: float, kappa_prime: float):

@@ -103,6 +103,23 @@ class TestSpectrum:
         meta, _, _ = parse_csv(run_cli(*args).stdout)
         assert meta["truncation_estimate"] == est
 
+    @pytest.mark.parametrize(
+        "backend_args,resolution",
+        [
+            (("--backend", "galerkin", "--n-trunc", "128"), {"n_trunc": 128}),
+            (("--u-max", "30", "--m-points", "512"), {"u_max": 30.0, "m_points": 512}),
+        ],
+    )
+    def test_states_resolution(self, backend_args, resolution):
+        # the size each backend ran at, in the JSON document and the CSV header
+        args = ("spectrum", "--alpha", "2", "--beta", "2", "--n", "3", *backend_args)
+        doc = json.loads(run_cli(*args, "--format", "json").stdout)
+        meta, _, _ = parse_csv(run_cli(*args).stdout)
+        for key, value in resolution.items():
+            assert doc[key] == meta[key] == value
+        others = {"n_trunc", "u_max", "m_points"} - set(resolution)
+        assert not others & (set(doc) | set(meta))
+
     def test_pseudospectral_has_no_truncation_estimate(self):
         res = run_cli("spectrum", "--alpha", "2", "--beta", "2", "--n", "3",
                       "--format", "json")
@@ -246,6 +263,15 @@ class TestEvolve:
         diff = np.max(np.abs(um[mask] - us[mask])) / np.max(np.abs(um[mask]))
         assert diff < 1e-3
 
+    def test_spectral_run_states_resolution(self):
+        res = run_cli("evolve", "--tau", "1", "--backend", "spectral", "--points", "16")
+        assert res.returncode == 0
+        meta, _, rows = parse_csv(res.stdout)
+        assert len(rows) == 16
+        assert meta["backend"] == "spectral"
+        assert {"s_max", "n_fft", "abel_nodes"} <= set(meta)
+        assert not {"k_max", "dk", "t_max", "tail_estimate"} & set(meta)
+
     @pytest.mark.parametrize("tau", ["nan", "inf", "-1"])
     def test_invalid_tau_exit_2(self, tau):
         res = run_cli(
@@ -318,8 +344,12 @@ class TestSchemaAndErrors:
         for doc in schemas.values():
             assert doc["type"] == "object"
         spectrum = schemas["spectrum"]
-        assert spectrum["properties"]["truncation_estimate"] == {"type": "number"}
-        assert "truncation_estimate" not in spectrum["required"]
+        for key in ("truncation_estimate", "n_trunc", "u_max", "m_points"):
+            assert key in spectrum["properties"]
+            assert key not in spectrum["required"]
+        meta = schemas["evolve"]["properties"]["meta"]["properties"]
+        assert {"backend", "n_trunc", "truncation_estimate", "s_max", "n_fft",
+                "abel_nodes"} <= set(meta)
 
     @pytest.mark.parametrize(
         "args",

@@ -10,6 +10,8 @@ import pytest
 
 from kab.evolution import (
     EvolutionState,
+    _abel_fourier_step,
+    _abel_grid,
     _state_coeffs,
     default_xi_grid,
     evolve_matrix,
@@ -125,6 +127,11 @@ class TestValidation:
         )
         with pytest.raises(RuntimeError):
             evolve_matrix(s, 1.0, n_trunc=32)
+        monkeypatch.setattr(
+            kab.evolution, "lipatov_kappa", lambda k: np.full_like(k, -np.inf)
+        )
+        with pytest.raises(RuntimeError):
+            evolve_spectral(s, 1.0)
 
 
 class TestProjection:
@@ -196,6 +203,51 @@ class TestMatrixBackend:
         assert out.meta["truncation_estimate"] < 1e-3
 
 
+class TestSpectralBackend:
+    @pytest.mark.parametrize("tau", [0.25, 1.0, 2.5, 10.0])
+    def test_doubled_resolution_agrees(self, smooth_profiles, tau):
+        # S and n doubled keep the s-spacing and double the period, so the
+        # periodic images of the decay kernel move twice as far away; every
+        # grid point counts, xi = 1 and xi < 0.05 included
+        s_max, n = _abel_grid(tau)
+        for profile in smooth_profiles.values():
+            s = make_state(profile)
+            u = evolve_spectral(s, tau).u_values
+            u2 = _abel_fourier_step(s, tau, 2.0 * s_max, 2 * n)
+            assert np.max(np.abs(u - u2)) <= 1e-10 * np.max(np.abs(u2))
+
+    def test_identity_at_zero_step(self, smooth_profiles):
+        # Abel transform, unit multiplier and inverse Abel transform
+        for profile in smooth_profiles.values():
+            s = make_state(profile)
+            out = evolve_spectral(s, 0.0)
+            assert np.max(np.abs(out.u_values - s.u_values)) <= 1e-12
+
+    @pytest.mark.parametrize("tau", [0.5, 10.0])
+    def test_meta_states_resolution(self, smooth_profiles, tau):
+        s = make_state(smooth_profiles["xi-sq"], n_points=16)
+        meta = evolve_spectral(s, tau).meta
+        s_max, n = _abel_grid(tau)
+        assert meta["backend"] == "spectral"
+        assert (meta["s_max"], meta["n_fft"]) == (s_max, n)
+        assert meta["abel_nodes"] > 0
+        assert not {"k_max", "dk", "t_max", "tail_estimate"} & set(meta)
+
+    def test_grid_fixed_up_to_moderate_tau(self):
+        # the step costs the same for every tau up to 2.5; beyond, the period
+        # grows with the reach of the decay kernel
+        assert _abel_grid(0.0) == _abel_grid(0.25) == _abel_grid(2.5)
+        assert _abel_grid(10.0)[0] > _abel_grid(2.5)[0]
+
+    def test_point_beyond_the_period_raises(self, smooth_profiles):
+        # xi = 1e-40 sits at r = 2 arcsinh(1e20) ~ 92 > S: no Abel integral
+        # reaches it, so it is refused rather than returned as zero
+        xi = np.concatenate(([1e-40], default_xi_grid(16)))
+        s = EvolutionState(tau=0.0, xi_grid=xi, u_values=smooth_profiles["xi-sq"](xi))
+        with pytest.raises(ValueError, match="xi"):
+            evolve_spectral(s, 1.0)
+
+
 class TestBackendAgreement:
     @pytest.mark.parametrize("tau", [0.25, 0.5, 1.0])
     def test_two_routes_agree(self, smooth_profiles, tau):
@@ -223,9 +275,7 @@ class TestBackendAgreement:
 
         one_s = evolve_spectral(s, 1.0)
         half_s = evolve_spectral(s, 0.5)
-        # the evolved profile decays more slowly at xi -> 0, so the second
-        # forward transform needs a longer t-range
-        two_s = evolve_spectral(half_s, 1.0, t_max=1e6)
+        two_s = evolve_spectral(half_s, 1.0)
         scale = float(np.max(np.abs(one_s.u_values[mask])))
         assert (
             np.max(np.abs(one_s.u_values[mask] - two_s.u_values[mask])) / scale < 1e-3
@@ -233,33 +283,37 @@ class TestBackendAgreement:
 
     def test_linearity(self, smooth_profiles):
         # V-3: evolution of a u1 + b u2 equals the same combination of the
-        # separate evolutions (the solver is linear)
+        # separate evolutions (both solvers are linear; the spectral step
+        # has no iteration, so it holds to rounding)
         xi = default_xi_grid(96)
         u1 = smooth_profiles["xi-sq"](xi)
         u2 = smooth_profiles["xi-cube"](xi)
         a, b = 2.0, -0.7
         tau = 0.4
-        combo = evolve_matrix(
-            EvolutionState(tau=0.0, xi_grid=xi, u_values=a * u1 + b * u2), tau
-        )
-        e1 = evolve_matrix(EvolutionState(tau=0.0, xi_grid=xi, u_values=u1), tau)
-        e2 = evolve_matrix(EvolutionState(tau=0.0, xi_grid=xi, u_values=u2), tau)
-        diff = np.max(np.abs(combo.u_values - a * e1.u_values - b * e2.u_values))
-        assert diff < 1e-8
+        for evolve, bound in ((evolve_matrix, 1e-8), (evolve_spectral, 1e-12)):
+            combo = evolve(
+                EvolutionState(tau=0.0, xi_grid=xi, u_values=a * u1 + b * u2), tau
+            )
+            e1 = evolve(EvolutionState(tau=0.0, xi_grid=xi, u_values=u1), tau)
+            e2 = evolve(EvolutionState(tau=0.0, xi_grid=xi, u_values=u2), tau)
+            diff = np.max(np.abs(combo.u_values - a * e1.u_values - b * e2.u_values))
+            assert diff < bound
 
     def test_eigenmode_pure_decay(self):
         # u = xi phi(k, xi) evolves by the exact factor exp(-kappa(k) dtau);
-        # the xi^(1/2)-type envelope of the mode slows the Galerkin projection,
-        # so this is a percent-level check rather than a tight one
+        # the xi^(1/2)-type envelope of the mode slows the Galerkin projection
+        # and the 96-point interpolant both backends start from, so this is a
+        # percent-level check rather than a tight one
         k = 1.0
         xi = default_xi_grid(96)
         u0 = xi * np.array([mm_eigenfunction(k, float(t)) for t in xi])
         s = EvolutionState(tau=0.0, xi_grid=xi, u_values=u0)
         dtau = 0.3
-        out = evolve_matrix(s, dtau)
         factor = math.exp(-float(lipatov_kappa(k)) * dtau)
         mask = (xi >= 0.05) & (xi <= 0.95)
-        diff = np.max(np.abs(out.u_values[mask] - factor * u0[mask])) / np.max(
-            np.abs(factor * u0[mask])
-        )
-        assert diff < 2e-2
+        for evolve in (evolve_matrix, evolve_spectral):
+            out = evolve(s, dtau)
+            diff = np.max(np.abs(out.u_values[mask] - factor * u0[mask])) / np.max(
+                np.abs(factor * u0[mask])
+            )
+            assert diff < 2e-2

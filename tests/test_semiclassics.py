@@ -206,6 +206,15 @@ class TestLinearPotential:
         with pytest.raises(ValueError):
             linear_potential_solution(0.0, 0.0, 0.5)
 
+    def test_taper_failure_names_u(self):
+        # at kappa' = 0.3 the beta = 2 integral does not converge at the
+        # default p_max left of the turning region; the error says where
+        with pytest.raises(RuntimeError, match=r"worst at u = 0\b"):
+            linear_potential_solution(2.0, 0.3, 0.0)
+        with pytest.raises(RuntimeError) as info:
+            linear_potential_solution(2.0, 0.3, np.array([-1.0, 0.0, 5.0]))
+        assert "at u = [-1, 0]," in str(info.value)
+
 
 class TestWkbTable:
     def test_rows(self, table1):

@@ -118,6 +118,28 @@ class TestBigG:
         assert all(type(p) is float for p in scalars)
         assert np.array_equal(big_g_inverse(y), scalars)
 
+    @pytest.mark.parametrize("alpha,beta", [(2.0, 2.0), (0.7, 1.9)])
+    def test_inverse_residual_on_bohr_sommerfeld_inputs(self, alpha, beta, monkeypatch):
+        # every G^{-1} input of the Bohr-Sommerfeld solves for the two lowest
+        # levels comes back with |G(p) - y| within 4 ulp; the ulp is that of
+        # |y| + 2 log 2, the size of the terms G sums, since near G = 0 they
+        # cancel and no p brings the rounded G within an ulp of y itself
+        import kab.semiclassics as sc
+
+        inputs = []
+
+        def record(y):
+            inputs.append(np.array(y, dtype=float))
+            return big_g_inverse(y)
+
+        monkeypatch.setattr(sc, "big_g_inverse", record)
+        for n in (0, 1):
+            sc.bohr_sommerfeld_solve(n, alpha, beta)
+        assert len(inputs) > 10
+        y = np.concatenate(inputs)
+        residual = np.abs(big_g(big_g_inverse(y)) - y)
+        assert np.all(residual <= 4.0 * np.spacing(np.abs(y) + 2.0 * LOG2))
+
     def test_inverse_below_minimum_raises(self):
         with pytest.raises(ValueError):
             big_g_inverse(BIG_G_MIN - 1e-3)
