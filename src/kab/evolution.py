@@ -29,7 +29,14 @@ from .operators import (
     project,
     synthesize,
 )
-from .specfun import CONSTANTS, _gauss_nodes, lipatov_kappa
+from .specfun import (
+    _ABEL_NODES,
+    _BLOCK_CELLS,
+    CONSTANTS,
+    _abel_rule,
+    _clenshaw,
+    lipatov_kappa,
+)
 
 __all__ = [
     "PROFILES",
@@ -44,14 +51,9 @@ __all__ = [
 _LOG2 = CONSTANTS.log2
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
 
-#: Gauss-Legendre nodes per Abel integral, in w = sqrt(t - x)
-_ABEL_NODES = 96
 #: spacing of the spectral backend's s-grid: the cosine series of the Abel
 #: transform is resolved to rounding at 3/16 (at 0.3 a round trip loses 1e-9)
 _S_STEP = 3.0 / 16.0
-#: interpolant cells formed at once by the forward Abel transform (8 MB of
-#: doubles), so the memory of a step does not grow with S or the state size
-_BLOCK_CELLS = 1 << 20
 
 # named initial profiles for transforms and evolution runs; all vanish
 # quadratically at xi = 0, so the t-integral tail of the Mehler-Fock
@@ -86,9 +88,10 @@ class EvolutionState:
             raise ValueError("EvolutionState: u_values shape mismatch")
         scale = max(1.0, float(np.max(np.abs(self.u_values))))
         # the density must vanish at xi = 0 for the kernel integrals to
-        # converge; evolved profiles behave like sqrt(xi) near zero, so the
-        # bound scales with the square root of the first grid point
-        bound = max(self.small_bound, 3.0 * math.sqrt(float(self.xi_grid[0])))
+        # converge; evolved profiles behave like sqrt(xi) log(1/xi) near zero
+        # (the slowest mode, ~ (sqrt(xi)/pi) log(16/xi), dominates at large tau)
+        xi0 = float(self.xi_grid[0])
+        bound = max(self.small_bound, math.sqrt(xi0) * (3.0 - math.log(xi0)))
         if abs(self.u_values[0]) > bound * scale:
             raise ValueError(
                 f"EvolutionState: |u| = {abs(self.u_values[0]):.3e} at the first grid "
@@ -130,10 +133,15 @@ def state_interpolant(state: EvolutionState):
     """
     nodes = np.concatenate(([0.0], state.xi_grid))
     vals = np.concatenate(([0.0], state.u_values))
-    diff = np.subtract.outer(nodes, nodes)
-    np.fill_diagonal(diff, 1.0)
-    np.abs(diff, out=diff)
-    log_w = -np.sum(np.log(diff, out=diff), axis=1)
+    # log sums a block of whole rows at a time: O(_BLOCK_CELLS) memory, and
+    # each row sums exactly as it would in one block
+    log_w = np.empty(nodes.size)
+    step = max(1, _BLOCK_CELLS // nodes.size)
+    for j in range(0, nodes.size, step):
+        diff = np.subtract.outer(nodes[j : j + step], nodes)
+        diff[:, j : j + step][np.diag_indices(diff.shape[0])] = 1.0
+        np.abs(diff, out=diff)
+        log_w[j : j + step] = -np.sum(np.log(diff, out=diff), axis=1)
     # the nodes increase, so node j has n - 1 - j factors x_j - x_k < 0
     weights = np.exp(log_w - log_w.max())
     weights[-2::-2] *= -1.0
@@ -322,24 +330,6 @@ def _abel_grid(dtau: float) -> tuple[float, int]:
     return half * _S_STEP, 2 * half
 
 
-def _abel_rule(x: np.ndarray, s_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes t and weights of integral_x^s_max g(t) dt / sqrt(cosh t - cosh x).
-
-    After t = x + w^2 the root is sqrt(2 sinh(x + w^2/2) sinh(w^2/2)).  For
-    x > 0 it vanishes like w, as dt = 2 w dw does; at x = 0 it vanishes like
-    w^2, and so do both integrands of this module, f(cosh t) sinh t and the
-    odd A'(t).  The integrand in w is therefore smooth at every x, and
-    Gauss-Legendre on [0, sqrt(s_max - x)] converges.  Rows of the returned
-    (x.size, _ABEL_NODES) arrays follow x.
-    """
-    z, wz = _gauss_nodes(_ABEL_NODES)
-    half = 0.5 * np.sqrt(s_max - x)[:, None]
-    w = half * (z + 1.0)
-    b = 0.5 * w * w
-    weight = (2.0 * half * wz) * w / np.sqrt(2.0 * np.sinh(x[:, None] + b) * np.sinh(b))
-    return x[:, None] + 2.0 * b, weight
-
-
 def _abel_fourier_step(
     state: EvolutionState, dtau: float, s_max: float, n: int
 ) -> np.ndarray:
@@ -378,10 +368,7 @@ def _abel_fourier_step(
     b[-1] *= 0.5
     t, weight = _abel_rule(r, s_max)
     theta = (math.pi / s_max) * t
-    two_cos = 2.0 * np.cos(theta)
-    c1, c2 = np.zeros_like(t), np.zeros_like(t)
-    for bm in b[:0:-1]:
-        c1, c2 = bm + two_cos * c1 - c2, c1
+    c1, _ = _clenshaw(b, 2.0 * np.cos(theta))
     return np.sum(weight * c1 * np.sin(theta), axis=1) / -math.pi
 
 

@@ -24,8 +24,13 @@ from .operators import (
     log_matrix_elements,
 )
 from .specfun import (
+    _ABEL_NODES,
+    _BLOCK_CELLS,
     CONSTANTS,
+    _abel_rule,
     _check_finite,
+    _clenshaw,
+    _gauss_nodes,
     _simpson_weights,
     g_dispersion,
     lipatov_kappa,
@@ -113,10 +118,6 @@ class MehlerFockCoeffs:
         if self.c.shape != self.k_grid.shape:
             raise ValueError("MehlerFockCoeffs: c and k_grid shapes differ")
 
-    @property
-    def k_max(self) -> float:
-        return float(self.k_grid[-1])
-
     def to_csv_rows(self):
         return [(float(k), float(c)) for k, c in zip(self.k_grid, self.c)]
 
@@ -130,125 +131,94 @@ class MehlerFockCoeffs:
 
 
 # ---------------------------------------------------------------------------
-# conical Legendre functions P_{-1/2+ik}: one series-plus-Magnus evaluator
+# conical Legendre functions P_{-1/2+ik} by Mehler's integral
+
+#: Gauss-Legendre nodes per panel of the Mehler rule
+_PANEL_NODES = 32
+#: the most panels one Mehler integral may take (k = 40 at t = 1e300 takes 1298)
+_MAX_PANELS = 4096
+#: the most wavenumbers one forward transform may take (the defaults take 801)
+_MAX_K_POINTS = 1 << 16
+#: r = acosh of the largest double; beyond it sinh overflows
+_R_MAX = math.acosh(np.finfo(float).max)
+_SQRT2_PI = math.sqrt(2.0) / math.pi
 
 
-def _conical_series(k: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P, dP/dr) of P_{-1/2+ik}(cosh r), shape (len(r), len(k)), by the
-    hypergeometric series in w = sinh^2(r/2), summed for all radii at once;
-    converges fast for r <~ 0.5."""
-    w = [math.sinh(ri / 2.0) ** 2 for ri in r]
-    tot = np.ones((len(w), k.size))
-    dtot = np.zeros_like(tot)
-    cj = np.ones_like(k)
-    w_prev = np.ones((len(w), 1))  # w^(j-1)
-    for j in range(1, 500):
-        cj = -cj * (((j - 0.5) ** 2 + k**2) / j**2)
-        # powers by Python's float pow, one radius at a time: numpy's
-        # vectorised power can differ in the last bit, which the series'
-        # cancellation at large k amplifies
-        wj = np.array([wi**j for wi in w])[:, None]
-        tot = tot + cj * wj
-        dtot = dtot + cj * j * w_prev
-        w_prev = wj
-        if np.all(np.abs(cj) * wj < 1e-18):
-            break
-    return tot, dtot * 0.5 * np.sinh(r)[:, None]
+def _mehler_panels(kr, caller: str) -> np.ndarray:
+    """Panels for a phase k s spanning kr: 40 nodes plus 1.5 per radian."""
+    panels = np.ceil((40.0 + 1.5 * np.asarray(kr, dtype=float)) / _PANEL_NODES)
+    worst = float(np.max(panels, initial=1.0))
+    if worst > _MAX_PANELS:
+        raise ValueError(
+            f"{caller}: k * r = {float(np.max(kr)):.6g} needs {worst:.0f} "
+            f"quadrature panels, above the cap of {_MAX_PANELS}"
+        )
+    return panels.astype(int)
 
 
-_R_SERIES_CUT = 0.2
-# Magnus steps whose 2x2 exponentials are formed together, as (B, len(k)) arrays
-_STEP_BLOCK = 64
+def _sqrt_rule(top: np.ndarray, panels: int):
+    """(w, s, weight) of integral_0^top g(s) ds, s = top - w^2, rows following
+    top: equal Gauss-Legendre panels in w over [0, sqrt(top)], ds = 2 w dw."""
+    z, wz = _gauss_nodes(_PANEL_NODES)
+    width = np.sqrt(top)[:, None] / panels
+    w = width * (np.arange(panels)[:, None] + 0.5 * (z + 1.0)).ravel()
+    return w, top[:, None] - w * w, width * np.tile(wz, panels) * w
 
 
-def _conical_rows(k: np.ndarray, r: np.ndarray):
-    """Yield (i, P_{-1/2+ik}(cosh r_i)) for every radius of the nondecreasing
-    r, in order.
+def _mehler_blocks(r: np.ndarray, k_max: float, caller: str):
+    """Yield (rows, s, weight): P_{-1/2+ik}(cosh r[rows]) = sum weight cos(k s)
+    along the last axis, for |k| <= k_max.
 
-    Radii up to _R_SERIES_CUT, and the start value at the cut, come from one
-    vectorised pass of the hypergeometric series; larger ones propagate
-    y'' = -(k^2 + 1/(4 sinh^2 r)) y for y = sqrt(sinh r) P with a fourth
-    order Magnus scheme (exact 2x2 step exponentials at two Gauss points).
-    The step is at most r^2/40, so it is short just past the cut, where
-    1/(4 sinh^2 r) varies fastest; values agree with mpmath to ~1e-10 relative.
-    A scalar pre-pass lists the steps and the radii each one lands on
-    (coincident radii land together); the step exponentials are then formed
-    _STEP_BLOCK steps at a time, so memory is O(len(k)).
+    Mehler's integral P = (sqrt 2/pi) integral_0^r cos(k s) ds/sqrt(cosh r -
+    cosh s) (DLMF 14.20; Koornwinder 1984) in w = sqrt(r - s), where the
+    root sqrt(2 sinh(r - w^2/2) sinh(w^2/2)) vanishes like w, as ds does, so
+    the integrand is smooth.  Radii with equal panel counts come together,
+    at most _BLOCK_CELLS nodes at a time; r = 0 takes the node s = 0.
     """
-    big = r > _R_SERIES_CUT
-    small = np.nonzero(~big)[0]
-    p, dp = _conical_series(k, np.append(r[small], _R_SERIES_CUT))
-    for n, i in enumerate(small):
-        yield i, p[n]
-    targets = np.nonzero(big)[0]
-    if targets.size == 0:
-        return
+    zero = np.nonzero(r == 0.0)[0]
+    if zero.size:
+        yield zero, np.zeros((zero.size, 1)), np.ones((zero.size, 1))
+    panels = _mehler_panels(k_max * r, caller)
+    for p in np.unique(panels[r > 0.0]):
+        group = np.nonzero((panels == p) & (r > 0.0))[0]
+        step = max(1, _BLOCK_CELLS // (p * _PANEL_NODES))
+        for j in range(0, group.size, step):
+            rows = group[j : j + step]
+            w, s, weight = _sqrt_rule(r[rows], p)
+            b = 0.5 * w * w
+            # each root taken apart, so that no product overflows
+            root = np.sqrt(2.0 * np.sinh(r[rows, None] - b)) * np.sqrt(np.sinh(b))
+            yield rows, s, _SQRT2_PI * weight / root
 
-    r0 = _R_SERIES_CUT
-    rc = r0
-    starts, steps = [], []
-    lands = [[]]  # lands[s]: (i, sqrt(sinh r)) of the radii reached after s steps
-    for i in targets:
-        rt = r[i]
-        while rc < rt - 1e-14:
-            # beyond r ~ 6 the frequency is essentially constant and the exact
-            # 2x2 step exponential permits much larger steps
-            hmax = 0.005 if rc <= 6.0 else (0.05 if rc <= 12.0 else 0.25)
-            h = min(hmax, rc * rc / 40.0, rt - rc)
-            starts.append(rc)
-            steps.append(h)
-            lands.append([])
-            rc += h
-        lands[-1].append((i, math.sqrt(math.sinh(rc))))
-    h = np.array(steps)
-    gpt = math.sqrt(3.0) / 6.0
-    # beyond r ~ 355 sinh^2 overflows and 1/(4 sinh^2) takes its limit 0
-    with np.errstate(over="ignore"):
-        s1 = 1.0 / (4.0 * np.sinh(np.array(starts) + (0.5 - gpt) * h) ** 2)
-        s2 = 1.0 / (4.0 * np.sinh(np.array(starts) + (0.5 + gpt) * h) ** 2)
-    wbar = 0.5 * (s1 + s2)
-    d = math.sqrt(3.0) * h * h * (s2 - s1) / 12.0
 
-    p0, dp0 = p[-1], dp[-1]
-    s0 = math.sinh(r0)
-    y = math.sqrt(s0) * p0
-    yp = math.sqrt(s0) * dp0 + 0.5 * math.cosh(r0) / math.sqrt(s0) * p0
-    for i, norm in lands[0]:
-        yield i, y / norm
-    k2 = k * k
-    for lo in range(0, h.size, _STEP_BLOCK):
-        hb = h[lo : lo + _STEP_BLOCK, None]
-        db = d[lo : lo + _STEP_BLOCK, None]
-        hw = hb * (k2 + wbar[lo : lo + _STEP_BLOCK, None])
-        # theta vanishes only at k = 0 where 1/(4 sinh^2) is 0; the floor
-        # gives sin(theta)/theta its limit 1 there
-        th = np.maximum(np.sqrt(hb * hw - db * db), 1e-300)
-        cs = np.cos(th)
-        sn = np.sin(th) / th
-        ds = db * sn
-        # the 2x2 step exponential [[a, b], [-c, e]]
-        a, b, c, e = cs + ds, hb * sn, hw * sn, cs - ds
-        for j in range(hb.shape[0]):
-            y, yp = a[j] * y + b[j] * yp, e[j] * yp - c[j] * y
-            for i, norm in lands[lo + j + 1]:
-                yield i, y / norm
+def _cosine_sums(k: np.ndarray, s: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """sum_j weight[i, j] cos(k_l s[i, j]), at most _BLOCK_CELLS cosines at once."""
+    out = np.empty((s.shape[0], k.size))
+    step = max(1, _BLOCK_CELLS // s.size)
+    for j in range(0, k.size, step):
+        cos = np.cos(k[j : j + step, None] * s[:, None])
+        out[:, j : j + step] = np.sum(weight[:, None] * cos, axis=-1)
+    return out
 
 
 def conical_legendre_grid(k, r) -> np.ndarray:
     """P_{-1/2+ik}(cosh r) for a vector of wavenumbers and radii at once.
 
-    Shape (len(r), len(k)).  The radii may come in any order: they are
-    sorted once, and the rows of one _conical_rows pass are returned in the
-    caller's order, so permuted radii give the same rows, permuted.
+    Shape (len(r), len(k)).  Mehler's integral (_mehler_blocks), each row its
+    own quadrature of _mehler_panels(max|k| r) panels (above _MAX_PANELS
+    raises ValueError).  Within ~1e-14 of the envelope min(1, 1/sqrt(sinh r))
+    of mpmath; at large k r the rounding of r, ~eps k r of it, dominates.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(r < 0) or not np.all(np.isfinite(r)) or not np.all(np.isfinite(k)):
-        raise ValueError("conical_legendre_grid: r must be finite and >= 0")
-    order = np.argsort(r)
+    if not (np.all(np.isfinite(k)) and np.all((r >= 0) & (r <= _R_MAX))):
+        raise ValueError(
+            f"conical_legendre_grid: k must be finite and r lie in [0, {_R_MAX:.6g}]"
+        )
     out = np.empty((r.size, k.size))
-    for i, row in _conical_rows(k, r[order]):
-        out[order[i]] = row
+    k_max = float(np.max(np.abs(k), initial=0.0))
+    for rows, s, weight in _mehler_blocks(r, k_max, "conical_legendre_grid"):
+        out[rows] = _cosine_sums(k, s, weight)
     return out
 
 
@@ -305,15 +275,15 @@ def mm_eigenfunction(k: float, xi) -> np.ndarray | float:
 
     Real convention; xi * phi is the conical Legendre function itself.  Near
     xi = 0 the modulus grows like the xi^(-1/2) envelope (times log-periodic
-    oscillation).  K_{01} phi = (kappa(k) + log 2) phi.  Each point gets its
-    own one-radius conical_legendre propagation, so its value does not
-    depend on the other points of the call.
+    oscillation).  K_{01} phi = (kappa(k) + log 2) phi.  All points go
+    through one conical_legendre_grid call, whose rows do not depend on each
+    other, so a value does not depend on the other points of the call.
     """
     scalar = np.isscalar(xi)
     xa = np.atleast_1d(np.asarray(xi, dtype=float))
     if np.any(xa <= 0) or np.any(xa > 1):
         raise ValueError("mm_eigenfunction: xi must lie in (0, 1]")
-    vals = np.array([conical_legendre(k, tt) for tt in 2.0 / xa - 1.0]) / xa
+    vals = conical_legendre_grid([k], np.arccosh(2.0 / xa - 1.0))[:, 0] / xa
     return float(vals[0]) if scalar else vals
 
 
@@ -338,9 +308,9 @@ def mm_k01_residual(k: float, x_points) -> np.ndarray:
 
     The kernel integral is evaluated in the variable sigma = -log(xi(y)),
     where the conical function is exactly log-periodic, with composite
-    Gauss-Legendre panels broken at the kink y = x; all conical evaluations
-    are batched through one ODE propagation pass.  This dedicated route
-    reaches ~1e-7 where generic adaptive quadrature stalls on the endpoint
+    Gauss-Legendre panels broken at the kink y = x; phi at the points and at
+    every node comes from one grid call.  This dedicated route reaches
+    ~1e-7 where generic adaptive quadrature stalls on the endpoint
     oscillation.
     """
     xs = np.atleast_1d(np.asarray(x_points, dtype=float))
@@ -348,41 +318,25 @@ def mm_k01_residual(k: float, x_points) -> np.ndarray:
         raise ValueError("mm_k01_residual: |x| must be <= 0.95")
     sigma_max = 60.0
     width = min(0.2, 2.0 / max(abs(k), 1.0))
-    n_pan = int(math.ceil(sigma_max / width))
-    base_edges = np.linspace(0.0, sigma_max, n_pan + 1)
-    gx, gw = np.polynomial.legendre.leggauss(16)
-
-    # gather every sigma node for every x, evaluate phi once, then assemble
-    all_nodes = []
-    all_weights = []
-    slices = []
-    pos = 0
+    base_edges = np.linspace(0.0, sigma_max, int(math.ceil(sigma_max / width)) + 1)
+    gx, gw = _gauss_nodes(16)
+    rules = []
     for x in xs:
-        sig_x = -math.log(0.5 * (1.0 + x))
-        edges = np.unique(np.concatenate((base_edges, [sig_x])))
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * np.diff(edges)
-        nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-        weights = (half[:, None] * gw[None, :]).ravel()
-        all_nodes.append(nodes)
-        all_weights.append(weights)
-        slices.append(slice(pos, pos + nodes.size))
-        pos += nodes.size
-    sig = np.concatenate(all_nodes)
-    xi = np.exp(-sig)
-    r = np.arccosh(2.0 / xi - 1.0)
-    phi_nodes = conical_legendre_grid([k], r)[:, 0] / xi
-
+        edges = np.unique(np.append(base_edges, -math.log(0.5 * (1.0 + x))))
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+        nodes = (mid[:, None] + half[:, None] * gx).ravel()
+        rules.append((nodes, (half[:, None] * gw).ravel()))
+    sig = np.concatenate([nodes for nodes, _ in rules])
+    phi = mm_eigenfunction(k, np.concatenate((0.5 * (1.0 + xs), np.exp(-sig))))
+    rhs = (lipatov_kappa(k) + CONSTANTS.log2) * phi[: xs.size]
     out = np.empty(xs.size)
-    for i, x in enumerate(xs):
-        phix = float(mm_eigenfunction(k, 0.5 * (1.0 + x)))
-        sl = slices[i]
-        s = sig[sl]
-        y = 2.0 * np.exp(-s) - 1.0
-        integ = (phix - phi_nodes[sl]) / np.abs(x - y) * 2.0 * np.exp(-s)
-        lhs = float(np.sum(all_weights[i] * integ)) + math.log1p(x) * phix
-        rhs = (lipatov_kappa(k) + CONSTANTS.log2) * phix
-        out[i] = abs(lhs - rhs) / abs(rhs)
+    pos = xs.size
+    for i, (x, (s, weights)) in enumerate(zip(xs, rules)):
+        dy = 2.0 * np.exp(-s)  # dy/dsigma for y = 2 xi - 1
+        integ = (phi[i] - phi[pos : pos + s.size]) / np.abs(x + 1.0 - dy) * dy
+        pos += s.size
+        lhs = float(np.sum(weights * integ)) + math.log1p(x) * phi[i]
+        out[i] = abs(lhs - rhs[i]) / abs(rhs[i])
     return out
 
 
@@ -549,8 +503,13 @@ def _default_k_grid(k_max: float, dk: float) -> np.ndarray:
             raise ValueError(
                 f"mehler_fock_forward: {name}={v} must be positive and finite"
             )
-    n = int(round(k_max / dk))
-    return np.linspace(0.0, k_max, n + 1)
+    n = k_max / dk
+    if not n < _MAX_K_POINTS - 1:
+        raise ValueError(
+            f"mehler_fock_forward: k_max/dk = {n:.10g} asks for more than the "
+            f"{_MAX_K_POINTS} wavenumbers one transform may take"
+        )
+    return np.linspace(0.0, k_max, round(n) + 1)
 
 
 # the integrand magnitude at t_max above which the forward transform raises,
@@ -568,50 +527,50 @@ def mehler_fock_forward(
 ) -> MehlerFockCoeffs:
     """c(k) = k tanh(pi k) * integral_1^t_max u(2/(1+t)) P_{-1/2+ik}(t) dt.
 
-    The substitution t = cosh r turns the slowly decaying conical tail into a
-    bounded oscillation; the r-integral is done by Simpson's rule on the
-    propagation grid, summed row by row as the conical functions are
-    propagated, so memory is O(len(k)).  Simpson's rule on the even rows is
-    summed in the same pass, and the largest difference of the two
-    coefficient sets is recorded as the r-quadrature estimate.  u_func is
-    called once, on the array of all n_r + 1 points, and must accept an
-    array.  The magnitude of the integrand at t_max is recorded as the tail
-    estimate and must fall below _TAIL_TOL.
+    With t = cosh r, F(r) = u(2/(1 + cosh r)) sinh r and R = acosh t_max,
+    Mehler's integral and a swap of the order of integration give
+    c(k) = k tanh(pi k) (sqrt 2/pi) integral_0^R cos(k s) A_R(s) ds with
+    A_R(s) = integral_s^R F(r) dr/sqrt(cosh r - cosh s): the Abel rule of
+    evolve_spectral, then the Mehler panels in sqrt(R - s), where A_R is
+    smooth; half the panels give the r-quadrature estimate.  The tail
+    estimate |F(R)| P_{-1/2}(t_max) >= |F(R) P_{-1/2+ik}(t_max)| must stay
+    below _TAIL_TOL.  u_func takes arrays (one call at the defaults).
     """
     if not (math.isfinite(t_max) and t_max > 1):
         raise ValueError(f"mehler_fock_forward: t_max={t_max} must be finite and > 1")
     kg = _default_k_grid(k_max, dk)
     r_max = math.acosh(t_max)
-    n_r = 4096
-    r = np.linspace(0.0, r_max, n_r + 1)
-    u_sinh = np.asarray(u_func(2.0 / (1.0 + np.cosh(r))), dtype=float) * np.sinh(r)
-    h3 = r_max / n_r / 3.0
-    weight = u_sinh * _simpson_weights(n_r + 1) * h3
-    half_weight = u_sinh[::2] * _simpson_weights(n_r // 2 + 1) * (2.0 * h3)
-    vals = np.zeros_like(kg)
-    half = np.zeros_like(kg)
-    for i, row in _conical_rows(kg, r):
-        vals += weight[i] * row
-        if i % 2 == 0:
-            half += half_weight[i // 2] * row
-    # rows arrive in order of r, so the last one is at t_max
-    tail = float(np.max(np.abs(u_sinh[-1] * row)))
+    panels = int(_mehler_panels(k_max * r_max, "mehler_fock_forward"))
+    (_, s, v), (_, s_half, v_half) = (
+        _sqrt_rule(np.array([r_max]), p) for p in (panels, -(-panels // 2))
+    )
+    nodes = np.concatenate((s[0], s_half[0]))
+    a = np.empty(nodes.size)
+    step = _BLOCK_CELLS // _ABEL_NODES
+    for j in range(0, nodes.size, step):
+        t, weight = _abel_rule(nodes[j : j + step], r_max)
+        t = np.append(t, r_max)  # F(R) for the tail estimate
+        f = np.asarray(u_func(np.cosh(0.5 * t) ** -2.0), dtype=float) * np.sinh(t)
+        a[j : j + step] = np.sum(weight * f[:-1].reshape(weight.shape), axis=1)
+    tail = abs(float(f[-1])) * float(conical_legendre_grid([0.0], [r_max])[0, 0])
     if tail > _TAIL_TOL:
         raise RuntimeError(
             f"mehler_fock_forward: integrand magnitude {tail:.3e} at t_max={t_max:g} "
             f"exceeds tail tolerance {_TAIL_TOL:g}; u decays too slowly"
         )
-    scale = kg * np.tanh(np.pi * kg)
-    c = scale * vals
+    scale = _SQRT2_PI * kg * np.tanh(np.pi * kg)
+    c = scale * _cosine_sums(kg, s, v * a[: s.size])[0]
+    half = scale * _cosine_sums(kg, s_half, v_half * a[s.size :])[0]
     return MehlerFockCoeffs(
         k_grid=kg,
         c=c,
         t_max=t_max,
         meta={
             "tail_estimate": tail,
-            "r_quadrature_estimate": float(np.max(np.abs(c - scale * half))),
-            "n_r": n_r,
+            "r_quadrature_estimate": float(np.max(np.abs(c - half))),
             "r_max": r_max,
+            "panels": panels,
+            "abel_nodes": _ABEL_NODES,
         },
     )
 
@@ -619,20 +578,34 @@ def mehler_fock_forward(
 def mehler_fock_inverse(coeffs: MehlerFockCoeffs, xi):
     """u(xi) = integral_0^k_max P_{-1/2+ik}(2/xi - 1) c(k) dk.
 
-    Simpson's rule on the stored (uniform) k-grid; a second Simpson estimate
-    on every other grid point is compared and a warning is issued when the
-    two disagree beyond _INVERSE_WARN_TOL (under-resolved k-grid).
+    Simpson's rule on the stored uniform k-grid, inside Mehler's integral:
+    on the conical_legendre_grid nodes s the k-sum is a cosine series,
+    summed by Clenshaw's recurrence.  Simpson on every other grid point is
+    compared, with a warning beyond _INVERSE_WARN_TOL (under-resolved k-grid).
     """
     scalar = np.isscalar(xi)
     xa = np.atleast_1d(np.asarray(xi, dtype=float))
     if np.any(xa <= 0) or np.any(xa > 1):
         raise ValueError("mehler_fock_inverse: xi must lie in (0, 1]")
     kg = coeffs.k_grid
-    p = conical_legendre_grid(kg, np.arccosh(2.0 / xa - 1.0))  # (n_xi, n_k)
-    integrand = p * coeffs.c[None, :]
     h = (kg[-1] - kg[0]) / (kg.size - 1)
-    simps = integrand @ _simpson_weights(kg.size) * (h / 3.0)
-    coarse = integrand[:, ::2] @ _simpson_weights((kg.size + 1) // 2) * (2.0 * h / 3.0)
+    series = (
+        (_simpson_weights(kg.size) * (h / 3.0) * coeffs.c, h),
+        (_simpson_weights((kg.size + 1) // 2) * (2.0 * h / 3.0) * coeffs.c[::2], 2.0 * h),
+    )
+    r = np.arccosh(2.0 / xa - 1.0)
+    # one Clenshaw pass over all nodes of a chunk of radii, <= _BLOCK_CELLS
+    panels = _mehler_panels(kg[-1] * r, "mehler_fock_inverse")
+    chunk = max(1, _BLOCK_CELLS // (_PANEL_NODES * int(np.max(panels, initial=1))))
+    simps, coarse = np.empty(xa.size), np.empty(xa.size)
+    for j in range(0, r.size, chunk):
+        blocks = list(_mehler_blocks(r[j : j + chunk], kg[-1], "mehler_fock_inverse"))
+        rows = np.concatenate([np.repeat(i, s.shape[1]) for i, s, _ in blocks])
+        s, weight = (np.concatenate([b[n].ravel() for b in blocks]) for n in (1, 2))
+        for out, (a, step) in zip((simps, coarse), series):
+            b1, b2 = _clenshaw(a, 2.0 * np.cos(step * s))
+            terms = np.cos(kg[0] * s) * (a[0] - b2) + np.cos((kg[0] + step) * s) * b1
+            out[j : j + chunk] = np.bincount(rows, weight * terms, r[j : j + chunk].size)
     if np.max(np.abs(simps - coarse)) > _INVERSE_WARN_TOL * max(
         1.0, float(np.max(np.abs(simps)))
     ):
@@ -653,14 +626,13 @@ def hyperbolic_similarity_check(k: float, r_grid, h: float = 5e-3) -> float:
     """Max residual of (Delta_r + 1/4 + k^2) P_{-1/2+ik}(cosh r) = 0.
 
     Delta_r = d^2/dr^2 + coth(r) d/dr is the radial hyperbolic Laplacian; the
-    derivative is taken by 5-point central differences on one-radius
-    conical-Legendre evaluations.
+    derivatives are taken by 5-point central differences, all stencil points
+    in one conical_legendre_grid call.
     """
     r_grid = np.atleast_1d(np.asarray(r_grid, dtype=float))
     if np.any(r_grid <= 2 * h):
         raise ValueError("hyperbolic_similarity_check: r must exceed the stencil width")
-    res = 0.0
-    for r in r_grid:
-        f, d1, d2 = _fd_derivs(lambda rr: conical_legendre_grid([k], [rr])[0, 0], r, h)
-        res = max(res, abs(d2 + d1 / math.tanh(r) + (0.25 + k * k) * f))
-    return float(res)
+    stencil = (r_grid[:, None] + h * np.arange(-2, 3)).ravel()
+    vals = conical_legendre_grid([k], stencil).reshape(r_grid.size, 5)
+    d1, d2 = vals @ _FD5_D1 / h, vals @ _FD5_D2 / (h * h)
+    return float(np.max(np.abs(d2 + d1 / np.tanh(r_grid) + (0.25 + k * k) * vals[:, 2])))

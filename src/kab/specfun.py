@@ -1,7 +1,9 @@
 """Special functions: complex digamma, the dispersion functions kappa(k) and
 g(k), the shifted kinetic function G and its inverse, and the beta-type
 phase integral.  The conical Legendre functions live in module exact,
-beside the propagation that evaluates them.
+beside the Mehler rule that evaluates them; the quadrature helpers shared
+by modules exact and evolution (Gauss nodes, the Abel rule, Clenshaw's
+recurrence) live here.
 
 Digamma, the incomplete beta function and the logistic map come from
 scipy.special; this module adds the argument checks and the closed forms
@@ -43,6 +45,44 @@ CONSTANTS = Constants()
 @lru_cache(maxsize=16)
 def _gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
+
+
+#: Gauss-Legendre nodes per Abel integral, in w = sqrt(t - x)
+_ABEL_NODES = 96
+#: array cells a blocked computation forms at once (8 MB of doubles), so the
+#: memory of one call does not grow with its inputs
+_BLOCK_CELLS = 1 << 20
+
+
+def _abel_rule(x: np.ndarray, s_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t and weights of integral_x^s_max g(t) dt / sqrt(cosh t - cosh x).
+
+    After t = x + w^2 the root is sqrt(2 sinh(x + w^2/2) sinh(w^2/2)).  For
+    x > 0 it vanishes like w, as dt = 2 w dw does; at x = 0 it vanishes like
+    w^2, and so do the integrands it serves, f(cosh t) sinh t and the odd
+    A'(t).  The integrand in w is therefore smooth at every x, and
+    Gauss-Legendre on [0, sqrt(s_max - x)] converges.  Rows of the returned
+    (x.size, _ABEL_NODES) arrays follow x.
+    """
+    z, wz = _gauss_nodes(_ABEL_NODES)
+    half = 0.5 * np.sqrt(s_max - x)[:, None]
+    w = half * (z + 1.0)
+    b = 0.5 * w * w
+    weight = (2.0 * half * wz) * w / np.sqrt(2.0 * np.sinh(x[:, None] + b) * np.sinh(b))
+    return x[:, None] + 2.0 * b, weight
+
+
+def _clenshaw(a: np.ndarray, two_cos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(b_1, b_2) of Clenshaw's recurrence b_m = a_m + two_cos b_(m+1) - b_(m+2).
+
+    For F_m = cos(phi + m theta) and two_cos = 2 cos theta, the series
+    sum_m a_m F_m is F_0 (a_0 - b_2) + F_1 b_1; one cosine per node serves
+    every term.
+    """
+    b1, b2 = np.zeros_like(two_cos), np.zeros_like(two_cos)
+    for am in a[:0:-1]:
+        b1, b2 = am + two_cos * b1 - b2, b1
+    return b1, b2
 
 
 def _simpson_weights(n: int) -> np.ndarray:

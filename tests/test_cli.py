@@ -206,6 +206,14 @@ class TestMehlerFock:
         err = json.loads(res.stderr)
         assert err["kind"] == "numerical"
 
+    def test_huge_k_max_exit_2_promptly(self):
+        # 2e7 wavenumbers are refused before any grid is formed
+        res = run_cli("mehler-fock", "--k-max", "1e6", timeout=10)
+        assert res.returncode == 2
+        err = json.loads(res.stderr)
+        assert err["kind"] == "validation"
+        assert "k_max/dk = 20000000 " in err["error"]
+
     def test_json_matches_schema_fields(self):
         res = run_cli(
             "mehler-fock", "--profile", "xi-sq-sq", "--k-max", "10",

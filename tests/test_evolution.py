@@ -4,6 +4,7 @@ Oracles: the closed-form right-hand side for u = xi, agreement of the two
 independent backends, and exact preservation of a continuum eigenmode.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,12 @@ class TestState:
         with pytest.raises(ValueError):
             EvolutionState(tau=0.0, xi_grid=xi, u_values=np.ones_like(xi))
 
+    def test_one_minus_xi_rejected(self):
+        # u(xi0) ~ 1 far exceeds sqrt(xi0)(3 + log(1/xi0)) = 0.184 at 96 points
+        xi = default_xi_grid(96)
+        with pytest.raises(ValueError, match="does not vanish"):
+            EvolutionState(tau=0.0, xi_grid=xi, u_values=1.0 - xi)
+
     def test_grid_properties(self):
         xi = default_xi_grid(96)
         assert xi.size == 96
@@ -61,6 +68,18 @@ class TestState:
         f = state_interpolant(s)
         assert abs(float(f(0.0))) < 1e-14
         assert float(f(0.5)) == pytest.approx(0.25, abs=1e-10)
+
+    @pytest.mark.parametrize("n_points", [96, 4096])
+    def test_interpolant_blocks_are_bitwise(self, monkeypatch, n_points):
+        # the weights' log sums are formed a block of rows at a time; other
+        # block sizes, uneven ones included, give the same interpolant
+        import kab.evolution
+
+        s = make_state(lambda t: t * t * (1.0 - t), n_points=n_points)
+        x = np.linspace(0.0, 1.0, 257) ** 3
+        whole = state_interpolant(s)(x)
+        monkeypatch.setattr(kab.evolution, "_BLOCK_CELLS", 7 * (n_points + 1) + 3)
+        assert np.array_equal(state_interpolant(s)(x), whole)
 
     def test_serialization(self):
         s = make_state(lambda t: t * (1.0 - t), n_points=8)
@@ -238,6 +257,25 @@ class TestSpectralBackend:
         # grows with the reach of the decay kernel
         assert _abel_grid(0.0) == _abel_grid(0.25) == _abel_grid(2.5)
         assert _abel_grid(10.0)[0] > _abel_grid(2.5)[0]
+
+    @pytest.mark.parametrize("tau", [12.0, 40.0])
+    def test_large_tau_passes_vanish_check(self, smooth_profiles, tau):
+        # the slowest mode, ~ sqrt(xi) log(1/xi) near 0, dominates here:
+        # u(xi0)/max|u| is 0.049 at tau = 12 and 0.055 at tau = 40
+        s = make_state(smooth_profiles["xi-sq"])
+        u = evolve_spectral(s, tau).u_values
+        assert 0.04 < abs(u[0]) / np.max(np.abs(u)) < 0.06
+
+    def test_largest_grid_memory(self, smooth_profiles):
+        # one step on the largest grid stays within 50 MB of traced memory
+        s = make_state(smooth_profiles["xi-sq"], n_points=4096)
+        tracemalloc.start()
+        try:
+            evolve_spectral(s, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
 
     def test_point_beyond_the_period_raises(self, smooth_profiles):
         # xi = 1e-40 sits at r = 2 arcsinh(1e20) ~ 92 > S: no Abel integral

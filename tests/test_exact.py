@@ -19,7 +19,6 @@ from numpy.polynomial import legendre as npleg
 from kab.exact import (
     DiffOperatorL,
     MehlerFockCoeffs,
-    _conical_series,
     apply_L,
     apply_L_legendre,
     apply_commutator_c_legendre,
@@ -112,7 +111,7 @@ class TestMMEigenfunction:
             assert mm_eigenfunction(k, xi) == pytest.approx(ref, rel=1e-10)
 
     def test_value_independent_of_batch(self):
-        # more than 64 points, from the series region out to t ~ 400
+        # 70 points out to t ~ 400, across several panel counts of the rule
         xi = np.geomspace(5e-3, 1.0, 70)
         one_by_one = [mm_eigenfunction(2.0, float(x)) for x in xi]
         assert np.array_equal(mm_eigenfunction(2.0, xi), one_by_one)
@@ -173,19 +172,19 @@ class TestMehlerFock:
         assert np.max(np.abs(back - u(xi))) < 1e-4
 
     def test_blocked_matches_single_block(self, monkeypatch):
-        # the step exponentials are formed a block of Magnus steps at a time;
-        # other block sizes, uneven ones included, must give the default's
-        # coefficients
+        # the Abel integrals, the cosine sums and the conical rows are formed
+        # a block of _BLOCK_CELLS cells at a time; a tiny block must give the
+        # default's coefficients bit for bit
         import kab.exact
 
         u = lambda xi: xi**2 * (1.0 - xi)
         whole = mehler_fock_forward(u, k_max=5.0, dk=0.25)
-        for step_block in (1, 7):
-            monkeypatch.setattr(kab.exact, "_STEP_BLOCK", step_block)
-            blocked = mehler_fock_forward(u, k_max=5.0, dk=0.25)
-            assert np.array_equal(blocked.k_grid, whole.k_grid)
-            assert np.max(np.abs(blocked.c - whole.c)) <= 1e-12 * np.max(np.abs(whole.c))
-            assert blocked.meta["tail_estimate"] == whole.meta["tail_estimate"]
+        grid = conical_legendre_grid([0.0, 2.0, 5.0], [0.5, 3.0, 9.0])
+        monkeypatch.setattr(kab.exact, "_BLOCK_CELLS", 500)
+        blocked = mehler_fock_forward(u, k_max=5.0, dk=0.25)
+        assert np.array_equal(blocked.c, whole.c)
+        assert blocked.meta == whole.meta
+        assert np.array_equal(conical_legendre_grid([0.0, 2.0, 5.0], [0.5, 3.0, 9.0]), grid)
 
     def test_profile_called_once_on_array(self):
         calls = []
@@ -194,13 +193,12 @@ class TestMehlerFock:
             calls.append(np.shape(xi))
             return xi**2 * (1.0 - xi)
 
-        coeffs = mehler_fock_forward(u, k_max=5.0, dk=0.25)
-        assert calls == [(coeffs.meta["n_r"] + 1,)]
+        mehler_fock_forward(u, k_max=5.0, dk=0.25)
+        assert len(calls) == 1 and len(calls[0]) == 1
 
     def test_huge_t_max(self):
-        # beyond t ~ 1e154, 1/(4 sinh^2 r) is 0 in doubles and the k = 0 step
-        # angle vanishes; the transform stays finite, silent, and close to
-        # the default t_max = 1e4 (the coarser r-grid costs ~2e-4)
+        # t up to 1e300 (r ~ 691) stays finite and silent; the coefficients
+        # move from the default t_max = 1e4 by the tail beyond it, ~2e-6
         u = lambda xi: xi**2 * (1.0 - xi)
         ref = mehler_fock_forward(u, k_max=5.0, dk=0.25)
         with warnings.catch_warnings():
@@ -209,14 +207,31 @@ class TestMehlerFock:
         assert np.max(np.abs(far.c - ref.c)) < 1e-3 * np.max(np.abs(ref.c))
 
     def test_r_quadrature_estimate_bounds_huge_t_max_error(self):
-        # at t_max = 1e300 the fixed 4096 r-panels are coarse; the full- versus
-        # half-grid Simpson difference must bound the coefficients' true error
+        # the half-panel difference must bound the true error, against mpmath
+        # quadrature of the defining integral in r = acosh t at k = 1 and 4;
+        # the integrand ~ exp(-3r/2) is below 1e-26 beyond r = 40
         u = lambda xi: xi**2 * (1.0 - xi)
-        ref = mehler_fock_forward(u, k_max=5.0, dk=0.25)
-        far = mehler_fock_forward(u, k_max=5.0, dk=0.25, t_max=1e300)
-        scale = np.max(np.abs(ref.c))
-        assert ref.meta["r_quadrature_estimate"] < 1e-8 * scale
-        assert far.meta["r_quadrature_estimate"] >= np.max(np.abs(far.c - ref.c))
+        r_near = math.acosh(1e4)
+        refs = {1e4: [], 1e300: []}
+        for k in (1.0, 4.0):
+            def f(r):
+                xi = 2 / (1 + mp.cosh(r))
+                p = mp.legenp(-0.5 + 1j * k, 0, mp.cosh(r), type=3)
+                return u(xi) * mp.sinh(r) * mp.re(p)
+
+            scale = k * math.tanh(math.pi * k)
+            with mp.workdps(15):
+                near = mp.quad(f, [0, 1, 3, r_near])
+                far = mp.quad(f, [r_near, 20, 40])
+            refs[1e4].append(scale * float(near))
+            refs[1e300].append(scale * float(near + far))
+        for t_max, ref in refs.items():
+            coeffs = mehler_fock_forward(u, k_max=5.0, dk=0.25, t_max=t_max)
+            err = np.max(np.abs(coeffs.c[[4, 16]] - ref))
+            assert coeffs.meta["r_quadrature_estimate"] >= err
+            if t_max == 1e4:
+                scale = np.max(np.abs(coeffs.c))
+                assert coeffs.meta["r_quadrature_estimate"] < 1e-8 * scale
 
     def test_slow_decay_raises(self):
         # u ~ const near xi = 0 maps to a non-decaying integrand
@@ -229,6 +244,18 @@ class TestMehlerFock:
     def test_invalid_k_grid_raises(self, k_max, dk):
         with pytest.raises(ValueError):
             mehler_fock_forward(lambda xi: xi**2 * (1.0 - xi), k_max=k_max, dk=dk)
+
+    @pytest.mark.parametrize(
+        "k_max,dk,match", [(1e6, 0.05, "k_max/dk = 20000000 "), (1e4, 1.0, "panels")]
+    )
+    def test_oversized_grid_raises_before_work(self, k_max, dk, match):
+        # 2e7 wavenumbers, or 1e4 wavenumbers whose rule needs 4641 panels:
+        # both are refused before the profile is sampled
+        def u(xi):
+            raise AssertionError("sampled")
+
+        with pytest.raises(ValueError, match=match):
+            mehler_fock_forward(u, k_max=k_max, dk=dk)
 
     def test_coeffs_validation(self):
         with pytest.raises(ValueError):
@@ -264,51 +291,45 @@ class TestMehlerFock:
 
 class TestConicalLegendreGrid:
     def test_matches_mpmath(self):
-        # series below r = 0.2, Magnus propagation beyond; the repeated
-        # radius must land on its own row
+        # within 1e-12 of the envelope min(1, 1/sqrt(sinh r)); at large k r
+        # the rounding of r to a double alone moves P by ~eps k r of it
+        # (6e-12 at k = 40, t = 1e300), which the bound admits twice over.
+        # The repeated radius must land on its own row
         k = np.array([0.0, 0.5, 3.0, 15.0, 40.0])
-        r = np.array([0.0, 0.1, 0.2, 0.7, 3.0, 3.0, 6.5, 9.9])
+        r = np.array([0.0, 0.1, 0.2, 0.7, 3.0, 3.0, 6.5, 9.9, 30.0, math.acosh(1e300)])
         grid = conical_legendre_grid(k, r)
-        ref = np.array(
-            [
+        with mp.workdps(30):
+            ref = np.array(
                 [
-                    float(mp.legenp(-0.5 + 1j * kk, 0, mp.cosh(rr), type=3).real)
-                    for kk in k
+                    [
+                        float(mp.legenp(-0.5 + 1j * kk, 0, mp.cosh(rr), type=3).real)
+                        for kk in k
+                    ]
+                    for rr in r
                 ]
-                for rr in r
-            ]
-        )
-        assert np.max(np.abs(grid - ref)) < 1e-10
+            )
+        envelope = 1.0 / np.sqrt(np.maximum(np.sinh(r), 1.0))[:, None]
+        tol = (1e-12 + 2.0 * np.finfo(float).eps * np.outer(r, k)) * envelope
+        assert np.all(np.abs(grid - ref) <= tol)
         assert np.array_equal(grid[4], grid[5])
 
-    def test_series_matches_one_radius_loop(self):
-        # reference: the series summed for one radius at a time
-        def one_radius(k, r):
-            w = math.sinh(r / 2.0) ** 2
-            tot, dtot, cj = np.ones_like(k), np.zeros_like(k), np.ones_like(k)
-            for j in range(1, 500):
-                cj = -cj * (((j - 0.5) ** 2 + k**2) / j**2)
-                tot = tot + cj * w**j
-                dtot = dtot + cj * j * w ** (j - 1)
-                if np.all(np.abs(cj) * w**j < 1e-18):
-                    break
-            return tot, dtot * 0.5 * math.sinh(r)
-
-        k = np.linspace(0.0, 40.0, 161)
-        r = np.append(np.linspace(0.0, 0.2, 21), [0.2, 0.013])
-        p, dp = _conical_series(k, r)
-        for i, ri in enumerate(r):
-            p_ref, dp_ref = one_radius(k, ri)
-            assert np.max(np.abs(p[i] - p_ref)) <= 1e-15 * np.max(np.abs(p_ref))
-            assert np.max(np.abs(dp[i] - dp_ref)) <= 1e-15 * np.max(np.abs(dp_ref))
-
     def test_permuted_radii_give_permuted_rows(self, rng):
-        # radii in any order: one sorted pass, rows in the caller's order
+        # each radius is its own quadrature: rows come in the caller's order
         k = np.array([0.0, 0.7, 12.0])
         r = np.array([0.0, 0.05, 0.2, 0.2, 1.3, 4.0, 7.5, 13.0])
         perm = rng.permutation(r.size)
         grid = conical_legendre_grid(k, r)
         assert np.array_equal(conical_legendre_grid(k, r[perm]), grid[perm])
+
+    def test_oversized_rule_raises(self):
+        # k r = 1e7 would take 468 752 panels
+        with pytest.raises(ValueError, match="468752 quadrature panels"):
+            conical_legendre_grid([1e5], [100.0])
+
+    @pytest.mark.parametrize("r", [-0.1, math.nan, math.inf, 711.0])
+    def test_radius_outside_domain_raises(self, r):
+        with pytest.raises(ValueError, match="r lie"):
+            conical_legendre_grid([1.0], [r])
 
 
 class TestHyperbolicSimilarity:
