@@ -14,13 +14,11 @@ from .specfun import (
 )
 from .operators import (
     OperatorParams,
-    SpectralCoeffs,
     UGrid,
     apply_k_pointwise,
     galerkin_matrix,
     galerkin_spectrum,
     harmonic,
-    log_matrix_elements,
     monomial_action_k11,
     pseudospectral_matrix,
     pseudospectral_spectrum,

@@ -65,6 +65,7 @@ _SCHEMAS = {
                     "abel_nodes": {"type": "integer"},
                 },
             },
+            "profile": {"type": "string", "enum": sorted(PROFILES)},
         },
         "required": ["tau", "xi", "u"],
     },
@@ -73,8 +74,10 @@ _SCHEMAS = {
         "properties": {
             "alpha": {"type": "number"},
             "beta": {"type": "number"},
+            "n": {"type": "integer"},
             "d_beta_exact": {"type": "number"},
             "d_beta_fitted": {"type": "number"},
+            "fit_window_u": {"type": "array", "items": {"type": "number"}},
         },
         "required": ["alpha", "beta", "d_beta_exact", "d_beta_fitted"],
     },
@@ -195,6 +198,10 @@ def _cmd_wkb_table(args) -> None:
 
 
 def _cmd_eigenfunction(args) -> None:
+    if not (math.isfinite(args.u_window) and args.u_window > 0):
+        raise ValueError(
+            f"eigenfunction: --u-window={args.u_window} must be positive and finite"
+        )
     u_max, m = _resolution(args)
     nodes, kappas, vecs = operators.pseudospectral_eigensystem(
         args.alpha, args.beta, args.n + 1, u_max, m
@@ -381,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mehler-fock", help="forward transform of a named profile")
     p.add_argument("--profile", choices=sorted(PROFILES), default="xi-sq")
     p.add_argument("--k-max", type=float, default=40.0)
-    p.add_argument("--dk", type=float, default=0.05)
+    p.add_argument("--dk", type=float, default=0.05, help="k spacing; divides --k-max")
     p.add_argument("--t-max", type=float, default=1e4)
     _add_common(p, resolution=False)
     p.set_defaults(func=_cmd_mehler_fock)

@@ -23,7 +23,6 @@ from scipy.sparse.linalg import expm_multiply
 
 from .operators import (
     OperatorParams,
-    SpectralCoeffs,
     coefficient_tail_warning,
     galerkin_matrix,
     project,
@@ -65,14 +64,22 @@ PROFILES = {
 }
 
 
+#: least bound on |u(xi_0)|/max(1, max|u|) in EvolutionState; it acts only
+#: where sqrt(xi_0)(3 + log(1/xi_0)) is smaller, on grids with xi_0 < 1.5e-11
+_VANISH_FLOOR = 1e-4
+
+
 @dataclass
 class EvolutionState:
-    """Samples of the multiplicity density u(tau, xi) on a xi-grid."""
+    """Samples of the multiplicity density u(tau, xi) on a xi-grid.
+
+    Samples that are not finite or do not vanish at xi = 0 raise ValueError
+    here, where a profile enters the evolution backends.
+    """
 
     tau: float
     xi_grid: np.ndarray
     u_values: np.ndarray
-    small_bound: float = 1e-4
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -82,20 +89,24 @@ class EvolutionState:
             raise ValueError("EvolutionState.tau must be finite and >= 0")
         if self.xi_grid.ndim != 1 or self.xi_grid.size < 4:
             raise ValueError("EvolutionState: xi_grid must be 1-d with >= 4 points")
-        if self.xi_grid[0] <= 0 or self.xi_grid[-1] > 1 or np.any(np.diff(self.xi_grid) <= 0):
+        xi = self.xi_grid
+        if not (xi[0] > 0 and xi[-1] <= 1 and np.all(np.diff(xi) > 0)):
             raise ValueError("EvolutionState: xi_grid must increase within (0, 1]")
-        if self.u_values.shape != self.xi_grid.shape:
+        if self.u_values.shape != xi.shape:
             raise ValueError("EvolutionState: u_values shape mismatch")
+        bad = np.flatnonzero(~np.isfinite(self.u_values))
+        if bad.size:
+            raise ValueError(f"EvolutionState: u_values[{bad[0]}] is not finite")
         scale = max(1.0, float(np.max(np.abs(self.u_values))))
         # the density must vanish at xi = 0 for the kernel integrals to
         # converge; evolved profiles behave like sqrt(xi) log(1/xi) near zero
         # (the slowest mode, ~ (sqrt(xi)/pi) log(16/xi), dominates at large tau)
-        xi0 = float(self.xi_grid[0])
-        bound = max(self.small_bound, math.sqrt(xi0) * (3.0 - math.log(xi0)))
+        xi0 = float(xi[0])
+        bound = max(_VANISH_FLOOR, math.sqrt(xi0) * (3.0 - math.log(xi0)))
         if abs(self.u_values[0]) > bound * scale:
             raise ValueError(
                 f"EvolutionState: |u| = {abs(self.u_values[0]):.3e} at the first grid "
-                f"point xi = {self.xi_grid[0]:.3e}; profile does not vanish at xi = 0"
+                f"point xi = {xi0:.3e}; profile does not vanish at xi = 0"
             )
 
     def to_csv_rows(self):
@@ -233,7 +244,7 @@ def _state_coeffs(state: EvolutionState, n_trunc: int) -> np.ndarray:
     points = state.xi_grid.size
     n_modes = min(points, n_trunc)
     coeffs = np.zeros(n_trunc)
-    coeffs[:n_modes] = project(phi0, n_modes, quad_order=points).coeffs
+    coeffs[:n_modes] = project(phi0, n_modes, quad_order=points)
     return coeffs
 
 
@@ -256,7 +267,7 @@ def _matrix_step(
 
     The exp(dtau log 2) factor is left to the caller.
     """
-    coefficient_tail_warning(SpectralCoeffs(coeffs))
+    coefficient_tail_warning(coeffs)
     # expm_multiply sizes its steps with onenormest, which draws random sign
     # vectors from numpy's global RNG; a fixed seed makes the result
     # reproducible, and the caller's RNG state is restored
@@ -312,7 +323,6 @@ def evolve_matrix(
         tau=tau_final,
         xi_grid=state.xi_grid.copy(),
         u_values=u_new,
-        small_bound=max(state.small_bound, 1e-4),
         meta={"backend": "matrix", "n_trunc": n_trunc, "truncation_estimate": err},
     )
 
@@ -397,7 +407,6 @@ def evolve_spectral(state: EvolutionState, tau_final: float) -> EvolutionState:
         tau=tau_final,
         xi_grid=state.xi_grid.copy(),
         u_values=u_new,
-        small_bound=max(state.small_bound, 1e-3),
         meta={
             "backend": "spectral",
             "s_max": s_max,

@@ -16,13 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .operators import (
-    OperatorParams,
-    UGrid,
-    apply_k_pointwise,
-    harmonic_numbers,
-    log_matrix_elements,
-)
+from .operators import OperatorParams, UGrid, apply_k_pointwise, galerkin_matrix
 from .specfun import (
     _ABEL_NODES,
     _BLOCK_CELLS,
@@ -400,41 +394,24 @@ def mm_commutator_projections(n: int) -> tuple[float, float]:
 
     [L, M] P_n = [L, 2H] P_n + C P_n; the P_{n+1} component is
     -2 A_n/(n+1) + R_n and the P_{n-1} component is 2 C_{n-1}/n + S_{n-1},
-    both identically zero.  Computed here from the exact polynomial action of
-    L, the harmonic-number action of H, and the closed-form log(1+x) matrix,
-    so the result tests the assembled machinery rather than the algebra alone.
+    both identically zero.  Computed here as entries of L G - G L, with L
+    from its exact polynomial action on P_0 .. P_{n+3} rescaled to the
+    orthonormal basis and G the Galerkin matrix of K_{01} that the solvers
+    use, so the result tests the assembled machinery rather than the algebra
+    alone.  L is tridiagonal, so the size-(n+4) truncation is exact for
+    these two entries, and the constant log 2 of M commutes with L.
     """
     if n < 1:
         raise ValueError("mm_commutator_projections: n must be >= 1")
-    n_rows = n + 4
-    pn = np.zeros(n + 1)
-    pn[n] = 1.0
-    h = harmonic_numbers(n_rows + 2)
-    # one log(1+x) matrix serves every action below: rows reach n_rows + 1
-    # and columns the degree n + 1 of L P_n
-    log_plus = log_matrix_elements(+1, n_rows + 1)
-    norm = np.sqrt(np.arange(n_rows + 1) + 0.5)
-
-    def m_action(c: np.ndarray, rows: int) -> np.ndarray:
-        # M applied to a polynomial, truncated to the first `rows` Legendre
-        # rows; Legendre coefficients c_j are orthonormal ones times sqrt(j+1/2)
-        out = norm[:rows] * (log_plus[:rows, : c.size] @ (c / norm[: c.size]))
-        out[: c.size] += (2.0 * h[: c.size] - 2.0 * CONSTANTS.log2) * c
-        return out
-
-    # L M P_n: only the components m in {n-1, n, n+1, n+2} of M P_n reach
-    # P_{n+1} through the tridiagonal L, so a finite truncation is exact.
-    mp = m_action(pn, n_rows)
-    lm = np.zeros(n_rows + 1)
-    for m in range(n_rows):
-        if mp[m] != 0.0:
-            em = np.zeros(m + 1)
-            em[m] = mp[m]
-            le = apply_L_legendre(em)
-            lm[: le.size] += le
-    lp = apply_L_legendre(pn)
-    ml = m_action(lp, n_rows + 1)
-    comm = lm - ml
+    size = n + 4
+    ell = np.zeros((size, size))
+    for m in range(size):
+        col = apply_L_legendre(np.eye(m + 1)[m])[:size]
+        ell[: col.size, m] = col
+    norm = np.sqrt(np.arange(size) + 0.5)
+    ell *= np.outer(1.0 / norm, norm)
+    g = galerkin_matrix(OperatorParams(0.0, 1.0), size)
+    comm = (ell @ g - g @ ell)[:, n] * norm / norm[n]
     return float(comm[n + 1]), float(comm[n - 1])
 
 
@@ -509,6 +486,11 @@ def _default_k_grid(k_max: float, dk: float) -> np.ndarray:
             f"mehler_fock_forward: k_max/dk = {n:.10g} asks for more than the "
             f"{_MAX_K_POINTS} wavenumbers one transform may take"
         )
+    if abs(n - round(n)) > 1e-9 * n:
+        raise ValueError(
+            f"mehler_fock_forward: k_max/dk = {n:.10g} must be a whole number, "
+            "so that the grid keeps the spacing dk"
+        )
     return np.linspace(0.0, k_max, round(n) + 1)
 
 
@@ -534,7 +516,8 @@ def mehler_fock_forward(
     evolve_spectral, then the Mehler panels in sqrt(R - s), where A_R is
     smooth; half the panels give the r-quadrature estimate.  The tail
     estimate |F(R)| P_{-1/2}(t_max) >= |F(R) P_{-1/2+ik}(t_max)| must stay
-    below _TAIL_TOL.  u_func takes arrays (one call at the defaults).
+    below _TAIL_TOL.  u_func takes arrays (one call at the defaults).  The
+    k-grid is 0, dk, ..., k_max, so k_max/dk must be a whole number.
     """
     if not (math.isfinite(t_max) and t_max > 1):
         raise ValueError(f"mehler_fock_forward: t_max={t_max} must be finite and > 1")

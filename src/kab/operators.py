@@ -24,12 +24,10 @@ from .specfun import BIG_G_MIN, CONSTANTS, big_g
 
 __all__ = [
     "OperatorParams",
-    "SpectralCoeffs",
     "UGrid",
     "harmonic",
     "harmonic_numbers",
     "monomial_action_k11",
-    "log_matrix_elements",
     "galerkin_matrix",
     "potential_v",
     "pseudospectral_matrix",
@@ -64,23 +62,6 @@ class OperatorParams:
         and the spectrum is continuous (use the exact module instead)."""
         if not self.discrete_spectrum:
             raise ValueError(f"{caller}: spectrum is continuous for alpha=0 or beta=0")
-
-
-@dataclass
-class SpectralCoeffs:
-    """Coefficients in the orthonormal Legendre basis Phat_n = sqrt(n+1/2) P_n."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.ndim != 1 or self.coeffs.size < 1:
-            raise ValueError("SpectralCoeffs expects a nonempty 1-d vector")
-        if not np.all(np.isfinite(self.coeffs)):
-            raise ValueError("SpectralCoeffs entries must be finite")
-
-    def __len__(self) -> int:
-        return self.coeffs.size
 
 
 @dataclass(frozen=True)
@@ -177,15 +158,6 @@ def _log_potential(w_plus: float, w_minus: float, n_trunc: int) -> np.ndarray:
         if w != 1.0:
             mat[rows, cols] *= w
     return mat
-
-
-def log_matrix_elements(sign: int, n_trunc: int) -> np.ndarray:
-    """Matrix of multiplication by log(1 + sign*x) in the orthonormal basis."""
-    if sign not in (1, -1):
-        raise ValueError("log_matrix_elements: sign must be +1 or -1")
-    if n_trunc < 1:
-        raise ValueError("log_matrix_elements: n_trunc must be >= 1")
-    return _log_potential(float(sign == 1), float(sign == -1), n_trunc)
 
 
 def galerkin_matrix(params: OperatorParams, n_trunc: int) -> np.ndarray:
@@ -299,20 +271,22 @@ def apply_k_pointwise(params: OperatorParams, phi, x: float) -> float:
     return mid + left + right + pot * phix
 
 
-def synthesize(coeffs: SpectralCoeffs | np.ndarray, x) -> np.ndarray:
-    """Evaluate sum_n c_n Phat_n(x) with Phat_n = sqrt(n+1/2) P_n."""
-    c = coeffs.coeffs if isinstance(coeffs, SpectralCoeffs) else np.asarray(coeffs)
+def synthesize(coeffs: np.ndarray, x) -> np.ndarray:
+    """Evaluate sum_n c_n Phat_n(x), Phat_n = sqrt(n+1/2) P_n, from the
+    coefficient array c."""
+    c = np.asarray(coeffs)
     scaled = c * np.sqrt(np.arange(c.size) + 0.5)
     return npleg.legval(np.asarray(x, dtype=float), scaled)
 
 
-def project(phi, n_trunc: int, quad_order: int | None = None) -> SpectralCoeffs:
-    """Project a callable on (-1,1) onto the first n_trunc orthonormal modes."""
+def project(phi, n_trunc: int, quad_order: int | None = None) -> np.ndarray:
+    """Coefficient array of a callable on (-1,1) on the first n_trunc
+    orthonormal modes Phat_n = sqrt(n+1/2) P_n."""
     q = quad_order or max(2 * n_trunc, 64)
     x, w = np.polynomial.legendre.leggauss(q)
     vals = phi(x)
     vander = npleg.legvander(x, n_trunc - 1) * np.sqrt(np.arange(n_trunc) + 0.5)
-    return SpectralCoeffs((vander * (w * vals)[:, None]).sum(axis=0))
+    return (vander * (w * vals)[:, None]).sum(axis=0)
 
 
 @lru_cache(maxsize=32)
@@ -436,9 +410,9 @@ _TAIL_FRACTION = 0.1
 _TAIL_NORM_TOL = 1e-8
 
 
-def coefficient_tail_warning(coeffs: SpectralCoeffs):
-    """Warn when the trailing coefficient block carries too much weight."""
-    c = coeffs.coeffs
+def coefficient_tail_warning(c: np.ndarray):
+    """Warn when the trailing block of the coefficient array c carries too
+    much weight."""
     tail = max(1, int(_TAIL_FRACTION * c.size))
     total = np.linalg.norm(c)
     if total > 0 and np.linalg.norm(c[-tail:]) > _TAIL_NORM_TOL * total:

@@ -154,12 +154,9 @@ def bohr_sommerfeld_solve(n: int, alpha: float, beta: float) -> float:
 # semiclassical wavefunctions
 
 
-def _sc_amplitude(n: int, alpha: float, beta: float, kappa_prime: float) -> float:
-    if alpha == 1.0 and beta == 1.0:
-        return (0.5 * math.pi + 1.0 / (2.0 * n + 1.0)) ** -0.5
-    if alpha == 2.0 and beta == 2.0:
-        return (1.0 + (2.0 / math.pi) / (2.0 * n + 1.0)) ** -0.5
-    # no closed form in the general case: fix A by unit L2 norm on a u-grid
+def _sc_amplitude(alpha: float, beta: float, kappa_prime: float) -> float:
+    """A fixing unit L2 norm of the WKB wavefunction, by the trapezoidal rule
+    on u in [-30, 30]."""
     u = np.linspace(-30.0, 30.0, 6001)
     raw = _sc_values(1.0, alpha, beta, kappa_prime, u)
     norm2 = np.trapezoid(raw * raw, u)
@@ -178,13 +175,13 @@ def semiclassical_wavefunction(n: int, alpha: float, beta: float, u):
     """Psi_n(u) = A sin(phase(u) + pi/4) exp(-V(u)/4) at the WKB eigenvalue.
 
     phase(u) is the accumulated momentum integral from -infinity with
-    kappa'_n = kappa_n - 2 gamma_E.  A has closed forms for (1,1) and (2,2);
-    otherwise it is fixed by unit norm on a wide u-grid.
+    kappa'_n = kappa_n - 2 gamma_E.  A fixes unit norm on a wide u-grid
+    (_sc_amplitude).
     """
     if alpha <= 0 or beta <= 0:
         raise ValueError("semiclassical_wavefunction: parameters must be positive")
     kp = wkb_eigenvalue(n, alpha, beta) - 2.0 * _GAMMA
-    amp = _sc_amplitude(n, alpha, beta, kp)
+    amp = _sc_amplitude(alpha, beta, kp)
     scalar = np.isscalar(u)
     ua = np.atleast_1d(np.asarray(u, dtype=float))
     vals = _sc_values(amp, alpha, beta, kp, ua)

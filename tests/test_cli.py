@@ -214,6 +214,15 @@ class TestMehlerFock:
         assert err["kind"] == "validation"
         assert "k_max/dk = 20000000 " in err["error"]
 
+    def test_dk_not_dividing_k_max_exit_2(self):
+        # 1/0.6 is not whole: the grid would be spaced 0.5, not 0.6
+        res = run_cli("mehler-fock", "--k-max", "1", "--dk", "0.6", timeout=60)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        err = json.loads(res.stderr)
+        assert err["kind"] == "validation"
+        assert "k_max/dk = 1.666666667" in err["error"]
+
     def test_json_matches_schema_fields(self):
         res = run_cli(
             "mehler-fock", "--profile", "xi-sq-sq", "--k-max", "10",
@@ -375,12 +384,47 @@ class TestSchemaAndErrors:
             ("evolve", "--tau", "1", "--n-trunc", "10000000"),
             ("evolve", "--tau", "1", "--n-trunc", "0"),
             ("evolve", "--tau", "1", "--points", "10000000"),
+            ("eigenfunction", "--alpha", "2", "--beta", "2", "--m-points", "256",
+             "--u-window", "-1"),
+            ("eigenfunction", "--alpha", "2", "--beta", "2", "--m-points", "256",
+             "--u-window", "nan"),
         ],
     )
     def test_validation_exit_2(self, args):
         res = run_cli(*args, timeout=60)
         assert res.returncode == 2
         assert json.loads(res.stderr)["kind"] == "validation"
+
+    @pytest.mark.parametrize(
+        "name,args",
+        [
+            ("spectrum", ("spectrum", "--alpha", "2", "--beta", "2", "--n", "3",
+                          "--m-points", "256", "--format", "json")),
+            ("spectrum", ("spectrum", "--alpha", "2", "--beta", "2", "--n", "3",
+                          "--backend", "galerkin", "--n-trunc", "32", "--format", "json")),
+            ("mehler-fock", ("mehler-fock", "--k-max", "5", "--dk", "0.25",
+                             "--format", "json")),
+            ("evolve", ("evolve", "--tau", "0.5", "--points", "16", "--n-trunc", "32",
+                        "--format", "json")),
+            ("evolve", ("evolve", "--tau", "0.5", "--points", "16", "--backend",
+                        "spectral", "--format", "json")),
+            ("boundary-fit", ("boundary-fit", "--alpha", "2", "--beta", "2",
+                              "--m-points", "1024")),
+            ("error", ("mehler-fock", "--dk", "0")),
+        ],
+    )
+    def test_emitted_keys_in_schema(self, capsys, name, args):
+        # every top-level key a command writes is documented, and every
+        # required one is written; errors go to stderr with exit 2
+        from kab.cli import _SCHEMAS, main
+
+        code = main(list(args))
+        out, err = capsys.readouterr()
+        assert code == (2 if name == "error" else 0)
+        doc = json.loads(err if code else out)
+        schema = _SCHEMAS[name]
+        assert set(doc) <= set(schema["properties"])
+        assert set(schema["required"]) <= set(doc)
 
     def test_no_command_exit_2(self):
         res = run_cli()

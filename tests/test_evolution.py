@@ -21,7 +21,7 @@ from kab.evolution import (
     state_interpolant,
 )
 from kab.exact import mm_eigenfunction
-from kab.operators import SpectralCoeffs, galerkin_matrix, harmonic, project, OperatorParams
+from kab.operators import galerkin_matrix, harmonic, project, OperatorParams
 from kab.specfun import CONSTANTS, lipatov_kappa
 
 LOG2 = CONSTANTS.log2
@@ -43,6 +43,22 @@ class TestState:
             EvolutionState(tau=0.0, xi_grid=xi, u_values=xi[:-1])
         with pytest.raises(ValueError):
             EvolutionState(tau=0.0, xi_grid=xi[::-1], u_values=xi)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        # the state is where a profile enters both backends, so the check
+        # is made here and names the first bad sample
+        xi = default_xi_grid(16)
+        u = xi * xi * (1.0 - xi)
+        u[[5, 9]] = bad
+        with pytest.raises(ValueError, match=r"u_values\[5\] is not finite"):
+            EvolutionState(tau=0.0, xi_grid=xi, u_values=u)
+
+    def test_non_finite_grid_rejected(self):
+        xi = default_xi_grid(16)
+        xi[7] = math.nan
+        with pytest.raises(ValueError, match="xi_grid must increase"):
+            EvolutionState(tau=0.0, xi_grid=xi, u_values=np.zeros_like(xi))
 
     def test_nonvanishing_profile_rejected(self):
         xi = default_xi_grid(64)
@@ -102,12 +118,12 @@ class TestRhs:
         from kab.operators import synthesize
 
         s = make_state(lambda t: t**2 * (1.0 - t))
-        c = project(lambda x: (0.5 * (1.0 + x)) * (0.5 * (1.0 - x)), 8).coeffs
+        c = project(lambda x: (0.5 * (1.0 + x)) * (0.5 * (1.0 - x)), 8)
         k11c = np.array([2.0 * harmonic(n) for n in range(8)]) * c
         for xi in (0.2, 0.5, 0.85):
             x = 2.0 * xi - 1.0
-            phi = float(synthesize(SpectralCoeffs(c), np.array([x]))[0])
-            kphi = float(synthesize(SpectralCoeffs(k11c), np.array([x]))[0])
+            phi = float(synthesize(c, np.array([x]))[0])
+            kphi = float(synthesize(k11c, np.array([x]))[0])
             kphi += math.log(1.0 + x) * phi  # (1 - alpha) log(1+x), alpha = 0
             rhs_exact = -xi * (kphi - LOG2 * phi)
             assert mm_rhs(s, xi) == pytest.approx(rhs_exact, abs=1e-8)
@@ -166,7 +182,7 @@ class TestProjection:
             xi = 0.5 * (1.0 + x)
             return f(xi) / xi
 
-        full = project(phi0, n_trunc).coeffs
+        full = project(phi0, n_trunc)
         right = _state_coeffs(s, n_trunc)
         assert right.shape == (n_trunc,)
         assert np.all(right[n_points:] == 0.0)
@@ -265,6 +281,18 @@ class TestSpectralBackend:
         s = make_state(smooth_profiles["xi-sq"])
         u = evolve_spectral(s, tau).u_values
         assert 0.04 < abs(u[0]) / np.max(np.abs(u)) < 0.06
+
+    @pytest.mark.parametrize(
+        "evolve,tau", [(evolve_matrix, 2.5), (evolve_spectral, 2.5), (evolve_spectral, 40.0)]
+    )
+    def test_tiny_first_node_passes_vanish_check(self, smooth_profiles, evolve, tau):
+        # at xi0 = 1e-12 the bound is the floor 1e-4; u(xi0)/max|u| is about
+        # 2e-9 (matrix, tau = 2.5), 5e-8 (spectral, 2.5) and 7e-6 (spectral, 40)
+        xi = default_xi_grid(96)
+        xi[0] = 1e-12
+        s = EvolutionState(tau=0.0, xi_grid=xi, u_values=smooth_profiles["xi-sq"](xi))
+        u = evolve(s, tau).u_values
+        assert abs(u[0]) / np.max(np.abs(u)) < 1e-5
 
     def test_largest_grid_memory(self, smooth_profiles):
         # one step on the largest grid stays within 50 MB of traced memory

@@ -257,6 +257,24 @@ class TestMehlerFock:
         with pytest.raises(ValueError, match=match):
             mehler_fock_forward(u, k_max=k_max, dk=dk)
 
+    @pytest.mark.parametrize(
+        "k_max,dk", [(40.0, 0.05), (5.0, 0.25), (40.0, 0.8), (4.0, 1.0)]
+    )
+    def test_k_grid_keeps_dk(self, k_max, dk):
+        coeffs = mehler_fock_forward(lambda xi: xi**2 * (1.0 - xi), k_max=k_max, dk=dk)
+        assert coeffs.k_grid[-1] == k_max
+        assert np.max(np.abs(np.diff(coeffs.k_grid) - dk)) <= 1e-12 * k_max
+
+    @pytest.mark.parametrize("k_max,dk", [(1.0, 0.6), (40.0, 0.051), (0.5, 1.0)])
+    def test_k_grid_other_spacing_raises(self, k_max, dk):
+        # round(k_max/dk) + 1 points would space the grid by k_max/round(...)
+        # instead of dk; that is refused before the profile is sampled
+        def u(xi):
+            raise AssertionError("sampled")
+
+        with pytest.raises(ValueError, match="whole number"):
+            mehler_fock_forward(u, k_max=k_max, dk=dk)
+
     def test_coeffs_validation(self):
         with pytest.raises(ValueError):
             MehlerFockCoeffs(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 1e4)

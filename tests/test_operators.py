@@ -17,14 +17,12 @@ from scipy import integrate, linalg
 from kab import operators
 from kab.operators import (
     OperatorParams,
-    SpectralCoeffs,
     UGrid,
     apply_k_pointwise,
     galerkin_matrix,
     galerkin_spectrum,
     harmonic,
     harmonic_numbers,
-    log_matrix_elements,
     monomial_action_k11,
     potential_v,
     project,
@@ -58,10 +56,6 @@ class TestTypes:
         g = UGrid(10.0, 128)
         assert g.nodes.size == 128
         assert g.frequencies.size == 128
-
-    def test_spectral_coeffs_finite(self):
-        with pytest.raises(ValueError):
-            SpectralCoeffs(np.array([1.0, float("inf")]))
 
 
 class TestHarmonic:
@@ -134,10 +128,17 @@ def _log_quadrature_entry(m: int, n: int, sign: int) -> float:
     return norm * val
 
 
+def log_matrix(sign, n):
+    """Matrix of multiplication by log(1 + sign*x), read off the Galerkin
+    matrix of K_{01} (sign +1) or K_{10} (sign -1) less its diagonal 2 h_n."""
+    params = OperatorParams(0.0, 1.0) if sign == 1 else OperatorParams(1.0, 0.0)
+    return galerkin_matrix(params, n) - np.diag(2.0 * harmonic_numbers(n))
+
+
 class TestLogMatrix:
     def test_exact_vs_quadrature(self):
         n = 10
-        exact = log_matrix_elements(+1, n)
+        exact = log_matrix(+1, n)
         quad = np.empty((n, n))
         for m in range(n):
             for k in range(m, n):
@@ -148,13 +149,13 @@ class TestLogMatrix:
         # log(1-x) matrix = D log(1+x) matrix D with D = diag((-1)^n)
         n = 24
         d = np.diag((-1.0) ** np.arange(n))
-        lp = log_matrix_elements(+1, n)
-        lm = log_matrix_elements(-1, n)
+        lp = log_matrix(+1, n)
+        lm = log_matrix(-1, n)
         assert np.max(np.abs(lm - d @ lp @ d)) < 1e-13
 
     def test_corner_entry(self):
         # <Phat_0, log(1+x) Phat_0> = (1/2) int log(1+x) dx = log 2 - 1
-        lp = log_matrix_elements(+1, 4)
+        lp = log_matrix(+1, 4)
         assert lp[0, 0] == pytest.approx(LOG2 - 1.0, abs=1e-13)
 
 
@@ -182,15 +183,19 @@ class TestGalerkin:
         # the log terms carry the weights (1 - alpha) and (1 - beta)
         n = 64
         mat = galerkin_matrix(OperatorParams(alpha, beta), n)
-        ref = (
-            (1.0 - alpha) * log_matrix_elements(+1, n)
-            + (1.0 - beta) * log_matrix_elements(-1, n)
-            + np.diag(2.0 * harmonic_numbers(n))
-        )
         if (alpha, beta) == (0.0, 1.0):
-            assert np.array_equal(mat, ref)
+            # L+ is read off this matrix, so the weight 1 - alpha is checked
+            # through a build at another weight: (1, 1) has no log terms and
+            # (1/2, 1) carries half of L+
+            one_one = galerkin_matrix(OperatorParams(1.0, 1.0), n)
+            ref = 2.0 * galerkin_matrix(OperatorParams(0.5, 1.0), n) - one_one
         else:
-            assert np.max(np.abs(mat - ref)) <= 1e-15 * np.max(np.abs(ref))
+            ref = (
+                (1.0 - alpha) * log_matrix(+1, n)
+                + (1.0 - beta) * log_matrix(-1, n)
+                + np.diag(2.0 * harmonic_numbers(n))
+            )
+        assert np.max(np.abs(mat - ref)) <= 1e-15 * np.max(np.abs(ref))
 
     def test_size_bounds_name_argument(self):
         with pytest.raises(ValueError, match="n_trunc=8193"):
@@ -357,8 +362,8 @@ class TestProjectSynthesize:
     def test_orthonormal_round_trip(self, n):
         c = np.zeros(16)
         c[n] = 1.0
-        coeffs = project(lambda x: synthesize(SpectralCoeffs(c), x), 16)
-        assert np.max(np.abs(coeffs.coeffs - c)) < 1e-12
+        coeffs = project(lambda x: synthesize(c, x), 16)
+        assert np.max(np.abs(coeffs - c)) < 1e-12
 
 
 class TestApplyKPointwise:
@@ -384,10 +389,10 @@ class TestApplyKPointwise:
         c = np.zeros(8)
         c[:6] = rng.normal(size=6) / (1.0 + np.arange(6.0)) ** 2
         p = OperatorParams(2.0, 2.0)
-        phi = lambda x: synthesize(SpectralCoeffs(c), np.asarray(x, dtype=float))
+        phi = lambda x: synthesize(c, np.asarray(x, dtype=float))
         k11c = np.array([2.0 * harmonic(n) for n in range(8)]) * c
         for x in (-0.9, -0.3, 0.5, 0.9):
-            exact = float(synthesize(SpectralCoeffs(k11c), np.array([x]))[0])
+            exact = float(synthesize(k11c, np.array([x]))[0])
             exact += -math.log(1 + x) * float(phi(np.array([x]))[0])
             exact += -math.log(1 - x) * float(phi(np.array([x]))[0])
             assert apply_k_pointwise(p, phi, x) == pytest.approx(exact, abs=1e-6)
@@ -400,8 +405,7 @@ class TestApplyKPointwise:
         c8 = rng.normal(size=8) / (1.0 + np.arange(8.0)) ** 2
         p = OperatorParams(2.0, 2.0)
         phi = lambda x: synthesize(
-            SpectralCoeffs(np.concatenate([c8, np.zeros(56)])),
-            np.asarray(x, dtype=float),
+            np.concatenate([c8, np.zeros(56)]), np.asarray(x, dtype=float)
         )
         xs = np.array([-0.9, -0.4, 0.0, 0.55, 0.9])
         point = np.array([apply_k_pointwise(p, phi, float(x)) for x in xs])
@@ -410,7 +414,7 @@ class TestApplyKPointwise:
             c = np.zeros(n)
             c[:8] = c8
             kc = galerkin_matrix(p, n) @ c
-            vals = synthesize(SpectralCoeffs(kc), xs)
+            vals = synthesize(kc, xs)
             errs.append(np.max(np.abs(vals - point)))
         assert errs[0] < 2e-2
         assert errs[2] < errs[0]

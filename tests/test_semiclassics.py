@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.special import j0
 
 from kab.semiclassics import (
+    _sc_amplitude,
     bohr_sommerfeld_solve,
     boundary_exponents,
     fit_boundary_exponent,
@@ -126,6 +127,21 @@ class TestSemiclassicalWavefunction:
             )
             assert semiclassical_wavefunction(n, 1.0, 1.0, u) == pytest.approx(
                 exact, abs=1e-9
+            )
+
+    @pytest.mark.parametrize(
+        "alpha,closed_form",
+        [
+            (1.0, lambda n: (0.5 * math.pi + 1.0 / (2.0 * n + 1.0)) ** -0.5),
+            (2.0, lambda n: (1.0 + (2.0 / math.pi) / (2.0 * n + 1.0)) ** -0.5),
+        ],
+    )
+    def test_amplitude_matches_closed_forms(self, alpha, closed_form):
+        # for (1,1) and (2,2) the unit-norm amplitude has a closed form
+        for n in range(11):
+            kp = wkb_eigenvalue(n, alpha, alpha) - 2.0 * GAMMA
+            assert _sc_amplitude(alpha, alpha, kp) == pytest.approx(
+                closed_form(n), rel=1e-12
             )
 
     def test_generic_normalization(self):
