@@ -432,7 +432,7 @@ def main(argv=None) -> int:
         return 2
     try:
         args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "kind": "validation"}) + "\n")
         return 2
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:

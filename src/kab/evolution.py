@@ -301,11 +301,12 @@ def evolve_matrix(
     The log-potential matrix couples all mode pairs with 1/(n-m) decay, so the
     truncation error falls off like 1/n_trunc; the step is therefore run at
     n_trunc and 2 n_trunc and Richardson-extrapolated, with the difference of
-    the two sizes kept as an error estimate.
+    the two sizes kept as an error estimate.  1 <= n_trunc <= 4096, checked
+    here so that the message names the caller's N rather than 2N.
     """
+    if not 1 <= n_trunc <= 4096:
+        raise ValueError(f"evolve_matrix: n_trunc={n_trunc} must lie in [1, 4096]")
     dtau = _delta_tau(state, tau_final)
-    # the matrix first: galerkin_matrix validates the size before the
-    # projection allocates for it
     mat = _k01_matrix(2 * n_trunc)
     growth = math.exp(dtau * _LOG2)
     coeffs = _state_coeffs(state, 2 * n_trunc)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
+from scipy import special
 
 from .operators import OperatorParams, UGrid, apply_k_pointwise, galerkin_matrix
 from .specfun import (
@@ -300,38 +301,17 @@ def k00_eigenfunction(k: float, x) -> np.ndarray | complex:
 def mm_k01_residual(k: float, x_points) -> np.ndarray:
     """Relative residual of K_{01} phi(k,.) = (kappa(k) + log 2) phi(k,.).
 
-    The kernel integral is evaluated in the variable sigma = -log(xi(y)),
-    where the conical function is exactly log-periodic, with composite
-    Gauss-Legendre panels broken at the kink y = x; phi at the points and at
-    every node comes from one grid call.  This dedicated route reaches
-    ~1e-7 where generic adaptive quadrature stalls on the endpoint
-    oscillation.
+    Both sides take phi in u through apply_k_pointwise's rule, with
+    xi = (1 + tanh u)/2 = expit(2u), so no xi is formed from a rounded x.
+    |x| <= 0.95.
     """
     xs = np.atleast_1d(np.asarray(x_points, dtype=float))
     if np.any(np.abs(xs) > 0.95):
         raise ValueError("mm_k01_residual: |x| must be <= 0.95")
-    sigma_max = 60.0
-    width = min(0.2, 2.0 / max(abs(k), 1.0))
-    base_edges = np.linspace(0.0, sigma_max, int(math.ceil(sigma_max / width)) + 1)
-    gx, gw = _gauss_nodes(16)
-    rules = []
-    for x in xs:
-        edges = np.unique(np.append(base_edges, -math.log(0.5 * (1.0 + x))))
-        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-        nodes = (mid[:, None] + half[:, None] * gx).ravel()
-        rules.append((nodes, (half[:, None] * gw).ravel()))
-    sig = np.concatenate([nodes for nodes, _ in rules])
-    phi = mm_eigenfunction(k, np.concatenate((0.5 * (1.0 + xs), np.exp(-sig))))
-    rhs = (lipatov_kappa(k) + CONSTANTS.log2) * phi[: xs.size]
-    out = np.empty(xs.size)
-    pos = xs.size
-    for i, (x, (s, weights)) in enumerate(zip(xs, rules)):
-        dy = 2.0 * np.exp(-s)  # dy/dsigma for y = 2 xi - 1
-        integ = (phi[i] - phi[pos : pos + s.size]) / np.abs(x + 1.0 - dy) * dy
-        pos += s.size
-        lhs = float(np.sum(weights * integ)) + math.log1p(x) * phi[i]
-        out[i] = abs(lhs - rhs[i]) / abs(rhs[i])
-    return out
+    phi_u = lambda u: mm_eigenfunction(k, special.expit(2.0 * u))
+    lhs = apply_k_pointwise(OperatorParams(0.0, 1.0), phi_u, xs)
+    rhs = (lipatov_kappa(k) + CONSTANTS.log2) * phi_u(np.arctanh(xs))
+    return np.abs(lhs - rhs) / np.abs(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +427,9 @@ def verify_g_of_ell(
 
     The right side is evaluated by mapping phi to Psi(u) = phi(tanh u)/cosh u,
     applying the Fourier multiplier g(p) on a periodic u-grid, and mapping
-    back; the left side by direct singular-integral quadrature.  phi must
-    decay at the endpoints (plane-wave expandability), which is checked.
+    back; the left side by apply_k_pointwise on phi(tanh u), one call for
+    all x.  phi must decay at the endpoints (plane-wave expandability),
+    which is checked.
     """
     edge = 1.0 - 1e-8
     if max(abs(complex(phi(edge))), abs(complex(phi(-edge)))) > 1e-6:
@@ -465,8 +446,7 @@ def verify_g_of_ell(
     # spectral interpolation of the multiplied series at arbitrary u
     phase = np.exp(1j * np.outer(utarget - u[0], grid.frequencies))
     rhs = np.real(phase @ mult) * np.cosh(utarget)
-    params = OperatorParams(0.0, 0.0)
-    lhs = np.array([apply_k_pointwise(params, phi, float(x)) for x in x_grid])
+    lhs = apply_k_pointwise(OperatorParams(0.0, 0.0), lambda u: phi(np.tanh(u)), x_grid)
     return float(np.max(np.abs(lhs - rhs)))
 
 

@@ -2,8 +2,8 @@
 g(k), the shifted kinetic function G and its inverse, and the beta-type
 phase integral.  The conical Legendre functions live in module exact,
 beside the Mehler rule that evaluates them; the quadrature helpers shared
-by modules exact and evolution (Gauss nodes, the Abel rule, Clenshaw's
-recurrence) live here.
+by the other modules (Gauss nodes, the Abel rule, Clenshaw's recurrence)
+live here.
 
 Digamma, the incomplete beta function and the logistic map come from
 scipy.special; this module adds the argument checks and the closed forms

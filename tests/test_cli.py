@@ -316,6 +316,14 @@ class TestEvolve:
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
+    def test_matrix_size_names_callers_n(self, capsys):
+        from kab.cli import main
+
+        assert main(["evolve", "--tau", "1", "--n-trunc", "5000"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "n_trunc=5000 must lie in [1, 4096]" in json.loads(err)["error"]
+
     def test_huge_tau_exit_3_promptly(self):
         for args in (
             ("--tau", "1e6", "--points", "8", "--n-trunc", "32"),
@@ -388,6 +396,9 @@ class TestSchemaAndErrors:
              "--u-window", "-1"),
             ("eigenfunction", "--alpha", "2", "--beta", "2", "--m-points", "256",
              "--u-window", "nan"),
+            ("evolve", "--tau", "1", "--n-trunc", "5000"),
+            ("spectrum", "--alpha", "2", "--beta", "2", "--m-points", "256",
+             "--output", "/nonexistent-dir/kab/spectrum.csv"),
         ],
     )
     def test_validation_exit_2(self, args):
@@ -425,6 +436,34 @@ class TestSchemaAndErrors:
         schema = _SCHEMAS[name]
         assert set(doc) <= set(schema["properties"])
         assert set(schema["required"]) <= set(doc)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("param", ["--alpha", "--beta"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("spectrum", "--m-points", "256"),
+            ("spectrum", "--backend", "galerkin", "--n-trunc", "32"),
+            ("wkb-table",),
+            ("wkb-table", "--bohr-sommerfeld"),
+            ("eigenfunction", "--m-points", "256"),
+            ("boundary-fit", "--m-points", "256"),
+        ],
+    )
+    def test_non_finite_params_exit_2(self, capsys, command, param, value):
+        # every command taking alpha and beta refuses a non-finite one with
+        # one JSON object on stderr and nothing on stdout
+        from kab.cli import main
+
+        params = {"--alpha": "2", "--beta": "2", param: value}
+        argv = [command[0], *(a for kv in params.items() for a in kv), *command[1:]]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["kind"] == "validation"
 
     def test_no_command_exit_2(self):
         res = run_cli()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import legendre as npleg
-from scipy import integrate, linalg
+from scipy import integrate, linalg, special
 
 from kab import operators
 from kab.operators import (
@@ -31,7 +31,8 @@ from kab.operators import (
     pseudospectral_spectrum,
     synthesize,
 )
-from kab.specfun import CONSTANTS, big_g
+from kab.exact import mm_eigenfunction
+from kab.specfun import CONSTANTS, big_g, lipatov_kappa
 
 LOG2 = CONSTANTS.log2
 
@@ -370,14 +371,14 @@ class TestApplyKPointwise:
     def test_k11_on_x(self):
         # K_11 x = 2x exactly
         p = OperatorParams(1.0, 1.0)
-        phi = lambda x: np.asarray(x, dtype=float)
+        phi = lambda u: np.tanh(u)
         for x in (-0.7, 0.0, 0.4):
             assert apply_k_pointwise(p, phi, x) == pytest.approx(2.0 * x, abs=1e-7)
 
     def test_constant_mode(self):
         # K_{alpha beta} 1 = (1-alpha) log(1+x) + (1-beta) log(1-x)
         p = OperatorParams(2.0, 0.5)
-        phi = lambda x: np.ones_like(np.asarray(x, dtype=float))
+        phi = lambda u: np.ones_like(u)
         for x in (-0.5, 0.2):
             exact = -math.log(1 + x) + 0.5 * math.log(1 - x)
             assert apply_k_pointwise(p, phi, x) == pytest.approx(exact, abs=1e-7)
@@ -395,7 +396,33 @@ class TestApplyKPointwise:
             exact = float(synthesize(k11c, np.array([x]))[0])
             exact += -math.log(1 + x) * float(phi(np.array([x]))[0])
             exact += -math.log(1 - x) * float(phi(np.array([x]))[0])
-            assert apply_k_pointwise(p, phi, x) == pytest.approx(exact, abs=1e-6)
+            point = apply_k_pointwise(p, lambda u: phi(np.tanh(u)), x)
+            assert point == pytest.approx(exact, abs=1e-6)
+
+    def test_k01_eigenfunction(self):
+        # K_01 phi(k,.) = (kappa(k) + log 2) phi(k,.), phi given in u so that
+        # xi = expit(2u) is never formed from a rounded x
+        p = OperatorParams(0.0, 1.0)
+        xs = np.array([-0.5, 0.0, 0.5])
+        for k in (0.3, 1.0, 3.0):
+            phi_u = lambda u: mm_eigenfunction(k, special.expit(2.0 * u))
+            lhs = apply_k_pointwise(p, phi_u, xs)
+            rhs = (lipatov_kappa(k) + LOG2) * phi_u(np.arctanh(xs))
+            assert np.max(np.abs(lhs - rhs) / np.abs(rhs)) < 1e-11
+
+    def test_vector_x_matches_scalar_calls(self, rng):
+        c = rng.normal(size=6)
+        p = OperatorParams(0.7, 1.9)
+        phi_u = lambda u: synthesize(c, np.tanh(u))
+        xs = np.array([-0.999, -0.3, 0.0, 0.6, 0.99])
+        one_by_one = [apply_k_pointwise(p, phi_u, float(x)) for x in xs]
+        assert all(isinstance(v, float) for v in one_by_one)
+        np.testing.assert_allclose(apply_k_pointwise(p, phi_u, xs), one_by_one, rtol=1e-14)
+
+    @pytest.mark.parametrize("x", [1.0, -1.0, math.nan, math.inf])
+    def test_domain(self, x):
+        with pytest.raises(ValueError, match="outside"):
+            apply_k_pointwise(OperatorParams(1.0, 1.0), np.tanh, np.array([0.0, x]))
 
     def test_galerkin_route_converges_to_pointwise(self, rng):
         # O-4 adapted: K phi has logarithmic endpoint singularities, so the
@@ -408,7 +435,8 @@ class TestApplyKPointwise:
             np.concatenate([c8, np.zeros(56)]), np.asarray(x, dtype=float)
         )
         xs = np.array([-0.9, -0.4, 0.0, 0.55, 0.9])
-        point = np.array([apply_k_pointwise(p, phi, float(x)) for x in xs])
+        phi_u = lambda u: phi(np.tanh(u))
+        point = np.array([apply_k_pointwise(p, phi_u, float(x)) for x in xs])
         errs = []
         for n in (64, 256, 1024):
             c = np.zeros(n)

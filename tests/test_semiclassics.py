@@ -58,6 +58,17 @@ class TestWkbEigenvalue:
         with pytest.raises(ValueError):
             wkb_eigenvalue(0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        for alpha, beta in ((bad, 2.0), (2.0, bad)):
+            with pytest.raises(ValueError, match=repr(bad)):
+                wkb_eigenvalue(0, alpha, beta)
+            with pytest.raises(ValueError, match=repr(bad)):
+                boundary_exponents(alpha, beta)
+        for beta, kappa_prime in ((bad, 0.1), (2.0, bad)):
+            with pytest.raises(ValueError, match=repr(bad)):
+                linear_potential_solution(beta, kappa_prime, [0.0])
+
     @given(
         n=st.integers(0, 30),
         alpha=st.floats(0.3, 4.0),
