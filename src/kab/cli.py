@@ -325,8 +325,17 @@ def _add_common(p, *, resolution=True, fmt=True):
         )
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its errors raised as ValueError, so that main reports
+    them as JSON like every other validation error; the subparsers are of
+    this class too."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="kab",
         description="Spectra, eigenfunctions, semiclassics and evolution for the "
         "singular integral operator family K_{alpha,beta} on [-1,1].",
@@ -421,9 +430,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _report(exc: Exception, kind: str, code: int) -> int:
+    sys.stderr.write(json.dumps({"error": str(exc), "kind": kind}) + "\n")
+    return code
+
+
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except ValueError as exc:
+        return _report(exc, "validation", 2)
     if args.schema:
         sys.stdout.write(json.dumps(_SCHEMAS, indent=2, sort_keys=True) + "\n")
         return 0
@@ -433,11 +450,9 @@ def main(argv=None) -> int:
     try:
         args.func(args)
     except (ValueError, OSError) as exc:
-        sys.stderr.write(json.dumps({"error": str(exc), "kind": "validation"}) + "\n")
-        return 2
+        return _report(exc, "validation", 2)
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        sys.stderr.write(json.dumps({"error": str(exc), "kind": "numerical"}) + "\n")
-        return 3
+        return _report(exc, "numerical", 3)
     return 0
 
 

@@ -223,7 +223,7 @@ def conical_legendre(k: float, t: float) -> float:
     The one-radius view of conical_legendre_grid at r = acosh t (exactly 1
     at t = 1).
     """
-    _check_finite(k, t)
+    _check_finite("conical_legendre", k=k, t=t)
     if t < 1.0:
         raise ValueError(f"conical_legendre: t={t} < 1 outside the domain")
     return float(conical_legendre_grid([k], [math.acosh(t)])[0, 0])
@@ -236,7 +236,7 @@ def hyp2f1_conical(k: float, z: float) -> complex:
     only conditionally useful, so the value is routed through the conical
     Legendre function via x^(-1/2-ik) P_{-1/2+ik}(2/x - 1) with x = 1 - z.
     """
-    _check_finite(k, z)
+    _check_finite("hyp2f1_conical", k=k, z=z)
     if z < 0.0 or z >= 1.0:
         raise ValueError(f"hyp2f1_conical: z={z} outside [0, 1)")
     if z == 0.0:

@@ -64,7 +64,7 @@ def wkb_eigenvalue(n: int, alpha: float, beta: float) -> float:
     """
     if n < 0:
         raise ValueError("wkb_eigenvalue: n must be >= 0")
-    _check_finite(alpha, beta)
+    _check_finite("wkb_eigenvalue", alpha=alpha, beta=beta)
     if alpha <= 0 or beta <= 0:
         raise ValueError("wkb_eigenvalue: alpha and beta must be positive")
     return 2.0 * (
@@ -196,7 +196,7 @@ def semiclassical_wavefunction(n: int, alpha: float, beta: float, u):
 
 def boundary_exponents(alpha: float, beta: float) -> BoundaryExponents:
     """d_alpha = 1/alpha - 1 and d_beta = 1/beta - 1 (log-power exponents)."""
-    _check_finite(alpha, beta)
+    _check_finite("boundary_exponents", alpha=alpha, beta=beta)
     if alpha <= 0 or beta <= 0:
         raise ValueError("boundary_exponents: parameters must be positive")
     return BoundaryExponents(1.0 / alpha - 1.0, 1.0 / beta - 1.0)
@@ -280,7 +280,7 @@ def linear_potential_solution(
     Convergence is monitored by comparing tapers ending at p_max and 2 p_max;
     disagreement beyond _TAPER_CHECK_TOL raises.
     """
-    _check_finite(beta, kappa_prime)
+    _check_finite("linear_potential_solution", beta=beta, kappa_prime=kappa_prime)
     if beta <= 0:
         raise ValueError("linear_potential_solution: beta must be positive")
     scalar = np.isscalar(u)

@@ -105,12 +105,15 @@ def _simpson_weights(n: int) -> np.ndarray:
     return w
 
 
-def _check_finite(*vals) -> None:
-    for v in vals:
+def _check_finite(where: str, **named) -> None:
+    """Raise ValueError naming the function where and the first parameter in
+    named (a scalar or an array) that holds a NaN or an infinity."""
+    for name, v in named.items():
         a = np.asarray(v, dtype=float)
         bad = ~np.isfinite(a)
         if np.any(bad):
-            raise ValueError(f"non-finite argument: {float(a[bad][0])!r}")
+            first = float(a[bad][0])
+            raise ValueError(f"{where}: {name} must be finite, got {first!r}")
 
 
 def digamma(z: complex | np.ndarray) -> complex | np.ndarray:
@@ -131,10 +134,9 @@ def digamma(z: complex | np.ndarray) -> complex | np.ndarray:
 
 def _two_re_psi(t, scale: float, shift: float) -> float | np.ndarray:
     """2 Re psi(1/2 + i scale t) + shift for finite real t, scalar or array:
-    the one function behind kappa, g and G."""
+    the one function behind kappa, g and G, which check t."""
     scalar = np.isscalar(t)
     ta = np.atleast_1d(np.asarray(t, dtype=float))
-    _check_finite(ta)
     val = 2.0 * np.real(digamma(0.5 + 1j * (scale * ta))) + shift
     return float(val[0]) if scalar else val
 
@@ -144,6 +146,7 @@ def lipatov_kappa(k: float | np.ndarray) -> float | np.ndarray:
 
     Real and even in k; kappa(0) = -4 log 2.
     """
+    _check_finite("lipatov_kappa", k=k)
     return _two_re_psi(k, 1.0, 2.0 * CONSTANTS.euler_gamma)
 
 
@@ -152,6 +155,7 @@ def g_dispersion(k: float | np.ndarray) -> float | np.ndarray:
 
     Satisfies g(k) = kappa(k/2) + 2 log 2 and g(0) = -2 log 2.
     """
+    _check_finite("g_dispersion", k=k)
     return _two_re_psi(k, 0.5, 2.0 * CONSTANTS.euler_gamma + 2.0 * CONSTANTS.log2)
 
 
@@ -160,6 +164,7 @@ def big_g(p: float | np.ndarray) -> float | np.ndarray:
 
     Behaves like G(0) + (7/2) zeta(3) p^2 near zero and log p^2 at infinity.
     """
+    _check_finite("big_g", p=p)
     return _two_re_psi(p, 0.5, 2.0 * CONSTANTS.log2)
 
 
@@ -184,7 +189,7 @@ def big_g_inverse(y: float | np.ndarray) -> float | np.ndarray:
     """
     scalar = np.isscalar(y)
     ya = np.atleast_1d(np.asarray(y, dtype=float))
-    _check_finite(ya)
+    _check_finite("big_g_inverse", y=ya)
     if np.any(ya < BIG_G_MIN - 1e-12):
         raise ValueError(
             f"big_g_inverse: y={ya.min()} below the minimum G(0)={BIG_G_MIN}"
@@ -237,7 +242,7 @@ def phase_integral(u, alpha: float, beta: float, kappa_prime: float):
     cancellation in 1 + tanh u.  u may be an array and may be +-inf; the
     full-line value is exp(kappa'/2) 2^(a+b-1) B(a, b).
     """
-    _check_finite(alpha, beta, kappa_prime)
+    _check_finite("phase_integral", alpha=alpha, beta=beta, kappa_prime=kappa_prime)
     if alpha <= 0.0:
         raise ValueError("phase_integral: divergent at -infinity for alpha <= 0")
     if beta <= 0.0:

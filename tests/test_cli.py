@@ -305,9 +305,10 @@ class TestEvolve:
         assert a.stdout == b.stdout
 
     def test_reproducible_json(self):
-        # JSON prints every value at full repr, so every random choice in the
-        # step (the interpolant's node order, expm_multiply's norm estimate)
-        # must be seeded, not only rounded away
+        # JSON prints every value at full repr, so the step must be
+        # deterministic in every digit, not only after rounding: the
+        # interpolant's weights are closed-form and the Lanczos exponential
+        # draws no random vector
         args = (
             "evolve", "--tau", "1.0", "--n-trunc", "64", "--points", "16",
             "--format", "json",
@@ -437,7 +438,10 @@ class TestSchemaAndErrors:
         assert set(doc) <= set(schema["properties"])
         assert set(schema["required"]) <= set(doc)
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    # "=v" is passed joined to its option, None leaves the option out; argparse
+    # takes "-inf" for an option and rejects "abc", and those errors are
+    # reported as JSON too
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "=-inf", "abc", None])
     @pytest.mark.parametrize("param", ["--alpha", "--beta"])
     @pytest.mark.parametrize(
         "command",
@@ -456,14 +460,38 @@ class TestSchemaAndErrors:
         from kab.cli import main
 
         params = {"--alpha": "2", "--beta": "2", param: value}
-        argv = [command[0], *(a for kv in params.items() for a in kv), *command[1:]]
-        code = main(argv)
+        argv = [command[0]]
+        for option, v in params.items():
+            if v is not None:
+                argv += [option + v] if v.startswith("=") else [option, v]
+        code = main([*argv, *command[1:]])
         out, err = capsys.readouterr()
         assert code == 2
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["kind"] == "validation"
+
+    def test_non_finite_param_named(self, capsys):
+        # the message names the function that refused the value and its
+        # parameter
+        from kab.cli import main
+
+        assert main(["wkb-table", "--alpha", "nan", "--beta", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"] == "wkb_eigenvalue: alpha must be finite, got nan"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["evolve", "--help"]])
+    def test_help_exit_0(self, capsys, argv):
+        # help is not an error: argparse prints it on stdout and exits 0
+        from kab.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 0
+        assert out.startswith("usage: kab") and err == ""
 
     def test_no_command_exit_2(self):
         res = run_cli()

@@ -4,6 +4,7 @@ Oracles: the closed-form right-hand side for u = xi, agreement of the two
 independent backends, and exact preservation of a continuum eigenmode.
 """
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,8 @@ from kab.evolution import (
     EvolutionState,
     _abel_fourier_step,
     _abel_grid,
+    _k01_matrix,
+    _krylov_exp,
     _state_coeffs,
     default_xi_grid,
     evolve_matrix,
@@ -158,7 +161,7 @@ class TestValidation:
 
         s = make_state(smooth_profiles["xi-sq"], n_points=8)
         monkeypatch.setattr(
-            kab.evolution, "expm_multiply", lambda a, b: np.full_like(b, np.nan)
+            kab.evolution, "_krylov_exp", lambda mat, v, dtau: np.full_like(v, np.nan)
         )
         with pytest.raises(RuntimeError):
             evolve_matrix(s, 1.0, n_trunc=32)
@@ -189,6 +192,54 @@ class TestProjection:
         assert np.max(np.abs(right - full)) <= 1e-12 * np.max(np.abs(full))
 
 
+class TestKrylovExp:
+    @pytest.mark.parametrize("n", [64, 1920])
+    def test_matches_dense_eigh(self, smooth_profiles, n):
+        # exp(-tau K) c from the full eigendecomposition of K; both sides
+        # carry rounding of order tau |K| eps, 3e-13 at tau = 100
+        mat = _k01_matrix(n)
+        lam, vec = np.linalg.eigh(mat)
+        c = _state_coeffs(make_state(smooth_profiles["xi-sq"]), n)
+        for tau in (0.25, 1.0, 2.5, 10.0, 100.0):
+            ref = vec @ (np.exp(-tau * lam) * (vec.T @ c))
+            err = np.max(np.abs(_krylov_exp(mat, c, tau) - ref))
+            assert err <= 1e-12 * np.max(np.abs(ref)), tau
+
+    def test_zero_vector(self):
+        out = _krylov_exp(_k01_matrix(64), np.zeros(64), 1.0)
+        assert np.array_equal(out, np.zeros(64))
+
+    def test_exhausted_space_is_exact(self):
+        # at n = 1 the Krylov space is the whole space after one step
+        mat = np.array([[0.7]])
+        out = _krylov_exp(mat, np.array([2.0]), 1.5)
+        assert out == pytest.approx([2.0 * math.exp(-1.05)], rel=1e-15)
+        # and n_trunc = 1 runs both sizes (1 and 2) on exhausted spaces; two
+        # modes cannot hold the profile, which the tail warning says
+        s = make_state(lambda t: t * t * (1.0 - t), n_points=16)
+        with pytest.warns(RuntimeWarning, match="coefficient tail"):
+            out = evolve_matrix(s, 0.25, n_trunc=1)
+        assert np.all(np.isfinite(out.u_values))
+
+    def test_no_convergence_raises(self, monkeypatch):
+        # the step cap is reported with the step and the matrix size
+        import kab.evolution
+
+        monkeypatch.setattr(kab.evolution, "_KRYLOV_MAX_STEPS", 3)
+        c = _state_coeffs(make_state(lambda t: t * t * (1.0 - t)), 64)
+        with pytest.raises(RuntimeError, match=r"dtau=1.*64"):
+            _krylov_exp(_k01_matrix(64), c, 1.0)
+
+    def test_long_step_is_prompt(self, smooth_profiles):
+        # the Lanczos cost stops growing with tau (41 steps at 2N = 1920 from
+        # tau = 10 on); the default N reaches tau = 200 in well under a second
+        s = make_state(smooth_profiles["xi-sq"])
+        start = time.perf_counter()
+        out = evolve_matrix(s, 200.0)
+        assert time.perf_counter() - start < 5.0
+        assert np.all(np.isfinite(out.u_values))
+
+
 class TestMatrixBackend:
     def test_identity_at_zero_step(self, smooth_profiles):
         s = make_state(smooth_profiles["xi-sq"])
@@ -217,9 +268,9 @@ class TestMatrixBackend:
 
     @pytest.mark.parametrize("tau", [1.0, 10.0])
     def test_independent_of_global_rng(self, smooth_profiles, tau):
-        # for long steps expm_multiply's norm estimate is random (the
-        # interpolant's weights are not); the step must neither depend on
-        # numpy's global RNG nor change it
+        # no part of the step draws random numbers (the Lanczos exponential
+        # starts from the state's own coefficients); it must neither depend
+        # on numpy's global RNG nor change it
         s = make_state(smooth_profiles["xi-sq"], n_points=16)
         outs = []
         for seed in (1, 2):
