@@ -31,8 +31,8 @@ _SCHEMAS = {
             "backend": {"type": "string", "enum": ["galerkin", "pseudospectral"]},
             "n": {"type": "integer"},
             "eigenvalues": {"type": "array", "items": {"type": "number"}},
-            "truncation_estimate": {"type": "number"},
-            "n_trunc": {"type": "integer"},
+            "truncation_estimate": {"type": "number", "description": "error of R(N/2, N)"},
+            "n_trunc": {"type": "integer", "description": "largest size N solved"},
             "u_max": {"type": "number"},
             "m_points": {"type": "integer"},
         },
@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--n-trunc",
         type=int,
         default=1024,
-        help="Galerkin truncation (runs N and 2N, N <= 4096)",
+        help="largest Galerkin size N solved (a multiple of 8 to 4096; --n <= N/8)",
     )
     _add_common(p)
     p.set_defaults(func=_cmd_spectrum)
@@ -445,8 +445,7 @@ def main(argv=None) -> int:
         sys.stdout.write(json.dumps(_SCHEMAS, indent=2, sort_keys=True) + "\n")
         return 0
     if not getattr(args, "func", None):
-        ap.print_help()
-        return 2
+        return _report(ValueError("kab: a command is required"), "validation", 2)
     try:
         args.func(args)
     except (ValueError, OSError) as exc:

@@ -4,9 +4,10 @@ Two backends are provided: a Legendre-Galerkin truncation in the orthonormal
 basis Phat_n = sqrt(n + 1/2) P_n, and a Fourier pseudospectral grid in the
 variable u (x = tanh u) where the kinetic part G(p) is diagonal in frequency
 space and the potential is diagonal on the grid.  The pseudospectral operator
-is applied matrix-free by real FFT.  The lowest states of both backends come
-from one shifted Lanczos helper; the Galerkin backend also solves the size-N
-block densely, as its error estimate and as an interlacing check.
+is applied matrix-free by real FFT and its lowest states come from shifted
+Lanczos.  The Galerkin spectrum is a Richardson extrapolation of dense solves
+on the leading blocks of one size-N matrix, with the spread of successive
+extrapolations as its error estimate.
 """
 from __future__ import annotations
 
@@ -163,8 +164,8 @@ def _log_potential(w_plus: float, w_minus: float, n_trunc: int) -> np.ndarray:
 def galerkin_matrix(params: OperatorParams, n_trunc: int) -> np.ndarray:
     """Truncated matrix of K_{alpha,beta}: diag(2 h_n) + (1-a) L+ + (1-b) L-.
 
-    At most 8192 modes (a 512 MB matrix), so the solves at N and 2N
-    accept N <= 4096.
+    At most 8192 modes (a 512 MB matrix), so evolve_matrix's solves at N
+    and 2N accept N <= 4096.
     """
     if not 1 <= n_trunc <= 8192:
         raise ValueError(f"galerkin_matrix: n_trunc={n_trunc} must lie in [1, 8192]")
@@ -289,43 +290,42 @@ def galerkin_spectrum(
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Lowest eigenvalues of K_{alpha,beta} from the Galerkin backend.
 
-    Runs truncations N and 2N (N <= 4096); returns (eigenvalues at 2N,
-    per-eigenvalue truncation-error estimates |lam_2N - lam_N|).  The size-N
-    matrix is the leading block of the size-2N one: a dense solve of that
-    block gives lam_N, and shifted Lanczos (_lowest_eigenpairs) gives lam_2N.
-    By Cauchy interlacing lam_2N <= lam_N state by state; a state that
-    Lanczos missed breaks this and raises RuntimeError naming (alpha, beta,
-    N).  Raises ValueError when the spectrum is continuous, as the
-    pseudospectral backend does.
+    The |log(1 -+ x)|^d endpoint factors of the eigenfunctions make the
+    truncation error fall like m^-2 in the size m, so the fixed-order
+    Richardson step R(m, 2m) = (4 lam_2m - lam_m)/3 removes its leading term.
+    Dense solves of the leading blocks N/8, N/4, N/2 and N of one size-N
+    matrix give three neighbouring R.  Returns (R(N/2, N), per-state error
+    estimates max(|R(N/2, N) - R(N/4, N/2)|, |R(N/4, N/2) - R(N/8, N/4)|/4));
+    the second term covers a state whose successive R cross.  N = n_trunc is
+    a multiple of 8 in [8, 4096] and 1 <= n_eigs <= N/8.  Raises ValueError
+    when the spectrum is continuous, as the pseudospectral backend does.
     """
     params = OperatorParams(alpha, beta)
     params.require_discrete("galerkin_spectrum")
-    if not 1 <= n_trunc <= 4096:
-        raise ValueError(f"galerkin_spectrum: n_trunc={n_trunc} must lie in [1, 4096]")
-    if not 1 <= n_eigs <= n_trunc:
+    if not (8 <= n_trunc <= 4096 and n_trunc % 8 == 0):
         raise ValueError(
-            f"galerkin_spectrum: n_eigs={n_eigs} must lie in [1, n_trunc={n_trunc}]"
+            f"galerkin_spectrum: n_trunc={n_trunc} must be a multiple of 8 in [8, 4096]"
         )
-    mat = galerkin_matrix(params, 2 * n_trunc)
-    coarse = linalg.eigh(
-        mat[:n_trunc, :n_trunc], eigvals_only=True, subset_by_index=[0, n_eigs - 1]
-    )
-    # interlacing puts lam_2N[0] - shift at or below 1, and near 1 while the
-    # truncation error is small
-    fine, _ = _lowest_eigenpairs(mat, n_eigs, coarse[0] - 1.0)
-    if np.any(fine > coarse + 1e-10 * np.maximum(1.0, np.abs(coarse))):
-        raise RuntimeError(
-            f"galerkin_spectrum: Lanczos missed a state at alpha={alpha}, "
-            f"beta={beta}, N={n_trunc} (its size-2N eigenvalues exceed the "
-            "size-N ones)"
+    if not 1 <= n_eigs <= n_trunc // 8:
+        raise ValueError(
+            f"galerkin_spectrum: n_eigs={n_eigs} must lie in [1, n_trunc/8] = "
+            f"[1, {n_trunc // 8}] at n_trunc={n_trunc}"
         )
-    return tuple(map(float, fine)), tuple(map(float, np.abs(fine - coarse)))
+    mat = galerkin_matrix(params, n_trunc)
+    lam = [
+        linalg.eigh(mat[:m, :m], eigvals_only=True, subset_by_index=[0, n_eigs - 1])
+        for m in (n_trunc // 8, n_trunc // 4, n_trunc // 2, n_trunc)
+    ]
+    r1, r2, r3 = ((4.0 * fine - coarse) / 3.0 for coarse, fine in zip(lam, lam[1:]))
+    est = np.maximum(np.abs(r3 - r2), 0.25 * np.abs(r2 - r1))
+    return tuple(map(float, r3)), tuple(map(float, est))
 
 
 def _lowest_eigenpairs(
-    op: np.ndarray | LinearOperator, n_eigs: int, shift: float
+    op: LinearOperator, n_eigs: int, shift: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest n_eigs eigenpairs of the symmetric op, ascending.
+    """Lowest n_eigs eigenpairs of the symmetric matrix-free op (the
+    pseudospectral operator), ascending.
 
     ARPACK's implicitly restarted Lanczos runs on op - shift I from a fixed
     generic start vector: the default start is random, and a symmetric one

@@ -188,7 +188,7 @@ def big_g_inverse(y: float | np.ndarray) -> float | np.ndarray:
     for y < G(0).
     """
     scalar = np.isscalar(y)
-    ya = np.atleast_1d(np.asarray(y, dtype=float))
+    ya = np.asarray(y, dtype=float).ravel()  # flat indices below; reshaped on return
     _check_finite("big_g_inverse", y=ya)
     if np.any(ya < BIG_G_MIN - 1e-12):
         raise ValueError(
@@ -208,7 +208,7 @@ def big_g_inverse(y: float | np.ndarray) -> float | np.ndarray:
     active = np.flatnonzero(np.abs(f_best) > tol)
     for _ in range(_ILLINOIS_MAX_STEPS):
         if active.size == 0:
-            return float(p[0]) if scalar else p
+            return float(p[0]) if scalar else p.reshape(np.shape(y))
         a, b, fa, fb = lo[active], hi[active], f_lo[active], f_hi[active]
         c = b - fb * (b - a) / (fb - fa)
         fc = big_g(c) - ya[active]

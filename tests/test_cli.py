@@ -89,8 +89,9 @@ class TestSpectrum:
         assert abs(0.5 * float(rows[0][1]) - 0.2332) < 5e-3
 
     def test_galerkin_truncation_estimate(self):
-        # the largest |lam_2N - lam_N| at 3 significant digits, in the JSON
-        # document and the CSV header, identical over repeated runs
+        # the largest estimated error of the extrapolated eigenvalues at 3
+        # significant digits, in the JSON document and the CSV header,
+        # identical over repeated runs
         args = ("spectrum", "--alpha", "0.7", "--beta", "1.9", "--n", "4",
                 "--backend", "galerkin", "--n-trunc", "128")
         a = run_cli(*args, "--format", "json")
@@ -134,7 +135,28 @@ class TestSpectrum:
         assert res.returncode == 2
         err = json.loads(res.stderr)
         assert err["kind"] == "validation"
-        assert "n_trunc=5000 must lie in [1, 4096]" in err["error"]
+        assert "n_trunc=5000 must be a multiple of 8 in [8, 4096]" in err["error"]
+
+    @pytest.mark.parametrize(
+        "size_args,names",
+        [
+            (("--n-trunc", "100"), ["n_trunc=100", "multiple of 8"]),
+            (("--n", "20", "--n-trunc", "128"), ["n_eigs=20", "n_trunc=128", "[1, 16]"]),
+        ],
+    )
+    def test_galerkin_bounds_exit_2(self, capsys, size_args, names):
+        # n_trunc a multiple of 8 and n <= n_trunc/8: the smallest of the four
+        # blocks solved holds every state asked for
+        from kab.cli import main
+
+        argv = ["spectrum", "--alpha", "2", "--beta", "2", "--backend", "galerkin"]
+        assert main([*argv, *size_args]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["kind"] == "validation"
+        for name in names:
+            assert name in doc["error"]
 
     def test_invalid_params_exit_2(self):
         res = run_cli("spectrum", "--alpha", "-1", "--beta", "1")
@@ -494,5 +516,11 @@ class TestSchemaAndErrors:
         assert out.startswith("usage: kab") and err == ""
 
     def test_no_command_exit_2(self):
+        # like every other validation error: one JSON object on stderr and
+        # nothing on stdout
         res = run_cli()
         assert res.returncode == 2
+        assert res.stdout == ""
+        err = json.loads(res.stderr)
+        assert err["kind"] == "validation"
+        assert "command is required" in err["error"]

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from numpy.polynomial import legendre as npleg
 from scipy import integrate, linalg, special
 
-from kab import operators
 from kab.operators import (
     OperatorParams,
     UGrid,
@@ -203,7 +202,8 @@ class TestGalerkin:
             galerkin_matrix(OperatorParams(2.0, 2.0), 8193)
         with pytest.raises(ValueError, match="n_trunc=0"):
             galerkin_matrix(OperatorParams(2.0, 2.0), 0)
-        for n_eigs in (0, 33):
+        # the smallest block, N/8 = 4, must hold every state asked for
+        for n_eigs in (0, 5, 33):
             with pytest.raises(ValueError, match=f"n_eigs={n_eigs}"):
                 galerkin_spectrum(2.0, 2.0, n_eigs, 32)
 
@@ -239,38 +239,45 @@ class TestGalerkinSpectrum:
         assert np.max(np.abs(np.array(vals) - 2.0 * harmonic_numbers(10))) < 1e-12
         assert max(est) < 1e-12
 
-    def test_interlacing_guard_catches_missed_state(self, monkeypatch):
-        # an eigensolver that drops the lowest pair passes the residual gate;
-        # Cauchy interlacing against the dense size-N solve catches it
-        real_eigsh = operators.eigsh
-
-        def drop_lowest(op, k, **kwargs):
-            vals, vecs = real_eigsh(op, k=k + 1, **kwargs)
-            order = np.argsort(vals)
-            return vals[order][1:], vecs[:, order][:, 1:]
-
-        monkeypatch.setattr(operators, "eigsh", drop_lowest)
-        with pytest.raises(RuntimeError, match=r"alpha=0\.7, beta=1\.9, N=64"):
-            galerkin_spectrum.__wrapped__(0.7, 1.9, 6, 64)
-
     @pytest.mark.parametrize(
-        "alpha,beta,n_eigs,n_trunc", [(0.7, 1.9, 32, 32), (2.0, 2.0, 1, 1), (1.0, 2.0, 1, 1)]
+        "alpha,beta,n_eigs,n_trunc", [(0.7, 1.9, 4, 32), (2.0, 2.0, 1, 8), (1.0, 2.0, 1, 8)]
     )
-    def test_small_truncations_match_dense(self, alpha, beta, n_eigs, n_trunc):
-        # n_eigs = n_trunc and the 2 x 2 problem against dense eigvalsh
-        mat = galerkin_matrix(OperatorParams(alpha, beta), 2 * n_trunc)
-        fine = linalg.eigvalsh(mat)[:n_eigs]
-        coarse = linalg.eigvalsh(mat[:n_trunc, :n_trunc])[:n_eigs]
+    def test_leading_blocks_match_dense(self, alpha, beta, n_eigs, n_trunc):
+        # n_eigs = N/8 and the smallest blocks (1, 2, 4, 8) against dense
+        # eigvalsh of the four leading blocks of one size-N matrix
+        mat = galerkin_matrix(OperatorParams(alpha, beta), n_trunc)
+        sizes = (n_trunc // 8, n_trunc // 4, n_trunc // 2, n_trunc)
+        lam = [linalg.eigvalsh(mat[:m, :m])[:n_eigs] for m in sizes]
+        r1, r2, r3 = ((4.0 * lam[j + 1] - lam[j]) / 3.0 for j in range(3))
+        est_ref = np.maximum(np.abs(r3 - r2), np.abs(r2 - r1) / 4.0)
         vals, est = galerkin_spectrum.__wrapped__(alpha, beta, n_eigs, n_trunc)
-        scale = np.maximum(1.0, np.abs(fine))
-        assert np.all(np.abs(np.array(vals) - fine) <= 1e-12 * scale)
-        assert np.all(np.abs(np.array(est) - np.abs(fine - coarse)) <= 1e-12 * scale)
+        scale = np.maximum(1.0, np.abs(r3))
+        assert np.all(np.abs(np.array(vals) - r3) <= 1e-12 * scale)
+        assert np.all(np.abs(np.array(est) - est_ref) <= 1e-12 * scale)
 
-    @pytest.mark.parametrize("n_trunc", [0, 4097, 5000])
+    @pytest.mark.parametrize("n_trunc", [0, 4097, 5000, 100])
     def test_size_bounds_name_callers_n(self, n_trunc):
-        # the solve runs at 2N, but the message names the N that was passed
-        with pytest.raises(ValueError, match=rf"n_trunc={n_trunc} must lie in \[1, 4096\]"):
+        # each Richardson step doubles the block size exactly
+        with pytest.raises(
+            ValueError, match=rf"n_trunc={n_trunc} must be a multiple of 8 in \[8, 4096\]"
+        ):
             galerkin_spectrum.__wrapped__(2.0, 2.0, 1, n_trunc)
+
+    @pytest.mark.parametrize("n_trunc", [256, 1024])
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        [(2.0, 2.0), (0.7, 1.9), (0.5, 3.0), (3.0, 0.5), (0.55, 0.6),
+         # successive Richardson values of state 9 (N = 1024) and state 2
+         # (N = 256) cross here, so |R(N/2,N) - R(N/4,N/2)| alone understates
+         # their errors 4.55x and 1.01x
+         (1.5083590452313518, 0.665992121742168)],
+    )
+    def test_estimate_bounds_error(self, alpha, beta, n_trunc):
+        # state by state against pseudospectral M = 4096, which agrees with
+        # M = 8192 to about 1e-13
+        ref = np.array(pseudospectral_spectrum(alpha, beta, 10, 40.0, 4096))
+        vals, est = galerkin_spectrum.__wrapped__(alpha, beta, 10, n_trunc)
+        assert np.all(np.abs(np.array(vals) - ref) <= np.array(est))
 
 
 class TestPseudospectral:

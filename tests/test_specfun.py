@@ -118,6 +118,14 @@ class TestBigG:
         assert all(type(p) is float for p in scalars)
         assert np.array_equal(big_g_inverse(y), scalars)
 
+    def test_inverse_on_2d_array(self):
+        # elementwise on any shape: a (levels x nodes) block keeps its shape
+        y = np.linspace(BIG_G_MIN, 30.0, 6).reshape(2, 3)
+        p = big_g_inverse(y)
+        assert p.shape == (2, 3)
+        assert np.array_equal(p.ravel(), big_g_inverse(y.ravel()))
+        assert np.array_equal(big_g_inverse(np.full((2, 3), 3.0)), np.full((2, 3), big_g_inverse(3.0)))
+
     @pytest.mark.parametrize("alpha,beta", [(2.0, 2.0), (0.7, 1.9)])
     def test_inverse_residual_on_bohr_sommerfeld_inputs(self, alpha, beta, monkeypatch):
         # every G^{-1} input of the Bohr-Sommerfeld solves for the two lowest
