@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wkb-table", help="closed-form WKB spectrum (kappa/2 scale)")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--n", type=int, default=10, help="number of rows")
+    p.add_argument("--n", type=int, default=10, help="number of rows (1 to 4096)")
     p.add_argument(
         "--bohr-sommerfeld",
         action="store_true",

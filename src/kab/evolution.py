@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy import special
 from scipy.linalg import eigh_tridiagonal
 
 from .operators import (
@@ -34,6 +35,7 @@ from .specfun import (
     CONSTANTS,
     _abel_rule,
     _clenshaw,
+    _gauss_nodes,
     lipatov_kappa,
 )
 
@@ -178,30 +180,26 @@ def mm_rhs(state: EvolutionState, xi: float) -> float:
       + integral_xi^1 d eta/(1-eta) [u(xi/eta) - u(xi)].
 
     Both integrands are finite at eta = 1 (the pole is subtracted); u is the
-    barycentric interpolant of the state.
+    barycentric interpolant of the state, a polynomial with u(0) = 0, so the
+    first integrand is a polynomial in eta, which Gauss-Legendre on
+    2 * points nodes integrates exactly; the second takes that rule in t,
+    eta = xi^t.
     """
     if not state.xi_grid[0] <= xi <= state.xi_grid[-1]:
         raise ValueError(
             f"mm_rhs: xi={xi} outside the interpolable range "
             f"[{state.xi_grid[0]:.3e}, {state.xi_grid[-1]:.3e}]"
         )
-    from scipy.integrate import quad
-
     f = state_interpolant(state)
     fx = float(f(xi))
-    cut = 1.0 - 1e-9
-
-    def integrand1(eta):
-        eta = min(eta, cut)
-        return (float(f(eta * xi)) / eta - fx) / (1.0 - eta)
-
-    def integrand2(eta):
-        eta = min(eta, cut)
-        return (float(f(min(xi / eta, 1.0))) - fx) / (1.0 - eta)
-
-    v1, _ = quad(integrand1, 0.0, 1.0, limit=200, epsabs=1e-10, epsrel=1e-10)
-    v2, _ = quad(integrand2, xi, 1.0, limit=200, epsabs=1e-10, epsrel=1e-10)
-    return v1 + v2
+    z, w = _gauss_nodes(2 * state.xi_grid.size)
+    t = 0.5 * (z + 1.0)
+    v1 = 0.5 * w @ ((f(t * xi) / t - fx) / (1.0 - t))
+    # d eta/(1 - eta) = -log(xi) xi^t dt/(1 - xi^t) = xi^t dt/(t exprel(t log xi))
+    s = t * math.log(xi)
+    eta = np.exp(s)
+    v2 = 0.5 * w @ (eta * (f(xi / eta) - fx) / (t * special.exprel(s)))
+    return float(v1 + v2)
 
 
 def _delta_tau(state: EvolutionState, tau_final: float) -> float:

@@ -17,6 +17,7 @@ from .specfun import (
     CONSTANTS,
     _check_finite,
     _gauss_nodes,
+    _illinois,
     _simpson_weights,
     big_g_inverse,
     phase_integral,
@@ -79,77 +80,67 @@ def wkb_eigenvalue(n: int, alpha: float, beta: float) -> float:
 # Bohr-Sommerfeld with exact G^{-1}
 
 
-def _turning_points(params: OperatorParams, level: float) -> tuple[float, float]:
-    """Solve V(u) = level on both sides of the potential minimum."""
-    from scipy.optimize import brentq
-
-    u_star = 0.5 * math.log(params.alpha / params.beta)
-    v_min = float(potential_v(u_star, params))
-    if level <= v_min:
-        raise RuntimeError(
-            f"bohr_sommerfeld_solve: level {level:.6g} at or below the potential "
-            f"minimum {v_min:.6g}; no classically allowed region"
-        )
-    # V grows like 2*alpha*|u| (left) and 2*beta*u (right)
-    span_l = (level - v_min) / (2.0 * params.alpha) + 5.0
-    span_r = (level - v_min) / (2.0 * params.beta) + 5.0
-    f = lambda u: float(potential_v(u, params)) - level
-    a = brentq(f, u_star - span_l, u_star, xtol=1e-13)
-    b = brentq(f, u_star, u_star + span_r, xtol=1e-13)
-    return a, b
-
-
 _BS_QUAD_N = 160
 
 
-def _bs_phase(params: OperatorParams, kappa_prime: float) -> float:
-    """(1/pi) * integral_a^b G^{-1}(kappa' - V(u)) du.
+def _bs_phase(params: OperatorParams, kappa_prime: np.ndarray) -> np.ndarray:
+    """(1/pi) * integral_a^b G^{-1}(kappa' - V(u)) du for each kappa' above the
+    well's bottom, between its turning points V(a) = V(b) = kappa' - G(0).
 
     The substitution u = m + w sin(theta) absorbs the square-root vanishing of
     the integrand at the turning points, so Gauss-Legendre in theta converges
     rapidly.
     """
-    a, b = _turning_points(params, kappa_prime - BIG_G_MIN)
-    mid = 0.5 * (a + b)
+    u_star = 0.5 * math.log(params.alpha / params.beta)
+    v_min = float(potential_v(u_star, params))
+    # V grows like 2*alpha*|u| (left) and 2*beta*u (right)
+    level = np.concatenate((kappa_prime, kappa_prime)) - BIG_G_MIN
+    side = np.repeat([-0.5 / params.alpha, 0.5 / params.beta], kappa_prime.size)
+    ends = u_star + side * (level - v_min) + 5.0 * np.sign(side)
+    roots = _illinois(
+        lambda u, idx: potential_v(u, params) - level[idx], np.full(level.size, u_star),
+        ends, v_min - level, potential_v(ends, params) - level, 0.0,
+        "bohr_sommerfeld_solve: turning points", x_tol=1e-13,
+    )
+    a, b = np.split(roots, 2)
     half = 0.5 * (b - a)
     x, w = _gauss_nodes(_BS_QUAD_N)
     theta = 0.5 * math.pi * x
-    u = mid + half * np.sin(theta)
-    arg = np.maximum(kappa_prime - potential_v(u, params), BIG_G_MIN)
-    p = big_g_inverse(arg)
-    return float(np.sum(w * p * np.cos(theta)) * half * 0.5 * math.pi / math.pi)
+    u = (0.5 * (a + b))[:, None] + half[:, None] * np.sin(theta)
+    p = big_g_inverse(np.maximum(kappa_prime[:, None] - potential_v(u, params), BIG_G_MIN))
+    return np.sum(w * p * np.cos(theta), axis=1) * half * 0.5
 
 
-def bohr_sommerfeld_solve(n: int, alpha: float, beta: float) -> float:
+def bohr_sommerfeld_solve(n, alpha: float, beta: float):
     """Solve the quantization condition integral_a^b G^{-1}(kappa' - V) du =
     pi (n + 1/2) with the exact numeric inverse of G and true turning points
     V(u) = kappa' - G(0); returns the eigenvalue on the kappa scale
     (kappa = kappa' + 2 gamma_E).
+
+    n is a non-negative integer or an integer array of them; the levels of
+    an array are solved together, each to the value it has alone.
     """
-    if n < 0:
-        raise ValueError("bohr_sommerfeld_solve: n must be >= 0")
+    na = np.asarray(n)
+    if not (np.issubdtype(na.dtype, np.integer) and np.all(na >= 0)):
+        raise ValueError(f"bohr_sommerfeld_solve: n={n!r} must be a non-negative integer")
+    _check_finite("bohr_sommerfeld_solve", alpha=alpha, beta=beta)
     if alpha <= 0 or beta <= 0:
         raise ValueError("bohr_sommerfeld_solve: alpha and beta must be positive")
-    from scipy.optimize import brentq
-
     params = OperatorParams(alpha, beta)
-    target = n + 0.5
-    guess = wkb_eigenvalue(n, alpha, beta) - 2.0 * _GAMMA
-    lo, hi = guess - 2.0, guess + 2.0
-    v_min = float(potential_v(0.5 * math.log(alpha / beta), params))
-    lo = max(lo, v_min + BIG_G_MIN + 1e-9)
-    while _bs_phase(params, lo) > target:
-        lo = max(0.5 * (lo + v_min + BIG_G_MIN), lo - 2.0)
-        if lo - (v_min + BIG_G_MIN) < 1e-12:
-            raise RuntimeError("bohr_sommerfeld_solve: failed to bracket from below")
-    tries = 0
-    while _bs_phase(params, hi) < target:
-        hi += 2.0
-        tries += 1
-        if tries > 40:
-            raise RuntimeError("bohr_sommerfeld_solve: failed to bracket from above")
-    kp = brentq(lambda s: _bs_phase(params, s) - target, lo, hi, xtol=1e-11)
-    return kp + 2.0 * _GAMMA
+    target = na.ravel() + 0.5
+    phase = lambda kp, idx: _bs_phase(params, kp) - target[idx]
+    # the phase vanishes at the bottom of the well and grows with kappa';
+    # the closed form, kappa'_n = kappa'_0 + 2 log(2n + 1), lies near the root
+    bottom = float(potential_v(0.5 * math.log(alpha / beta), params)) + BIG_G_MIN
+    kp0 = wkb_eigenvalue(0, alpha, beta) - 2.0 * _GAMMA
+    hi = np.maximum(kp0 + 2.0 * np.log(2.0 * target), bottom) + 1.0
+    f_hi = phase(hi, np.arange(target.size))
+    while np.any(short := f_hi < 0.0):
+        hi[short] += 1.0
+        f_hi[short] = phase(hi[short], np.flatnonzero(short))
+    kappa = 2.0 * _GAMMA + _illinois(phase, np.full(target.size, bottom), hi, -target,
+                                     f_hi, 1e-13, "bohr_sommerfeld_solve", x_tol=1e-13)
+    return float(kappa[0]) if na.ndim == 0 else kappa.reshape(na.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +171,13 @@ def semiclassical_wavefunction(n: int, alpha: float, beta: float, u):
     kappa'_n = kappa_n - 2 gamma_E.  A fixes unit norm on a wide u-grid
     (_sc_amplitude).
     """
+    _check_finite("semiclassical_wavefunction", alpha=alpha, beta=beta)
     if alpha <= 0 or beta <= 0:
         raise ValueError("semiclassical_wavefunction: parameters must be positive")
     kp = wkb_eigenvalue(n, alpha, beta) - 2.0 * _GAMMA
     amp = _sc_amplitude(alpha, beta, kp)
-    scalar = np.isscalar(u)
-    ua = np.atleast_1d(np.asarray(u, dtype=float))
-    vals = _sc_values(amp, alpha, beta, kp, ua)
-    return float(vals[0]) if scalar else vals
+    vals = _sc_values(amp, alpha, beta, kp, np.asarray(u, dtype=float))
+    return float(vals) if np.isscalar(u) else vals
 
 
 # ---------------------------------------------------------------------------
@@ -329,19 +319,15 @@ def wkb_table(
     with_bohr_sommerfeld: bool = False,
     reference=None,
 ) -> list[WkbSpectrumRow]:
-    """Rows (n, closed-form kappa_n, optional Bohr-Sommerfeld, optional ref)."""
-    if n_rows < 1:
-        raise ValueError(f"wkb_table: n_rows={n_rows} must be >= 1")
-    rows = []
-    for n in range(n_rows):
-        bs = bohr_sommerfeld_solve(n, alpha, beta) if with_bohr_sommerfeld else None
-        ref = None if reference is None else float(reference[n])
-        rows.append(
-            WkbSpectrumRow(
-                n=n,
-                kappa_closed_form=wkb_eigenvalue(n, alpha, beta),
-                kappa_bohr_sommerfeld=bs,
-                reference=ref,
-            )
-        )
-    return rows
+    """Rows (n, closed-form kappa_n, optional Bohr-Sommerfeld, optional ref)
+    for n < n_rows, 1 <= n_rows <= 4096."""
+    if not 1 <= n_rows <= 4096:
+        raise ValueError(f"wkb_table: n_rows={n_rows} must lie in [1, 4096]")
+    bs = [None] * n_rows
+    if with_bohr_sommerfeld:
+        bs = bohr_sommerfeld_solve(np.arange(n_rows), alpha, beta).tolist()
+    return [
+        WkbSpectrumRow(n, wkb_eigenvalue(n, alpha, beta), bs[n],
+                       None if reference is None else float(reference[n]))
+        for n in range(n_rows)
+    ]

@@ -171,21 +171,59 @@ def big_g(p: float | np.ndarray) -> float | np.ndarray:
 #: minimum of G, attained at p = 0: G(0) = -2 log 2 - 2 gamma_E
 BIG_G_MIN = -2.0 * CONSTANTS.log2 - 2.0 * CONSTANTS.euler_gamma
 
-#: the Illinois iteration converges with order 3^(1/3) ~ 1.44; on the
-#: Bohr-Sommerfeld inputs no element needs more than 33 steps
+#: the Illinois iteration converges with order 3^(1/3) ~ 1.44; Bohr-Sommerfeld
+#: levels 0-9 at (alpha, beta) = (2, 2), (1.3, 2.6), (0.7, 1.9), (1, 1), (0.5, 3)
+#: and (3, 0.5) take at most 21 steps for G^{-1} and 10 for a turning point or level
 _ILLINOIS_MAX_STEPS = 100
+
+
+def _illinois(f, a, b, fa, fb, f_tol, where: str, x_tol: float = 0.0) -> np.ndarray:
+    """Elementwise roots of f in the brackets [a, b] by the Illinois method
+    (Dowell & Jarratt, BIT 11, 1971).  f(x, idx) evaluates the functions of
+    the elements idx at x; their values fa at a and fb at b differ in sign.
+    Returns the point of least |f| among b and the iterates.  Each element
+    stops on its own, when that residual is within f_tol or its bracket has
+    closed to max(x_tol, one ulp), so a value does not depend on the batch;
+    one not stopped in _ILLINOIS_MAX_STEPS raises RuntimeError naming where."""
+    lo, hi, f_lo, f_hi = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    x, f_best = hi.copy(), f_hi.copy()
+    f_tol = np.broadcast_to(f_tol, x.shape)
+    active = np.flatnonzero(np.abs(f_best) > f_tol)
+    for _ in range(_ILLINOIS_MAX_STEPS):
+        if active.size == 0:
+            break
+        a, b, fa, fb = lo[active], hi[active], f_lo[active], f_hi[active]
+        c = b - fb * (b - a) / (fb - fa)
+        fc = f(c, active)
+        better = np.abs(fc) < np.abs(f_best[active])
+        x[active[better]] = c[better]
+        f_best[active[better]] = fc[better]
+        # the end on fc's side of the root is replaced; an end kept twice in
+        # a row has its residual halved, which stops regula falsi stalling
+        flip = np.signbit(fc) != np.signbit(fb)
+        lo[active] = np.where(flip, b, a)
+        f_lo[active] = np.where(flip, fb, 0.5 * fa)
+        hi[active], f_hi[active] = c, fc
+        done = (np.abs(f_best[active]) <= f_tol[active]) | (
+            np.abs(lo[active] - c) <= np.maximum(x_tol, np.spacing(c))
+        )
+        active = active[~done]
+    if active.size:
+        raise RuntimeError(
+            f"{where}: no convergence in {_ILLINOIS_MAX_STEPS} steps at element {active[0]}"
+        )
+    return x
 
 
 def big_g_inverse(y: float | np.ndarray) -> float | np.ndarray:
     """Return p >= 0 with G(p) = y, elementwise, to the rounding of G.
 
-    Illinois iteration (Dowell & Jarratt, BIT 11, 1971) on the bracket
-    [0, exp(y/2) + 1], whose upper end is doubled until it brackets the
-    root; G is smooth, even, and strictly increasing for p >= 0.  Each
-    element stops on its own, when its best residual is within one ulp of
-    |y| + 2 log 2 (the size of the terms G sums) or its bracket has closed
-    to adjacent doubles, so a value does not depend on the batch.  Raises
-    for y < G(0).
+    Illinois iteration (_illinois) on the bracket [0, exp(y/2) + 1], whose
+    upper end is doubled until it brackets the root; G is smooth, even, and
+    strictly increasing for p >= 0.  An element stops when its best
+    residual is within one ulp of |y| + 2 log 2 (the size of the terms G
+    sums) or its bracket has closed to adjacent doubles.  Raises for
+    y < G(0).
     """
     scalar = np.isscalar(y)
     ya = np.asarray(y, dtype=float).ravel()  # flat indices below; reshaped on return
@@ -194,41 +232,18 @@ def big_g_inverse(y: float | np.ndarray) -> float | np.ndarray:
         raise ValueError(
             f"big_g_inverse: y={ya.min()} below the minimum G(0)={BIG_G_MIN}"
         )
-    lo = np.zeros_like(ya)
     hi = np.exp(np.minimum(ya, 120.0) / 2.0) + 1.0
     f_hi = big_g(hi) - ya
     while np.any(short := f_hi < 0.0):
         hi[short] *= 2.0
         f_hi[short] = big_g(hi[short]) - ya[short]
     f_lo = BIG_G_MIN - ya
-    tol = np.spacing(np.abs(ya) + 2.0 * CONSTANTS.log2)
     # y at or below G(0) (within the 1e-12 slack above) has the root p = 0
-    p = np.where(f_lo >= 0.0, 0.0, hi)
-    f_best = np.where(f_lo >= 0.0, 0.0, f_hi)
-    active = np.flatnonzero(np.abs(f_best) > tol)
-    for _ in range(_ILLINOIS_MAX_STEPS):
-        if active.size == 0:
-            return float(p[0]) if scalar else p.reshape(np.shape(y))
-        a, b, fa, fb = lo[active], hi[active], f_lo[active], f_hi[active]
-        c = b - fb * (b - a) / (fb - fa)
-        fc = big_g(c) - ya[active]
-        better = np.abs(fc) < np.abs(f_best[active])
-        p[active[better]] = c[better]
-        f_best[active[better]] = fc[better]
-        # the end on fc's side of the root is replaced; an end kept twice in
-        # a row has its residual halved, which stops regula falsi stalling
-        flip = np.signbit(fc) != np.signbit(fb)
-        lo[active] = np.where(flip, b, a)
-        f_lo[active] = np.where(flip, fb, 0.5 * fa)
-        hi[active], f_hi[active] = c, fc
-        done = (np.abs(f_best[active]) <= tol[active]) | (
-            np.abs(lo[active] - c) <= np.spacing(c)
-        )
-        active = active[~done]
-    raise RuntimeError(
-        f"big_g_inverse: no convergence in {_ILLINOIS_MAX_STEPS} steps "
-        f"at y={ya[active[0]]!r}"
-    )
+    at_min = f_lo >= 0.0
+    p = _illinois(lambda c, idx: big_g(c) - ya[idx], np.zeros_like(ya),
+                  np.where(at_min, 0.0, hi), f_lo, np.where(at_min, 0.0, f_hi),
+                  np.spacing(np.abs(ya) + 2.0 * CONSTANTS.log2), "big_g_inverse")
+    return float(p[0]) if scalar else p.reshape(np.shape(y))
 
 
 def phase_integral(u, alpha: float, beta: float, kappa_prime: float):

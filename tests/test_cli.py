@@ -191,6 +191,41 @@ class TestWkbTable:
         assert abs(float(rows[0][3]) - 0.38785) < 5e-4
         assert abs(float(rows[1][2]) - 1.4343) < 1e-3
 
+    @pytest.mark.parametrize("n", ["0", "4097", "100000000"])
+    def test_row_count_bounded_exit_2(self, capsys, n):
+        # the table solves per row, so --n is capped like every other size;
+        # an unbounded --n once ran without output for more than 30 s
+        from kab.cli import main
+
+        argv = ["wkb-table", "--alpha", "2", "--beta", "2", "--n", n, "--bohr-sommerfeld"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["kind"] == "validation"
+        assert doc["error"] == f"wkb_table: n_rows={n} must lie in [1, 4096]"
+
+    @pytest.mark.parametrize(
+        "alpha,beta,column",
+        [
+            ("2", "2", ["0.3878514366", "1.423038799", "1.939413907", "2.278191085",
+                        "2.530624604", "2.731926272", "2.899373143", "3.042736155",
+                        "3.168083573", "3.279444007"]),
+            ("0.7", "1.9", ["-0.03517554113", "0.8561353816", "1.356985371",
+                            "1.692715273", "1.943968636", "2.14466922", "2.311766506",
+                            "2.454908003", "2.580106108", "2.691361059"]),
+        ],
+    )
+    def test_bohr_sommerfeld_column_frozen(self, capsys, alpha, beta, column):
+        # the printed 10-digit column, byte for byte, as the README command
+        # line has printed it since the column was introduced
+        from kab.cli import main
+
+        argv = ["wkb-table", "--alpha", alpha, "--beta", beta, "--bohr-sommerfeld"]
+        assert main(argv) == 0
+        _, _, rows = parse_csv(capsys.readouterr().out)
+        assert [r[3] for r in rows] == column
+
 
 class TestEigenfunction:
     def test_columns_and_overlap(self):
@@ -371,16 +406,27 @@ class TestBoundaryFit:
 
 
 class TestImport:
-    def test_cold_import_skips_heavy_scipy_subpackages(self):
-        # quadrature, interpolation and root finding are imported only by the
-        # functions that need them, so a cold command does not pay for them
-        heavy = ("scipy.integrate", "scipy.interpolate", "scipy.optimize")
-        code = f"import sys, kab.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    def test_scipy_optimize_and_integrate_never_imported(self):
+        # every root is found by the Illinois helper in kab.specfun and every
+        # integral by a fixed rule, so neither scipy.optimize nor
+        # scipy.integrate is ever imported: not on import, not by the
+        # Bohr-Sommerfeld table and not by the evolution equation's
+        # right-hand side; a fresh process, since the tests import them
+        code = (
+            "import sys\n"
+            "from kab.cli import main\n"
+            "from kab.evolution import EvolutionState, PROFILES, default_xi_grid, mm_rhs\n"
+            "assert main(['wkb-table', '--alpha', '2', '--beta', '2', '--bohr-sommerfeld']) == 0\n"
+            "xi = default_xi_grid(32)\n"
+            "mm_rhs(EvolutionState(0.0, xi, PROFILES['xi-sq'](xi)), 0.5)\n"
+            "print([m for m in ('scipy.integrate', 'scipy.interpolate', 'scipy.optimize')"
+            " if m in sys.modules])\n"
+        )
         res = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
         )
         assert res.returncode == 0, res.stderr
-        assert res.stdout.strip() == "[]"
+        assert res.stdout.splitlines()[-1] == "[]"
 
 
 class TestSchemaAndErrors:
@@ -503,6 +549,13 @@ class TestSchemaAndErrors:
         out, err = capsys.readouterr()
         assert out == ""
         assert json.loads(err)["error"] == "wkb_eigenvalue: alpha must be finite, got nan"
+        argv = ["wkb-table", "--alpha", "nan", "--beta", "2", "--bohr-sommerfeld"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"] == (
+            "bohr_sommerfeld_solve: alpha must be finite, got nan"
+        )
 
     @pytest.mark.parametrize("argv", [["--help"], ["evolve", "--help"]])
     def test_help_exit_0(self, capsys, argv):

@@ -6,6 +6,7 @@ independent backends, and exact preservation of a continuum eigenmode.
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,38 @@ class TestRhs:
         s = make_state(lambda t: t)
         with pytest.raises(ValueError):
             mm_rhs(s, 1e-8)
+
+    # adaptive quadrature (scipy.integrate.quad, tolerances 1e-10) of the
+    # two integrals on 96-point states evolved by evolve_spectral, at
+    # xi = xi_0 (the first grid point), 1e-3, 0.1, 0.5 and 0.999
+    RHS_REFERENCE = {
+        ("xi-sq", 0.5): [0.0011459790402304497, 0.003208115586302529,
+                         0.07233881504979897, 0.09648078428892756, 0.24607121248351513],
+        ("xi-sq", 2.5): [0.1918580333481067, 0.457244888957822, 4.122994304520347,
+                         7.309838357234817, 9.035651023209203],
+        ("xi-cube", 0.5): [0.00043275668301351046, 0.0012210160585625295,
+                           0.03204945520798436, 0.03615237791425445, 0.10264623145799617],
+        ("xi-cube", 2.5): [0.07651226789316903, 0.18246721069740623, 1.659496836034786,
+                           2.94701821057835, 3.6437732521438098],
+    }
+
+    @pytest.mark.parametrize("profile,tau", sorted(RHS_REFERENCE))
+    def test_matches_adaptive_quadrature(self, smooth_profiles, profile, tau):
+        # the fixed Gauss rules reproduce the adaptive values, small xi
+        # (where log(1/xi) stretches the second integral) included
+        s = evolve_spectral(make_state(smooth_profiles[profile]), tau)
+        xis = [float(s.xi_grid[0]), 1e-3, 0.1, 0.5, 0.999]
+        for xi, ref in zip(xis, self.RHS_REFERENCE[profile, tau]):
+            assert abs(mm_rhs(s, xi) - ref) <= 1e-9 * max(1.0, abs(ref))
+
+    def test_no_warning_on_fine_state(self, smooth_profiles):
+        # a fixed rule has no convergence to report; adaptive quadrature
+        # warned of roundoff on this 384-point state
+        s = evolve_spectral(make_state(smooth_profiles["xi-sq"], n_points=384), 2.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for xi in (float(s.xi_grid[0]), 1e-3, 0.1, 0.5, 0.999, 1.0):
+                assert math.isfinite(mm_rhs(s, xi))
 
 
 class TestValidation:

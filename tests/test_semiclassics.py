@@ -116,6 +116,68 @@ class TestBohrSommerfeld:
         with pytest.raises(ValueError):
             bohr_sommerfeld_solve(0, 2.0, -1.0)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, [0, -1], np.array([0.5]), True])
+    def test_rejects_non_integer_level(self, n):
+        # a level index is a non-negative integer; 2.5 once solved as if it
+        # were one
+        with pytest.raises(ValueError, match="bohr_sommerfeld_solve: n=.* must be a non-negative integer"):
+            bohr_sommerfeld_solve(n, 2.0, 2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        # the message names this function, not the OperatorParams it builds
+        with pytest.raises(ValueError, match="bohr_sommerfeld_solve: alpha must be finite"):
+            bohr_sommerfeld_solve(0, bad, 2.0)
+        with pytest.raises(ValueError, match="semiclassical_wavefunction: beta must be finite"):
+            semiclassical_wavefunction(0, 2.0, bad, 0.0)
+
+    @pytest.mark.parametrize("alpha,beta", [(2.0, 2.0), (0.7, 1.9), (3.0, 0.5)])
+    def test_levels_solved_together_are_bitwise(self, alpha, beta):
+        # every level stops on its own, so a level does not depend on the
+        # others solved with it
+        together = bohr_sommerfeld_solve(np.arange(10), alpha, beta)
+        assert together.shape == (10,)
+        for n in range(10):
+            alone = bohr_sommerfeld_solve(n, alpha, beta)
+            assert type(alone) is float
+            assert together[n] == alone
+
+    @pytest.mark.parametrize(
+        "alpha,beta,levels",
+        [
+            (2.0, 2.0, [0.7757028732772661, 2.846077597244591, 3.8788278130660627,
+                        4.556382169211823, 5.06124920721128, 5.463852543243087,
+                        5.798746285062455, 6.08547230953295, 6.336167146522175,
+                        6.55888801349377]),
+            (1.3, 2.6, [0.42510113397986005, 2.444093308297127, 3.4738086580294416,
+                        4.150805200144952, 4.655452886320294, 5.057947198753958,
+                        5.392779452367757, 5.679467775126705, 5.930138075034782,
+                        6.1528422441002535]),
+            (0.7, 1.9, [-0.07035108226100761, 1.7122707632368206, 2.713970742057387,
+                        3.385430546771202, 3.887937272908152, 4.289338439094804,
+                        4.623533011811638, 4.909816005237564, 5.160212215001815,
+                        5.382722118871673]),
+            (1.0, 1.0, [0.20790441634230328, 1.9886108373595817, 2.989714510258586,
+                        3.6607509687125486, 4.162947123425261, 4.564123930287802,
+                        4.898154358495008, 5.1843145017632475, 5.43461658669456,
+                        5.657052812209557]),
+            (0.5, 3.0, [-0.9115030404708768, 0.7623203039450442, 1.742039388132461,
+                        2.4087698503691177, 2.9097233926730173, 3.3104365631837984,
+                        3.644278249319412, 3.930364328952172, 4.180644329853053,
+                        4.403082952661636]),
+            (3.0, 0.5, [-0.9115030404708768, 0.7623203039450441, 1.7420393881324607,
+                        2.4087698503691177, 2.9097233926730173, 3.3104365631837984,
+                        3.6442782493194112, 3.930364328952172, 4.180644329853053,
+                        4.403082952661635]),
+        ],
+    )
+    def test_levels_frozen(self, alpha, beta, levels):
+        # levels 0-9 as a scalar Brent solve to xtol 1e-11 found them; V is
+        # symmetric under (alpha, beta, u) -> (beta, alpha, -u), so the last
+        # two pairs share a spectrum
+        got = bohr_sommerfeld_solve(np.arange(10), alpha, beta)
+        assert np.max(np.abs(got - levels)) <= 1e-12
+
 
 class TestSemiclassicalWavefunction:
     def test_decay_far_left(self):
