@@ -291,11 +291,7 @@ def _cmd_boundary_fit(args) -> None:
     u = nodes[keep]
     phi = vecs[keep, args.n] * np.cosh(u)
     d = semiclassics.fit_boundary_exponent(
-        None,
-        np.abs(phi),
-        args.beta,
-        kappa_prime=kp,
-        log_one_minus_x=semiclassics.stable_log_one_minus_x(u),
+        semiclassics.stable_log_one_minus_x(u), np.abs(phi), args.beta, kappa_prime=kp
     )
     exponents = semiclassics.boundary_exponents(args.alpha, args.beta)
     doc = {

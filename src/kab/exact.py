@@ -56,30 +56,25 @@ _ONE_MINUS_X2 = np.array([2.0 / 3.0, 0.0, -2.0 / 3.0])
 _ONE_PLUS_X = np.array([1.0, 1.0])
 
 
-@dataclass(frozen=True)
 class DiffOperatorL:
-    """The second order operator L = (1+x)L0 + a(1-x^2)d/dx + b(1+x).
+    """The second order operator L = (1+x)L0 + (1-x^2)d/dx - (1+x), the one
+    member of (1+x)L0 + a(1-x^2)d/dx + b(1+x) that commutes with K_{01}.
 
-    Commutation with K_{01} forces a = 1, b = -1.  The action on Legendre
-    polynomials is tridiagonal: L P_n = A_n P_{n+1} + B_n P_n + C_{n-1} P_{n-1}.
+    The action on Legendre polynomials is tridiagonal:
+    L P_n = A_n P_{n+1} + B_n P_n + C_{n-1} P_{n-1}.
     """
 
-    a: float = 1.0
-    b: float = -1.0
+    @staticmethod
+    def coeff_a(n: int) -> float:
+        """A_n = -(n+1)^3 / (2n+1)."""
+        return -((n + 1.0) ** 3) / (2.0 * n + 1.0)
 
-    def coeff_a(self, n: int) -> float:
-        """A_n = -(n+1)^3 / (2n+1) at (a, b) = (1, -1)."""
-        return (
-            -n * (n + 1.0) ** 2 - self.a * n * (n + 1.0) + self.b * (n + 1.0)
-        ) / (2.0 * n + 1.0)
-
-    def coeff_c(self, n: int) -> float:
-        """C_{n-1} for index n >= 1; equals -n^3 / (2n+1) at (1, -1)."""
+    @staticmethod
+    def coeff_c(n: int) -> float:
+        """C_{n-1} = -n^3 / (2n+1) for index n >= 1."""
         if n < 1:
             raise ValueError("coeff_c: defined for n >= 1")
-        return (
-            -(n**2) * (n + 1.0) + self.a * n * (n + 1.0) + self.b * n
-        ) / (2.0 * n + 1.0)
+        return -(n**3) / (2.0 * n + 1.0)
 
     @staticmethod
     def eigenvalue(k: float) -> float:
@@ -232,33 +227,15 @@ def conical_legendre(k: float, t: float) -> float:
 def hyp2f1_conical(k: float, z: float) -> complex:
     """F(1/2 + ik, 1/2 + ik; 1; z) for 0 <= z < 1.
 
-    Power series for z <= 0.75; closer to the unit argument the series is
-    only conditionally useful, so the value is routed through the conical
-    Legendre function via x^(-1/2-ik) P_{-1/2+ik}(2/x - 1) with x = 1 - z.
+    Pfaff's transformation (DLMF 15.8.1) makes it exactly the conical view
+    x^(-1/2-ik) P_{-1/2+ik}(2/x - 1) with x = 1 - z, at every z.
     """
     _check_finite("hyp2f1_conical", k=k, z=z)
-    if z < 0.0 or z >= 1.0:
+    if not 0.0 <= z < 1.0:
         raise ValueError(f"hyp2f1_conical: z={z} outside [0, 1)")
-    if z == 0.0:
-        return 1.0 + 0.0j
-    if z <= 0.75:
-        a = 0.5 + 1j * k
-        total = 1.0 + 0.0j
-        term = 1.0 + 0.0j
-        small = 0
-        for j in range(0, 100000):
-            term *= (a + j) * (a + j) / ((j + 1.0) * (j + 1.0)) * z
-            total += term
-            if abs(term) < 1e-16 * abs(total):
-                small += 1
-                if small >= 3:
-                    break
-            else:
-                small = 0
-        return total
     x = 1.0 - z
     p = conical_legendre(k, 2.0 / x - 1.0)
-    return p * np.exp((-0.5 - 1j * k) * math.log(x))
+    return complex(p * np.exp((-0.5 - 1j * k) * math.log(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -321,24 +298,25 @@ _FD5_D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 _FD5_D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 
 
-def _fd_derivs(phi, x: float, h: float):
-    """(phi(x), phi'(x), phi''(x)) by 5-point central differences of step h."""
+def _fd_derivs(phi, x: float):
+    """(phi(x), phi'(x), phi''(x)) by 5-point central differences, with the
+    endpoint-aware step h = 1e-3 (1 - |x|) that balances truncation against
+    roundoff in the second derivative."""
+    h = 1e-3 * (1.0 - abs(x))
     vals = np.array([phi(x + j * h) for j in (-2, -1, 0, 1, 2)])
     d1 = np.sum(_FD5_D1 * vals) / h
     d2 = np.sum(_FD5_D2 * vals) / (h * h)
     return vals[2], d1, d2
 
 
-def apply_L(phi, x: float, h: float | None = None) -> float:
+def apply_L(phi, x: float) -> float:
     """(L phi)(x) = (1+x)[(1-x^2)phi'' - 2x phi'] + (1-x^2)phi' - (1+x)phi.
 
-    Derivatives by 5-point central differences with an endpoint-aware step.
+    Derivatives by 5-point central differences (_fd_derivs).
     """
     if not -1.0 < x < 1.0:
         raise ValueError("apply_L: x must lie in (-1, 1)")
-    # balance truncation vs roundoff for the second derivative
-    hh = h if h is not None else 1e-3 * (1.0 - abs(x))
-    f, d1, d2 = _fd_derivs(phi, x, hh)
+    f, d1, d2 = _fd_derivs(phi, x)
     return (1.0 + x) * ((1.0 - x * x) * d2 - 2.0 * x * d1) + (1.0 - x * x) * d1 - (
         1.0 + x
     ) * f
@@ -395,7 +373,7 @@ def mm_commutator_projections(n: int) -> tuple[float, float]:
     return float(comm[n + 1]), float(comm[n - 1])
 
 
-def apply_ell(phi, x: float, form: str = "direct", h: float | None = None) -> complex:
+def apply_ell(phi, x: float, form: str = "direct") -> complex:
     """(ell phi)(x) with ell = i[-(1-x^2) d/dx + x].
 
     form='direct' uses that expression; form='factored' uses the equivalent
@@ -403,12 +381,11 @@ def apply_ell(phi, x: float, form: str = "direct", h: float | None = None) -> co
     """
     if not -1.0 < x < 1.0:
         raise ValueError("apply_ell: x must lie in (-1, 1)")
-    hh = h if h is not None else 1e-3 * (1.0 - abs(x))
     if form == "direct":
-        f, d1, _ = _fd_derivs(phi, x, hh)
+        f, d1, _ = _fd_derivs(phi, x)
         return 1j * (-(1.0 - x * x) * d1 + x * f)
     if form == "factored":
-        _, d1, _ = _fd_derivs(lambda t: math.sqrt(1.0 - t * t) * phi(t), x, hh)
+        _, d1, _ = _fd_derivs(lambda t: math.sqrt(1.0 - t * t) * phi(t), x)
         return -1j * math.sqrt(1.0 - x * x) * d1
     raise ValueError(f"apply_ell: unknown form {form!r}")
 
@@ -417,19 +394,14 @@ def apply_ell(phi, x: float, form: str = "direct", h: float | None = None) -> co
 # K00 = g(ell)
 
 
-def verify_g_of_ell(
-    phi,
-    x_grid,
-    u_max: float = 24.0,
-    m_points: int = 2048,
-) -> float:
+def verify_g_of_ell(phi, x_grid) -> float:
     """Max residual of K_{00} phi = g(ell) phi on the given x values.
 
     The right side is evaluated by mapping phi to Psi(u) = phi(tanh u)/cosh u,
-    applying the Fourier multiplier g(p) on a periodic u-grid, and mapping
-    back; the left side by apply_k_pointwise on phi(tanh u), one call for
-    all x.  phi must decay at the endpoints (plane-wave expandability),
-    which is checked.
+    applying the Fourier multiplier g(p) on a periodic u-grid of 2048 points
+    on [-24, 24], and mapping back; the left side by apply_k_pointwise on
+    phi(tanh u), one call for all x.  phi must decay at the endpoints
+    (plane-wave expandability), which is checked.
     """
     edge = 1.0 - 1e-8
     if max(abs(complex(phi(edge))), abs(complex(phi(-edge)))) > 1e-6:
@@ -437,10 +409,10 @@ def verify_g_of_ell(
     x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
     if np.any(np.abs(x_grid) >= 1):
         raise ValueError("verify_g_of_ell: x_grid must lie inside (-1, 1)")
-    grid = UGrid(u_max, m_points)
+    grid = UGrid(24.0, 2048)
     u = grid.nodes
     psi = np.asarray(phi(np.tanh(u)), dtype=float) / np.cosh(u)
-    chat = np.fft.fft(psi) / m_points
+    chat = np.fft.fft(psi) / grid.m_points
     mult = chat * g_dispersion(grid.frequencies)
     utarget = np.arctanh(x_grid)
     # spectral interpolation of the multiplied series at arbitrary u
@@ -585,13 +557,14 @@ def mehler_fock_inverse(coeffs: MehlerFockCoeffs, xi):
 # hyperbolic-plane identification
 
 
-def hyperbolic_similarity_check(k: float, r_grid, h: float = 5e-3) -> float:
+def hyperbolic_similarity_check(k: float, r_grid) -> float:
     """Max residual of (Delta_r + 1/4 + k^2) P_{-1/2+ik}(cosh r) = 0.
 
     Delta_r = d^2/dr^2 + coth(r) d/dr is the radial hyperbolic Laplacian; the
-    derivatives are taken by 5-point central differences, all stencil points
-    in one conical_legendre_grid call.
+    derivatives are taken by 5-point central differences of step 5e-3, all
+    stencil points in one conical_legendre_grid call.
     """
+    h = 5e-3
     r_grid = np.atleast_1d(np.asarray(r_grid, dtype=float))
     if np.any(r_grid <= 2 * h):
         raise ValueError("hyperbolic_similarity_check: r must exceed the stencil width")

@@ -208,16 +208,6 @@ def pseudospectral_matrix(params: OperatorParams, grid: UGrid) -> LinearOperator
     return LinearOperator((m, m), matvec=matvec, dtype=float)
 
 
-def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-8)[0]
-        if nz.size and col[nz[0]] < 0:
-            out[:, j] = -col
-    return out
-
-
 # apply_k_pointwise's rule in u = atanh y.  Its integrand decays at least like
 # e^(-|u|): the kernel falls like e^(-2|u|), phi grows at most like e^|u|.
 _U_CUT = 30.0  # so the cut costs below e^(-30) ~ 1e-13 of the integrand's scale
@@ -274,8 +264,7 @@ def synthesize(coeffs: np.ndarray, x) -> np.ndarray:
 def project(phi, n_trunc: int, quad_order: int | None = None) -> np.ndarray:
     """Coefficient array of a callable on (-1,1) on the first n_trunc
     orthonormal modes Phat_n = sqrt(n+1/2) P_n."""
-    q = quad_order or max(2 * n_trunc, 64)
-    x, w = np.polynomial.legendre.leggauss(q)
+    x, w = _gauss_nodes(quad_order or max(2 * n_trunc, 64))
     vals = phi(x)
     vander = npleg.legvander(x, n_trunc - 1) * np.sqrt(np.arange(n_trunc) + 0.5)
     return (vander * (w * vals)[:, None]).sum(axis=0)
@@ -321,51 +310,49 @@ def galerkin_spectrum(
     return tuple(map(float, r3)), tuple(map(float, est))
 
 
-def _lowest_eigenpairs(
-    op: LinearOperator, n_eigs: int, shift: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest n_eigs eigenpairs of the symmetric matrix-free op (the
-    pseudospectral operator), ascending.
-
-    ARPACK's implicitly restarted Lanczos runs on op - shift I from a fixed
-    generic start vector: the default start is random, and a symmetric one
-    would miss the odd states when alpha = beta.  With tol = 0 ARPACK accepts
-    a Ritz value theta only once its error bound falls below
-    eps max(eps^(2/3), |theta|), which a state at theta ~ 0 can miss, so the
-    caller picks the shift to put the wanted eigenvalues of op - shift I at
-    about 1 or above.  Each pair must satisfy
-    ||op v - lam v|| <= 1e-8 max(1, max |lam|).
-    """
-    shifted = LinearOperator(op.shape, matvec=lambda x: op @ x - shift * x, dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(op.shape[0])
-    vals, vecs = eigsh(shifted, k=n_eigs, which="SA", tol=0, v0=v0)
-    order = np.argsort(vals)
-    vals, vecs = vals[order] + shift, vecs[:, order]
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    resid = np.linalg.norm(op @ vecs - vecs * vals, axis=0)
-    if np.any(resid > 1e-8 * scale):
-        raise RuntimeError(f"Lanczos: eigenpair residual {resid.max():.3e} exceeds tolerance")
-    return vals, vecs
+#: cells of the (2 n_eigs + 1) x M Lanczos basis one solve may hold: as many
+#: as galerkin_matrix's largest matrix, 8192^2 (512 MB)
+_LANCZOS_CELLS = 1 << 26
 
 
 def _pseudospectral_solve(
     alpha: float, beta: float, n_eigs: int, u_max: float, m_points: int
 ) -> tuple[UGrid, np.ndarray, np.ndarray]:
-    """Lowest n_eigs eigenpairs of G(p) + V(u), ascending and sign-fixed.
+    """Lowest n_eigs eigenpairs of G(p) + V(u), ascending; each vector's
+    first entry above 1e-8 in modulus is positive.
 
-    G >= G(0) and V is diagonal, so G(0) + min V - 1 lies at least 1 below
-    the spectrum; it is the Lanczos shift.
+    ARPACK's implicitly restarted Lanczos runs on G + V - shift I from a
+    fixed generic start vector (the default start is random, and a symmetric
+    one would miss the odd states when alpha = beta).  With tol = 0 ARPACK
+    accepts a Ritz value theta only once its error bound falls below
+    eps max(eps^(2/3), |theta|), which a state at theta ~ 0 can miss; G >=
+    G(0) and V is diagonal, so the shift G(0) + min V - 1 puts the spectrum
+    at 1 or above.  Each pair must satisfy ||h v - lam v|| <= 1e-8 max(1,
+    max |lam|).  The Lanczos basis holds 2 n_eigs + 1 vectors of M points,
+    at most _LANCZOS_CELLS cells.
     """
     params = OperatorParams(alpha, beta)
     grid = UGrid(u_max, m_points)
-    if not 1 <= n_eigs < m_points:
+    largest = min(m_points - 1, (_LANCZOS_CELLS // m_points - 1) // 2)
+    if not 1 <= n_eigs <= largest:
         raise ValueError(
-            f"pseudospectral: n_eigs={n_eigs} must lie in [1, m_points={m_points})"
+            f"pseudospectral: n_eigs={n_eigs} must lie in [1, {largest}] "
+            f"at m_points={m_points}"
         )
     h = pseudospectral_matrix(params, grid)
     shift = BIG_G_MIN + float(np.min(potential_v(grid.nodes, params))) - 1.0
-    vals, vecs = _lowest_eigenpairs(h, n_eigs, shift)
-    return grid, vals, _fix_signs(vecs)
+    shifted = LinearOperator(h.shape, matvec=lambda x: h @ x - shift * x, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(m_points)
+    vals, vecs = eigsh(shifted, k=n_eigs, which="SA", tol=0, v0=v0)
+    order = np.argsort(vals)
+    vals, vecs = vals[order] + shift, vecs[:, order]
+    scale = max(1.0, float(np.max(np.abs(vals))))
+    resid = np.linalg.norm(h @ vecs - vecs * vals, axis=0)
+    if np.any(resid > 1e-8 * scale):
+        raise RuntimeError(f"Lanczos: eigenpair residual {resid.max():.3e} exceeds tolerance")
+    # a unit vector has an entry of at least M^(-1/2) > 1e-8, so each has one
+    first = vecs[np.argmax(np.abs(vecs) > 1e-8, axis=0), np.arange(n_eigs)]
+    return grid, vals, np.where(first < 0.0, -vecs, vecs)
 
 
 @lru_cache(maxsize=32)

@@ -13,6 +13,7 @@ from scipy import special
 
 from .operators import OperatorParams, potential_v
 from .specfun import (
+    _BLOCK_CELLS,
     BIG_G_MIN,
     CONSTANTS,
     _check_finite,
@@ -203,31 +204,19 @@ _WINDOW_FACTOR = 3.0
 
 
 def fit_boundary_exponent(
-    x,
-    phi_abs,
-    beta: float,
-    kappa_prime: float = 0.0,
-    log_one_minus_x=None,
+    log_one_minus_x, phi_abs, beta: float, kappa_prime: float = 0.0
 ) -> float:
     """Least-squares slope of log|phi| against log|log(1-x)| near x = 1.
 
-    Samples are filtered to the asymptotic window |log(1-x)| >= _WINDOW_FACTOR
-    * (|kappa'|/beta + 1); at least 10 must survive.  Pass log_one_minus_x
-    when 1 - x underflows in double precision (x from tanh of a large u).
+    The samples come as log(1 - x), which stays finite where 1 - x
+    underflows (stable_log_one_minus_x of u for x = tanh u).  They are
+    filtered to the asymptotic window |log(1-x)| >= _WINDOW_FACTOR *
+    (|kappa'|/beta + 1); at least 10 must survive.
     """
     if beta <= 0:
         raise ValueError("fit_boundary_exponent: beta must be positive")
     phi_abs = np.abs(np.asarray(phi_abs, dtype=float))
-    if log_one_minus_x is None:
-        xa = np.asarray(x, dtype=float)
-        if np.any(xa >= 1.0):
-            raise ValueError(
-                "fit_boundary_exponent: x rounds to 1; pass log_one_minus_x instead"
-            )
-        lg = np.log1p(-xa)
-    else:
-        lg = np.asarray(log_one_minus_x, dtype=float)
-    ell = np.abs(lg)
+    ell = np.abs(np.asarray(log_one_minus_x, dtype=float))
     threshold = _WINDOW_FACTOR * (abs(kappa_prime) / beta + 1.0)
     keep = (ell >= threshold) & (phi_abs > 0.0)
     if np.count_nonzero(keep) < 10:
@@ -268,7 +257,8 @@ def linear_potential_solution(
     only shifts u by log 2.
 
     Convergence is monitored by comparing tapers ending at p_max and 2 p_max;
-    disagreement beyond _TAPER_CHECK_TOL raises.
+    disagreement beyond _TAPER_CHECK_TOL raises.  The cosines go in blocks
+    of rows of at most _BLOCK_CELLS cells.
     """
     _check_finite("linear_potential_solution", beta=beta, kappa_prime=kappa_prime)
     if beta <= 0:
@@ -289,10 +279,13 @@ def linear_potential_solution(
         w[p >= cut] = 0.0
         return w
 
-    osc = np.cos(theta[None, :] - np.outer(ua, p))
     weight = _simpson_weights(p.size) * (h / 3.0)
-    full = osc @ (taper(p_end) * weight) / math.pi
-    half = osc @ (taper(p_max) * weight) / math.pi
+    tapers = np.column_stack((taper(p_end), taper(p_max))) * weight[:, None]
+    sums = np.empty((ua.size, 2))
+    step = max(1, _BLOCK_CELLS // p.size)
+    for j in range(0, ua.size, step):
+        sums[j : j + step] = np.cos(theta - np.outer(ua[j : j + step], p)) @ tapers
+    full, half = sums.T / math.pi
     gap = np.abs(full - half)
     bad = gap > _TAPER_CHECK_TOL
     if np.any(bad):

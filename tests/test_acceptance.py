@@ -186,8 +186,7 @@ def test_a10_boundary_exponents():
         u = nodes[keep]
         phi = np.abs(vecs[keep, 0] * np.cosh(u))
         fits[(alpha, beta)] = fit_boundary_exponent(
-            None, phi, beta, kappa_prime=kp,
-            log_one_minus_x=stable_log_one_minus_x(u),
+            stable_log_one_minus_x(u), phi, beta, kappa_prime=kp
         )
     errs = {
         ab: abs(fits[ab] - boundary_exponents(*ab).d_beta) for ab in fits

@@ -158,6 +158,26 @@ class TestSpectrum:
         for name in names:
             assert name in doc["error"]
 
+    def test_pseudospectral_count_bounded_exit_2(self, capsys, monkeypatch):
+        # --n 60000 on 65536 points would ask ARPACK for a ~63 GB basis; the
+        # solve refuses it before Lanczos starts
+        import kab.operators
+        from kab.cli import main
+
+        def eigsh(*args, **kwargs):
+            pytest.fail("eigsh called for an unbounded eigenpair count")
+
+        monkeypatch.setattr(kab.operators, "eigsh", eigsh)
+        argv = ["spectrum", "--alpha", "2", "--beta", "2", "--n", "60000",
+                "--m-points", "65536"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["kind"] == "validation"
+        for name in ("n_eigs=60000", "m_points=65536", "[1, 511]"):
+            assert name in doc["error"]
+
     def test_invalid_params_exit_2(self):
         res = run_cli("spectrum", "--alpha", "-1", "--beta", "1")
         assert res.returncode == 2

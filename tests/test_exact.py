@@ -38,16 +38,6 @@ from kab.specfun import lipatov_kappa
 
 
 class TestDiffOperatorL:
-    def test_closed_form_coefficients(self):
-        op = DiffOperatorL()
-        for n in range(1, 15):
-            assert op.coeff_a(n) == pytest.approx(
-                -((n + 1.0) ** 3) / (2.0 * n + 1.0), abs=1e-12
-            )
-            assert op.coeff_c(n) == pytest.approx(
-                -(n**3) / (2.0 * n + 1.0), abs=1e-12
-            )
-
     def test_tridiagonal_action(self):
         # L P_n has only the P_{n-1}, P_n, P_{n+1} components
         op = DiffOperatorL()

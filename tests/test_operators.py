@@ -31,7 +31,7 @@ from kab.operators import (
     synthesize,
 )
 from kab.exact import mm_eigenfunction
-from kab.specfun import CONSTANTS, big_g, lipatov_kappa
+from kab.specfun import CONSTANTS, _gauss_nodes, big_g, lipatov_kappa
 
 LOG2 = CONSTANTS.log2
 
@@ -363,6 +363,90 @@ class TestPseudospectralSolve:
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
 
+    # (alpha, beta, n_eigs, u_max, m_points) -> eigenvalues on the kappa
+    # scale, then per state the first entry above 1e-8 in modulus (the sign
+    # rule makes it positive) and the entry of largest modulus, all as hex
+    FROZEN = {
+        (2.0, 2.0, 4, 20.0, 128): (
+            ["0x1.dd9f7eba9de14p-2", "0x1.7194c6114e286p+1", "0x1.f0dde844ff516p+1",
+             "0x1.2458c04a02006p+2"],
+            [(12, "0x1.a4246abd52e01p-27", "0x1.d991365d84657p-2"),
+             (12, "0x1.b8b70d3a6538ep-27", "0x1.b4009f3723d71p-2"),
+             (0, "0x1.40326a136914fp-25", "-0x1.2a4aa18e2341ap-1"),
+             (9, "0x1.7ab56956cc518p-27", "0x1.11db966f1e994p-1")],
+        ),
+        (1.0, 2.0, 3, 30.0, 256): (
+            ["0x1.2ede11c059fc0p-6", "0x1.175747195892cp+1", "0x1.9994d04b487dep+1"],
+            [(50, "0x1.8f32739b297b3p-27", "0x1.7420cf874149cp-2"),
+             (47, "0x1.7127a83481255p-27", "-0x1.565fc2606b8c3p-2"),
+             (46, "0x1.712422a8a982bp-27", "-0x1.adf2d810ddb4ap-2")],
+        ),
+        (0.7, 1.9, 5, 40.0, 256): (
+            ["-0x1.0ea7d9e03430cp-2", "0x1.b4a094ae1d101p+0", "0x1.5c8a1902a60e4p+1",
+             "0x1.b1f103ed8fbd6p+1", "0x1.f221d39bebc08p+1"],
+            [(65, "0x1.9cb4c1434553bp-27", "0x1.951a701f423d7p-2"),
+             (62, "0x1.ba43b41193fe1p-27", "-0x1.6c3ff2e648a2ep-2"),
+             (60, "0x1.7b08b7c9eb6d9p-27", "-0x1.aa70c5f7c9b45p-2"),
+             (58, "0x1.83e9a49628a0ap-27", "0x1.afb25ebc2c085p-2"),
+             (23, "0x1.5cbd7641fa1a6p-27", "0x1.a2f48e1a5cf94p-2")],
+        ),
+        (3.0, 0.5, 2, 16.0, 64): (
+            ["-0x1.0efabeb30f197p+0", "0x1.772876a561a7ap-1"],
+            [(0, "0x1.cd83730cac3cdp-22", "0x1.e8e71e1ceb746p-2"),
+             (0, "0x1.84152a4ae44b0p-20", "-0x1.b8819b1887f7ep-2")],
+        ),
+        (1.0, 1.0, 6, 40.0, 512): (
+            ["-0x1.a800000000000p-47", "0x1.fffffffffffa5p+0", "0x1.7ffffffffffecp+1",
+             "0x1.d555555555584p+1", "0x1.0aaaaaaaaaac4p+2", "0x1.244444444444ap+2"],
+            [(142, "0x1.60dc91e309644p-27", "0x1.1e3779b97f4aap-2"),
+             (139, "0x1.7e768aaa2a50ep-27", "-0x1.ee3e06583439ep-3"),
+             (137, "0x1.693da71bea130p-27", "-0x1.4000000000baep-2"),
+             (136, "0x1.6d98c525df64fp-27", "-0x1.3059696005cabp-2"),
+             (135, "0x1.629500fe889ffp-27", "0x1.41fe68f14aa61p-2"),
+             (135, "0x1.88010c91c7185p-27", "0x1.38082eafd46cfp-2")],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FROZEN))
+    def test_frozen_values_and_signs(self, case):
+        # both entry points return bitwise the values and sign-fixed vectors
+        # that the solve gave before its sign rule was vectorised
+        want_vals, want_cols = self.FROZEN[case]
+        spectrum = pseudospectral_spectrum.__wrapped__(*case)
+        nodes, kappas, vecs = pseudospectral_eigensystem.__wrapped__(*case)
+        assert [v.hex() for v in spectrum] == want_vals
+        assert [float(v).hex() for v in kappas] == want_vals
+        for j, (first, entry, peak) in enumerate(want_cols):
+            col = vecs[:, j]
+            assert np.flatnonzero(np.abs(col) > 1e-8)[0] == first
+            assert float(col[first]).hex() == entry
+            assert float(col[np.argmax(np.abs(col))]).hex() == peak
+
+    def test_eigenpair_count_bounded(self, monkeypatch):
+        # the Lanczos basis holds (2 n_eigs + 1) x M doubles; past 2^26 cells
+        # (galerkin_matrix's largest matrix) the solve is refused unstarted
+        import kab.operators
+
+        class Reached(Exception):
+            pass
+
+        def eigsh(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(kab.operators, "eigsh", eigsh)
+        solve = pseudospectral_spectrum.__wrapped__
+        with pytest.raises(Reached):
+            solve(2.0, 2.0, 511, 40.0, 65536)
+        with pytest.raises(Reached):
+            solve(2.0, 2.0, 4095, 40.0, 8192)
+        for n_eigs, m_points, largest in ((512, 65536, 511), (4096, 8192, 4095),
+                                          (60000, 65536, 511), (4096, 4096, 4095)):
+            with pytest.raises(ValueError) as info:
+                solve(2.0, 2.0, n_eigs, 40.0, m_points)
+            msg = str(info.value)
+            for part in (f"n_eigs={n_eigs}", f"m_points={m_points}", f"[1, {largest}]"):
+                assert part in msg
+
 
 class TestProjectSynthesize:
     @given(n=st.integers(0, 12))
@@ -371,6 +455,22 @@ class TestProjectSynthesize:
         c = np.zeros(16)
         c[n] = 1.0
         coeffs = project(lambda x: synthesize(c, x), 16)
+        assert np.max(np.abs(coeffs - c)) < 1e-12
+
+    def test_nodes_from_cached_rule(self, monkeypatch):
+        # project takes its rule from the one cached Gauss-Legendre source
+        import kab.operators
+
+        orders = []
+
+        def counted(n):
+            orders.append(n)
+            return _gauss_nodes(n)
+
+        monkeypatch.setattr(kab.operators, "_gauss_nodes", counted)
+        c = np.arange(1.0, 9.0)
+        coeffs = project(lambda x: synthesize(c, x), 8, quad_order=40)
+        assert orders == [40]
         assert np.max(np.abs(coeffs - c)) < 1e-12
 
 
