@@ -2,16 +2,16 @@
 WKB tables, eigenfunctions, transforms, evolution runs and boundary fits.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.  Errors are
-reported as JSON on stderr.  Resolution defaults can be overridden with the
-environment variables KAB_U_MAX and KAB_M_POINTS.
+reported as JSON on stderr.  The command line is the whole input: no
+environment variable is read.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -110,31 +110,15 @@ def _csv(header_meta: dict, columns: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _resolution(args) -> tuple[float, int]:
-    u_max = args.u_max if args.u_max is not None else float(
-        os.environ.get("KAB_U_MAX", 40.0)
-    )
-    m = args.m_points if args.m_points is not None else int(
-        os.environ.get("KAB_M_POINTS", 2048)
-    )
-    return u_max, m
-
-
 def _cmd_table1(args) -> None:
-    u_max, m = _resolution(args)
-    ref = operators.pseudospectral_spectrum(2.0, 2.0, 10, u_max=u_max, m_points=m)
-    rows = []
-    for n in range(10):
-        rows.append(
-            (
-                n,
-                0.5 * ref[n],
-                0.5 * semiclassics.wkb_eigenvalue(n, 2.0, 2.0),
-                operators.harmonic(n),
-                0.5 * semiclassics.wkb_eigenvalue(n, 1.0, 1.0),
-            )
-        )
-    meta = {"command": "table1", "u_max": u_max, "m_points": m}
+    ref = operators.pseudospectral_spectrum(2.0, 2.0, 10, args.u_max, args.m_points)
+    wkb = semiclassics.wkb_eigenvalue
+    rows = [
+        (n, 0.5 * ref[n], 0.5 * wkb(n, 2.0, 2.0), operators.harmonic(n),
+         0.5 * wkb(n, 1.0, 1.0))
+        for n in range(10)
+    ]
+    meta = {"command": "table1", "u_max": args.u_max, "m_points": args.m_points}
     _emit(args.output, _csv(meta, ["n", "numeric_22", "wkb_22", "h_n", "wkb_11"], rows))
 
 
@@ -153,11 +137,10 @@ def _cmd_spectrum(args) -> None:
         doc["truncation_estimate"] = float(f"{max(err):.3g}")
         doc["n_trunc"] = args.n_trunc
     else:
-        u_max, m = _resolution(args)
         vals = operators.pseudospectral_spectrum(
-            params.alpha, params.beta, n_eigs=args.n, u_max=u_max, m_points=m
+            params.alpha, params.beta, args.n, args.u_max, args.m_points
         )
-        doc.update(u_max=u_max, m_points=m)
+        doc.update(u_max=args.u_max, m_points=args.m_points)
     doc["eigenvalues"] = [float(f"{v:.10g}") for v in vals]
     if args.format == "json":
         _emit(args.output, json.dumps(doc, sort_keys=True) + "\n")
@@ -168,33 +151,17 @@ def _cmd_spectrum(args) -> None:
 
 
 def _cmd_wkb_table(args) -> None:
-    reference = None
-    if args.with_reference:
-        u_max, m = _resolution(args)
-        reference = operators.pseudospectral_spectrum(
-            args.alpha, args.beta, n_eigs=args.n, u_max=u_max, m_points=m
-        )
-    table = semiclassics.wkb_table(
-        args.alpha, args.beta, args.n, args.bohr_sommerfeld, reference
-    )
-
-    def half(v):
-        return None if v is None else 0.5 * v
-
+    table = semiclassics.wkb_table(args.alpha, args.beta, args.n, args.bohr_sommerfeld)
     rows = [
         (
             r.n,
-            half(r.reference),
             0.5 * r.kappa_closed_form,
-            half(r.kappa_bohr_sommerfeld),
+            None if r.kappa_bohr_sommerfeld is None else 0.5 * r.kappa_bohr_sommerfeld,
         )
         for r in table
     ]
     meta = {"command": "wkb-table", "alpha": args.alpha, "beta": args.beta}
-    _emit(
-        args.output,
-        _csv(meta, ["n", "reference", "wkb_closed_form", "bohr_sommerfeld"], rows),
-    )
+    _emit(args.output, _csv(meta, ["n", "wkb_closed_form", "bohr_sommerfeld"], rows))
 
 
 def _cmd_eigenfunction(args) -> None:
@@ -202,9 +169,8 @@ def _cmd_eigenfunction(args) -> None:
         raise ValueError(
             f"eigenfunction: --u-window={args.u_window} must be positive and finite"
         )
-    u_max, m = _resolution(args)
     nodes, kappas, vecs = operators.pseudospectral_eigensystem(
-        args.alpha, args.beta, args.n + 1, u_max, m
+        args.alpha, args.beta, args.n + 1, args.u_max, args.m_points
     )
     du = nodes[1] - nodes[0]
     psi_num = vecs[:, args.n] / math.sqrt(du)  # unit L2 norm on the line
@@ -220,8 +186,8 @@ def _cmd_eigenfunction(args) -> None:
         "beta": args.beta,
         "n": args.n,
         "kappa": float(f"{kappas[args.n]:.10g}"),
-        "u_max": u_max,
-        "m_points": m,
+        "u_max": args.u_max,
+        "m_points": args.m_points,
     }
     rows = list(zip(u, np.tanh(u), psi_num, psi_sc))
     _emit(args.output, _csv(meta, ["u", "x", "psi_numeric", "psi_semiclassical"], rows))
@@ -282,9 +248,8 @@ def _cmd_evolve(args) -> None:
 
 
 def _cmd_boundary_fit(args) -> None:
-    u_max, m = _resolution(args)
     nodes, kappas, vecs = operators.pseudospectral_eigensystem(
-        args.alpha, args.beta, args.n + 1, u_max, m
+        args.alpha, args.beta, args.n + 1, args.u_max, args.m_points
     )
     kp = kappas[args.n] - 2.0 * CONSTANTS.euler_gamma
     keep = (nodes >= args.fit_lo) & (nodes <= args.fit_hi)
@@ -311,13 +276,17 @@ def _add_common(p, *, resolution=True, fmt=True):
         p.add_argument("--format", choices=["csv", "json"], default="csv")
     if resolution:
         p.add_argument(
-            "--u-max", type=float, default=None, help="pseudospectral half-width in u"
+            "--u-max",
+            type=float,
+            default=40.0,
+            help="pseudospectral half-width in u (default %(default)s)",
         )
         p.add_argument(
             "--m-points",
             type=int,
-            default=None,
-            help="pseudospectral grid size (power of two, 64 to 65536)",
+            default=2048,
+            help="pseudospectral grid size (power of two, 64 to 65536; "
+            "default %(default)s)",
         )
 
 
@@ -372,12 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="add the unsimplified Bohr-Sommerfeld column (slower)",
     )
-    p.add_argument(
-        "--with-reference",
-        action="store_true",
-        help="add a pseudospectral reference column",
-    )
-    _add_common(p, fmt=False)
+    _add_common(p, resolution=False, fmt=False)
     p.set_defaults(func=_cmd_wkb_table)
 
     p = sub.add_parser(
@@ -443,11 +407,15 @@ def main(argv=None) -> int:
     if not getattr(args, "func", None):
         return _report(ValueError("kab: a command is required"), "validation", 2)
     try:
-        args.func(args)
+        with warnings.catch_warnings(record=True) as caught:
+            args.func(args)
     except (ValueError, OSError) as exc:
         return _report(exc, "validation", 2)
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         return _report(exc, "numerical", 3)
+    # an error report is the only line on stderr; a result keeps its warnings
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     return 0
 
 

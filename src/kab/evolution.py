@@ -159,15 +159,24 @@ def state_interpolant(state: EvolutionState):
     weights = np.exp(log_w - log_w.max())
     weights[-2::-2] *= -1.0
 
+    # the interpolant takes O(_BLOCK_CELLS) cells at a time.  gemv sums rows
+    # in groups (of 4 in OpenBLAS) and a lone row in another order, so a block
+    # holds a multiple of 16 points, the last at least 2: each sums as in one
+    points = max(16, step // 16 * 16)
+
     def interpolant(x):
         xa = np.asarray(x, dtype=float)
-        c = np.atleast_1d(xa)[..., None] - nodes
-        on_node = c == 0.0
-        c[on_node] = 1.0
-        np.divide(weights, c, out=c)
-        p = (c @ vals) / np.sum(c, axis=-1)
-        hit = np.nonzero(on_node)
-        p[hit[:-1]] = vals[hit[-1]]
+        flat = xa.ravel()
+        p = np.empty(flat.size)
+        for j in range(0, max(1, flat.size - 1), points):
+            end = flat.size if j + points >= flat.size - 1 else j + points
+            c = flat[j:end, None] - nodes
+            hit = np.nonzero(c == 0.0)
+            c[hit] = 1.0
+            np.divide(weights, c, out=c)
+            block = (c @ vals) / np.sum(c, axis=1)
+            block[hit[0]] = vals[hit[1]]
+            p[j:end] = block
         return p.reshape(xa.shape)
 
     return interpolant

@@ -359,9 +359,9 @@ def _pseudospectral_solve(
 def pseudospectral_spectrum(
     alpha: float,
     beta: float,
-    n_eigs: int = 10,
-    u_max: float = 40.0,
-    m_points: int = 4096,
+    n_eigs: int,
+    u_max: float,
+    m_points: int,
 ) -> tuple[float, ...]:
     """Lowest eigenvalues of G(p) + V(u), reported on the kappa scale
     (shifted back by kappa = kappa' + 2 gamma_E)."""
@@ -377,9 +377,13 @@ def pseudospectral_eigensystem(
     u_max: float,
     m_points: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u_nodes, kappa values, eigenvector columns) for the lowest states."""
+    """(u_nodes, kappa values, eigenvector columns) for the lowest states,
+    read-only: the cache hands the same arrays to every caller."""
     grid, vals, vecs = _pseudospectral_solve(alpha, beta, n_eigs, u_max, m_points)
-    return grid.nodes, vals + 2.0 * CONSTANTS.euler_gamma, vecs
+    out = grid.nodes, vals + 2.0 * CONSTANTS.euler_gamma, vecs
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 # coefficient_tail_warning: the trailing share of the coefficients checked,

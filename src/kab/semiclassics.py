@@ -45,7 +45,6 @@ class WkbSpectrumRow:
     n: int
     kappa_closed_form: float
     kappa_bohr_sommerfeld: float | None = None
-    reference: float | None = None
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,12 @@ def bohr_sommerfeld_solve(n, alpha: float, beta: float):
     hi = np.maximum(kp0 + 2.0 * np.log(2.0 * target), bottom) + 1.0
     f_hi = phase(hi, np.arange(target.size))
     while np.any(short := f_hi < 0.0):
-        hi[short] += 1.0
+        grown = hi[short] + 1.0
+        if np.any(grown == hi[short]):
+            # V's offset -(alpha + beta) log 2 has outgrown the level spacing
+            raise RuntimeError(f"bohr_sommerfeld_solve: kappa'={hi[short][0]:.6g} "
+                               f"absorbs a step of 1 at alpha={alpha:g}, beta={beta:g}")
+        hi[short] = grown
         f_hi[short] = phase(hi[short], np.flatnonzero(short))
     kappa = 2.0 * _GAMMA + _illinois(phase, np.full(target.size, bottom), hi, -target,
                                      f_hi, 1e-13, "bohr_sommerfeld_solve", x_tol=1e-13)
@@ -233,15 +237,12 @@ def fit_boundary_exponent(
 
 # the largest disagreement of the two tapered integrals that passes
 _TAPER_CHECK_TOL = 1e-5
+# the shorter taper's end and the step in p (the longer taper ends at 2 _P_MAX)
+_P_MAX = 160.0
+_DP = 0.002
 
 
-def linear_potential_solution(
-    beta: float,
-    kappa_prime: float,
-    u,
-    p_max: float = 160.0,
-    dp: float = 0.002,
-):
+def linear_potential_solution(beta: float, kappa_prime: float, u):
     """The decaying solution of the exact linear-potential model
     (2 Re psi((1+ip)/2) - kappa' + 2 beta u) Psi = 0 via its Fourier
     representation.
@@ -256,17 +257,17 @@ def linear_potential_solution(
     with y = exp(-u + kappa'/2); keeping the 2 log 2 inside G instead
     only shifts u by log 2.
 
-    Convergence is monitored by comparing tapers ending at p_max and 2 p_max;
-    disagreement beyond _TAPER_CHECK_TOL raises.  The cosines go in blocks
-    of rows of at most _BLOCK_CELLS cells.
+    Convergence is monitored by comparing tapers ending at _P_MAX and
+    2 _P_MAX; disagreement beyond _TAPER_CHECK_TOL raises.  The cosines go in
+    blocks of rows of at most _BLOCK_CELLS cells.
     """
     _check_finite("linear_potential_solution", beta=beta, kappa_prime=kappa_prime)
     if beta <= 0:
         raise ValueError("linear_potential_solution: beta must be positive")
     scalar = np.isscalar(u)
     ua = np.atleast_1d(np.asarray(u, dtype=float))
-    p_end = 2.0 * p_max
-    m = int(round(p_end / dp))
+    p_end = 2.0 * _P_MAX
+    m = int(round(p_end / _DP))
     p = np.linspace(0.0, p_end, m + 1)
     h = p[1] - p[0]
     lg = special.loggamma(0.5 + 0.5j * p)
@@ -280,7 +281,7 @@ def linear_potential_solution(
         return w
 
     weight = _simpson_weights(p.size) * (h / 3.0)
-    tapers = np.column_stack((taper(p_end), taper(p_max))) * weight[:, None]
+    tapers = np.column_stack((taper(p_end), taper(_P_MAX))) * weight[:, None]
     sums = np.empty((ua.size, 2))
     step = max(1, _BLOCK_CELLS // p.size)
     for j in range(0, ua.size, step):
@@ -294,9 +295,9 @@ def linear_potential_solution(
         if np.count_nonzero(bad) > 8:
             listed += f", ... ({np.count_nonzero(bad)} in all)"
         raise RuntimeError(
-            f"linear_potential_solution: tapered integrals at p_max={p_max:g} and "
+            f"linear_potential_solution: tapered integrals ending at p = {_P_MAX:g} and "
             f"{p_end:g} differ by more than {_TAPER_CHECK_TOL:g} at u = [{listed}], "
-            f"worst at u = {ua[worst]:g} ({gap[worst]:.3e}); increase p_max"
+            f"worst at u = {ua[worst]:g} ({gap[worst]:.3e})"
         )
     return float(full[0]) if scalar else full
 
@@ -306,21 +307,15 @@ def linear_potential_solution(
 
 
 def wkb_table(
-    alpha: float,
-    beta: float,
-    n_rows: int,
-    with_bohr_sommerfeld: bool = False,
-    reference=None,
+    alpha: float, beta: float, n_rows: int, with_bohr_sommerfeld: bool = False
 ) -> list[WkbSpectrumRow]:
-    """Rows (n, closed-form kappa_n, optional Bohr-Sommerfeld, optional ref)
-    for n < n_rows, 1 <= n_rows <= 4096."""
+    """Rows (n, closed-form kappa_n, optional Bohr-Sommerfeld) for n < n_rows,
+    1 <= n_rows <= 4096."""
     if not 1 <= n_rows <= 4096:
         raise ValueError(f"wkb_table: n_rows={n_rows} must lie in [1, 4096]")
     bs = [None] * n_rows
     if with_bohr_sommerfeld:
         bs = bohr_sommerfeld_solve(np.arange(n_rows), alpha, beta).tolist()
     return [
-        WkbSpectrumRow(n, wkb_eigenvalue(n, alpha, beta), bs[n],
-                       None if reference is None else float(reference[n]))
-        for n in range(n_rows)
+        WkbSpectrumRow(n, wkb_eigenvalue(n, alpha, beta), bs[n]) for n in range(n_rows)
     ]

@@ -44,7 +44,11 @@ CONSTANTS = Constants()
 
 @lru_cache(maxsize=16)
 def _gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+    """Read-only Gauss-Legendre rule: every caller shares the cached arrays."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 #: Gauss-Legendre nodes per Abel integral, in w = sqrt(t - x)

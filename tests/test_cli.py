@@ -57,12 +57,6 @@ class TestTable1:
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
-    def test_resolution_env_override(self):
-        res = run_cli("table1", env_extra={"KAB_U_MAX": "30", "KAB_M_POINTS": "1024"})
-        meta, _, _ = parse_csv(res.stdout)
-        assert meta["u_max"] == 30.0
-        assert meta["m_points"] == 1024
-
 
 class TestSpectrum:
     def test_json_output(self):
@@ -186,16 +180,25 @@ class TestSpectrum:
 
     def test_huge_grid_exit_2_promptly(self):
         # the grid is bounded, so an absurd size is refused before any work
-        for args, env in (
-            (("--m-points", "1073741824"), None),
-            ((), {"KAB_M_POINTS": "1073741824"}),
-        ):
-            res = run_cli(
-                "spectrum", "--alpha", "2", "--beta", "2", *args,
-                env_extra=env, timeout=10,
-            )
-            assert res.returncode == 2
-            assert json.loads(res.stderr)["kind"] == "validation"
+        res = run_cli(
+            "spectrum", "--alpha", "2", "--beta", "2", "--m-points", "1073741824",
+            timeout=10,
+        )
+        assert res.returncode == 2
+        assert json.loads(res.stderr)["kind"] == "validation"
+
+    def test_resolution_env_ignored(self, capsys, monkeypatch):
+        # argv is the whole input: the resolution comes from the options and
+        # their defaults, never from the environment
+        from kab.cli import main
+
+        monkeypatch.setenv("KAB_M_POINTS", "1024")
+        monkeypatch.setenv("KAB_U_MAX", "30")
+        argv = ["spectrum", "--alpha", "2", "--beta", "2", "--n", "2", "--format", "json"]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["m_points"] == 2048
+        assert doc["u_max"] == 40.0
 
 
 class TestWkbTable:
@@ -206,10 +209,20 @@ class TestWkbTable:
         )
         assert res.returncode == 0
         _, columns, rows = parse_csv(res.stdout)
-        assert columns == ["n", "reference", "wkb_closed_form", "bohr_sommerfeld"]
-        assert rows[0][1] == ""  # no reference requested
-        assert abs(float(rows[0][3]) - 0.38785) < 5e-4
-        assert abs(float(rows[1][2]) - 1.4343) < 1e-3
+        assert columns == ["n", "wkb_closed_form", "bohr_sommerfeld"]
+        col = {name: [r[j] for r in rows] for j, name in enumerate(columns)}
+        assert abs(float(col["bohr_sommerfeld"][0]) - 0.38785) < 5e-4
+        assert abs(float(col["wkb_closed_form"][1]) - 1.4343) < 1e-3
+
+    def test_with_reference_refused_exit_2(self, capsys):
+        # the numerical spectrum is kab spectrum's (and table1's) output; the
+        # WKB table has no reference column
+        from kab.cli import main
+
+        assert main(["wkb-table", "--alpha", "2", "--beta", "2", "--with-reference"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["kind"] == "validation"
 
     @pytest.mark.parametrize("n", ["0", "4097", "100000000"])
     def test_row_count_bounded_exit_2(self, capsys, n):
@@ -243,8 +256,9 @@ class TestWkbTable:
 
         argv = ["wkb-table", "--alpha", alpha, "--beta", beta, "--bohr-sommerfeld"]
         assert main(argv) == 0
-        _, _, rows = parse_csv(capsys.readouterr().out)
-        assert [r[3] for r in rows] == column
+        _, columns, rows = parse_csv(capsys.readouterr().out)
+        j = columns.index("bohr_sommerfeld")
+        assert [r[j] for r in rows] == column
 
 
 class TestEigenfunction:

@@ -91,8 +91,10 @@ class TestState:
 
     @pytest.mark.parametrize("n_points", [96, 4096])
     def test_interpolant_blocks_are_bitwise(self, monkeypatch, n_points):
-        # the weights' log sums are formed a block of rows at a time; other
-        # block sizes, uneven ones included, give the same interpolant
+        # the weights' log sums are formed a block of rows at a time, and the
+        # interpolant is evaluated a block of points at a time (here 7 points
+        # per block against all 257 in one); other block sizes, uneven ones
+        # included, give the same interpolant
         import kab.evolution
 
         s = make_state(lambda t: t * t * (1.0 - t), n_points=n_points)
@@ -100,6 +102,21 @@ class TestState:
         whole = state_interpolant(s)(x)
         monkeypatch.setattr(kab.evolution, "_BLOCK_CELLS", 7 * (n_points + 1) + 3)
         assert np.array_equal(state_interpolant(s)(x), whole)
+
+    def test_interpolant_memory_bounded(self):
+        # the (points x nodes) array is formed a block of points at a time;
+        # on 200 000 points in one block it took 178 MB
+        f = state_interpolant(make_state(lambda t: t * t * (1.0 - t)))
+        x = np.linspace(0.0, 1.0, 200_000)
+        tracemalloc.start()
+        try:
+            vals = f(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
+        assert vals.shape == x.shape
+        assert np.max(np.abs(vals - x * x * (1.0 - x))) < 1e-12
 
     def test_serialization(self):
         s = make_state(lambda t: t * (1.0 - t), n_points=8)

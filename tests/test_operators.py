@@ -422,6 +422,16 @@ class TestPseudospectralSolve:
             assert float(col[first]).hex() == entry
             assert float(col[np.argmax(np.abs(col))]).hex() == peak
 
+    def test_cached_arrays_read_only(self):
+        # the cache hands the same arrays to every caller: an in-place edit
+        # by one is refused, so the next call returns the first values
+        first = [a.copy() for a in pseudospectral_eigensystem(2.0, 2.0, 3, 40.0, 256)]
+        for a in pseudospectral_eigensystem(2.0, 2.0, 3, 40.0, 256):
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+        again = pseudospectral_eigensystem(2.0, 2.0, 3, 40.0, 256)
+        assert all(np.array_equal(a, b) for a, b in zip(again, first))
+
     def test_eigenpair_count_bounded(self, monkeypatch):
         # the Lanczos basis holds (2 n_eigs + 1) x M doubles; past 2^26 cells
         # (galerkin_matrix's largest matrix) the solve is refused unstarted
@@ -472,6 +482,24 @@ class TestProjectSynthesize:
         coeffs = project(lambda x: synthesize(c, x), 8, quad_order=40)
         assert orders == [40]
         assert np.max(np.abs(coeffs - c)) < 1e-12
+
+    def test_cached_rule_read_only(self):
+        # every caller shares the cached rule: a phi that scales its
+        # argument in place is refused and the rule stays as it was
+        rule = [a.copy() for a in _gauss_nodes(64)]
+
+        def phi(x):
+            x *= 2.0
+            return x
+
+        with pytest.raises(ValueError):
+            project(phi, 8)
+        for a in _gauss_nodes(64):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        assert all(np.array_equal(a, b) for a, b in zip(_gauss_nodes(64), rule))
+        coeffs = project(lambda x: np.ones_like(x), 3)
+        assert np.max(np.abs(coeffs - [math.sqrt(2.0), 0.0, 0.0])) < 1e-14
 
 
 class TestApplyKPointwise:
