@@ -7,7 +7,6 @@ from .specfun import (
     CONSTANTS,
     big_g,
     big_g_inverse,
-    digamma,
     g_dispersion,
     lipatov_kappa,
     phase_integral,

@@ -371,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--n-trunc",
         type=int,
         default=960,
-        help="matrix-backend truncation (runs N and 2N, N <= 4096)",
+        help="matrix-backend truncation (runs N and 2N, N <= 4096); within 1e-3 "
+        "of the spectral backend only when N is an even multiple of --points",
     )
     _add_common(p, resolution=False)
     p.set_defaults(func=_cmd_evolve)

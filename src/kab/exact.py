@@ -24,6 +24,7 @@ from .specfun import (
     CONSTANTS,
     _abel_rule,
     _check_finite,
+    _check_positive,
     _clenshaw,
     _gauss_nodes,
     _simpson_weights,
@@ -427,11 +428,7 @@ def verify_g_of_ell(phi, x_grid) -> float:
 
 
 def _default_k_grid(k_max: float, dk: float) -> np.ndarray:
-    for name, v in (("k_max", k_max), ("dk", dk)):
-        if not (math.isfinite(v) and v > 0):
-            raise ValueError(
-                f"mehler_fock_forward: {name}={v} must be positive and finite"
-            )
+    _check_positive("mehler_fock_forward", k_max=k_max, dk=dk)
     n = k_max / dk
     if not n < _MAX_K_POINTS - 1:
         raise ValueError(

@@ -17,6 +17,7 @@ from .specfun import (
     BIG_G_MIN,
     CONSTANTS,
     _check_finite,
+    _check_positive,
     _gauss_nodes,
     _illinois,
     _simpson_weights,
@@ -65,9 +66,7 @@ def wkb_eigenvalue(n: int, alpha: float, beta: float) -> float:
     """
     if n < 0:
         raise ValueError("wkb_eigenvalue: n must be >= 0")
-    _check_finite("wkb_eigenvalue", alpha=alpha, beta=beta)
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("wkb_eigenvalue: alpha and beta must be positive")
+    _check_positive("wkb_eigenvalue", alpha=alpha, beta=beta)
     return 2.0 * (
         math.log(math.pi * (n + 0.5))
         - float(special.betaln(0.5 * alpha, 0.5 * beta))
@@ -123,9 +122,7 @@ def bohr_sommerfeld_solve(n, alpha: float, beta: float):
     na = np.asarray(n)
     if not (np.issubdtype(na.dtype, np.integer) and np.all(na >= 0)):
         raise ValueError(f"bohr_sommerfeld_solve: n={n!r} must be a non-negative integer")
-    _check_finite("bohr_sommerfeld_solve", alpha=alpha, beta=beta)
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("bohr_sommerfeld_solve: alpha and beta must be positive")
+    _check_positive("bohr_sommerfeld_solve", alpha=alpha, beta=beta)
     params = OperatorParams(alpha, beta)
     target = na.ravel() + 0.5
     phase = lambda kp, idx: _bs_phase(params, kp) - target[idx]
@@ -144,7 +141,8 @@ def bohr_sommerfeld_solve(n, alpha: float, beta: float):
         hi[short] = grown
         f_hi[short] = phase(hi[short], np.flatnonzero(short))
     kappa = 2.0 * _GAMMA + _illinois(phase, np.full(target.size, bottom), hi, -target,
-                                     f_hi, 1e-13, "bohr_sommerfeld_solve", x_tol=1e-13)
+                                     f_hi, 1e-13, "bohr_sommerfeld_solve",
+                                     x_tol=1e-13 * max(1.0, abs(bottom)))
     return float(kappa[0]) if na.ndim == 0 else kappa.reshape(na.shape)
 
 
@@ -176,9 +174,7 @@ def semiclassical_wavefunction(n: int, alpha: float, beta: float, u):
     kappa'_n = kappa_n - 2 gamma_E.  A fixes unit norm on a wide u-grid
     (_sc_amplitude).
     """
-    _check_finite("semiclassical_wavefunction", alpha=alpha, beta=beta)
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("semiclassical_wavefunction: parameters must be positive")
+    _check_positive("semiclassical_wavefunction", alpha=alpha, beta=beta)
     kp = wkb_eigenvalue(n, alpha, beta) - 2.0 * _GAMMA
     amp = _sc_amplitude(alpha, beta, kp)
     vals = _sc_values(amp, alpha, beta, kp, np.asarray(u, dtype=float))
@@ -191,9 +187,7 @@ def semiclassical_wavefunction(n: int, alpha: float, beta: float, u):
 
 def boundary_exponents(alpha: float, beta: float) -> BoundaryExponents:
     """d_alpha = 1/alpha - 1 and d_beta = 1/beta - 1 (log-power exponents)."""
-    _check_finite("boundary_exponents", alpha=alpha, beta=beta)
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("boundary_exponents: parameters must be positive")
+    _check_positive("boundary_exponents", alpha=alpha, beta=beta)
     return BoundaryExponents(1.0 / alpha - 1.0, 1.0 / beta - 1.0)
 
 
@@ -217,8 +211,7 @@ def fit_boundary_exponent(
     filtered to the asymptotic window |log(1-x)| >= _WINDOW_FACTOR *
     (|kappa'|/beta + 1); at least 10 must survive.
     """
-    if beta <= 0:
-        raise ValueError("fit_boundary_exponent: beta must be positive")
+    _check_positive("fit_boundary_exponent", beta=beta)
     phi_abs = np.abs(np.asarray(phi_abs, dtype=float))
     ell = np.abs(np.asarray(log_one_minus_x, dtype=float))
     threshold = _WINDOW_FACTOR * (abs(kappa_prime) / beta + 1.0)
@@ -261,9 +254,8 @@ def linear_potential_solution(beta: float, kappa_prime: float, u):
     2 _P_MAX; disagreement beyond _TAPER_CHECK_TOL raises.  The cosines go in
     blocks of rows of at most _BLOCK_CELLS cells.
     """
-    _check_finite("linear_potential_solution", beta=beta, kappa_prime=kappa_prime)
-    if beta <= 0:
-        raise ValueError("linear_potential_solution: beta must be positive")
+    _check_positive("linear_potential_solution", beta=beta)
+    _check_finite("linear_potential_solution", kappa_prime=kappa_prime)
     scalar = np.isscalar(u)
     ua = np.atleast_1d(np.asarray(u, dtype=float))
     p_end = 2.0 * _P_MAX

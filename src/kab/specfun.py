@@ -1,11 +1,11 @@
-"""Special functions: complex digamma, the dispersion functions kappa(k) and
-g(k), the shifted kinetic function G and its inverse, and the beta-type
-phase integral.  The conical Legendre functions live in module exact,
+"""Special functions: the dispersion functions kappa(k) and g(k), the
+shifted kinetic function G and its inverse, and the beta-type phase
+integral.  The conical Legendre functions live in module exact,
 beside the Mehler rule that evaluates them; the quadrature helpers shared
 by the other modules (Gauss nodes, the Abel rule, Clenshaw's recurrence)
 live here.
 
-Digamma, the incomplete beta function and the logistic map come from
+Digamma (psi), the incomplete beta function and the logistic map come from
 scipy.special; this module adds the argument checks and the closed forms
 built on them.  Everything here is a pure function of its arguments; no
 state is shared.
@@ -22,7 +22,6 @@ from scipy import special
 __all__ = [
     "CONSTANTS",
     "Constants",
-    "digamma",
     "lipatov_kappa",
     "g_dispersion",
     "big_g",
@@ -120,20 +119,19 @@ def _check_finite(where: str, **named) -> None:
             raise ValueError(f"{where}: {name} must be finite, got {first!r}")
 
 
-def digamma(z: complex | np.ndarray) -> complex | np.ndarray:
-    """psi(z) = d log Gamma / dz for complex z (scipy.special.psi).
-
-    Raises on non-positive integers (poles) and on NaN input.
-    """
-    scalar = np.isscalar(z)
-    zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    if np.any(np.isnan(zz)):
-        raise ValueError("digamma: NaN argument")
-    pole = (zz.imag == 0) & (zz.real <= 0) & (zz.real == np.round(zz.real))
-    if np.any(pole):
-        raise ValueError("digamma: argument is a non-positive integer (pole)")
-    res = special.psi(zz)
-    return complex(res[0]) if scalar else res
+def _check_positive(where: str, **named) -> None:
+    """_check_finite, then raise ValueError naming the function where and the
+    first parameter in named that is not > 0 or whose reciprocal overflows."""
+    _check_finite(where, **named)
+    for name, v in named.items():
+        a = np.asarray(v, dtype=float)
+        with np.errstate(divide="ignore", over="ignore"):
+            bad = ~((a > 0.0) & np.isfinite(1.0 / a))
+        if np.any(bad):
+            first = float(a[bad][0])
+            raise ValueError(
+                f"{where}: {name} must be positive with a finite reciprocal, got {first!r}"
+            )
 
 
 def _two_re_psi(t, scale: float, shift: float) -> float | np.ndarray:
@@ -141,7 +139,7 @@ def _two_re_psi(t, scale: float, shift: float) -> float | np.ndarray:
     the one function behind kappa, g and G, which check t."""
     scalar = np.isscalar(t)
     ta = np.atleast_1d(np.asarray(t, dtype=float))
-    val = 2.0 * np.real(digamma(0.5 + 1j * (scale * ta))) + shift
+    val = 2.0 * special.psi(0.5 + 1j * (scale * ta)).real + shift
     return float(val[0]) if scalar else val
 
 
@@ -261,11 +259,8 @@ def phase_integral(u, alpha: float, beta: float, kappa_prime: float):
     cancellation in 1 + tanh u.  u may be an array and may be +-inf; the
     full-line value is exp(kappa'/2) 2^(a+b-1) B(a, b).
     """
-    _check_finite("phase_integral", alpha=alpha, beta=beta, kappa_prime=kappa_prime)
-    if alpha <= 0.0:
-        raise ValueError("phase_integral: divergent at -infinity for alpha <= 0")
-    if beta <= 0.0:
-        raise ValueError("phase_integral: beta must be positive")
+    _check_positive("phase_integral", alpha=alpha, beta=beta)
+    _check_finite("phase_integral", kappa_prime=kappa_prime)
     ua = np.asarray(u, dtype=float)
     if np.any(np.isnan(ua)):
         raise ValueError("phase_integral: u is NaN")

@@ -260,6 +260,17 @@ class TestWkbTable:
         j = columns.index("bohr_sommerfeld")
         assert [r[j] for r in rows] == column
 
+    @pytest.mark.parametrize("alpha,n", [("1000", "5"), ("1e4", "10")])
+    def test_bohr_sommerfeld_deep_well_exit_0(self, capsys, alpha, n):
+        # both once exited 3 with "no convergence in 100 steps"
+        from kab.cli import main
+
+        argv = ["wkb-table", "--alpha", alpha, "--beta", "2", "--n", n, "--bohr-sommerfeld"]
+        assert main(argv) == 0
+        _, columns, rows = parse_csv(capsys.readouterr().out)
+        assert len(rows) == int(n)
+        assert all(r[columns.index("bohr_sommerfeld")] for r in rows)
+
 
 class TestEigenfunction:
     def test_columns_and_overlap(self):
@@ -590,6 +601,30 @@ class TestSchemaAndErrors:
         assert json.loads(err)["error"] == (
             "bohr_sommerfeld_solve: alpha must be finite, got nan"
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["wkb-table", "--alpha", "0.0747", "--beta", "5e-324", "--n", "8",
+             "--bohr-sommerfeld"],
+            ["boundary-fit", "--alpha", "2", "--beta", "2.2e-313", "--m-points", "128"],
+            ["wkb-table", "--alpha", "2", "--beta", "5e-324", "--n", "2"],
+        ],
+    )
+    def test_denormal_param_named(self, capsys, argv):
+        # a beta whose reciprocal overflows is refused by name; these once
+        # blamed an internal variable ("big_g_inverse: y", "window ... >= inf")
+        # or printed -inf and exited 0
+        from kab.cli import main
+
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc["kind"] == "validation"
+        assert ": beta must be positive with a finite reciprocal, got " in doc["error"]
 
     @pytest.mark.parametrize("argv", [["--help"], ["evolve", "--help"]])
     def test_help_exit_0(self, capsys, argv):

@@ -55,6 +55,15 @@ class TestDiffOperatorL:
         assert DiffOperatorL.eigenvalue(0.0) == -0.5
         assert DiffOperatorL.eigenvalue(2.0) == -8.5
 
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+    def test_eigenrelation_on_continuum_modes(self, k):
+        # Section 3: L phi(k) = (-1/2 - 2k^2) phi(k) for the K_01 eigenfunctions
+        # phi(k, x) = mm_eigenfunction(k, (1 + x)/2), so L and K_01 share them
+        phi = lambda x: mm_eigenfunction(k, 0.5 * (1.0 + x))
+        lam = DiffOperatorL.eigenvalue(k)
+        for x in (-0.5, 0.0, 0.5):
+            assert apply_L(phi, x) == pytest.approx(lam * phi(x), rel=1e-7)
+
     def test_fd_matches_polynomial_action(self, rng):
         c = rng.normal(size=5)
         phi = lambda x: npleg.legval(x, c)

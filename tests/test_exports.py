@@ -1,10 +1,13 @@
-"""Every name that a kab module lists in __all__ exists in that module.
+"""Every name that a kab module lists in __all__ exists in that module, and
+every function the benchmark's tracer wraps exists where it looks for it.
 
-A stale entry fails only on `from kab.<module> import *`, so it is checked
-here for every module of the package.
+A stale entry fails only on `from kab.<module> import *`, and a stale tracer
+name only in `perfbench/run.py --trace 1`, so both are checked here.
 """
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -21,4 +24,34 @@ def test_modules_found():
 def test_all_names_exist(name):
     module = importlib.import_module(f"kab.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []
+
+
+def _tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_functions_exist():
+    missing = [
+        f"{module}.{name}"
+        for module, name, *_ in _tracer().TRACED
+        if not callable(getattr(importlib.import_module(f"kab.{module}"), name, None))
+    ]
+    assert missing == []
+
+
+def test_cached_functions_have_cache_info():
+    # the tracer reads cache_info() of each CACHED name through its TRACED entry
+    tracer = _tracer()
+    where = {name: module for module, name, *_ in tracer.TRACED}
+    missing = [
+        name
+        for name in tracer.CACHED
+        if name not in where
+        or not hasattr(getattr(importlib.import_module(f"kab.{where[name]}"), name), "cache_info")
+    ]
     assert missing == []

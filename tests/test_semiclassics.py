@@ -124,6 +124,16 @@ class TestBohrSommerfeld:
         with pytest.raises(ValueError):
             bohr_sommerfeld_solve(0, 2.0, -1.0)
 
+    @pytest.mark.parametrize("alpha", [1e3, 1e4, 1e8])
+    def test_deep_well_converges(self, alpha):
+        # the well bottom lies near -(alpha + beta) log 2, where an absolute
+        # bracket tolerance of 1e-13 is below the rounding of kappa'; the
+        # solve once stopped with "no convergence" from alpha = 1e3 on
+        levels = bohr_sommerfeld_solve(np.arange(10), alpha, 2.0)
+        closed = np.array([wkb_eigenvalue(n, alpha, 2.0) for n in range(10)])
+        assert np.all(np.diff(levels) > 0.0)
+        assert np.max(np.abs(levels - closed)) <= 0.05
+
     @pytest.mark.parametrize("n", [2.5, 2.0, [0, -1], np.array([0.5]), True])
     def test_rejects_non_integer_level(self, n):
         # a level index is a non-negative integer; 2.5 once solved as if it

@@ -1,24 +1,23 @@
 """Unit tests for the special-function kernel.
 
-Oracles: mpmath for digamma, conical Legendre, hypergeometric and
+Oracles: mpmath for kappa, conical Legendre, hypergeometric and
 incomplete-beta values; closed forms (Euler beta, known constants) elsewhere.
 """
 import math
+import re
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from kab.specfun import (
     BIG_G_MIN,
     CONSTANTS,
+    _check_positive,
     _simpson_weights,
     big_g,
     big_g_inverse,
-    digamma,
     g_dispersion,
     lipatov_kappa,
     phase_integral,
@@ -31,38 +30,20 @@ GAMMA = CONSTANTS.euler_gamma
 LOG2 = CONSTANTS.log2
 
 
-class TestDigamma:
-    def test_psi_one(self):
-        assert abs(digamma(1.0 + 0j).real + GAMMA) < 1e-13
+class TestCheckPositive:
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, 2.2e-313, 5e-324])
+    def test_names_function_parameter_and_value(self, bad):
+        # a denormal whose reciprocal overflows is refused with the rest
+        msg = f"where: beta must be positive with a finite reciprocal, got {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            _check_positive("where", alpha=2.0, beta=bad)
 
-    def test_psi_half(self):
-        assert abs(digamma(0.5 + 0j).real - (-GAMMA - 2.0 * LOG2)) < 1e-13
+    def test_finiteness_checked_first(self):
+        with pytest.raises(ValueError, match="where: beta must be finite, got nan"):
+            _check_positive("where", alpha=-1.0, beta=math.nan)
 
-    def test_against_mpmath_complex(self, rng):
-        z = rng.uniform(0.1, 10, 40) + 1j * rng.uniform(-50, 50, 40)
-        mine = digamma(z)
-        ref = np.array([complex(mp.digamma(complex(v))) for v in z])
-        assert np.max(np.abs(mine - ref)) < 1e-12
-
-    def test_pole_raises(self):
-        with pytest.raises(ValueError):
-            digamma(0.0 + 0j)
-        with pytest.raises(ValueError):
-            digamma(-3.0 + 0j)
-
-    def test_nan_raises(self):
-        with pytest.raises(ValueError):
-            digamma(complex(float("nan"), 0.0))
-
-    @given(
-        re=st.floats(0.1, 10.0),
-        im=st.floats(-50.0, 50.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_recurrence_property(self, re, im):
-        # I-1: psi(z+1) - psi(z) = 1/z
-        z = complex(re, im)
-        assert abs(digamma(z + 1) - digamma(z) - 1.0 / z) < 1e-12
+    def test_accepts_values_with_finite_reciprocal(self):
+        _check_positive("where", alpha=1e-300, beta=np.array([1.0, 1e300]))
 
 
 class TestDispersion:
@@ -81,6 +62,16 @@ class TestDispersion:
         # double-precision cancellation at the smallest k
         diff = np.abs(lipatov_kappa(k) - series)
         assert np.all(diff <= 500.0 * k**6 + 1e-14)
+
+    def test_kappa_against_mpmath(self):
+        # kappa(k) = 2 Re psi(1/2 + ik) + 2 gamma_E with psi from mpmath at 30
+        # digits, from k = 0 to the asymptotic regime
+        k = np.concatenate(([0.0, 1e-3, 0.1], np.linspace(0.3, 50.0, 40), [200.0, 1e4]))
+        ref = np.array(
+            [float(2 * mp.re(mp.digamma(mp.mpc(0.5, v))) + 2 * mp.euler) for v in k]
+        )
+        err = np.abs(lipatov_kappa(k) - ref)
+        assert np.all(err <= 1e-14 * np.maximum(1.0, np.abs(ref)))
 
     def test_kappa_even(self, rng):
         k = rng.uniform(0.0, 10.0, 20)
