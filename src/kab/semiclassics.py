@@ -117,7 +117,9 @@ def bohr_sommerfeld_solve(n, alpha: float, beta: float):
     (kappa = kappa' + 2 gamma_E).
 
     n is a non-negative integer or an integer array of them; the levels of
-    an array are solved together, each to the value it has alone.
+    an array are solved together, each to the value it has alone.  Raises
+    RuntimeError when the doubles near the well's bottom are too coarse to
+    resolve the spacing of the highest level.
     """
     na = np.asarray(n)
     if not (np.issubdtype(na.dtype, np.integer) and np.all(na >= 0)):
@@ -140,9 +142,15 @@ def bohr_sommerfeld_solve(n, alpha: float, beta: float):
                                f"absorbs a step of 1 at alpha={alpha:g}, beta={beta:g}")
         hi[short] = grown
         f_hi[short] = phase(hi[short], np.flatnonzero(short))
+    # kappa' is known to about one double near the bottom, which must stay below
+    # 1% of the closed form's spacing 2 log1p(1/(n + 1/2)) of the highest level
+    gap = 2.0 * math.log1p(1.0 / target.max(initial=0.5))
+    if np.spacing(abs(bottom)) > 0.01 * gap:
+        raise RuntimeError(f"bohr_sommerfeld_solve: the doubles near kappa'={bottom:.6g} do "
+                           f"not resolve a level spacing of {gap:.3g} at alpha={alpha:g}, "
+                           f"beta={beta:g}")
     kappa = 2.0 * _GAMMA + _illinois(phase, np.full(target.size, bottom), hi, -target,
-                                     f_hi, 1e-13, "bohr_sommerfeld_solve",
-                                     x_tol=1e-13 * max(1.0, abs(bottom)))
+                                     f_hi, 1e-13, "bohr_sommerfeld_solve", x_tol=1e-13)
     return float(kappa[0]) if na.ndim == 0 else kappa.reshape(na.shape)
 
 
@@ -214,7 +222,10 @@ def fit_boundary_exponent(
     _check_positive("fit_boundary_exponent", beta=beta)
     phi_abs = np.abs(np.asarray(phi_abs, dtype=float))
     ell = np.abs(np.asarray(log_one_minus_x, dtype=float))
-    threshold = _WINDOW_FACTOR * (abs(kappa_prime) / beta + 1.0)
+    threshold = _WINDOW_FACTOR * (abs(float(kappa_prime)) / float(beta) + 1.0)
+    if not math.isfinite(threshold):
+        raise ValueError(f"fit_boundary_exponent: the window {_WINDOW_FACTOR:g}(|kappa'|/beta + 1) "
+                         f"overflows at beta={float(beta)!r}, kappa_prime={float(kappa_prime)!r}")
     keep = (ell >= threshold) & (phi_abs > 0.0)
     if np.count_nonzero(keep) < 10:
         raise ValueError(

@@ -207,7 +207,7 @@ def _illinois(f, a, b, fa, fb, f_tol, where: str, x_tol: float = 0.0) -> np.ndar
         f_lo[active] = np.where(flip, fb, 0.5 * fa)
         hi[active], f_hi[active] = c, fc
         done = (np.abs(f_best[active]) <= f_tol[active]) | (
-            np.abs(lo[active] - c) <= np.maximum(x_tol, np.spacing(c))
+            np.abs(lo[active] - c) <= np.maximum(x_tol, np.spacing(np.abs(c)))
         )
         active = active[~done]
     if active.size:

@@ -603,18 +603,23 @@ class TestSchemaAndErrors:
         )
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,named",
         [
-            ["wkb-table", "--alpha", "0.0747", "--beta", "5e-324", "--n", "8",
-             "--bohr-sommerfeld"],
-            ["boundary-fit", "--alpha", "2", "--beta", "2.2e-313", "--m-points", "128"],
-            ["wkb-table", "--alpha", "2", "--beta", "5e-324", "--n", "2"],
+            (["wkb-table", "--alpha", "0.0747", "--beta", "5e-324", "--n", "8",
+              "--bohr-sommerfeld"], ": beta must be positive with a finite reciprocal, got "),
+            (["boundary-fit", "--alpha", "2", "--beta", "2.2e-313", "--m-points", "128"],
+             ": beta must be positive with a finite reciprocal, got "),
+            (["wkb-table", "--alpha", "2", "--beta", "5e-324", "--n", "2"],
+             ": beta must be positive with a finite reciprocal, got "),
+            (["boundary-fit", "--alpha", "2", "--beta", "1e-308", "--m-points", "128"],
+             "overflows at beta=1e-308, kappa_prime="),
         ],
+        ids=["wkb-table-bohr-sommerfeld", "boundary-fit", "wkb-table", "boundary-fit-window"],
     )
-    def test_denormal_param_named(self, capsys, argv):
-        # a beta whose reciprocal overflows is refused by name; these once
-        # blamed an internal variable ("big_g_inverse: y", "window ... >= inf")
-        # or printed -inf and exited 0
+    def test_denormal_param_named(self, capsys, argv, named):
+        # a beta whose reciprocal, or whose fit window |kappa'|/beta, overflows
+        # is refused by name; these once blamed an internal variable
+        # ("big_g_inverse: y", "window ... >= inf") or printed -inf and exited 0
         from kab.cli import main
 
         assert main(argv) == 2
@@ -624,7 +629,7 @@ class TestSchemaAndErrors:
         assert len(lines) == 1
         doc = json.loads(lines[0])
         assert doc["kind"] == "validation"
-        assert ": beta must be positive with a finite reciprocal, got " in doc["error"]
+        assert named in doc["error"]
 
     @pytest.mark.parametrize("argv", [["--help"], ["evolve", "--help"]])
     def test_help_exit_0(self, capsys, argv):

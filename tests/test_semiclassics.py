@@ -124,15 +124,28 @@ class TestBohrSommerfeld:
         with pytest.raises(ValueError):
             bohr_sommerfeld_solve(0, 2.0, -1.0)
 
-    @pytest.mark.parametrize("alpha", [1e3, 1e4, 1e8])
+    @pytest.mark.parametrize("alpha", [1e3, 1e4, 1e8, 1e13])
     def test_deep_well_converges(self, alpha):
-        # the well bottom lies near -(alpha + beta) log 2, where an absolute
-        # bracket tolerance of 1e-13 is below the rounding of kappa'; the
-        # solve once stopped with "no convergence" from alpha = 1e3 on
+        # the well bottom lies near -(alpha + beta) log 2; the level bracket
+        # once had no one-ulp floor there and stopped with "no convergence"
+        # from alpha = 1e3 on
         levels = bohr_sommerfeld_solve(np.arange(10), alpha, 2.0)
         closed = np.array([wkb_eigenvalue(n, alpha, 2.0) for n in range(10)])
         assert np.all(np.diff(levels) > 0.0)
         assert np.max(np.abs(levels - closed)) <= 0.05
+
+    @pytest.mark.parametrize("alpha", [1e14, 1e16])
+    def test_coarse_well_raises(self, alpha):
+        # near kappa' = -(alpha + beta) log 2 the doubles are 0.0078 apart at
+        # alpha = 1e14 and 1 apart at 1e16, too coarse for level 9's spacing
+        # 0.2; these once returned levels up to 2 off the closed form, or
+        # not increasing, without an error
+        with pytest.raises(RuntimeError, match="do not resolve a level spacing of 0.2"):
+            bohr_sommerfeld_solve(np.arange(10), alpha, 2.0)
+
+    def test_coarse_well_resolves_wide_levels(self):
+        # at alpha = 1e14 level 0's spacing 2.2 is still resolved
+        assert abs(bohr_sommerfeld_solve(0, 1e14, 2.0) - wkb_eigenvalue(0, 1e14, 2.0)) <= 0.05
 
     @pytest.mark.parametrize("n", [2.5, 2.0, [0, -1], np.array([0.5]), True])
     def test_rejects_non_integer_level(self, n):

@@ -15,6 +15,7 @@ from kab.specfun import (
     BIG_G_MIN,
     CONSTANTS,
     _check_positive,
+    _illinois,
     _simpson_weights,
     big_g,
     big_g_inverse,
@@ -44,6 +45,18 @@ class TestCheckPositive:
 
     def test_accepts_values_with_finite_reciprocal(self):
         _check_positive("where", alpha=1e-300, beta=np.array([1.0, 1e300]))
+
+
+class TestIllinois:
+    @pytest.mark.parametrize("root", [6931.471805599453, -6931.471805599453, -0.3, -1e10])
+    def test_bracket_closes_to_one_ulp_on_either_sign(self, root):
+        # a step function never meets f_tol = 0, so the bracket must close to
+        # adjacent doubles; the ulp floor was once negative for negative roots,
+        # which then ran out of steps
+        f = lambda x, idx: np.where(x < root, -1.0, 1.0) * (1.0 + np.abs(x - root))
+        a, b = np.array([root - 5.0]), np.array([root + 3.0])
+        x = _illinois(f, a, b, f(a, 0), f(b, 0), 0.0, "where")
+        assert abs(x[0] - root) <= 2.0 * np.spacing(abs(root))
 
 
 class TestDispersion:
