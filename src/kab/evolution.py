@@ -21,11 +21,12 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.blas import dspmv
 
 from .operators import (
     OperatorParams,
+    _galerkin_rows,
     coefficient_tail_warning,
-    galerkin_matrix,
     project,
     synthesize,
 )
@@ -170,12 +171,16 @@ def state_interpolant(state: EvolutionState):
         p = np.empty(flat.size)
         for j in range(0, max(1, flat.size - 1), points):
             end = flat.size if j + points >= flat.size - 1 else j + points
-            c = flat[j:end, None] - nodes
-            hit = np.nonzero(c == 0.0)
-            c[hit] = 1.0
+            xb = flat[j:end]
+            # x - x_k vanishes only at x = x_k; the nodes increase, so a
+            # point's one candidate is its insertion index
+            k = np.minimum(np.searchsorted(nodes, xb), nodes.size - 1)
+            hit = np.flatnonzero(nodes[k] == xb)
+            c = xb[:, None] - nodes
+            c[hit, k[hit]] = 1.0
             np.divide(weights, c, out=c)
             block = (c @ vals) / np.sum(c, axis=1)
-            block[hit[0]] = vals[hit[1]]
+            block[hit] = vals[k[hit]]
             p[j:end] = block
         return p.reshape(xa.shape)
 
@@ -257,14 +262,19 @@ def _state_coeffs(state: EvolutionState, n_trunc: int) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _k01_matrix(n_trunc: int) -> np.ndarray:
-    """Read-only Galerkin matrix of K_{01}.
+    """Read-only Galerkin matrix of K_{01}, packed: its lower triangle row by
+    row (BLAS upper-packed layout), n_trunc (n_trunc + 1)/2 doubles filled a
+    block of rows at a time (operators._galerkin_rows).
 
-    evolve_matrix asks for size 2N only: the size-N matrix is its leading
-    block, bit for bit.
+    evolve_matrix asks for size 2N only: the size-N packed matrix is its
+    prefix of N (N + 1)/2 entries, bit for bit.
     """
-    mat = galerkin_matrix(OperatorParams(0.0, 1.0), n_trunc)
-    mat.flags.writeable = False
-    return mat
+    packed = np.empty(n_trunc * (n_trunc + 1) // 2)
+    for i, block in _galerkin_rows(OperatorParams(0.0, 1.0), n_trunc, lower=True):
+        j = i + block.shape[0]
+        packed[i * (i + 1) // 2 : j * (j + 1) // 2] = block[np.tri(j - i, j, i, dtype=bool)]
+    packed.flags.writeable = False
+    return packed
 
 
 #: Lanczos stops once its a-posteriori error estimate is this share of |y|:
@@ -275,21 +285,24 @@ _KRYLOV_TOL = 1e-15
 _KRYLOV_MAX_STEPS = 200
 
 
-def _krylov_exp(mat: np.ndarray, v: np.ndarray, dtau: float) -> np.ndarray:
-    """exp(-dtau mat) v for a symmetric mat by the Lanczos approximation.
+def _krylov_exp(packed: np.ndarray, v: np.ndarray, dtau: float) -> np.ndarray:
+    """exp(-dtau K) v by the Lanczos approximation, for the symmetric K of
+    size n = v.size held packed (_k01_matrix) in packed[: n (n + 1)/2].
 
-    With V_m the orthonormal Krylov basis started from v/|v| and T_m = V_m' mat
-    V_m tridiagonal, exp(-dtau mat) v ~ |v| V_m exp(-dtau T_m) e_1
-    (Hochbruck & Lubich 1997): about sqrt(dtau (spread of mat)) mat-vecs and
-    no norm estimate.  The basis is reorthogonalised in full, by two
-    classical Gram-Schmidt passes.  exp(-dtau T_m) is formed shifted by the
-    least Ritz value theta_0, so nothing overflows before the final scalar
-    exp(-dtau theta_0).  Lanczos stops when the estimate
-    beta_m |e_m' exp(-dtau (T_m - theta_0)) e_1| is within _KRYLOV_TOL of
-    the result, which includes an invariant subspace (beta_m = 0), or at
-    m = n, where the space is exhausted and the result exact.
+    With V_m the orthonormal Krylov basis started from v/|v| and T_m = V_m' K
+    V_m tridiagonal, exp(-dtau K) v ~ |v| V_m exp(-dtau T_m) e_1
+    (Hochbruck & Lubich 1997): about sqrt(dtau (spread of K)) mat-vecs, each
+    a BLAS dspmv on the contiguous prefix, and no norm estimate.  The basis
+    is reorthogonalised in full, by two classical Gram-Schmidt passes.
+    exp(-dtau T_m) is formed shifted by the least Ritz value theta_0, so
+    nothing overflows before the final scalar exp(-dtau theta_0).  Lanczos
+    stops when the estimate beta_m |e_m' exp(-dtau (T_m - theta_0)) e_1| is
+    within _KRYLOV_TOL of the result, which includes an invariant subspace
+    (beta_m = 0), or at m = n, where the space is exhausted and the result
+    exact.
     """
     n = v.size
+    ap = packed[: n * (n + 1) // 2]
     v_norm = float(np.linalg.norm(v))
     if v_norm == 0.0:
         return np.zeros(n)
@@ -298,7 +311,7 @@ def _krylov_exp(mat: np.ndarray, v: np.ndarray, dtau: float) -> np.ndarray:
     basis[0] = v / v_norm
     diag, off = [], []
     for m in range(1, m_max + 1):
-        w = mat @ basis[m - 1]
+        w = dspmv(n, 1.0, ap, basis[m - 1])
         head = basis[:m]
         h = head @ w
         w -= h @ head
@@ -322,18 +335,6 @@ def _krylov_exp(mat: np.ndarray, v: np.ndarray, dtau: float) -> np.ndarray:
     )
 
 
-def _matrix_step(
-    mat: np.ndarray, coeffs: np.ndarray, xi_grid: np.ndarray, dtau: float
-) -> np.ndarray:
-    """xi phi after one truncated-Galerkin exponential of the matrix mat.
-
-    The exp(dtau log 2) factor is left to the caller.
-    """
-    coefficient_tail_warning(coeffs)
-    evolved = _krylov_exp(mat, coeffs, dtau)
-    return xi_grid * synthesize(evolved, 2.0 * xi_grid - 1.0)
-
-
 def evolve_matrix(
     state: EvolutionState, tau_final: float, n_trunc: int = 960
 ) -> EvolutionState:
@@ -349,8 +350,10 @@ def evolve_matrix(
     points, so phi has degree points - 1, only its first points coefficients
     are nonzero, and their integrands, of degree <= 2 points - 2, are exact
     on the points-node rule.  The K_{01} matrix depends on neither tau nor
-    the profile; the 2 n_trunc matrix is built once and cached, and the
-    n_trunc step uses its leading block.
+    the profile; the 2 n_trunc matrix is built once, packed (_k01_matrix:
+    14.75 MB at the default 2 n_trunc = 1920), and cached, and the n_trunc
+    step reads its packed prefix.  Both steps are summed on the grid in one
+    Clenshaw pass (synthesize on two columns).
     The log-potential matrix couples all mode pairs with 1/(n-m) decay, so the
     truncation error falls off like 1/n_trunc; the step is therefore run at
     n_trunc and 2 n_trunc and Richardson-extrapolated, with the difference of
@@ -360,13 +363,17 @@ def evolve_matrix(
     if not 1 <= n_trunc <= 4096:
         raise ValueError(f"evolve_matrix: n_trunc={n_trunc} must lie in [1, 4096]")
     dtau = _delta_tau(state, tau_final)
-    mat = _k01_matrix(2 * n_trunc)
+    packed = _k01_matrix(2 * n_trunc)
     growth = math.exp(dtau * _LOG2)
     coeffs = _state_coeffs(state, 2 * n_trunc)
-    u_coarse = _matrix_step(
-        mat[:n_trunc, :n_trunc], coeffs[:n_trunc], state.xi_grid, dtau
-    )
-    u_fine = _matrix_step(mat, coeffs, state.xi_grid, dtau)
+    # the size-N step zero-padded to 2N (Clenshaw's recurrence reaches degree
+    # N - 1 in the state the unpadded sum starts from) beside the size-2N step
+    evolved = np.zeros((2 * n_trunc, 2))
+    for col, n in enumerate((n_trunc, 2 * n_trunc)):
+        coefficient_tail_warning(coeffs[:n])
+        evolved[:n, col] = _krylov_exp(packed, coeffs[:n], dtau)
+    xi = state.xi_grid
+    u_coarse, u_fine = xi * synthesize(evolved, 2.0 * xi - 1.0)
     u_new = growth * (2.0 * u_fine - u_coarse)
     if not np.all(np.isfinite(u_new)):
         raise RuntimeError(

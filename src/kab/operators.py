@@ -125,55 +125,70 @@ def monomial_action_k11(n: int) -> np.ndarray:
     return out
 
 
-def _log_potential(w_plus: float, w_minus: float, n_trunc: int) -> np.ndarray:
-    """w_plus L+ + w_minus L- in the orthonormal basis, where L+- is the
-    matrix of multiplication by log(1 +- x).
+def _galerkin_rows(params: OperatorParams, n_trunc: int, lower: bool):
+    """Yield (i, block) for rows [i, j) of galerkin_matrix(params, n_trunc),
+    in order, each block at most _BLOCK_CELLS cells: all n_trunc columns, or
+    with lower the first j, which hold rows i..j-1 of the lower triangle.
 
-    In the unnormalized basis L+ has the off-diagonal entries
+    The log part (1-a) L+ + (1-b) L-, with L+- the matrix of multiplication
+    by log(1 +- x): in the unnormalized basis L+ has the off-diagonal entries
     2(-1)^(m+n+1)/((n-m)(n+m+1)) and a diagonal from a three-term recurrence
     seeded by W_00 = 2 log 2 - 2.  L- = D L+ D with D = diag((-1)^n), so the
-    sum is the sign-free matrix scaled by w_plus + w_minus where m + n is
-    even and by w_minus - w_plus where m + n is odd.
+    sum is the sign-free matrix scaled by 2 - a - b where m + n is even and
+    by a - b where m + n is odd.  Every entry is a function of its row and
+    column alone, so a block's values do not depend on n_trunc or on the
+    block size, and the symmetric scalings keep the matrix exactly symmetric.
     """
     idx = np.arange(n_trunc, dtype=float)
-    mat = np.subtract.outer(idx, idx)
-    np.abs(mat, out=mat)
-    mat *= np.add.outer(idx, idx + 1.0)
-    np.fill_diagonal(mat, 1.0)
-    np.divide(-2.0, mat, out=mat)
-    diag = np.empty(n_trunc)
-    diag[0] = 2.0 * CONSTANTS.log2 - 2.0
-    for n in range(1, n_trunc):
-        diag[n] = (
-            (2 * n - 1) / (2 * n + 1) * (-(n + 1) / (2 * n + 1) + n * diag[n - 1])
-            + (n - 1) / (2 * n - 1)
-        ) / n
-    np.fill_diagonal(mat, diag)
-    # symmetric scalings keep the matrix exactly symmetric, so no
-    # symmetrizing pass is needed
     norm = np.sqrt(idx + 0.5)
-    mat *= np.outer(norm, norm)
-    even, odd = w_plus + w_minus, w_minus - w_plus
-    s0, s1 = slice(0, None, 2), slice(1, None, 2)
-    for rows, cols, w in ((s0, s0, even), (s1, s1, even), (s0, s1, odd), (s1, s0, odd)):
-        if w != 1.0:
-            mat[rows, cols] *= w
-    return mat
+    two_h = 2.0 * harmonic_numbers(n_trunc)
+    free = params.alpha == params.beta == 1.0
+    if not free:
+        diag = np.empty(n_trunc)
+        diag[0] = 2.0 * CONSTANTS.log2 - 2.0
+        for n in range(1, n_trunc):
+            diag[n] = (
+                (2 * n - 1) / (2 * n + 1) * (-(n + 1) / (2 * n + 1) + n * diag[n - 1])
+                + (n - 1) / (2 * n - 1)
+            ) / n
+        w_plus, w_minus = 1.0 - params.alpha, 1.0 - params.beta
+        even, odd = w_plus + w_minus, w_minus - w_plus
+    step = max(1, _BLOCK_CELLS // n_trunc)
+    for i in range(0, n_trunc, step):
+        j = min(i + step, n_trunc)
+        rows, cols = idx[i:j, None], idx[: j if lower else n_trunc]
+        on_diag = (np.arange(j - i), np.arange(i, j))
+        if free:
+            block = np.zeros((j - i, cols.size))
+        else:
+            block = rows - cols
+            np.abs(block, out=block)
+            block *= rows + (cols + 1.0)
+            block[on_diag] = 1.0
+            np.divide(-2.0, block, out=block)
+            block[on_diag] = diag[i:j]
+            block *= norm[i:j, None] * norm[: cols.size]
+            r0 = i % 2  # block rows r0::2 hold the even rows
+            for r, c, w in ((r0, 0, even), (r0, 1, odd), (1 - r0, 0, odd), (1 - r0, 1, even)):
+                if w != 1.0:
+                    block[r::2, c::2] *= w
+        block[on_diag] += two_h[i:j]
+        yield i, block
 
 
 def galerkin_matrix(params: OperatorParams, n_trunc: int) -> np.ndarray:
     """Truncated matrix of K_{alpha,beta}: diag(2 h_n) + (1-a) L+ + (1-b) L-.
 
-    At most 8192 modes (a 512 MB matrix), so evolve_matrix's solves at N
-    and 2N accept N <= 4096.
+    Filled a block of rows at a time (_galerkin_rows), so the build needs
+    no temporary of the matrix's size.  At most 8192 modes (512 MB dense,
+    or 268 MB as a packed triangle), so evolve_matrix's solves at N and 2N
+    accept N <= 4096.
     """
     if not 1 <= n_trunc <= 8192:
         raise ValueError(f"galerkin_matrix: n_trunc={n_trunc} must lie in [1, 8192]")
-    if params.alpha == params.beta == 1.0:
-        mat = np.zeros((n_trunc, n_trunc))
-    else:
-        mat = _log_potential(1.0 - params.alpha, 1.0 - params.beta, n_trunc)
-    mat[np.diag_indices(n_trunc)] += 2.0 * harmonic_numbers(n_trunc)
+    mat = np.empty((n_trunc, n_trunc))
+    for i, block in _galerkin_rows(params, n_trunc, lower=False):
+        mat[i : i + block.shape[0]] = block
     return mat
 
 
@@ -255,9 +270,10 @@ def apply_k_pointwise(params: OperatorParams, phi_u, x):
 
 def synthesize(coeffs: np.ndarray, x) -> np.ndarray:
     """Evaluate sum_n c_n Phat_n(x), Phat_n = sqrt(n+1/2) P_n, from the
-    coefficient array c."""
+    coefficient array c.  An (n, k) array sums its k columns in one Clenshaw
+    pass and returns k rows of values, each bit for bit the column's own sum."""
     c = np.asarray(coeffs)
-    scaled = c * np.sqrt(np.arange(c.size) + 0.5)
+    scaled = (c.T * np.sqrt(np.arange(len(c)) + 0.5)).T
     return npleg.legval(np.asarray(x, dtype=float), scaled)
 
 

@@ -43,8 +43,11 @@ CONSTANTS = Constants()
 
 @lru_cache(maxsize=16)
 def _gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre rule: every caller shares the cached arrays."""
-    rule = np.polynomial.legendre.leggauss(n)
+    """Read-only n-node Gauss-Legendre rule, nodes ascending, from
+    scipy.special.roots_legendre: eigenvalues of the tridiagonal Jacobi
+    matrix polished by a Newton step, where numpy's leggauss solves a dense
+    eigenproblem.  Every caller shares the cached arrays."""
+    rule = special.roots_legendre(n)
     for a in rule:
         a.flags.writeable = False
     return rule
@@ -52,9 +55,10 @@ def _gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 #: Gauss-Legendre nodes per Abel integral, in w = sqrt(t - x)
 _ABEL_NODES = 96
-#: array cells a blocked computation forms at once (8 MB of doubles), so the
-#: memory of one call does not grow with its inputs
-_BLOCK_CELLS = 1 << 20
+#: array cells a blocked computation forms at once (1 MB of doubles), so the
+#: memory of one call does not grow with its inputs; every blocked kernel
+#: gives the same bits at any block size
+_BLOCK_CELLS = 1 << 17
 
 
 def _abel_rule(x: np.ndarray, s_max: float) -> tuple[np.ndarray, np.ndarray]:

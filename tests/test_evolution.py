@@ -103,6 +103,27 @@ class TestState:
         monkeypatch.setattr(kab.evolution, "_BLOCK_CELLS", 7 * (n_points + 1) + 3)
         assert np.array_equal(state_interpolant(s)(x), whole)
 
+    def test_node_hits_in_several_blocks(self, monkeypatch):
+        # a point on a node returns that node's sample exactly, xi = 0 (the
+        # pinned u(0) = 0) and the last node xi = 1 included, in every block
+        # of 16 points; its neighbours are no hits and match the one-block
+        # evaluation bit for bit
+        import kab.evolution
+
+        s = make_state(lambda t: t * t * (1.0 - t), n_points=96)
+        nodes = np.concatenate(([0.0], s.xi_grid))
+        near = np.nextafter(nodes[1:-1], 2.0)
+        x = np.concatenate((nodes, near, [0.3, 0.7]))[::-1]
+        whole = state_interpolant(s)(x)
+        monkeypatch.setattr(kab.evolution, "_BLOCK_CELLS", 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no division by a zero x - x_k
+            blocked = state_interpolant(s)(x)
+        assert np.array_equal(blocked, whole)
+        at_nodes = blocked[::-1][: nodes.size]
+        assert np.array_equal(at_nodes, np.concatenate(([0.0], s.u_values)))
+        assert np.all(np.isfinite(blocked))
+
     def test_interpolant_memory_bounded(self):
         # the (points x nodes) array is formed a block of points at a time;
         # on 200 000 points in one block it took 178 MB
@@ -242,18 +263,62 @@ class TestProjection:
         assert np.max(np.abs(right - full)) <= 1e-12 * np.max(np.abs(full))
 
 
+class TestPackedK01:
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1920])
+    def test_lower_triangle_of_dense(self, n):
+        # the packed entries are the dense matrix's lower triangle, row by
+        # row, bit for bit
+        packed = _k01_matrix(n)
+        dense = galerkin_matrix(OperatorParams(0.0, 1.0), n)
+        assert packed.shape == (n * (n + 1) // 2,)
+        assert packed.tobytes() == dense[np.tril_indices(n)].tobytes()
+        with pytest.raises(ValueError):
+            packed[0] = 0.0
+
+    @pytest.mark.parametrize("n", [1, 7, 960])
+    def test_size_n_is_prefix_of_size_2n(self, monkeypatch, n):
+        # the size-N step reads the size-2N array's prefix; a build in
+        # blocks of one row gives the same bits
+        import kab.operators
+
+        small = _k01_matrix.__wrapped__(n)
+        big = _k01_matrix.__wrapped__(2 * n)
+        assert big[: small.size].tobytes() == small.tobytes()
+        monkeypatch.setattr(kab.operators, "_BLOCK_CELLS", 1)
+        assert _k01_matrix.__wrapped__(n).tobytes() == small.tobytes()
+
+    def test_build_memory_bounded(self):
+        # the packed triangle (14.75 MB at 1920) plus a few blocks of
+        # _BLOCK_CELLS cells; the dense build held two 29.5 MB matrices
+        tracemalloc.start()
+        try:
+            packed = _k01_matrix.__wrapped__(1920)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= packed.nbytes + 4 * 2**20
+
+
 class TestKrylovExp:
     @pytest.mark.parametrize("n", [64, 1920])
     def test_matches_dense_eigh(self, smooth_profiles, n):
-        # exp(-tau K) c from the full eigendecomposition of K; both sides
-        # carry rounding of order tau |K| eps, 3e-13 at tau = 100
-        mat = _k01_matrix(n)
-        lam, vec = np.linalg.eigh(mat)
+        # exp(-tau K) c from the full eigendecomposition of the dense K; both
+        # sides carry rounding of order tau |K| eps, 3e-13 at tau = 100
+        lam, vec = np.linalg.eigh(galerkin_matrix(OperatorParams(0.0, 1.0), n))
+        packed = _k01_matrix(n)
         c = _state_coeffs(make_state(smooth_profiles["xi-sq"]), n)
         for tau in (0.25, 1.0, 2.5, 10.0, 100.0):
             ref = vec @ (np.exp(-tau * lam) * (vec.T @ c))
-            err = np.max(np.abs(_krylov_exp(mat, c, tau) - ref))
+            err = np.max(np.abs(_krylov_exp(packed, c, tau) - ref))
             assert err <= 1e-12 * np.max(np.abs(ref)), tau
+
+    def test_size_n_reads_prefix(self, smooth_profiles):
+        # the size-N exponential on the size-2N packed array equals the one
+        # on the size-N array, bit for bit
+        c = _state_coeffs(make_state(smooth_profiles["xi-sq"]), 64)
+        big = _k01_matrix.__wrapped__(128)
+        small = _k01_matrix.__wrapped__(64)
+        assert np.array_equal(_krylov_exp(big, c, 1.0), _krylov_exp(small, c, 1.0))
 
     def test_zero_vector(self):
         out = _krylov_exp(_k01_matrix(64), np.zeros(64), 1.0)
@@ -261,8 +326,7 @@ class TestKrylovExp:
 
     def test_exhausted_space_is_exact(self):
         # at n = 1 the Krylov space is the whole space after one step
-        mat = np.array([[0.7]])
-        out = _krylov_exp(mat, np.array([2.0]), 1.5)
+        out = _krylov_exp(np.array([0.7]), np.array([2.0]), 1.5)
         assert out == pytest.approx([2.0 * math.exp(-1.05)], rel=1e-15)
         # and n_trunc = 1 runs both sizes (1 and 2) on exhausted spaces; two
         # modes cannot hold the profile, which the tail warning says

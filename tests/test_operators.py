@@ -6,6 +6,7 @@ elements, plane waves for the kinetic multiplier, and a dense circulant
 eigensolve for the matrix-free pseudospectral solve.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,7 +160,63 @@ class TestLogMatrix:
         assert lp[0, 0] == pytest.approx(LOG2 - 1.0, abs=1e-13)
 
 
+def _whole_array_galerkin(params, n):
+    """galerkin_matrix by whole-matrix operations, in the order the row
+    blocks apply them: the reference for the blocked build."""
+    idx = np.arange(n, dtype=float)
+    mat = np.zeros((n, n))
+    if params.alpha != 1.0 or params.beta != 1.0:
+        mat = np.abs(np.subtract.outer(idx, idx))
+        mat *= np.add.outer(idx, idx + 1.0)
+        np.fill_diagonal(mat, 1.0)
+        np.divide(-2.0, mat, out=mat)
+        diag = np.empty(n)
+        diag[0] = 2.0 * LOG2 - 2.0
+        for k in range(1, n):
+            diag[k] = (
+                (2 * k - 1) / (2 * k + 1) * (-(k + 1) / (2 * k + 1) + k * diag[k - 1])
+                + (k - 1) / (2 * k - 1)
+            ) / k
+        np.fill_diagonal(mat, diag)
+        mat *= np.outer(np.sqrt(idx + 0.5), np.sqrt(idx + 0.5))
+        w_plus, w_minus = 1.0 - params.alpha, 1.0 - params.beta
+        even, odd = w_plus + w_minus, w_minus - w_plus
+        s0, s1 = slice(0, None, 2), slice(1, None, 2)
+        for rows, cols, w in ((s0, s0, even), (s1, s1, even), (s0, s1, odd), (s1, s0, odd)):
+            if w != 1.0:
+                mat[rows, cols] *= w
+    mat[np.diag_indices(n)] += 2.0 * harmonic_numbers(n)
+    return mat
+
+
 class TestGalerkin:
+    @pytest.mark.parametrize("alpha,beta", [(0.5, 2.5), (0.77, 1.38), (2.0, 2.0), (1.0, 1.0)])
+    @pytest.mark.parametrize("n", [1, 2, 7, 200])
+    @pytest.mark.parametrize("cells", [None, 1, 3 * 200 + 5])
+    def test_row_blocks_bitwise(self, monkeypatch, alpha, beta, n, cells):
+        # the matrix is filled a block of rows at a time (one row at a time
+        # with cells = 1, uneven blocks at 605 cells); every block size gives
+        # the bits of the whole-array build, signed zeros included
+        import kab.operators
+
+        if cells is not None:
+            monkeypatch.setattr(kab.operators, "_BLOCK_CELLS", cells)
+        p = OperatorParams(alpha, beta)
+        mat = galerkin_matrix(p, n)
+        assert mat.tobytes() == _whole_array_galerkin(p, n).tobytes()
+
+    def test_build_memory_bounded(self):
+        # no temporary of the matrix's size: the build's peak is the matrix
+        # plus a few blocks of _BLOCK_CELLS cells (1 MB each)
+        n = 1920
+        tracemalloc.start()
+        try:
+            mat = galerkin_matrix(OperatorParams(0.77, 1.38), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mat.nbytes + 4 * 2**20
+
     def test_k11_diagonal_harmonic(self):
         # A-3: the (1,1) matrix is diagonal with entries 2 h_n
         mat = galerkin_matrix(OperatorParams(1.0, 1.0), 64)
@@ -466,6 +523,19 @@ class TestProjectSynthesize:
         c[n] = 1.0
         coeffs = project(lambda x: synthesize(c, x), 16)
         assert np.max(np.abs(coeffs - c)) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17])
+    def test_columns_match_single_sums(self, rng, n):
+        # an (n, k) array sums its columns in one Clenshaw pass, each as its
+        # own call would; a column zero-padded to 2n sums as the unpadded one
+        x = np.concatenate(([-1.0, 1.0, 0.0], rng.uniform(-1.0, 1.0, 50)))
+        c = rng.standard_normal((2 * n, 3))
+        c[n:, 0] = 0.0
+        rows = synthesize(c, x)
+        assert rows.shape == (3, x.size)
+        for k in range(3):
+            assert np.array_equal(rows[k], synthesize(c[:, k], x))
+        assert np.array_equal(rows[0], synthesize(c[:n, 0], x))
 
     def test_nodes_from_cached_rule(self, monkeypatch):
         # project takes its rule from the one cached Gauss-Legendre source
