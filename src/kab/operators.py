@@ -4,10 +4,12 @@ Two backends are provided: a Legendre-Galerkin truncation in the orthonormal
 basis Phat_n = sqrt(n + 1/2) P_n, and a Fourier pseudospectral grid in the
 variable u (x = tanh u) where the kinetic part G(p) is diagonal in frequency
 space and the potential is diagonal on the grid.  The pseudospectral operator
-is applied matrix-free by real FFT and its lowest states come from shifted
-Lanczos.  The Galerkin spectrum is a Richardson extrapolation of dense solves
-on the leading blocks of one size-N matrix, with the spread of successive
-extrapolations as its error estimate.
+is applied matrix-free by real FFT; its lowest states come from Lanczos on
+one FFT operator that applies the shift too, with a basis of max(20,
+3 n_eigs - 2) vectors.  The Galerkin spectrum is a Richardson extrapolation
+of dense solves on the leading blocks of one size-N matrix, of which only the
+lower triangle is built, in Fortran order, and solved in place at size N;
+the spread of successive extrapolations is its error estimate.
 """
 from __future__ import annotations
 
@@ -203,24 +205,43 @@ def potential_v(u: np.ndarray | float, params: OperatorParams) -> np.ndarray | f
     return float(val) if np.isscalar(u) else val
 
 
-def pseudospectral_matrix(params: OperatorParams, grid: UGrid) -> LinearOperator:
-    """G(p) + V(u) on the grid as a symmetric matrix-free operator.
+def _grid_hamiltonian(params: OperatorParams, grid: UGrid, caller: str):
+    """(h, v): h(x) = G(p) x + V x along the last axis of x, and V on the grid.
 
     The kinetic part is the Fourier multiplier G(p), applied by real FFT on
     the M/2 + 1 non-negative frequencies (G is even), and the potential is
     diagonal, so a product costs O(M log M) time and O(M) memory.  Raises
-    when the spectrum is continuous (OperatorParams.require_discrete).
+    when the spectrum is continuous (OperatorParams.require_discrete) or
+    when V overflows on the grid, which a product would carry into inf.
     """
-    params.require_discrete("pseudospectral_matrix")
+    params.require_discrete(caller)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        v = potential_v(grid.nodes, params)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(
+            f"{caller}: the potential overflows on the grid at alpha={params.alpha}, "
+            f"beta={params.beta}, u_max={grid.u_max}"
+        )
     m = grid.m_points
     g = big_g(2.0 * np.pi * np.fft.rfftfreq(m, d=grid.spacing))
-    v = potential_v(grid.nodes, params)
 
-    def matvec(x):
-        x = np.ravel(x)  # LinearOperator hands over (M,) or (M, 1)
+    def h(x):
         return np.fft.irfft(g * np.fft.rfft(x), n=m) + v * x
 
-    return LinearOperator((m, m), matvec=matvec, dtype=float)
+    return h, v
+
+
+def pseudospectral_matrix(params: OperatorParams, grid: UGrid) -> LinearOperator:
+    """G(p) + V(u) on the grid as a symmetric matrix-free operator.
+
+    A product is one real FFT pair and a diagonal scaling (_grid_hamiltonian):
+    O(M log M) time, O(M) memory.  Raises when the spectrum is continuous or
+    when the potential overflows on the grid.
+    """
+    h, _ = _grid_hamiltonian(params, grid, "pseudospectral_matrix")
+    m = grid.m_points
+    # LinearOperator hands over (M,) or (M, 1)
+    return LinearOperator((m, m), matvec=lambda x: h(np.ravel(x)), dtype=float)
 
 
 # apply_k_pointwise's rule in u = atanh y.  Its integrand decays at least like
@@ -303,7 +324,8 @@ def galerkin_spectrum(
     estimates max(|R(N/2, N) - R(N/4, N/2)|, |R(N/4, N/2) - R(N/8, N/4)|/4));
     the second term covers a state whose successive R cross.  N = n_trunc is
     a multiple of 8 in [8, 4096] and 1 <= n_eigs <= N/8.  Raises ValueError
-    when the spectrum is continuous, as the pseudospectral backend does.
+    when the spectrum is continuous, as the pseudospectral backend does, and
+    when alpha or beta is so large that a matrix entry overflows.
     """
     params = OperatorParams(alpha, beta)
     params.require_discrete("galerkin_spectrum")
@@ -316,18 +338,28 @@ def galerkin_spectrum(
             f"galerkin_spectrum: n_eigs={n_eigs} must lie in [1, n_trunc/8] = "
             f"[1, {n_trunc // 8}] at n_trunc={n_trunc}"
         )
-    mat = galerkin_matrix(params, n_trunc)
-    lam = [
-        linalg.eigh(mat[:m, :m], eigvals_only=True, subset_by_index=[0, n_eigs - 1])
-        for m in (n_trunc // 8, n_trunc // 4, n_trunc // 2, n_trunc)
-    ]
+    # eigh reads the lower triangle in Fortran order: write only that (the
+    # zeros above pass check_finite), and let the size-N solve overwrite it
+    mat = np.zeros((n_trunc, n_trunc), order="F")
+    for i, block in _galerkin_rows(params, n_trunc, lower=True):
+        mat[i : i + block.shape[0], : block.shape[1]] = block
+    try:
+        lam = [
+            linalg.eigh(mat[:m, :m], eigvals_only=True, subset_by_index=[0, n_eigs - 1],
+                        overwrite_a=(m == n_trunc))
+            for m in (n_trunc // 8, n_trunc // 4, n_trunc // 2, n_trunc)
+        ]
+    except ValueError as exc:  # check_finite: an entry overflowed
+        raise ValueError(
+            f"galerkin_spectrum: the matrix overflows at alpha={alpha}, beta={beta}"
+        ) from exc
     r1, r2, r3 = ((4.0 * fine - coarse) / 3.0 for coarse, fine in zip(lam, lam[1:]))
     est = np.maximum(np.abs(r3 - r2), 0.25 * np.abs(r2 - r1))
     return tuple(map(float, r3)), tuple(map(float, est))
 
 
-#: cells of the (2 n_eigs + 1) x M Lanczos basis one solve may hold: as many
-#: as galerkin_matrix's largest matrix, 8192^2 (512 MB)
+#: cells of the ncv x M Lanczos basis one solve may hold: as many as
+#: galerkin_matrix's largest matrix, 8192^2 (512 MB)
 _LANCZOS_CELLS = 1 << 26
 
 
@@ -337,33 +369,43 @@ def _pseudospectral_solve(
     """Lowest n_eigs eigenpairs of G(p) + V(u), ascending; each vector's
     first entry above 1e-8 in modulus is positive.
 
-    ARPACK's implicitly restarted Lanczos runs on G + V - shift I from a
-    fixed generic start vector (the default start is random, and a symmetric
-    one would miss the odd states when alpha = beta).  With tol = 0 ARPACK
-    accepts a Ritz value theta only once its error bound falls below
-    eps max(eps^(2/3), |theta|), which a state at theta ~ 0 can miss; G >=
-    G(0) and V is diagonal, so the shift G(0) + min V - 1 puts the spectrum
-    at 1 or above.  Each pair must satisfy ||h v - lam v|| <= 1e-8 max(1,
-    max |lam|).  The Lanczos basis holds 2 n_eigs + 1 vectors of M points,
-    at most _LANCZOS_CELLS cells.
+    ARPACK's implicitly restarted Lanczos runs on G + V - shift I, one FFT
+    operator, from a fixed generic start vector (the default start is
+    random, and a symmetric one would miss the odd states when alpha =
+    beta).  With tol = 0 ARPACK accepts a Ritz value theta only once its
+    error bound falls below eps max(eps^(2/3), |theta|), which a state at
+    theta ~ 0 can miss; G >= G(0) and V is diagonal, so the shift G(0) +
+    min V - 1 puts the spectrum at 1 or above.  Each pair must satisfy
+    ||h v - lam v|| <= 1e-8 max(1, max |lam|).
+
+    The basis holds ncv = max(20, 3 n_eigs - 2) vectors of M points, at
+    most M and at most _LANCZOS_CELLS cells.  Up to n_eigs = 7 that is
+    ARPACK's default max(2 n_eigs + 1, 20); at n_eigs = 10 and M = 2048 it
+    is 28 in place of 21 and saves about a fifth of the products, where a
+    larger basis saves almost none more.  A solve needs room for at least
+    2 n_eigs + 1 vectors and is refused unstarted without it.
     """
     params = OperatorParams(alpha, beta)
     grid = UGrid(u_max, m_points)
-    largest = min(m_points - 1, (_LANCZOS_CELLS // m_points - 1) // 2)
+    room = _LANCZOS_CELLS // m_points
+    largest = min(m_points - 1, (room - 1) // 2)
     if not 1 <= n_eigs <= largest:
         raise ValueError(
             f"pseudospectral: n_eigs={n_eigs} must lie in [1, {largest}] "
             f"at m_points={m_points}"
         )
-    h = pseudospectral_matrix(params, grid)
-    shift = BIG_G_MIN + float(np.min(potential_v(grid.nodes, params))) - 1.0
-    shifted = LinearOperator(h.shape, matvec=lambda x: h @ x - shift * x, dtype=float)
+    h, v = _grid_hamiltonian(params, grid, "pseudospectral")
+    shift = BIG_G_MIN + float(np.min(v)) - 1.0
+    # eigsh passes 1-D x; the shift is subtracted last, so each product
+    # rounds as (G + V) x - shift x, which test_frozen_values_and_signs pins
+    op = LinearOperator((m_points, m_points), matvec=lambda x: h(x) - shift * x, dtype=float)
     v0 = np.random.default_rng(0).standard_normal(m_points)
-    vals, vecs = eigsh(shifted, k=n_eigs, which="SA", tol=0, v0=v0)
+    ncv = min(m_points, room, max(20, 3 * n_eigs - 2))
+    vals, vecs = eigsh(op, k=n_eigs, ncv=ncv, which="SA", tol=0, v0=v0)
     order = np.argsort(vals)
     vals, vecs = vals[order] + shift, vecs[:, order]
     scale = max(1.0, float(np.max(np.abs(vals))))
-    resid = np.linalg.norm(h @ vecs - vecs * vals, axis=0)
+    resid = np.linalg.norm(h(vecs.T) - (vecs * vals).T, axis=1)
     if np.any(resid > 1e-8 * scale):
         raise RuntimeError(f"Lanczos: eigenpair residual {resid.max():.3e} exceeds tolerance")
     # a unit vector has an entry of at least M^(-1/2) > 1e-8, so each has one

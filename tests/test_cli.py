@@ -631,6 +631,32 @@ class TestSchemaAndErrors:
         assert doc["kind"] == "validation"
         assert named in doc["error"]
 
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["spectrum", "--alpha", "1e308", "--beta", "1e308", "--n", "2",
+              "--m-points", "256"], ("alpha=1e+308", "beta=1e+308", "u_max=40.0")),
+            (["spectrum", "--backend", "galerkin", "--alpha", "1e308", "--beta", "1e308",
+              "--n", "2", "--n-trunc", "64"], ("alpha=1e+308", "beta=1e+308")),
+        ],
+        ids=["pseudospectral", "galerkin"],
+    )
+    def test_huge_param_named(self, capfd, argv, named):
+        # a potential or matrix entry that overflows is refused by name before
+        # any solve: these once let LAPACK print to file descriptor 1 and
+        # ARPACK fail with code -9999, or blamed "infs or NaNs" in an array
+        from kab.cli import main
+
+        assert main(argv) == 2
+        out, err = capfd.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc["kind"] == "validation"
+        for part in named:
+            assert part in doc["error"]
+
     @pytest.mark.parametrize("argv", [["--help"], ["evolve", "--help"]])
     def test_help_exit_0(self, capsys, argv):
         # help is not an error: argparse prints it on stdout and exits 0

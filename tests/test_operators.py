@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import legendre as npleg
 from scipy import integrate, linalg, special
+from scipy.sparse.linalg import LinearOperator
+from scipy.sparse.linalg import eigsh as sparse_eigsh
 
 from kab.operators import (
     OperatorParams,
@@ -312,6 +314,35 @@ class TestGalerkinSpectrum:
         assert np.all(np.abs(np.array(vals) - r3) <= 1e-12 * scale)
         assert np.all(np.abs(np.array(est) - est_ref) <= 1e-12 * scale)
 
+    @pytest.mark.parametrize("alpha,beta", [(0.7, 1.9), (2.0, 2.0), (1.0, 1.0)])
+    @pytest.mark.parametrize("n_trunc", [8, 64, 1024])
+    def test_dense_blocks_bitwise(self, alpha, beta, n_trunc):
+        # the lower-triangle Fortran-order build gives the bits of eigh on
+        # the leading blocks of the full dense galerkin_matrix
+        n_eigs = min(10, n_trunc // 8)
+        mat = galerkin_matrix(OperatorParams(alpha, beta), n_trunc)
+        lam = [
+            linalg.eigh(mat[:m, :m], eigvals_only=True, subset_by_index=[0, n_eigs - 1])
+            for m in (n_trunc // 8, n_trunc // 4, n_trunc // 2, n_trunc)
+        ]
+        r1, r2, r3 = ((4.0 * fine - coarse) / 3.0 for coarse, fine in zip(lam, lam[1:]))
+        est_ref = np.maximum(np.abs(r3 - r2), 0.25 * np.abs(r2 - r1))
+        vals, est = galerkin_spectrum.__wrapped__(alpha, beta, n_eigs, n_trunc)
+        assert [v.hex() for v in vals] == [float(v).hex() for v in r3]
+        assert [e.hex() for e in est] == [float(e).hex() for e in est_ref]
+
+    def test_solve_memory_bounded(self):
+        # one size-N array, solved in place at size N: the peak is that array
+        # plus the copies of the smaller blocks and a few row blocks
+        n = 1024
+        tracemalloc.start()
+        try:
+            galerkin_spectrum.__wrapped__(0.7, 1.9, 10, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * n + 4 * 2**20
+
     @pytest.mark.parametrize("n_trunc", [0, 4097, 5000, 100])
     def test_size_bounds_name_callers_n(self, n_trunc):
         # each Richardson step doubles the block size exactly
@@ -365,6 +396,11 @@ class TestPseudospectral:
     def test_continuous_spectrum_params_raise(self):
         with pytest.raises(ValueError):
             pseudospectral_matrix(OperatorParams(0.0, 1.0), UGrid(10.0, 64))
+
+    def test_overflowing_potential_named(self):
+        # V ~ alpha |u| overflows at u_max = 40 for alpha above about 2.2e306
+        with pytest.raises(ValueError, match=r"alpha=1e\+308, beta=1\.0, u_max=40\.0"):
+            pseudospectral_matrix(OperatorParams(1e308, 1.0), UGrid(40.0, 64))
 
     def test_harmonic_eigenvalues(self):
         # A-3: (1,1) pseudospectral eigenvalues are 2 h_n, i.e. kappa_n/2 = h_n
@@ -489,15 +525,37 @@ class TestPseudospectralSolve:
         again = pseudospectral_eigensystem(2.0, 2.0, 3, 40.0, 256)
         assert all(np.array_equal(a, b) for a, b in zip(again, first))
 
+    def test_products_counted(self, monkeypatch):
+        # ten states at M = 2048 on a basis of 28 vectors: ARPACK's default
+        # of 21 took 560 products of the operator here
+        import kab.operators
+
+        products = []
+
+        def eigsh(a, **kwargs):
+            def matvec(x):
+                products.append(1)
+                return a.matvec(x)
+
+            return sparse_eigsh(LinearOperator(a.shape, matvec=matvec, dtype=float), **kwargs)
+
+        monkeypatch.setattr(kab.operators, "eigsh", eigsh)
+        pseudospectral_spectrum.__wrapped__(2.0, 2.0, 10, 40.0, 2048)
+        assert len(products) <= 450
+
     def test_eigenpair_count_bounded(self, monkeypatch):
-        # the Lanczos basis holds (2 n_eigs + 1) x M doubles; past 2^26 cells
-        # (galerkin_matrix's largest matrix) the solve is refused unstarted
+        # a solve needs room for 2 n_eigs + 1 basis vectors of M doubles; past
+        # 2^26 cells (galerkin_matrix's largest matrix) it is refused
+        # unstarted, and the basis eigsh is given stays within 2^26 cells
         import kab.operators
 
         class Reached(Exception):
             pass
 
-        def eigsh(*args, **kwargs):
+        bases = []
+
+        def eigsh(a, k, ncv, **kwargs):
+            bases.append((k, ncv, a.shape[0]))
             raise Reached
 
         monkeypatch.setattr(kab.operators, "eigsh", eigsh)
@@ -506,6 +564,13 @@ class TestPseudospectralSolve:
             solve(2.0, 2.0, 511, 40.0, 65536)
         with pytest.raises(Reached):
             solve(2.0, 2.0, 4095, 40.0, 8192)
+        for n_eigs, m_points in ((1, 64), (7, 2048), (10, 2048)):
+            with pytest.raises(Reached):
+                solve(2.0, 2.0, n_eigs, 40.0, m_points)
+        # ARPACK's default max(2 k + 1, 20) up to k = 7, then 3 k - 2
+        assert [ncv for _, ncv, _ in bases] == [1024, 8192, 20, 20, 28]
+        for k, ncv, m in bases:
+            assert k < ncv <= m and ncv * m <= 2**26
         for n_eigs, m_points, largest in ((512, 65536, 511), (4096, 8192, 4095),
                                           (60000, 65536, 511), (4096, 4096, 4095)):
             with pytest.raises(ValueError) as info:
