@@ -270,7 +270,7 @@ def _k01_matrix(n_trunc: int) -> np.ndarray:
     prefix of N (N + 1)/2 entries, bit for bit.
     """
     packed = np.empty(n_trunc * (n_trunc + 1) // 2)
-    for i, block in _galerkin_rows(OperatorParams(0.0, 1.0), n_trunc, lower=True):
+    for i, block in _galerkin_rows(OperatorParams(0.0, 1.0), n_trunc):
         j = i + block.shape[0]
         packed[i * (i + 1) // 2 : j * (j + 1) // 2] = block[np.tri(j - i, j, i, dtype=bool)]
     packed.flags.writeable = False

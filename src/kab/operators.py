@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre as npleg
 from scipy import linalg
-from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .specfun import _BLOCK_CELLS, BIG_G_MIN, CONSTANTS, _gauss_nodes, big_g
 
@@ -127,10 +127,10 @@ def monomial_action_k11(n: int) -> np.ndarray:
     return out
 
 
-def _galerkin_rows(params: OperatorParams, n_trunc: int, lower: bool):
+def _galerkin_rows(params: OperatorParams, n_trunc: int):
     """Yield (i, block) for rows [i, j) of galerkin_matrix(params, n_trunc),
-    in order, each block at most _BLOCK_CELLS cells: all n_trunc columns, or
-    with lower the first j, which hold rows i..j-1 of the lower triangle.
+    in order, each block at most _BLOCK_CELLS cells: the first j columns,
+    which hold rows i..j-1 of the lower triangle.
 
     The log part (1-a) L+ + (1-b) L-, with L+- the matrix of multiplication
     by log(1 +- x): in the unnormalized basis L+ has the off-diagonal entries
@@ -158,7 +158,7 @@ def _galerkin_rows(params: OperatorParams, n_trunc: int, lower: bool):
     step = max(1, _BLOCK_CELLS // n_trunc)
     for i in range(0, n_trunc, step):
         j = min(i + step, n_trunc)
-        rows, cols = idx[i:j, None], idx[: j if lower else n_trunc]
+        rows, cols = idx[i:j, None], idx[:j]
         on_diag = (np.arange(j - i), np.arange(i, j))
         if free:
             block = np.zeros((j - i, cols.size))
@@ -181,16 +181,18 @@ def _galerkin_rows(params: OperatorParams, n_trunc: int, lower: bool):
 def galerkin_matrix(params: OperatorParams, n_trunc: int) -> np.ndarray:
     """Truncated matrix of K_{alpha,beta}: diag(2 h_n) + (1-a) L+ + (1-b) L-.
 
-    Filled a block of rows at a time (_galerkin_rows), so the build needs
-    no temporary of the matrix's size.  At most 8192 modes (512 MB dense,
-    or 268 MB as a packed triangle), so evolve_matrix's solves at N and 2N
-    accept N <= 4096.
+    Filled a block of lower-triangle rows (_galerkin_rows) and its transpose
+    at a time, so the build needs no temporary of the matrix's size; the
+    matrix is exactly symmetric, so the two writes agree where they meet.
+    At most 8192 modes (512 MB dense, or 268 MB as a packed triangle), so
+    evolve_matrix's solves at N and 2N accept N <= 4096.
     """
     if not 1 <= n_trunc <= 8192:
         raise ValueError(f"galerkin_matrix: n_trunc={n_trunc} must lie in [1, 8192]")
     mat = np.empty((n_trunc, n_trunc))
-    for i, block in _galerkin_rows(params, n_trunc, lower=False):
-        mat[i : i + block.shape[0]] = block
+    for i, block in _galerkin_rows(params, n_trunc):
+        mat[: block.shape[1], i : block.shape[1]] = block.T
+        mat[i : block.shape[1], : block.shape[1]] = block
     return mat
 
 
@@ -341,7 +343,7 @@ def galerkin_spectrum(
     # eigh reads the lower triangle in Fortran order: write only that (the
     # zeros above pass check_finite), and let the size-N solve overwrite it
     mat = np.zeros((n_trunc, n_trunc), order="F")
-    for i, block in _galerkin_rows(params, n_trunc, lower=True):
+    for i, block in _galerkin_rows(params, n_trunc):
         mat[i : i + block.shape[0], : block.shape[1]] = block
     try:
         lam = [
@@ -376,7 +378,8 @@ def _pseudospectral_solve(
     error bound falls below eps max(eps^(2/3), |theta|), which a state at
     theta ~ 0 can miss; G >= G(0) and V is diagonal, so the shift G(0) +
     min V - 1 puts the spectrum at 1 or above.  Each pair must satisfy
-    ||h v - lam v|| <= 1e-8 max(1, max |lam|).
+    ||h v - lam v|| <= 1e-8 max(1, max |lam|); a failed pair, or an
+    ARPACK error, raises RuntimeError naming alpha, beta, u_max and m_points.
 
     The basis holds ncv = max(20, 3 n_eigs - 2) vectors of M points, at
     most M and at most _LANCZOS_CELLS cells.  Up to n_eigs = 7 that is
@@ -401,13 +404,17 @@ def _pseudospectral_solve(
     op = LinearOperator((m_points, m_points), matvec=lambda x: h(x) - shift * x, dtype=float)
     v0 = np.random.default_rng(0).standard_normal(m_points)
     ncv = min(m_points, room, max(20, 3 * n_eigs - 2))
-    vals, vecs = eigsh(op, k=n_eigs, ncv=ncv, which="SA", tol=0, v0=v0)
+    where = f"pseudospectral: at alpha={alpha}, beta={beta}, u_max={u_max}, m_points={m_points}"
+    try:
+        vals, vecs = eigsh(op, k=n_eigs, ncv=ncv, which="SA", tol=0, v0=v0)
+    except ArpackError as exc:
+        raise RuntimeError(f"{where}: {exc}") from exc
     order = np.argsort(vals)
     vals, vecs = vals[order] + shift, vecs[:, order]
     scale = max(1.0, float(np.max(np.abs(vals))))
     resid = np.linalg.norm(h(vecs.T) - (vecs * vals).T, axis=1)
     if np.any(resid > 1e-8 * scale):
-        raise RuntimeError(f"Lanczos: eigenpair residual {resid.max():.3e} exceeds tolerance")
+        raise RuntimeError(f"{where}: eigenpair residual {resid.max():.3e} exceeds tolerance")
     # a unit vector has an entry of at least M^(-1/2) > 1e-8, so each has one
     first = vecs[np.argmax(np.abs(vecs) > 1e-8, axis=0), np.arange(n_eigs)]
     return grid, vals, np.where(first < 0.0, -vecs, vecs)

@@ -20,7 +20,6 @@ from .specfun import (
     _check_positive,
     _gauss_nodes,
     _illinois,
-    _simpson_weights,
     big_g_inverse,
     phase_integral,
 )
@@ -239,70 +238,92 @@ def fit_boundary_exponent(
 # ---------------------------------------------------------------------------
 # linear-potential Fourier solution
 
-# the largest disagreement of the two tapered integrals that passes
-_TAPER_CHECK_TOL = 1e-5
-# the shorter taper's end and the step in p (the longer taper ends at 2 _P_MAX)
-_P_MAX = 160.0
-_DP = 0.002
+#: nodes per radian of the exponent a piece of the contour covers, and the
+#: decay exp(-_RAY_DECAY) at which a ray ends
+_NODES_PER_RADIAN = 4.0
+_RAY_DECAY = 40.0
+#: nodes one u may take, about 1 s: a saddle p_s up to about 1e6 beta
+_MAX_NODES = 1 << 22
+#: the largest gap of the self-check, relative to max(1, |Psi|)
+_CHECK_TOL = 1e-8
+
+
+def _lp_integral(beta: float, kappa_prime: float, u, p_s, angle: float, density: float):
+    """(1/pi) Re integral of exp(i Theta(p) - i p u) over [0, p_s], then over
+    the ray from p_s at `angle` below the real axis, for each u and its p_s.
+
+    A piece a + b s^2, 0 <= s <= 1, has equal 32-node panels in s: `density`
+    nodes per radian of the exponent it covers, and at least sqrt(|b|/|a + i|)
+    panels, so that the first reaches no farther from a than the poles at
+    +-i nearest p = 0.  s^2 also crowds the nodes toward p = 0, where the
+    phase turns fastest.  The ray starts 20 + 8 sqrt(2 beta (p_s + 1)) long
+    and is doubled or halved until the integrand is below exp(-_RAY_DECAY)
+    at its end but not at its midpoint.  At most _BLOCK_CELLS nodes are
+    formed at once.
+    """
+    def exponent(p, idx):  # Gamma((1 - ip)/2) has its poles on the negative imaginary axis
+        lg = special.loggamma(0.5 + 0.5j * p) - special.loggamma(0.5 - 0.5j * p)
+        return (1j * kappa_prime * p - 2.0 * lg) / (2.0 * beta) - 1j * p * u[idx]
+
+    ray = (20.0 + 8.0 * np.sqrt(2.0 * beta * (p_s + 1.0))) * np.exp(-1j * angle)
+    idx = np.arange(u.size)
+    while (idx := idx[exponent(p_s[idx] + ray[idx], idx).real > -_RAY_DECAY]).size:
+        ray[idx] *= 2.0
+    idx = np.arange(u.size)
+    while (idx := idx[exponent(p_s[idx] + 0.5 * ray[idx], idx).real < -_RAY_DECAY]).size:
+        ray[idx] *= 0.5
+    start, span = np.stack((np.zeros_like(p_s), p_s)), np.stack((p_s, ray))
+    e_s, e_end = exponent(start + span, slice(None))
+    cover = density / 32.0 * np.stack((e_s.imag, np.abs(e_end - e_s)))
+    panels = np.ceil(np.maximum(cover, np.sqrt(np.abs(span) / np.abs(start + 1j))))
+    if np.any(over := ~(panels.sum(axis=0) <= _MAX_NODES / 32)):  # nan, from p_s = inf, too
+        i = int(np.argmax(over))
+        raise ValueError(f"linear_potential_solution: at u = {u[i]:g} the saddle p_s = "
+                         f"{p_s[i]:.6g} needs more than {_MAX_NODES} quadrature nodes")
+    z, wz = _gauss_nodes(32)
+    out = np.zeros(u.size)
+    for i in range(u.size):
+        for a, b, n in zip(start[:, i], span[:, i], panels[:, i].astype(int)):
+            for j in range(0, n, _BLOCK_CELLS // 32):
+                s = (np.arange(j, min(n, j + _BLOCK_CELLS // 32))[:, None] + 0.5 * (z + 1.0)) / n
+                # dp = 2 b s ds, and a panel's weights in s are wz / (2 n)
+                out[i] += np.sum((b * s * (wz / n) * np.exp(exponent(a + b * s * s, i))).real)
+    return out / math.pi
 
 
 def linear_potential_solution(beta: float, kappa_prime: float, u):
     """The decaying solution of the exact linear-potential model
     (2 Re psi((1+ip)/2) - kappa' + 2 beta u) Psi = 0 via its Fourier
-    representation.
+    representation, Psi(u) = (1/pi) Re integral_0^inf exp(i Theta(p) - i p u) dp.
+    The phase Theta(p) = (1/(2 beta)) integral_0^p (kappa' + 2 log 2 - G(q)) dq
+    is (kappa' p - 4 Im log Gamma((1 + ip)/2))/(2 beta), as the derivative of
+    log Gamma((1 + ip)/2) is (i/2) psi((1 + ip)/2).  At beta = 1, Psi(u) is
+    2 y J_0(2y) with y = exp(-u + kappa'/2).
 
-    The spectral amplitude is a pure phase, Theta(p) = (1/(2 beta)) *
-    integral_0^p (kappa' + 2 log 2 - G(q)) dq, in closed form
-    (kappa' p - 4 Im log Gamma((1 + ip)/2))/(2 beta) since the derivative
-    of log Gamma((1 + ip)/2) is (i/2) psi((1 + ip)/2); Psi(u) is the tapered
-    oscillatory integral (1/pi) integral_0^inf cos(Theta(p) - p u) dp.
-    Overall normalization is arbitrary (fix it at a reference point, e.g.
-    u = kappa'/2).  For beta = 1 the result is proportional to y J_0(2y)
-    with y = exp(-u + kappa'/2); keeping the 2 log 2 inside G instead
-    only shifts u by log 2.
-
-    Convergence is monitored by comparing tapers ending at _P_MAX and
-    2 _P_MAX; disagreement beyond _TAPER_CHECK_TOL raises.  The cosines go in
-    blocks of rows of at most _BLOCK_CELLS cells.
+    The integrand is analytic and decays in the open fourth quadrant, so by
+    Cauchy's theorem the integral runs on a steepest-descent contour
+    (Huybrechs & Vandewalle, SIAM J. Numer. Anal. 44, 2006; _lp_integral):
+    [0, p_s] to the saddle p_s = G^{-1}(kappa' + 2 log 2 - 2 beta u), or
+    p_s = 0 below G(0), then the ray from p_s at -pi/4.  More than _MAX_NODES
+    nodes raise ValueError naming u and p_s.  The integral on half as many
+    panels, with its ray at -pi/3, must agree within _CHECK_TOL max(1, |Psi|),
+    or RuntimeError names u.
     """
     _check_positive("linear_potential_solution", beta=beta)
-    _check_finite("linear_potential_solution", kappa_prime=kappa_prime)
-    scalar = np.isscalar(u)
-    ua = np.atleast_1d(np.asarray(u, dtype=float))
-    p_end = 2.0 * _P_MAX
-    m = int(round(p_end / _DP))
-    p = np.linspace(0.0, p_end, m + 1)
-    h = p[1] - p[0]
-    lg = special.loggamma(0.5 + 0.5j * p)
-    theta = (kappa_prime * p - 4.0 * lg.imag) / (2.0 * beta)
-
-    def taper(cut: float) -> np.ndarray:
-        w = np.ones_like(p)
-        ramp = (p > 0.5 * cut) & (p < cut)
-        w[ramp] = np.cos(0.5 * math.pi * (p[ramp] - 0.5 * cut) / (0.5 * cut)) ** 2
-        w[p >= cut] = 0.0
-        return w
-
-    weight = _simpson_weights(p.size) * (h / 3.0)
-    tapers = np.column_stack((taper(p_end), taper(_P_MAX))) * weight[:, None]
-    sums = np.empty((ua.size, 2))
-    step = max(1, _BLOCK_CELLS // p.size)
-    for j in range(0, ua.size, step):
-        sums[j : j + step] = np.cos(theta - np.outer(ua[j : j + step], p)) @ tapers
-    full, half = sums.T / math.pi
-    gap = np.abs(full - half)
-    bad = gap > _TAPER_CHECK_TOL
-    if np.any(bad):
+    _check_finite("linear_potential_solution", kappa_prime=kappa_prime, u=u)
+    ua = np.asarray(u, dtype=float).ravel()
+    with np.errstate(all="ignore"):
+        y = kappa_prime + 2.0 * _LOG2 - 2.0 * beta * ua
+        # G(p) < log(1 + p^2): y above 1400 puts p_s above e^700, past the cap
+        p_s = np.where(y > 1400.0, np.inf, big_g_inverse(np.clip(y, BIG_G_MIN, 1400.0)))
+        value = _lp_integral(beta, kappa_prime, ua, p_s, math.pi / 4.0, _NODES_PER_RADIAN)
+        check = _lp_integral(beta, kappa_prime, ua, p_s, math.pi / 3.0, _NODES_PER_RADIAN / 2)
+    gap = np.abs(value - check) / np.maximum(1.0, np.abs(value))
+    if np.any(gap > _CHECK_TOL):
         worst = int(np.argmax(gap))
-        listed = ", ".join(f"{v:g}" for v in ua[bad][:8])
-        if np.count_nonzero(bad) > 8:
-            listed += f", ... ({np.count_nonzero(bad)} in all)"
-        raise RuntimeError(
-            f"linear_potential_solution: tapered integrals ending at p = {_P_MAX:g} and "
-            f"{p_end:g} differ by more than {_TAPER_CHECK_TOL:g} at u = [{listed}], "
-            f"worst at u = {ua[worst]:g} ({gap[worst]:.3e})"
-        )
-    return float(full[0]) if scalar else full
+        raise RuntimeError(f"linear_potential_solution: the contours at -pi/4 and -pi/3 differ "
+                           f"by {gap[worst]:.3e} of max(1, |Psi|) at u = {ua[worst]:g}")
+    return float(value[0]) if np.isscalar(u) else value
 
 
 # ---------------------------------------------------------------------------

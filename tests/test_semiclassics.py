@@ -5,8 +5,10 @@ formula, synthetic power-law data for the boundary-exponent fit, and the
 Bessel form of the linear-potential solution at beta = 1.
 """
 import math
+import time
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,8 @@ from hypothesis import strategies as st
 from scipy.special import j0
 
 from kab.semiclassics import (
+    _NODES_PER_RADIAN,
+    _lp_integral,
     _sc_amplitude,
     bohr_sommerfeld_solve,
     boundary_exponents,
@@ -24,7 +28,7 @@ from kab.semiclassics import (
     wkb_eigenvalue,
     wkb_table,
 )
-from kab.specfun import CONSTANTS
+from kab.specfun import BIG_G_MIN, CONSTANTS, big_g_inverse
 from tests.conftest import printed_tolerance
 
 GAMMA = CONSTANTS.euler_gamma
@@ -69,6 +73,9 @@ class TestWkbEigenvalue:
         for beta, kappa_prime in ((bad, 0.1), (2.0, bad)):
             with pytest.raises(ValueError, match=repr(bad)):
                 linear_potential_solution(beta, kappa_prime, [0.0])
+        for u in (bad, -bad, [0.0, bad]):
+            with pytest.raises(ValueError, match=rf"\bu must be finite, got -?{bad!r}"):
+                linear_potential_solution(2.0, 0.1, u)
 
     @given(
         n=st.integers(0, 30),
@@ -287,17 +294,22 @@ class TestBoundaryExponents:
             )
 
 
+def exact_bessel_form(kappa_prime, u):
+    """2 y J0(2y), y = exp(-u + kappa'/2), in 30-digit arithmetic at each u."""
+    with mp.workdps(30):
+        y = [mp.exp(-mp.mpf(float(x)) + mp.mpf(kappa_prime) / 2) for x in u]
+        return np.array([float(2 * v * mp.besselj(0, 2 * v)) for v in y])
+
+
 class TestLinearPotential:
     def test_beta_one_bessel_form(self):
-        # the decaying solution at beta = 1 is proportional to y J0(2y),
-        # y = exp(-u + kappa'/2)
-        kp = 0.6
-        u = np.array([0.3, 0.8, 1.3, 2.0, 3.0])
-        vals = linear_potential_solution(1.0, kp, u)
-        y = np.exp(-u + 0.5 * kp)
-        ref = y * j0(2.0 * y)
-        scale = vals[0] / ref[0]
-        assert np.max(np.abs(vals - scale * ref)) < 1e-5
+        # the decaying solution at beta = 1 is 2 y J0(2y), y = exp(-u + kappa'/2),
+        # with no fitted scale, left of the turning region as well as right
+        u = np.linspace(-6.0, 6.0, 241)
+        for kp in (0.0, 0.4):
+            ref = exact_bessel_form(kp, u)
+            vals = linear_potential_solution(1.0, kp, u)
+            assert np.max(np.abs(vals - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-12
 
     def test_kappa_prime_is_shift(self):
         # kappa' enters only through u - kappa'/2
@@ -314,8 +326,7 @@ class TestLinearPotential:
         assert vals[2] < vals[0]
 
     def test_memory_bounded(self):
-        # the cosine matrix goes in row blocks: at 100 points the peak stays
-        # near its 4-point size, where one len(u) x 160 001 matrix took 250 MB
+        # the nodes go in blocks of at most _BLOCK_CELLS, and one u at a time
         u = np.linspace(0.0, 6.0, 100)
         tracemalloc.start()
         try:
@@ -324,25 +335,39 @@ class TestLinearPotential:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
-        # values of the unblocked product, every eleventh point
-        frozen = [-0.04777797330077898, 0.8074026139905027, 0.5788796835621651,
-                  0.32162601273715113, 0.16851420018796237, 0.0869792546907689,
-                  0.04471918558137692, 0.0229680962754023, 0.011793397692460428,
-                  0.006055124786376804]
-        assert np.max(np.abs(vals[::11] - frozen)) <= 1e-12
+        # the exact 2 y J0(2y), every eleventh point
+        y = np.exp(-u[::11] + 0.2)
+        assert np.max(np.abs(vals[::11] - 2.0 * y * j0(2.0 * y))) <= 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):
             linear_potential_solution(0.0, 0.0, 0.5)
 
-    def test_taper_failure_names_u(self):
-        # at kappa' = 0.3 the beta = 2 integral does not converge at the
-        # default p_max left of the turning region; the error says where
-        with pytest.raises(RuntimeError, match=r"worst at u = 0\b"):
-            linear_potential_solution(2.0, 0.3, 0.0)
-        with pytest.raises(RuntimeError) as info:
-            linear_potential_solution(2.0, 0.3, np.array([-1.0, 0.0, 5.0]))
-        assert "at u = [-1, 0]," in str(info.value)
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("kp", [-1.0, 0.3])
+    def test_path_independent(self, beta, kp):
+        # by Cauchy's theorem the value does not depend on the contour: rays
+        # at -pi/6 and -pi/3 at twice the node density agree with the
+        # default, left of the turning region as well as right
+        u = np.linspace(-4.0, 4.0, 33)
+        vals = linear_potential_solution(beta, kp, u)
+        p_s = big_g_inverse(np.maximum(kp + 2.0 * LOG2 - 2.0 * beta * u, BIG_G_MIN))
+        scale = np.maximum(1.0, np.abs(vals))
+        for angle in (math.pi / 6.0, math.pi / 3.0):
+            other = _lp_integral(beta, kp, u, p_s, angle, 2.0 * _NODES_PER_RADIAN)
+            assert np.max(np.abs(other - vals) / scale) <= 1e-9
+
+    def test_far_u_returns_or_names_u(self):
+        # far left the saddle p_s ~ exp(beta |u|) outgrows the node cap and
+        # the call refuses naming u; far right the ray shrinks and the value
+        # is finite; either way within seconds
+        for u in (-50.0, 1e300, -1e300):
+            start = time.perf_counter()
+            try:
+                assert math.isfinite(linear_potential_solution(2.0, 0.3, u))
+            except ValueError as exc:
+                assert f"u = {u:g} " in str(exc)
+            assert time.perf_counter() - start < 5.0
 
 
 class TestWkbTable:
