@@ -94,6 +94,11 @@ def _fmt(x) -> str:
     return f"{float(x):.10g}"
 
 
+def _estimate(x) -> float:
+    """An error estimate, which needs no more than 3 significant digits."""
+    return float(f"{x:.3g}")
+
+
 def _emit(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -133,8 +138,7 @@ def _cmd_spectrum(args) -> None:
         vals, err = operators.galerkin_spectrum(
             params.alpha, params.beta, n_eigs=args.n, n_trunc=args.n_trunc
         )
-        # an error estimate needs no more than 3 significant digits
-        doc["truncation_estimate"] = float(f"{max(err):.3g}")
+        doc["truncation_estimate"] = _estimate(max(err))
         doc["n_trunc"] = args.n_trunc
     else:
         vals = operators.pseudospectral_spectrum(
@@ -205,10 +209,7 @@ def _cmd_mehler_fock(args) -> None:
             "profile": args.profile,
             "t_max": args.t_max,
             "tail_estimate": coeffs.meta["tail_estimate"],
-            # an error estimate needs no more than 3 significant digits
-            "r_quadrature_estimate": float(
-                f"{coeffs.meta['r_quadrature_estimate']:.3g}"
-            ),
+            "r_quadrature_estimate": _estimate(coeffs.meta["r_quadrature_estimate"]),
         }
         _emit(args.output, _csv(meta, ["k", "c"], coeffs.to_csv_rows()))
 
@@ -227,23 +228,22 @@ def _cmd_evolve(args) -> None:
     if args.tau != 0.0:
         if args.backend == "matrix":
             state = evolution.evolve_matrix(state, args.tau, n_trunc=args.n_trunc)
-            # an error estimate needs no more than 3 significant digits
-            est = state.meta["truncation_estimate"]
-            state.meta["truncation_estimate"] = float(f"{est:.3g}")
         else:
             state = evolution.evolve_spectral(state, args.tau)
-    meta = {
-        "command": "evolve",
-        "profile": args.profile,
-        "tau": args.tau,
-        "backend": args.backend,
-    }
-    meta.update(state.meta)
+    result = dict(state.meta)
+    if "truncation_estimate" in result:
+        result["truncation_estimate"] = _estimate(result["truncation_estimate"])
     if args.format == "json":
-        doc = state.to_json_dict()
-        doc["profile"] = args.profile
+        doc = {**state.to_json_dict(), "meta": result, "profile": args.profile}
         _emit(args.output, json.dumps(doc, sort_keys=True) + "\n")
     else:
+        meta = {
+            "command": "evolve",
+            "profile": args.profile,
+            "tau": args.tau,
+            "backend": args.backend,
+            **result,
+        }
         _emit(args.output, _csv(meta, ["xi", "u"], state.to_csv_rows()))
 
 

@@ -26,7 +26,6 @@ from scipy.linalg.blas import dspmv
 from .operators import (
     OperatorParams,
     _galerkin_rows,
-    coefficient_tail_warning,
     project,
     synthesize,
 )
@@ -125,7 +124,7 @@ class EvolutionState:
 
 
 def default_xi_grid(n_points: int = 96) -> np.ndarray:
-    """Chebyshev-distributed nodes on (0, 1], clustered at xi = 0.
+    """Chebyshev-distributed nodes on (0, 1], clustered at both ends.
 
     4 to 4096 points: an evolution state needs at least 4, and the cost of
     its interpolant and projection grows with the point count.
@@ -240,6 +239,24 @@ def _delta_tau(state: EvolutionState, tau_final: float) -> float:
     return dtau
 
 
+def _evolved(state: EvolutionState, tau_final: float, backend: str, step) -> EvolutionState:
+    """The state at tau_final from the backend's step(dtau) -> (u, meta); an
+    overflowing growth is reported once, by the finiteness check here."""
+    dtau = _delta_tau(state, tau_final)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_new, meta = step(dtau)
+    if not np.all(np.isfinite(u_new)):
+        raise RuntimeError(
+            f"evolve_{backend}: evolved profile is not finite at tau={tau_final:g}"
+        )
+    return EvolutionState(
+        tau=tau_final,
+        xi_grid=state.xi_grid.copy(),
+        u_values=u_new,
+        meta={"backend": backend, **meta},
+    )
+
+
 def _state_coeffs(state: EvolutionState, n_trunc: int) -> np.ndarray:
     """First n_trunc orthonormal Legendre coefficients of phi(x) = u(xi)/xi.
 
@@ -322,10 +339,7 @@ def _krylov_exp(packed: np.ndarray, v: np.ndarray, dtau: float) -> np.ndarray:
         theta, ritz = eigh_tridiagonal(np.array(diag), np.array(off))
         s = ritz @ (np.exp(-dtau * (theta - theta[0])) * ritz[0])
         if m == n or beta * abs(s[-1]) <= _KRYLOV_TOL * np.linalg.norm(s):
-            # an overflowing growth is reported once, by evolve_matrix's
-            # finiteness check
-            with np.errstate(over="ignore", invalid="ignore"):
-                return (v_norm * np.exp(-dtau * theta[0])) * (s @ head)
+            return (v_norm * np.exp(-dtau * theta[0])) * (s @ head)
         if m < m_max:
             off.append(beta)
             basis[m] = w / beta
@@ -362,30 +376,23 @@ def evolve_matrix(
     """
     if not 1 <= n_trunc <= 4096:
         raise ValueError(f"evolve_matrix: n_trunc={n_trunc} must lie in [1, 4096]")
-    dtau = _delta_tau(state, tau_final)
-    packed = _k01_matrix(2 * n_trunc)
-    growth = math.exp(dtau * _LOG2)
-    coeffs = _state_coeffs(state, 2 * n_trunc)
-    # the size-N step zero-padded to 2N (Clenshaw's recurrence reaches degree
-    # N - 1 in the state the unpadded sum starts from) beside the size-2N step
-    evolved = np.zeros((2 * n_trunc, 2))
-    for col, n in enumerate((n_trunc, 2 * n_trunc)):
-        coefficient_tail_warning(coeffs[:n])
-        evolved[:n, col] = _krylov_exp(packed, coeffs[:n], dtau)
-    xi = state.xi_grid
-    u_coarse, u_fine = xi * synthesize(evolved, 2.0 * xi - 1.0)
-    u_new = growth * (2.0 * u_fine - u_coarse)
-    if not np.all(np.isfinite(u_new)):
-        raise RuntimeError(
-            f"evolve_matrix: evolved profile is not finite at tau={tau_final:g}"
-        )
-    err = growth * float(np.max(np.abs(u_fine - u_coarse)))
-    return EvolutionState(
-        tau=tau_final,
-        xi_grid=state.xi_grid.copy(),
-        u_values=u_new,
-        meta={"backend": "matrix", "n_trunc": n_trunc, "truncation_estimate": err},
-    )
+
+    def step(dtau):
+        packed = _k01_matrix(2 * n_trunc)
+        growth = math.exp(dtau * _LOG2)
+        coeffs = _state_coeffs(state, 2 * n_trunc)
+        # the size-N step zero-padded to 2N beside the size-2N step (Clenshaw's
+        # recurrence reaches degree N - 1 in the state the unpadded sum starts from)
+        evolved = np.zeros((2 * n_trunc, 2))
+        for col, n in enumerate((n_trunc, 2 * n_trunc)):
+            evolved[:n, col] = _krylov_exp(packed, coeffs[:n], dtau)
+        xi = state.xi_grid
+        u_coarse, u_fine = xi * synthesize(evolved, 2.0 * xi - 1.0)
+        err = growth * float(np.max(np.abs(u_fine - u_coarse)))
+        meta = {"n_trunc": n_trunc, "truncation_estimate": err}
+        return growth * (2.0 * u_fine - u_coarse), meta
+
+    return _evolved(state, tau_final, "matrix", step)
 
 
 def _abel_grid(dtau: float) -> tuple[float, int]:
@@ -455,23 +462,10 @@ def evolve_spectral(state: EvolutionState, tau_final: float) -> EvolutionState:
     on dtau alone (_abel_grid), and meta states it: the half-period s_max,
     the FFT length n_fft and the Gauss nodes per Abel integral.
     """
-    dtau = _delta_tau(state, tau_final)
-    s_max, n = _abel_grid(dtau)
-    # an overflowing growth is reported once, by the finiteness check
-    with np.errstate(over="ignore", invalid="ignore"):
-        u_new = _abel_fourier_step(state, dtau, s_max, n)
-    if not np.all(np.isfinite(u_new)):
-        raise RuntimeError(
-            f"evolve_spectral: evolved profile is not finite at tau={tau_final:g}"
-        )
-    return EvolutionState(
-        tau=tau_final,
-        xi_grid=state.xi_grid.copy(),
-        u_values=u_new,
-        meta={
-            "backend": "spectral",
-            "s_max": s_max,
-            "n_fft": n,
-            "abel_nodes": _ABEL_NODES,
-        },
-    )
+
+    def step(dtau):
+        s_max, n = _abel_grid(dtau)
+        meta = {"s_max": s_max, "n_fft": n, "abel_nodes": _ABEL_NODES}
+        return _abel_fourier_step(state, dtau, s_max, n), meta
+
+    return _evolved(state, tau_final, "spectral", step)

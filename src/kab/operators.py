@@ -14,7 +14,6 @@ the spread of successive extrapolations is its error estimate.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -450,21 +449,3 @@ def pseudospectral_eigensystem(
         a.flags.writeable = False
     return out
 
-
-# coefficient_tail_warning: the trailing share of the coefficients checked,
-# and the largest relative norm it may carry
-_TAIL_FRACTION = 0.1
-_TAIL_NORM_TOL = 1e-8
-
-
-def coefficient_tail_warning(c: np.ndarray):
-    """Warn when the trailing block of the coefficient array c carries too
-    much weight."""
-    tail = max(1, int(_TAIL_FRACTION * c.size))
-    total = np.linalg.norm(c)
-    if total > 0 and np.linalg.norm(c[-tail:]) > _TAIL_NORM_TOL * total:
-        warnings.warn(
-            "spectral coefficient tail exceeds tolerance; increase n_trunc",
-            RuntimeWarning,
-            stacklevel=2,
-        )

@@ -5,7 +5,6 @@ exponents, and the linear-potential Fourier solution.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np

@@ -7,6 +7,8 @@ import json
 import math
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,14 @@ def run_cli(*args, env_extra=None, timeout=600):
         env=env,
         timeout=timeout,
     )
+
+
+# the command lines of README's "Command line" section
+README_COMMANDS = [
+    line.split("#")[0].split()[1:]
+    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    if line.startswith("kab ")
+]
 
 
 def parse_csv(text):
@@ -677,3 +687,22 @@ class TestSchemaAndErrors:
         err = json.loads(res.stderr)
         assert err["kind"] == "validation"
         assert "command is required" in err["error"]
+
+
+class TestReadmeCommands:
+    def test_seven_found(self):
+        assert len(README_COMMANDS) == 7
+
+    @pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+    def test_no_warning(self, capfd, argv):
+        # a default path prints its result and nothing on stderr: no library
+        # warning is left on it
+        from kab.cli import main
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        out, err = capfd.readouterr()
+        assert code == 0
+        assert out and err == ""
+        assert [str(w.message) for w in caught] == []

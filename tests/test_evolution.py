@@ -234,12 +234,12 @@ class TestValidation:
         monkeypatch.setattr(
             kab.evolution, "_krylov_exp", lambda mat, v, dtau: np.full_like(v, np.nan)
         )
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="evolve_matrix:"):
             evolve_matrix(s, 1.0, n_trunc=32)
         monkeypatch.setattr(
             kab.evolution, "lipatov_kappa", lambda k: np.full_like(k, -np.inf)
         )
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="evolve_spectral:"):
             evolve_spectral(s, 1.0)
 
 
@@ -329,11 +329,28 @@ class TestKrylovExp:
         out = _krylov_exp(np.array([0.7]), np.array([2.0]), 1.5)
         assert out == pytest.approx([2.0 * math.exp(-1.05)], rel=1e-15)
         # and n_trunc = 1 runs both sizes (1 and 2) on exhausted spaces; two
-        # modes cannot hold the profile, which the tail warning says
+        # modes cannot hold the profile, which the truncation estimate says:
+        # it reads 2.07 times the error against the spectral backend
         s = make_state(lambda t: t * t * (1.0 - t), n_points=16)
-        with pytest.warns(RuntimeWarning, match="coefficient tail"):
-            out = evolve_matrix(s, 0.25, n_trunc=1)
+        out = evolve_matrix(s, 0.25, n_trunc=1)
         assert np.all(np.isfinite(out.u_values))
+        err = np.max(np.abs(out.u_values - evolve_spectral(s, 0.25).u_values))
+        assert err / 4 <= out.meta["truncation_estimate"] <= 4 * err
+
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 2.5])
+    @pytest.mark.parametrize(
+        "n_points,n_trunc", [(128, 64), (128, 100), (512, 200), (512, 480)]
+    )
+    def test_estimate_tracks_unresolved_state(
+        self, smooth_profiles, n_points, n_trunc, tau
+    ):
+        # an evolved state carries Legendre modes beyond 0.9 N at these sizes;
+        # the truncation estimate reads 0.43 to 1.01 times the error against
+        # the spectral backend, so it reports the unresolved tail itself
+        s = evolve_spectral(make_state(smooth_profiles["xi-sq"], n_points), 0.5)
+        out = evolve_matrix(s, 0.5 + tau, n_trunc=n_trunc)
+        err = np.max(np.abs(out.u_values - evolve_spectral(s, 0.5 + tau).u_values))
+        assert err / 4 <= out.meta["truncation_estimate"] <= 4 * err
 
     def test_no_convergence_raises(self, monkeypatch):
         # the step cap is reported with the step and the matrix size
