@@ -201,28 +201,25 @@ def _cmd_mehler_fock(args) -> None:
     coeffs = exact.mehler_fock_forward(
         PROFILES[args.profile], k_max=args.k_max, dk=args.dk, t_max=args.t_max
     )
+    estimate = _estimate(coeffs.meta["r_quadrature_estimate"])
     if args.format == "json":
-        _emit(args.output, json.dumps(coeffs.to_json_dict(), sort_keys=True) + "\n")
+        doc = coeffs.to_json_dict()
+        doc["meta"] = {**coeffs.meta, "r_quadrature_estimate": estimate}
+        _emit(args.output, json.dumps(doc, sort_keys=True) + "\n")
     else:
         meta = {
             "command": "mehler-fock",
             "profile": args.profile,
             "t_max": args.t_max,
             "tail_estimate": coeffs.meta["tail_estimate"],
-            "r_quadrature_estimate": _estimate(coeffs.meta["r_quadrature_estimate"]),
+            "r_quadrature_estimate": estimate,
         }
         _emit(args.output, _csv(meta, ["k", "c"], coeffs.to_csv_rows()))
 
 
-def _initial_state(profile: str, n_points: int) -> evolution.EvolutionState:
-    grid = evolution.default_xi_grid(n_points)
-    return evolution.EvolutionState(
-        tau=0.0, xi_grid=grid, u_values=PROFILES[profile](grid)
-    )
-
-
 def _cmd_evolve(args) -> None:
-    state = _initial_state(args.profile, args.points)
+    grid = evolution.default_xi_grid(args.points)
+    state = evolution.EvolutionState(0.0, grid, PROFILES[args.profile](grid))
     # every tau but the initial time goes to the backend, which rejects
     # negative and non-finite values
     if args.tau != 0.0:
@@ -230,7 +227,7 @@ def _cmd_evolve(args) -> None:
             state = evolution.evolve_matrix(state, args.tau, n_trunc=args.n_trunc)
         else:
             state = evolution.evolve_spectral(state, args.tau)
-    result = dict(state.meta)
+    result = {"backend": args.backend, **state.meta}
     if "truncation_estimate" in result:
         result["truncation_estimate"] = _estimate(result["truncation_estimate"])
     if args.format == "json":
@@ -241,7 +238,6 @@ def _cmd_evolve(args) -> None:
             "command": "evolve",
             "profile": args.profile,
             "tau": args.tau,
-            "backend": args.backend,
             **result,
         }
         _emit(args.output, _csv(meta, ["xi", "u"], state.to_csv_rows()))

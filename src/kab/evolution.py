@@ -66,17 +66,13 @@ PROFILES = {
 }
 
 
-#: least bound on |u(xi_0)|/max(1, max|u|) in EvolutionState; it acts only
-#: where sqrt(xi_0)(3 + log(1/xi_0)) is smaller, on grids with xi_0 < 1.5e-11
-_VANISH_FLOOR = 1e-4
-
-
 @dataclass
 class EvolutionState:
-    """Samples of the multiplicity density u(tau, xi) on a xi-grid.
+    """Samples of the multiplicity density u(tau, xi) on default_xi_grid(n).
 
-    Samples that are not finite or do not vanish at xi = 0 raise ValueError
-    here, where a profile enters the evolution backends.
+    A grid off default_xi_grid(n) by more than 1e-9 relative (its 10-digit
+    print passes), and samples that are not finite or do not vanish at
+    xi = 0, raise ValueError here, where a profile enters the backends.
     """
 
     tau: float
@@ -89,11 +85,17 @@ class EvolutionState:
         self.u_values = np.asarray(self.u_values, dtype=float)
         if self.tau < 0 or not math.isfinite(self.tau):
             raise ValueError("EvolutionState.tau must be finite and >= 0")
-        if self.xi_grid.ndim != 1 or self.xi_grid.size < 4:
-            raise ValueError("EvolutionState: xi_grid must be 1-d with >= 4 points")
-        xi = self.xi_grid
-        if not (xi[0] > 0 and xi[-1] <= 1 and np.all(np.diff(xi) > 0)):
-            raise ValueError("EvolutionState: xi_grid must increase within (0, 1]")
+        xi, n = self.xi_grid, self.xi_grid.size
+        if xi.ndim != 1 or not 4 <= n <= 4096:
+            raise ValueError(
+                f"EvolutionState: xi_grid of shape {xi.shape} is no default_xi_grid(n)"
+            )
+        off = np.flatnonzero(~np.isclose(xi, default_xi_grid(n), rtol=1e-9, atol=0.0))
+        if off.size:
+            raise ValueError(
+                f"EvolutionState: xi_grid[{off[0]}] = {xi[off[0]]:.17g} is off "
+                f"default_xi_grid({n}) by more than 1e-9 relative"
+            )
         if self.u_values.shape != xi.shape:
             raise ValueError("EvolutionState: u_values shape mismatch")
         bad = np.flatnonzero(~np.isfinite(self.u_values))
@@ -104,7 +106,7 @@ class EvolutionState:
         # converge; evolved profiles behave like sqrt(xi) log(1/xi) near zero
         # (the slowest mode, ~ (sqrt(xi)/pi) log(16/xi), dominates at large tau)
         xi0 = float(xi[0])
-        bound = max(_VANISH_FLOOR, math.sqrt(xi0) * (3.0 - math.log(xi0)))
+        bound = math.sqrt(xi0) * (3.0 - math.log(xi0))
         if abs(self.u_values[0]) > bound * scale:
             raise ValueError(
                 f"EvolutionState: |u| = {abs(self.u_values[0]):.3e} at the first grid "
@@ -124,10 +126,10 @@ class EvolutionState:
 
 
 def default_xi_grid(n_points: int = 96) -> np.ndarray:
-    """Chebyshev-distributed nodes on (0, 1], clustered at both ends.
-
-    4 to 4096 points: an evolution state needs at least 4, and the cost of
-    its interpolant and projection grows with the point count.
+    """The grid of every EvolutionState: the Chebyshev-Lobatto points
+    (1 - cos(pi j/n))/2 of [0, 1], j = 1..n = n_points, 4 to 4096 (xi = 0,
+    j = 0, is where state_interpolant pins u(0) = 0).  default_xi_grid(n) is
+    every second node of default_xi_grid(2n).
     """
     if not 4 <= n_points <= 4096:
         raise ValueError(f"default_xi_grid: n_points={n_points} must lie in [4, 4096]")
@@ -139,30 +141,20 @@ def state_interpolant(state: EvolutionState):
     """Polynomial interpolant through the state samples with u(0) pinned to 0.
 
     A callable on scalars and arrays, in the barycentric form
-    sum_j w_j u_j/(x - x_j) / sum_j w_j/(x - x_j) with w_j = 1/prod_k (x_j - x_k),
-    formed from sums of log|x_j - x_k| so it neither overflows nor
-    underflows; no node order is random.  A point that lands on a node
-    returns that node's sample.
+    sum_j w_j u_j/(x - x_j) / sum_j w_j/(x - x_j) on the Chebyshev-Lobatto
+    nodes 0 = x_0 < ... < x_n = 1, whose weights are w_j = (-1)^j, halved at
+    j = 0 and n (Salzer 1972; Berrut & Trefethen, SIAM Review 46, 2004).  A
+    point that lands on a node returns that node's sample.
     """
     nodes = np.concatenate(([0.0], state.xi_grid))
     vals = np.concatenate(([0.0], state.u_values))
-    # log sums a block of whole rows at a time: O(_BLOCK_CELLS) memory, and
-    # each row sums exactly as it would in one block
-    log_w = np.empty(nodes.size)
-    step = max(1, _BLOCK_CELLS // nodes.size)
-    for j in range(0, nodes.size, step):
-        diff = np.subtract.outer(nodes[j : j + step], nodes)
-        diff[:, j : j + step][np.diag_indices(diff.shape[0])] = 1.0
-        np.abs(diff, out=diff)
-        log_w[j : j + step] = -np.sum(np.log(diff, out=diff), axis=1)
-    # the nodes increase, so node j has n - 1 - j factors x_j - x_k < 0
-    weights = np.exp(log_w - log_w.max())
-    weights[-2::-2] *= -1.0
+    weights = np.where(np.arange(nodes.size) % 2, -1.0, 1.0)
+    weights[[0, -1]] *= 0.5
 
     # the interpolant takes O(_BLOCK_CELLS) cells at a time.  gemv sums rows
     # in groups (of 4 in OpenBLAS) and a lone row in another order, so a block
     # holds a multiple of 16 points, the last at least 2: each sums as in one
-    points = max(16, step // 16 * 16)
+    points = max(16, _BLOCK_CELLS // nodes.size // 16 * 16)
 
     def interpolant(x):
         xa = np.asarray(x, dtype=float)
@@ -413,7 +405,7 @@ def _abel_fourier_step(
 ) -> np.ndarray:
     """u at the state's grid after a step dtau, on the s-grid (s_max, n).
 
-    With f(y) = u(2/(1 + y)) and y = cosh r (so xi = sech^2(r/2)):
+    With f(y) = u(2/(1 + y)) and y = cosh r (xi = sech^2(r/2), r < 17.2 < S):
       1. A(s) = integral_s^S f(cosh r) sinh r / sqrt(cosh r - cosh s) dr at
          s_j = j S/(n/2), j = 0..n/2;
       2. the real FFT of the even extension of A over [-S, S), a DCT-I,
@@ -423,11 +415,6 @@ def _abel_fourier_step(
     """
     xi = state.xi_grid
     r = 2.0 * np.arcsinh(np.sqrt((1.0 - xi) / xi))
-    if r[0] >= s_max:
-        raise ValueError(
-            f"evolve_spectral: xi={xi[0]:.3e} lies beyond the s-grid; the step "
-            f"resolves xi > sech^2(S/2) = {math.cosh(0.5 * s_max) ** -2:.3e}"
-        )
     f = state_interpolant(state)
     half = n // 2
     s = (s_max / half) * np.arange(half + 1)

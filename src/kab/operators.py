@@ -183,8 +183,7 @@ def galerkin_matrix(params: OperatorParams, n_trunc: int) -> np.ndarray:
     Filled a block of lower-triangle rows (_galerkin_rows) and its transpose
     at a time, so the build needs no temporary of the matrix's size; the
     matrix is exactly symmetric, so the two writes agree where they meet.
-    At most 8192 modes (512 MB dense, or 268 MB as a packed triangle), so
-    evolve_matrix's solves at N and 2N accept N <= 4096.
+    At most 8192 modes, 512 MB (evolve_matrix checks its own N <= 4096).
     """
     if not 1 <= n_trunc <= 8192:
         raise ValueError(f"galerkin_matrix: n_trunc={n_trunc} must lie in [1, 8192]")

@@ -344,6 +344,13 @@ class TestMehlerFock:
         doc = json.loads(res.stdout)
         assert set(doc) >= {"k", "c", "t_max", "meta"}
         assert len(doc["k"]) == len(doc["c"]) == 101
+        # the estimate prints as in the CSV header, to 3 significant digits
+        csv = run_cli(
+            "mehler-fock", "--profile", "xi-sq-sq", "--k-max", "10", "--dk", "0.1",
+        )
+        est = doc["meta"]["r_quadrature_estimate"]
+        assert est == parse_csv(csv.stdout)[0]["r_quadrature_estimate"]
+        assert est == float(f"{est:.3g}")
 
     def test_csv_header_has_r_quadrature_estimate(self):
         args = ("mehler-fock", "--profile", "xi-sq", "--k-max", "5", "--dk", "0.25")
@@ -369,6 +376,8 @@ class TestEvolve:
         xi = np.array(doc["xi"])
         u = np.array(doc["u"])
         assert np.max(np.abs(u - xi**3 * (1.0 - xi))) < 1e-14
+        # the JSON names the backend, as the CSV header does
+        assert doc["meta"] == {"backend": "matrix"}
 
     def test_matrix_run_csv(self):
         res = run_cli(

@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kab.evolution import (
     EvolutionState,
@@ -61,8 +63,37 @@ class TestState:
     def test_non_finite_grid_rejected(self):
         xi = default_xi_grid(16)
         xi[7] = math.nan
-        with pytest.raises(ValueError, match="xi_grid must increase"):
+        msg = r"xi_grid\[7\] = nan is off default_xi_grid\(16\)"
+        with pytest.raises(ValueError, match=msg):
             EvolutionState(tau=0.0, xi_grid=xi, u_values=np.zeros_like(xi))
+
+    def test_uniform_grid_rejected(self):
+        # every state lives on the Chebyshev-Lobatto grid, which the closed-form
+        # barycentric weights assume; the message names the first node off it
+        xi = np.linspace(1.0 / 96, 1.0, 96)
+        msg = r"xi_grid\[0\] = 0.010416666666666666 is off default_xi_grid\(96\) by more"
+        with pytest.raises(ValueError, match=msg):
+            EvolutionState(tau=0.0, xi_grid=xi, u_values=xi * xi * (1.0 - xi))
+
+    @pytest.mark.parametrize("shape", [(3,), (4097,), (4, 4)])
+    def test_grid_size_and_shape_rejected(self, shape):
+        xi = np.full(shape, 0.5)
+        with pytest.raises(ValueError, match=r"of shape .* is no default_xi_grid\(n\)"):
+            EvolutionState(tau=0.0, xi_grid=xi, u_values=np.zeros(shape))
+
+    @pytest.mark.parametrize("n_points", [4, 96, 4096])
+    def test_ten_digit_grid_accepted(self, n_points):
+        # kab evolve prints xi to 10 significant digits (at most 4.99e-10
+        # relative off the grid), and a state rebuilt from that print steps
+        # as the exact grid's does to 1e-9 of max|u|
+        exact = default_xi_grid(n_points)
+        printed = np.array([float(f"{v:.10g}") for v in exact])
+        assert not np.array_equal(printed, exact)
+        u = [
+            evolve_spectral(EvolutionState(0.0, xi, xi * xi * (1.0 - xi)), 0.5).u_values
+            for xi in (exact, printed)
+        ]
+        assert np.max(np.abs(u[1] - u[0])) <= 1e-9 * np.max(np.abs(u[0]))
 
     def test_nonvanishing_profile_rejected(self):
         xi = default_xi_grid(64)
@@ -91,10 +122,9 @@ class TestState:
 
     @pytest.mark.parametrize("n_points", [96, 4096])
     def test_interpolant_blocks_are_bitwise(self, monkeypatch, n_points):
-        # the weights' log sums are formed a block of rows at a time, and the
-        # interpolant is evaluated a block of points at a time (here 7 points
-        # per block against all 257 in one); other block sizes, uneven ones
-        # included, give the same interpolant
+        # the interpolant is evaluated a block of points at a time (here 16
+        # points per block, the least, against all 257 in one); other block
+        # sizes, uneven ones included, give the same interpolant
         import kab.evolution
 
         s = make_state(lambda t: t * t * (1.0 - t), n_points=n_points)
@@ -102,6 +132,23 @@ class TestState:
         whole = state_interpolant(s)(x)
         monkeypatch.setattr(kab.evolution, "_BLOCK_CELLS", 7 * (n_points + 1) + 3)
         assert np.array_equal(state_interpolant(s)(x), whole)
+
+    @given(n_points=st.integers(4, 4096), seed=st.integers(0, 2**32 - 1))
+    @example(n_points=4, seed=0)
+    @example(n_points=4096, seed=0)
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    def test_interpolant_reproduces_polynomials(self, n_points, seed):
+        # the closed-form weights make the interpolant exact on every
+        # polynomial of degree <= n with p(0) = 0, at every grid size the
+        # state accepts; p = xi q(xi), q drawn in the Chebyshev basis of [0, 1]
+        rng = np.random.default_rng(seed)
+        coef = rng.standard_normal(int(rng.integers(1, n_points + 1)))
+        p = lambda t: t * np.polynomial.chebyshev.chebval(2.0 * t - 1.0, coef)
+        xi = default_xi_grid(n_points)
+        x = np.linspace(0.0, 1.0, 257)
+        got = state_interpolant(EvolutionState(0.0, xi, p(xi)))(x)
+        want = p(x)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_node_hits_in_several_blocks(self, monkeypatch):
         # a point on a node returns that node's sample exactly, xi = 0 (the
@@ -468,13 +515,14 @@ class TestSpectralBackend:
         "evolve,tau", [(evolve_matrix, 2.5), (evolve_spectral, 2.5), (evolve_spectral, 40.0)]
     )
     def test_tiny_first_node_passes_vanish_check(self, smooth_profiles, evolve, tau):
-        # at xi0 = 1e-12 the bound is the floor 1e-4; u(xi0)/max|u| is about
-        # 2e-9 (matrix, tau = 2.5), 5e-8 (spectral, 2.5) and 7e-6 (spectral, 40)
+        # a first node at 1e-12 is off default_xi_grid(96), whose least node
+        # 2.7e-4 keeps the vanish bound at 0.18, so the state is refused
+        # before either backend runs
         xi = default_xi_grid(96)
         xi[0] = 1e-12
-        s = EvolutionState(tau=0.0, xi_grid=xi, u_values=smooth_profiles["xi-sq"](xi))
-        u = evolve(s, tau).u_values
-        assert abs(u[0]) / np.max(np.abs(u)) < 1e-5
+        msg = r"xi_grid\[0\] = 9.9999999999999998e-13 is off default_xi_grid\(96\)"
+        with pytest.raises(ValueError, match=msg):
+            evolve(EvolutionState(0.0, xi, smooth_profiles["xi-sq"](xi)), tau)
 
     def test_largest_grid_memory(self, smooth_profiles):
         # one step on the largest grid stays within 50 MB of traced memory
@@ -488,12 +536,16 @@ class TestSpectralBackend:
         assert peak < 50e6
 
     def test_point_beyond_the_period_raises(self, smooth_profiles):
-        # xi = 1e-40 sits at r = 2 arcsinh(1e20) ~ 92 > S: no Abel integral
-        # reaches it, so it is refused rather than returned as zero
+        # xi = 1e-40 would sit at r = 2 arcsinh(1e20) ~ 92 > S, where no Abel
+        # integral reaches; no state holds it, as every default_xi_grid node
+        # has r < 17.2 < S = 60
         xi = np.concatenate(([1e-40], default_xi_grid(16)))
-        s = EvolutionState(tau=0.0, xi_grid=xi, u_values=smooth_profiles["xi-sq"](xi))
-        with pytest.raises(ValueError, match="xi"):
-            evolve_spectral(s, 1.0)
+        msg = r"xi_grid\[0\] = 9.9+3e-41 is off default_xi_grid\(17\)"
+        with pytest.raises(ValueError, match=msg):
+            EvolutionState(tau=0.0, xi_grid=xi, u_values=smooth_profiles["xi-sq"](xi))
+        xi0 = default_xi_grid(4096)[0]
+        assert 2.0 * math.asinh(math.sqrt((1.0 - xi0) / xi0)) < 17.2
+        assert _abel_grid(0.0)[0] == 60.0
 
 
 class TestBackendAgreement:
