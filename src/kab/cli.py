@@ -1,15 +1,16 @@
 """Command-line interface: reproducible, file-emitting commands for spectra,
 WKB tables, eigenfunctions, transforms, evolution runs and boundary fits.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.  Errors are
-reported as JSON on stderr.  The command line is the whole input: no
-environment variable is read.
+Exit codes: 0 success, 2 validation error, 3 numerical failure, 1 when the
+reader of stdout has closed it.  Errors are reported as JSON on stderr.  The
+command line is the whole input: no environment variable is read.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -392,20 +393,29 @@ def _report(exc: Exception, kind: str, code: int) -> int:
     return code
 
 
+def _schema(args) -> None:
+    _emit(None, json.dumps(_SCHEMAS, indent=2, sort_keys=True) + "\n")
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
     except ValueError as exc:
         return _report(exc, "validation", 2)
-    if args.schema:
-        sys.stdout.write(json.dumps(_SCHEMAS, indent=2, sort_keys=True) + "\n")
-        return 0
-    if not getattr(args, "func", None):
+    func = _schema if args.schema else getattr(args, "func", None)
+    if func is None:
         return _report(ValueError("kab: a command is required"), "validation", 2)
     try:
         with warnings.catch_warnings(record=True) as caught:
-            args.func(args)
+            func(args)
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (kab table1 | head -c 0): no report, and
+        # stdout goes to devnull so that the flush at shutdown cannot fail
+        # again (the SIGPIPE recipe of Python's signal module documentation)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         return _report(exc, "validation", 2)
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:

@@ -5,7 +5,9 @@ substitution u = exp(tau log 2) xi phi(tau, 2 xi - 1) turns it into
 d phi / d tau = -K_{01} phi.  (Direct algebra on the integral equation gives
 d u/d tau = -xi (K_{01} - log 2) phi, fixing the sign of the exponent; the
 u = xi test profile, where the right-hand side is -xi log xi, confirms it.)
-The matrix backend exponentiates the truncated Galerkin operator by Lanczos.
+The matrix backend exponentiates the truncated Galerkin operator by Lanczos,
+applying it by FFT: the log(1 + x) part of K_{01} is a Cauchy matrix that
+splits into Toeplitz and Hankel parts, so no matrix is formed.
 The spectral backend evolves each Mehler-Fock mode of u at the rate
 exp(-kappa(k) tau) without forming a conical function: Mehler's integral
 factors the transform into an Abel transform followed by a cosine transform
@@ -21,14 +23,8 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.blas import dspmv
 
-from .operators import (
-    OperatorParams,
-    _galerkin_rows,
-    project,
-    synthesize,
-)
+from .operators import _log_diagonal, harmonic_numbers, project, synthesize
 from .specfun import (
     _ABEL_NODES,
     _BLOCK_CELLS,
@@ -269,21 +265,73 @@ def _state_coeffs(state: EvolutionState, n_trunc: int) -> np.ndarray:
     return coeffs
 
 
-@lru_cache(maxsize=1)
-def _k01_matrix(n_trunc: int) -> np.ndarray:
-    """Read-only Galerkin matrix of K_{01}, packed: its lower triangle row by
-    row (BLAS upper-packed layout), n_trunc (n_trunc + 1)/2 doubles filled a
-    block of rows at a time (operators._galerkin_rows).
+#: rows of the dense leaves that finish the halving of _k01_product: the
+#: leaves hold _LEAF doubles per row, 1 MB at the largest size 2N = 8192
+_LEAF = 16
 
-    evolve_matrix asks for size 2N only: the size-N packed matrix is its
-    prefix of N (N + 1)/2 entries, bit for bit.
+
+@lru_cache(maxsize=2)
+def _k01_product(n: int):
+    """The product v -> K_{01} v at size n, by FFT, without the matrix.
+
+    At (alpha, beta) = (0, 1) the Galerkin matrix (operators._galerkin_rows)
+    is diag(2 h_n + (n + 1/2) W_nn) - 2 S C S, with S = diag((-1)^n
+    sqrt(n + 1/2)), W_nn = operators._log_diagonal and C_nm = 1/(|n - m|
+    (n + m + 1)), zero on the diagonal.  (n - m)(n + m + 1) = n(n + 1) -
+    m(m + 1), so C is a Cauchy matrix, and 1/|n - m| + 1/(n + m + 1) =
+    (2 max(n, m) + 1) C_nm splits it into Toeplitz and Hankel parts
+    (Townsend, Webb & Olver, Math. Comp. 87, 2018):
+      (2n + 1)(C y)_n = (T y)_n + 2 (L y)_n - (H y)_n + y_n/(2n + 1),
+    T the Toeplitz matrix 1/|n - m| with a zero diagonal, H the Hankel matrix
+    1/(n + m + 1) and L its part below the diagonal.  T y - H y is one real
+    FFT pair of length 2n; H y is a correlation, on conj(rfft y).  L y comes
+    by halving: on each range [lo, lo + 2s) the rows lo + s.. against the
+    columns lo.. form a full Hankel block, the blocks of one level go
+    through one batched FFT pair, and dense leaves of _LEAF rows finish.
+    The plan holds the kernels' FFTs and the leaves, O(n log n) doubles.
     """
-    packed = np.empty(n_trunc * (n_trunc + 1) // 2)
-    for i, block in _galerkin_rows(OperatorParams(0.0, 1.0), n_trunc):
-        j = i + block.shape[0]
-        packed[i * (i + 1) // 2 : j * (j + 1) // 2] = block[np.tri(j - i, j, i, dtype=bool)]
-    packed.flags.writeable = False
-    return packed
+    idx = np.arange(n, dtype=float)
+    norm = np.sqrt(idx + 0.5)
+    diag = _log_diagonal(n) * (norm * norm) + 2.0 * harmonic_numbers(n)
+    odd = 2.0 * idx + 1.0
+    sign = np.where(idx % 2, -norm, norm)
+    scale = -2.0 * sign / odd
+    p = 2 * n
+    toeplitz = np.zeros(p)
+    toeplitz[1:n] = 1.0 / np.arange(1.0, n)
+    toeplitz[n + 1 :] = toeplitz[n - 1 : 0 : -1]
+    t_hat = np.fft.rfft(toeplitz).real  # T is symmetric: its multiplier is real
+    h_hat = np.fft.rfft(1.0 / np.arange(1.0, p + 1))
+    n_pad = _LEAF  # the least _LEAF 2^j >= n
+    while n_pad < n:
+        n_pad *= 2
+    levels = []
+    s = n_pad // 2
+    while s >= _LEAF:
+        lo = np.arange(0, n_pad, 2 * s)[:, None]
+        levels.append((s, np.fft.rfft(1.0 / (2 * lo + s + 1.0 + np.arange(2 * s)), axis=1)))
+        s //= 2
+    leaves = np.arange(0.0, 2 * n_pad, 2 * _LEAF)[:, None, None] + np.add.outer(
+        np.arange(_LEAF), np.arange(1.0, _LEAF + 1)
+    )
+    np.reciprocal(leaves, out=leaves)
+    leaves *= np.tri(_LEAF, k=-1)
+
+    def product(v):
+        y = sign * v
+        y_hat = np.fft.rfft(y, p)
+        acc = np.fft.irfft(t_hat * y_hat - h_hat * y_hat.conj(), p)[:n]
+        ypad = np.zeros(n_pad)
+        ypad[:n] = y
+        lower = (leaves @ ypad.reshape(-1, _LEAF, 1)).ravel()
+        for s, g_hat in levels:
+            block = np.fft.rfft(ypad.reshape(-1, 2 * s)[:, :s], 2 * s, axis=1)
+            corr = np.fft.irfft(g_hat * block.conj(), 2 * s, axis=1)
+            lower.reshape(-1, 2 * s)[:, s:] += corr[:, :s]
+        acc += 2.0 * lower[:n] + y / odd
+        return diag * v + scale * acc
+
+    return product
 
 
 #: Lanczos stops once its a-posteriori error estimate is this share of |y|:
@@ -294,15 +342,15 @@ _KRYLOV_TOL = 1e-15
 _KRYLOV_MAX_STEPS = 200
 
 
-def _krylov_exp(packed: np.ndarray, v: np.ndarray, dtau: float) -> np.ndarray:
+def _krylov_exp(product, v: np.ndarray, dtau: float) -> np.ndarray:
     """exp(-dtau K) v by the Lanczos approximation, for the symmetric K of
-    size n = v.size held packed (_k01_matrix) in packed[: n (n + 1)/2].
+    size n = v.size applied by product (_k01_product(n)).
 
     With V_m the orthonormal Krylov basis started from v/|v| and T_m = V_m' K
     V_m tridiagonal, exp(-dtau K) v ~ |v| V_m exp(-dtau T_m) e_1
-    (Hochbruck & Lubich 1997): about sqrt(dtau (spread of K)) mat-vecs, each
-    a BLAS dspmv on the contiguous prefix, and no norm estimate.  The basis
-    is reorthogonalised in full, by two classical Gram-Schmidt passes.
+    (Hochbruck & Lubich 1997): about sqrt(dtau (spread of K)) products and
+    no norm estimate.  The basis is reorthogonalised in full, by two
+    classical Gram-Schmidt passes.
     exp(-dtau T_m) is formed shifted by the least Ritz value theta_0, so
     nothing overflows before the final scalar exp(-dtau theta_0).  Lanczos
     stops when the estimate beta_m |e_m' exp(-dtau (T_m - theta_0)) e_1| is
@@ -311,7 +359,6 @@ def _krylov_exp(packed: np.ndarray, v: np.ndarray, dtau: float) -> np.ndarray:
     exact.
     """
     n = v.size
-    ap = packed[: n * (n + 1) // 2]
     v_norm = float(np.linalg.norm(v))
     if v_norm == 0.0:
         return np.zeros(n)
@@ -320,7 +367,7 @@ def _krylov_exp(packed: np.ndarray, v: np.ndarray, dtau: float) -> np.ndarray:
     basis[0] = v / v_norm
     diag, off = [], []
     for m in range(1, m_max + 1):
-        w = dspmv(n, 1.0, ap, basis[m - 1])
+        w = product(basis[m - 1])
         head = basis[:m]
         h = head @ w
         w -= h @ head
@@ -348,18 +395,18 @@ def evolve_matrix(
 
     The profile is mapped to phi(x) = u(xi)/xi with x = 2 xi - 1, expanded in
     the orthonormal Legendre basis, propagated by the Lanczos exponential
-    (_krylov_exp: 16 to 41 mat-vecs at 2 n_trunc = 1920 for dtau from 0.25
+    (_krylov_exp: 16 to 41 products at 2 n_trunc = 1920 for dtau from 0.25
     to 10, and no more beyond), and mapped back with the exp(dtau log 2)
     prefactor.
     The expansion needs a Gauss rule sized to the state, not to n_trunc: the
     interpolant through the points + 1 nodes (xi = 0 included) has degree
     points, so phi has degree points - 1, only its first points coefficients
     are nonzero, and their integrands, of degree <= 2 points - 2, are exact
-    on the points-node rule.  The K_{01} matrix depends on neither tau nor
-    the profile; the 2 n_trunc matrix is built once, packed (_k01_matrix:
-    14.75 MB at the default 2 n_trunc = 1920), and cached, and the n_trunc
-    step reads its packed prefix.  Both steps are summed on the grid in one
-    Clenshaw pass (synthesize on two columns).
+    on the points-node rule.  No K_{01} matrix is formed: its product at
+    sizes n_trunc and 2 n_trunc is applied by FFT (_k01_product, O(n log^2 n)
+    time and O(n log n) memory), from plans that depend on neither tau nor the profile
+    and are cached.  Both steps are summed on the grid in one Clenshaw pass
+    (synthesize on two columns).
     The log-potential matrix couples all mode pairs with 1/(n-m) decay, so the
     truncation error falls off like 1/n_trunc; the step is therefore run at
     n_trunc and 2 n_trunc and Richardson-extrapolated, with the difference of
@@ -370,14 +417,13 @@ def evolve_matrix(
         raise ValueError(f"evolve_matrix: n_trunc={n_trunc} must lie in [1, 4096]")
 
     def step(dtau):
-        packed = _k01_matrix(2 * n_trunc)
         growth = math.exp(dtau * _LOG2)
         coeffs = _state_coeffs(state, 2 * n_trunc)
         # the size-N step zero-padded to 2N beside the size-2N step (Clenshaw's
         # recurrence reaches degree N - 1 in the state the unpadded sum starts from)
         evolved = np.zeros((2 * n_trunc, 2))
         for col, n in enumerate((n_trunc, 2 * n_trunc)):
-            evolved[:n, col] = _krylov_exp(packed, coeffs[:n], dtau)
+            evolved[:n, col] = _krylov_exp(_k01_product(n), coeffs[:n], dtau)
         xi = state.xi_grid
         u_coarse, u_fine = xi * synthesize(evolved, 2.0 * xi - 1.0)
         err = growth * float(np.max(np.abs(u_fine - u_coarse)))

@@ -126,6 +126,20 @@ def monomial_action_k11(n: int) -> np.ndarray:
     return out
 
 
+def _log_diagonal(n_trunc: int) -> np.ndarray:
+    """W_00, ..., W_{n-1,n-1}: the diagonal of multiplication by log(1 + x) in
+    the unnormalized Legendre basis, from its three-term recurrence seeded by
+    W_00 = 2 log 2 - 2."""
+    diag = np.empty(n_trunc)
+    diag[0] = 2.0 * CONSTANTS.log2 - 2.0
+    for n in range(1, n_trunc):
+        diag[n] = (
+            (2 * n - 1) / (2 * n + 1) * (-(n + 1) / (2 * n + 1) + n * diag[n - 1])
+            + (n - 1) / (2 * n - 1)
+        ) / n
+    return diag
+
+
 def _galerkin_rows(params: OperatorParams, n_trunc: int):
     """Yield (i, block) for rows [i, j) of galerkin_matrix(params, n_trunc),
     in order, each block at most _BLOCK_CELLS cells: the first j columns,
@@ -133,25 +147,19 @@ def _galerkin_rows(params: OperatorParams, n_trunc: int):
 
     The log part (1-a) L+ + (1-b) L-, with L+- the matrix of multiplication
     by log(1 +- x): in the unnormalized basis L+ has the off-diagonal entries
-    2(-1)^(m+n+1)/((n-m)(n+m+1)) and a diagonal from a three-term recurrence
-    seeded by W_00 = 2 log 2 - 2.  L- = D L+ D with D = diag((-1)^n), so the
-    sum is the sign-free matrix scaled by 2 - a - b where m + n is even and
-    by a - b where m + n is odd.  Every entry is a function of its row and
-    column alone, so a block's values do not depend on n_trunc or on the
-    block size, and the symmetric scalings keep the matrix exactly symmetric.
+    2(-1)^(m+n+1)/((n-m)(n+m+1)) and the diagonal _log_diagonal.  L- = D L+ D
+    with D = diag((-1)^n), so the sum is the sign-free matrix scaled by
+    2 - a - b where m + n is even and by a - b where m + n is odd.  Every
+    entry is a function of its row and column alone, so a block's values do
+    not depend on n_trunc or on the block size, and the symmetric scalings
+    keep the matrix exactly symmetric.
     """
     idx = np.arange(n_trunc, dtype=float)
     norm = np.sqrt(idx + 0.5)
     two_h = 2.0 * harmonic_numbers(n_trunc)
     free = params.alpha == params.beta == 1.0
     if not free:
-        diag = np.empty(n_trunc)
-        diag[0] = 2.0 * CONSTANTS.log2 - 2.0
-        for n in range(1, n_trunc):
-            diag[n] = (
-                (2 * n - 1) / (2 * n + 1) * (-(n + 1) / (2 * n + 1) + n * diag[n - 1])
-                + (n - 1) / (2 * n - 1)
-            ) / n
+        diag = _log_diagonal(n_trunc)
         w_plus, w_minus = 1.0 - params.alpha, 1.0 - params.beta
         even, odd = w_plus + w_minus, w_minus - w_plus
     step = max(1, _BLOCK_CELLS // n_trunc)
@@ -183,7 +191,7 @@ def galerkin_matrix(params: OperatorParams, n_trunc: int) -> np.ndarray:
     Filled a block of lower-triangle rows (_galerkin_rows) and its transpose
     at a time, so the build needs no temporary of the matrix's size; the
     matrix is exactly symmetric, so the two writes agree where they meet.
-    At most 8192 modes, 512 MB (evolve_matrix checks its own N <= 4096).
+    At most 8192 modes, 512 MB.
     """
     if not 1 <= n_trunc <= 8192:
         raise ValueError(f"galerkin_matrix: n_trunc={n_trunc} must lie in [1, 8192]")

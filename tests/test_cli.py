@@ -1,7 +1,11 @@
-"""End-to-end tests of the command-line interface via subprocess.
+"""End-to-end tests of the command-line interface.
 
 Checks output formats, schemas, exit codes and byte-for-byte
-reproducibility of repeated runs.
+reproducibility of repeated runs.  Most tests call main(argv) in this
+process (the run_main fixture), which pays the import once; a fresh process
+(run_cli) checks what only a process shows: prompt refusals under a timeout,
+the modules it imports, a closed stdout, and that a fresh process prints the
+bytes of a run in a process whose caches are warm.
 """
 import json
 import math
@@ -31,6 +35,27 @@ def run_cli(*args, env_extra=None, timeout=600):
     )
 
 
+@pytest.fixture
+def run_main(capfd):
+    """main(argv) in this process, as a CompletedProcess like run_cli's; a
+    warning is written to stderr, as a fresh process would print it."""
+    from kab.cli import main
+
+    def run(*args):
+        capfd.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(list(args))
+        out, err = capfd.readouterr()
+        err += "".join(
+            warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+            for w in caught
+        )
+        return subprocess.CompletedProcess(args, code, out, err)
+
+    return run
+
+
 # the command lines of README's "Command line" section
 README_COMMANDS = [
     line.split("#")[0].split()[1:]
@@ -49,8 +74,8 @@ def parse_csv(text):
 
 
 class TestTable1:
-    def test_values_match_reference(self):
-        res = run_cli("table1")
+    def test_values_match_reference(self, run_main):
+        res = run_main("table1")
         assert res.returncode == 0
         meta, columns, rows = parse_csv(res.stdout)
         assert columns == ["n", "numeric_22", "wkb_22", "h_n", "wkb_11"]
@@ -60,17 +85,17 @@ class TestTable1:
                 entry = TABLE1[col][i]
                 assert abs(float(row[j]) - float(entry)) <= printed_tolerance(entry)
 
-    def test_reproducible(self):
+    def test_reproducible(self, run_main):
         # C-1: two runs emit byte-identical output
         a = run_cli("table1")
-        b = run_cli("table1")
+        b = run_main("table1")
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
 
 class TestSpectrum:
-    def test_json_output(self):
-        res = run_cli(
+    def test_json_output(self, run_main):
+        res = run_main(
             "spectrum", "--alpha", "1", "--beta", "1", "--n", "5",
             "--format", "json",
         )
@@ -82,8 +107,8 @@ class TestSpectrum:
         assert abs(doc["eigenvalues"][1] - 2.0) < 1e-3
         assert abs(doc["eigenvalues"][2] - 3.0) < 1e-3
 
-    def test_csv_output(self):
-        res = run_cli(
+    def test_csv_output(self, run_main):
+        res = run_main(
             "spectrum", "--alpha", "2", "--beta", "2", "--n", "3",
             "--backend", "galerkin", "--n-trunc", "256",
         )
@@ -92,20 +117,20 @@ class TestSpectrum:
         assert columns == ["n", "kappa"]
         assert abs(0.5 * float(rows[0][1]) - 0.2332) < 5e-3
 
-    def test_galerkin_truncation_estimate(self):
+    def test_galerkin_truncation_estimate(self, run_main):
         # the largest estimated error of the extrapolated eigenvalues at 3
         # significant digits, in the JSON document and the CSV header,
-        # identical over repeated runs
+        # identical in a fresh process and in this one
         args = ("spectrum", "--alpha", "0.7", "--beta", "1.9", "--n", "4",
                 "--backend", "galerkin", "--n-trunc", "128")
         a = run_cli(*args, "--format", "json")
-        b = run_cli(*args, "--format", "json")
+        b = run_main(*args, "--format", "json")
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
         est = json.loads(a.stdout)["truncation_estimate"]
         assert math.isfinite(est) and est > 0
         assert est == float(f"{est:.3g}")
-        meta, _, _ = parse_csv(run_cli(*args).stdout)
+        meta, _, _ = parse_csv(run_main(*args).stdout)
         assert meta["truncation_estimate"] == est
 
     @pytest.mark.parametrize(
@@ -115,26 +140,26 @@ class TestSpectrum:
             (("--u-max", "30", "--m-points", "512"), {"u_max": 30.0, "m_points": 512}),
         ],
     )
-    def test_states_resolution(self, backend_args, resolution):
+    def test_states_resolution(self, run_main, backend_args, resolution):
         # the size each backend ran at, in the JSON document and the CSV header
         args = ("spectrum", "--alpha", "2", "--beta", "2", "--n", "3", *backend_args)
-        doc = json.loads(run_cli(*args, "--format", "json").stdout)
-        meta, _, _ = parse_csv(run_cli(*args).stdout)
+        doc = json.loads(run_main(*args, "--format", "json").stdout)
+        meta, _, _ = parse_csv(run_main(*args).stdout)
         for key, value in resolution.items():
             assert doc[key] == meta[key] == value
         others = {"n_trunc", "u_max", "m_points"} - set(resolution)
         assert not others & (set(doc) | set(meta))
 
-    def test_pseudospectral_has_no_truncation_estimate(self):
-        res = run_cli("spectrum", "--alpha", "2", "--beta", "2", "--n", "3",
-                      "--format", "json")
+    def test_pseudospectral_has_no_truncation_estimate(self, run_main):
+        res = run_main("spectrum", "--alpha", "2", "--beta", "2", "--n", "3",
+                       "--format", "json")
         assert res.returncode == 0
         assert "truncation_estimate" not in json.loads(res.stdout)
 
-    def test_galerkin_size_names_callers_n(self):
-        res = run_cli(
+    def test_galerkin_size_names_callers_n(self, run_main):
+        res = run_main(
             "spectrum", "--alpha", "2", "--beta", "2", "--backend", "galerkin",
-            "--n-trunc", "5000", timeout=30,
+            "--n-trunc", "5000",
         )
         assert res.returncode == 2
         err = json.loads(res.stderr)
@@ -182,8 +207,8 @@ class TestSpectrum:
         for name in ("n_eigs=60000", "m_points=65536", "[1, 511]"):
             assert name in doc["error"]
 
-    def test_invalid_params_exit_2(self):
-        res = run_cli("spectrum", "--alpha", "-1", "--beta", "1")
+    def test_invalid_params_exit_2(self, run_main):
+        res = run_main("spectrum", "--alpha", "-1", "--beta", "1")
         assert res.returncode == 2
         err = json.loads(res.stderr)
         assert err["kind"] == "validation"
@@ -212,8 +237,8 @@ class TestSpectrum:
 
 
 class TestWkbTable:
-    def test_with_bohr_sommerfeld(self):
-        res = run_cli(
+    def test_with_bohr_sommerfeld(self, run_main):
+        res = run_main(
             "wkb-table", "--alpha", "2", "--beta", "2", "--n", "2",
             "--bohr-sommerfeld",
         )
@@ -283,8 +308,8 @@ class TestWkbTable:
 
 
 class TestEigenfunction:
-    def test_columns_and_overlap(self):
-        res = run_cli(
+    def test_columns_and_overlap(self, run_main):
+        res = run_main(
             "eigenfunction", "--alpha", "2", "--beta", "2", "--n", "6",
             "--m-points", "1024", "--u-max", "30",
         )
@@ -298,8 +323,8 @@ class TestEigenfunction:
         cos = np.dot(num, sc) / np.sqrt(np.dot(num, num) * np.dot(sc, sc))
         assert cos > 0.99
 
-    def test_generic_parameters_leave_stderr_empty(self):
-        res = run_cli(
+    def test_generic_parameters_leave_stderr_empty(self, run_main):
+        res = run_main(
             "eigenfunction", "--alpha", "0.7", "--beta", "1.9", "--m-points", "256",
         )
         assert res.returncode == 0
@@ -307,10 +332,10 @@ class TestEigenfunction:
 
 
 class TestMehlerFock:
-    def test_slow_decay_exit_3(self):
+    def test_slow_decay_exit_3(self, run_main):
         # a very small t_max leaves a visible integrand tail; dk is kept
         # large so the run stays fast
-        res = run_cli(
+        res = run_main(
             "mehler-fock", "--profile", "xi-sq", "--t-max", "10",
             "--dk", "1.0", "--k-max", "4",
         )
@@ -326,17 +351,17 @@ class TestMehlerFock:
         assert err["kind"] == "validation"
         assert "k_max/dk = 20000000 " in err["error"]
 
-    def test_dk_not_dividing_k_max_exit_2(self):
+    def test_dk_not_dividing_k_max_exit_2(self, run_main):
         # 1/0.6 is not whole: the grid would be spaced 0.5, not 0.6
-        res = run_cli("mehler-fock", "--k-max", "1", "--dk", "0.6", timeout=60)
+        res = run_main("mehler-fock", "--k-max", "1", "--dk", "0.6")
         assert res.returncode == 2
         assert res.stdout == ""
         err = json.loads(res.stderr)
         assert err["kind"] == "validation"
         assert "k_max/dk = 1.666666667" in err["error"]
 
-    def test_json_matches_schema_fields(self):
-        res = run_cli(
+    def test_json_matches_schema_fields(self, run_main):
+        res = run_main(
             "mehler-fock", "--profile", "xi-sq-sq", "--k-max", "10",
             "--dk", "0.1", "--format", "json",
         )
@@ -345,16 +370,16 @@ class TestMehlerFock:
         assert set(doc) >= {"k", "c", "t_max", "meta"}
         assert len(doc["k"]) == len(doc["c"]) == 101
         # the estimate prints as in the CSV header, to 3 significant digits
-        csv = run_cli(
+        csv = run_main(
             "mehler-fock", "--profile", "xi-sq-sq", "--k-max", "10", "--dk", "0.1",
         )
         est = doc["meta"]["r_quadrature_estimate"]
         assert est == parse_csv(csv.stdout)[0]["r_quadrature_estimate"]
         assert est == float(f"{est:.3g}")
 
-    def test_csv_header_has_r_quadrature_estimate(self):
+    def test_csv_header_has_r_quadrature_estimate(self, run_main):
         args = ("mehler-fock", "--profile", "xi-sq", "--k-max", "5", "--dk", "0.25")
-        first, second = run_cli(*args), run_cli(*args)
+        first, second = run_cli(*args), run_main(*args)
         assert first.returncode == 0
         assert first.stdout == second.stdout
         meta, columns, _ = parse_csv(first.stdout)
@@ -366,8 +391,8 @@ class TestMehlerFock:
 
 
 class TestEvolve:
-    def test_tau_zero_returns_profile(self):
-        res = run_cli(
+    def test_tau_zero_returns_profile(self, run_main):
+        res = run_main(
             "evolve", "--tau", "0", "--profile", "xi-cube", "--points", "32",
             "--format", "json",
         )
@@ -379,8 +404,8 @@ class TestEvolve:
         # the JSON names the backend, as the CSV header does
         assert doc["meta"] == {"backend": "matrix"}
 
-    def test_matrix_run_csv(self):
-        res = run_cli(
+    def test_matrix_run_csv(self, run_main):
+        res = run_main(
             "evolve", "--tau", "0.2", "--points", "32", "--n-trunc", "192",
         )
         assert res.returncode == 0
@@ -389,10 +414,10 @@ class TestEvolve:
         assert meta["backend"] == "matrix"
         assert "truncation_estimate" in meta
 
-    def test_default_truncation_meets_a8(self):
+    def test_default_truncation_meets_a8(self, run_main):
         # A-8: the default matrix run agrees with the spectral backend
         docs = [
-            json.loads(run_cli("evolve", "--tau", "1", *extra, "--format", "json").stdout)
+            json.loads(run_main("evolve", "--tau", "1", *extra, "--format", "json").stdout)
             for extra in ((), ("--backend", "spectral"))
         ]
         xi = np.array(docs[0]["xi"])
@@ -401,8 +426,8 @@ class TestEvolve:
         diff = np.max(np.abs(um[mask] - us[mask])) / np.max(np.abs(um[mask]))
         assert diff < 1e-3
 
-    def test_spectral_run_states_resolution(self):
-        res = run_cli("evolve", "--tau", "1", "--backend", "spectral", "--points", "16")
+    def test_spectral_run_states_resolution(self, run_main):
+        res = run_main("evolve", "--tau", "1", "--backend", "spectral", "--points", "16")
         assert res.returncode == 0
         meta, _, rows = parse_csv(res.stdout)
         assert len(rows) == 16
@@ -411,21 +436,19 @@ class TestEvolve:
         assert not {"k_max", "dk", "t_max", "tail_estimate"} & set(meta)
 
     @pytest.mark.parametrize("tau", ["nan", "inf", "-1"])
-    def test_invalid_tau_exit_2(self, tau):
-        res = run_cli(
-            "evolve", "--tau", tau, "--points", "8", "--n-trunc", "32", timeout=60
-        )
+    def test_invalid_tau_exit_2(self, run_main, tau):
+        res = run_main("evolve", "--tau", tau, "--points", "8", "--n-trunc", "32")
         assert res.returncode == 2
         assert json.loads(res.stderr)["kind"] == "validation"
 
-    def test_reproducible(self):
+    def test_reproducible(self, run_main):
         # repeated runs print the same bytes, the error estimate included
         args = ("evolve", "--tau", "1.0", "--n-trunc", "64", "--points", "16")
-        a, b = run_cli(*args), run_cli(*args)
+        a, b = run_cli(*args), run_main(*args)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
-    def test_reproducible_json(self):
+    def test_reproducible_json(self, run_main):
         # JSON prints every value at full repr, so the step must be
         # deterministic in every digit, not only after rounding: the
         # interpolant's weights are closed-form and the Lanczos exponential
@@ -434,7 +457,7 @@ class TestEvolve:
             "evolve", "--tau", "1.0", "--n-trunc", "64", "--points", "16",
             "--format", "json",
         )
-        a, b = run_cli(*args), run_cli(*args)
+        a, b = run_cli(*args), run_main(*args)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
@@ -458,8 +481,8 @@ class TestEvolve:
 
 
 class TestBoundaryFit:
-    def test_json_fields(self):
-        res = run_cli(
+    def test_json_fields(self, run_main):
+        res = run_main(
             "boundary-fit", "--alpha", "2", "--beta", "2",
             "--m-points", "2048", "--u-max", "40",
         )
@@ -494,8 +517,8 @@ class TestImport:
 
 
 class TestSchemaAndErrors:
-    def test_schema_dump(self):
-        res = run_cli("--schema")
+    def test_schema_dump(self, run_main):
+        res = run_main("--schema")
         assert res.returncode == 0
         schemas = json.loads(res.stdout)
         assert set(schemas) >= {"spectrum", "mehler-fock", "evolve", "boundary-fit", "error"}
@@ -534,8 +557,8 @@ class TestSchemaAndErrors:
              "--output", "/nonexistent-dir/kab/spectrum.csv"),
         ],
     )
-    def test_validation_exit_2(self, args):
-        res = run_cli(*args, timeout=60)
+    def test_validation_exit_2(self, run_main, args):
+        res = run_main(*args)
         assert res.returncode == 2
         assert json.loads(res.stderr)["kind"] == "validation"
 
@@ -687,15 +710,36 @@ class TestSchemaAndErrors:
         assert exc.value.code == 0
         assert out.startswith("usage: kab") and err == ""
 
-    def test_no_command_exit_2(self):
+    def test_no_command_exit_2(self, run_main):
         # like every other validation error: one JSON object on stderr and
         # nothing on stdout
-        res = run_cli()
+        res = run_main()
         assert res.returncode == 2
         assert res.stdout == ""
         err = json.loads(res.stderr)
         assert err["kind"] == "validation"
         assert "command is required" in err["error"]
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("args", [("table1",), ("--schema",)])
+    def test_exit_1_silently(self, args):
+        # the read end of the pipe is closed before the process starts, so
+        # every write fails: exit 1 as after SIGPIPE, with no JSON report and
+        # no error when Python flushes stdout at shutdown
+        import os
+
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            res = subprocess.run(
+                [sys.executable, "-m", "kab.cli", *args],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=600,
+            )
+        finally:
+            os.close(write_end)
+        assert res.returncode == 1
+        assert res.stderr == ""
 
 
 class TestReadmeCommands:

@@ -17,7 +17,7 @@ from kab.evolution import (
     EvolutionState,
     _abel_fourier_step,
     _abel_grid,
-    _k01_matrix,
+    _k01_product,
     _krylov_exp,
     _state_coeffs,
     default_xi_grid,
@@ -279,7 +279,7 @@ class TestValidation:
 
         s = make_state(smooth_profiles["xi-sq"], n_points=8)
         monkeypatch.setattr(
-            kab.evolution, "_krylov_exp", lambda mat, v, dtau: np.full_like(v, np.nan)
+            kab.evolution, "_krylov_exp", lambda product, v, dtau: np.full_like(v, np.nan)
         )
         with pytest.raises(RuntimeError, match="evolve_matrix:"):
             evolve_matrix(s, 1.0, n_trunc=32)
@@ -310,40 +310,36 @@ class TestProjection:
         assert np.max(np.abs(right - full)) <= 1e-12 * np.max(np.abs(full))
 
 
-class TestPackedK01:
-    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1920])
-    def test_lower_triangle_of_dense(self, n):
-        # the packed entries are the dense matrix's lower triangle, row by
-        # row, bit for bit
-        packed = _k01_matrix(n)
-        dense = galerkin_matrix(OperatorParams(0.0, 1.0), n)
-        assert packed.shape == (n * (n + 1) // 2,)
-        assert packed.tobytes() == dense[np.tril_indices(n)].tobytes()
-        with pytest.raises(ValueError):
-            packed[0] = 0.0
+class TestK01Product:
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 100, 960, 1920])
+    def test_matches_dense(self, n):
+        # the FFT product against the dense Galerkin matrix of K_01; every
+        # mode is populated, with sizes spread over four decades
+        x = np.random.default_rng(n).standard_normal(n) * np.logspace(0, -4, n)
+        ref = galerkin_matrix(OperatorParams(0.0, 1.0), n) @ x
+        out = _k01_product(n)(x)
+        assert np.linalg.norm(out - ref) <= 1e-14 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("n", [1, 7, 960])
-    def test_size_n_is_prefix_of_size_2n(self, monkeypatch, n):
-        # the size-N step reads the size-2N array's prefix; a build in
-        # blocks of one row gives the same bits
-        import kab.operators
+    def test_size_n_is_leading_block_of_2n(self, n):
+        # the size-N step applies the leading N x N block of the size-2N matrix
+        x = np.random.default_rng(n).standard_normal(n)
+        ref = galerkin_matrix(OperatorParams(0.0, 1.0), 2 * n)[:n, :n] @ x
+        out = _k01_product(n)(x)
+        assert np.linalg.norm(out - ref) <= 1e-14 * np.linalg.norm(ref)
 
-        small = _k01_matrix.__wrapped__(n)
-        big = _k01_matrix.__wrapped__(2 * n)
-        assert big[: small.size].tobytes() == small.tobytes()
-        monkeypatch.setattr(kab.operators, "_BLOCK_CELLS", 1)
-        assert _k01_matrix.__wrapped__(n).tobytes() == small.tobytes()
-
-    def test_build_memory_bounded(self):
-        # the packed triangle (14.75 MB at 1920) plus a few blocks of
-        # _BLOCK_CELLS cells; the dense build held two 29.5 MB matrices
+    def test_memory_bounded(self):
+        # the plan holds O(n log n) doubles: at the largest size 2N = 8192 the
+        # plan and one product stay within 4 MB, where the packed matrix
+        # took 268 MB
+        x = np.ones(8192)
         tracemalloc.start()
         try:
-            packed = _k01_matrix.__wrapped__(1920)
+            _k01_product.__wrapped__(8192)(x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= packed.nbytes + 4 * 2**20
+        assert peak <= 4 * 2**20
 
 
 class TestKrylovExp:
@@ -352,28 +348,20 @@ class TestKrylovExp:
         # exp(-tau K) c from the full eigendecomposition of the dense K; both
         # sides carry rounding of order tau |K| eps, 3e-13 at tau = 100
         lam, vec = np.linalg.eigh(galerkin_matrix(OperatorParams(0.0, 1.0), n))
-        packed = _k01_matrix(n)
+        product = _k01_product(n)
         c = _state_coeffs(make_state(smooth_profiles["xi-sq"]), n)
         for tau in (0.25, 1.0, 2.5, 10.0, 100.0):
             ref = vec @ (np.exp(-tau * lam) * (vec.T @ c))
-            err = np.max(np.abs(_krylov_exp(packed, c, tau) - ref))
+            err = np.max(np.abs(_krylov_exp(product, c, tau) - ref))
             assert err <= 1e-12 * np.max(np.abs(ref)), tau
 
-    def test_size_n_reads_prefix(self, smooth_profiles):
-        # the size-N exponential on the size-2N packed array equals the one
-        # on the size-N array, bit for bit
-        c = _state_coeffs(make_state(smooth_profiles["xi-sq"]), 64)
-        big = _k01_matrix.__wrapped__(128)
-        small = _k01_matrix.__wrapped__(64)
-        assert np.array_equal(_krylov_exp(big, c, 1.0), _krylov_exp(small, c, 1.0))
-
     def test_zero_vector(self):
-        out = _krylov_exp(_k01_matrix(64), np.zeros(64), 1.0)
+        out = _krylov_exp(_k01_product(64), np.zeros(64), 1.0)
         assert np.array_equal(out, np.zeros(64))
 
     def test_exhausted_space_is_exact(self):
         # at n = 1 the Krylov space is the whole space after one step
-        out = _krylov_exp(np.array([0.7]), np.array([2.0]), 1.5)
+        out = _krylov_exp(lambda x: 0.7 * x, np.array([2.0]), 1.5)
         assert out == pytest.approx([2.0 * math.exp(-1.05)], rel=1e-15)
         # and n_trunc = 1 runs both sizes (1 and 2) on exhausted spaces; two
         # modes cannot hold the profile, which the truncation estimate says:
@@ -406,7 +394,7 @@ class TestKrylovExp:
         monkeypatch.setattr(kab.evolution, "_KRYLOV_MAX_STEPS", 3)
         c = _state_coeffs(make_state(lambda t: t * t * (1.0 - t)), 64)
         with pytest.raises(RuntimeError, match=r"dtau=1.*64"):
-            _krylov_exp(_k01_matrix(64), c, 1.0)
+            _krylov_exp(_k01_product(64), c, 1.0)
 
     def test_long_step_is_prompt(self, smooth_profiles):
         # the Lanczos cost stops growing with tau (41 steps at 2N = 1920 from
@@ -459,6 +447,25 @@ class TestMatrixBackend:
             assert np.array_equal(before[1], after[1])
             assert before[:1] + before[2:] == after[:1] + after[2:]
         assert np.array_equal(outs[0], outs[1])
+
+    def test_largest_truncation_prompt_and_bounded(self, smooth_profiles):
+        # n_trunc = 4096 steps at 2N = 8192 from cold plans, with no matrix of
+        # that size (the packed one took 268 MB): the Lanczos bases dominate
+        s = make_state(smooth_profiles["xi-sq"])
+        _k01_product.cache_clear()
+        start = time.perf_counter()
+        evolve_matrix(s, 1.0, n_trunc=4096)
+        elapsed = time.perf_counter() - start
+        _k01_product.cache_clear()
+        tracemalloc.start()
+        try:
+            out = evolve_matrix(s, 1.0, n_trunc=4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak <= 32 * 2**20
+        assert np.all(np.isfinite(out.u_values))
 
     def test_meta(self, smooth_profiles):
         s = make_state(smooth_profiles["xi-sq"])
