@@ -22,7 +22,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import special
-from scipy.linalg import eigh_tridiagonal
 
 from .operators import _log_diagonal, harmonic_numbers, project, synthesize
 from .specfun import (
@@ -340,6 +339,8 @@ _KRYLOV_TOL = 1e-15
 #: most Lanczos steps per exponential; the largest step and size that
 #: evolve_matrix accepts (dtau = 512, 2N = 8192) take 46 on xi-sq
 _KRYLOV_MAX_STEPS = 200
+#: rows the Krylov basis grows by when a step needs room
+_KRYLOV_BLOCK = 16
 
 
 def _krylov_exp(product, v: np.ndarray, dtau: float) -> np.ndarray:
@@ -350,8 +351,10 @@ def _krylov_exp(product, v: np.ndarray, dtau: float) -> np.ndarray:
     V_m tridiagonal, exp(-dtau K) v ~ |v| V_m exp(-dtau T_m) e_1
     (Hochbruck & Lubich 1997): about sqrt(dtau (spread of K)) products and
     no norm estimate.  The basis is reorthogonalised in full, by two
-    classical Gram-Schmidt passes.
-    exp(-dtau T_m) is formed shifted by the least Ritz value theta_0, so
+    classical Gram-Schmidt passes, and grows by _KRYLOV_BLOCK rows as the
+    steps need them, so its memory follows the steps taken.
+    exp(-dtau T_m) is formed shifted by the least Ritz value theta_0, from
+    numpy's dense eigh of T_m (m <= _KRYLOV_MAX_STEPS, at most 320 kB), so
     nothing overflows before the final scalar exp(-dtau theta_0).  Lanczos
     stops when the estimate beta_m |e_m' exp(-dtau (T_m - theta_0)) e_1| is
     within _KRYLOV_TOL of the result, which includes an invariant subspace
@@ -363,7 +366,7 @@ def _krylov_exp(product, v: np.ndarray, dtau: float) -> np.ndarray:
     if v_norm == 0.0:
         return np.zeros(n)
     m_max = min(n, _KRYLOV_MAX_STEPS)
-    basis = np.empty((m_max, n))
+    basis = np.empty((_KRYLOV_BLOCK, n))
     basis[0] = v / v_norm
     diag, off = [], []
     for m in range(1, m_max + 1):
@@ -375,12 +378,17 @@ def _krylov_exp(product, v: np.ndarray, dtau: float) -> np.ndarray:
         w -= h2 @ head
         diag.append(h[-1] + h2[-1])
         beta = float(np.linalg.norm(w))
-        theta, ritz = eigh_tridiagonal(np.array(diag), np.array(off))
+        # eigh reads the lower triangle
+        theta, ritz = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
         s = ritz @ (np.exp(-dtau * (theta - theta[0])) * ritz[0])
         if m == n or beta * abs(s[-1]) <= _KRYLOV_TOL * np.linalg.norm(s):
             return (v_norm * np.exp(-dtau * theta[0])) * (s @ head)
         if m < m_max:
             off.append(beta)
+            if m == len(basis):
+                grown = np.empty((m + _KRYLOV_BLOCK, n))
+                grown[:m] = basis
+                basis = grown
             basis[m] = w / beta
     raise RuntimeError(
         f"evolve_matrix: the Lanczos exponential did not converge in {m_max} "

@@ -16,13 +16,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from scipy import linalg
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .specfun import _BLOCK_CELLS, BIG_G_MIN, CONSTANTS, _gauss_nodes, big_g
+
+# scipy.linalg and scipy.sparse.linalg cost about 10 MB and 0.1 s per process,
+# so the three functions that solve or pose an eigenproblem import them
+# (galerkin_spectrum, _pseudospectral_solve, pseudospectral_matrix); evolution,
+# semiclassics and the Mehler-Fock transform never load them
+if TYPE_CHECKING:
+    from scipy.sparse.linalg import LinearOperator
 
 __all__ = [
     "OperatorParams",
@@ -246,6 +252,8 @@ def pseudospectral_matrix(params: OperatorParams, grid: UGrid) -> LinearOperator
     O(M log M) time, O(M) memory.  Raises when the spectrum is continuous or
     when the potential overflows on the grid.
     """
+    from scipy.sparse.linalg import LinearOperator
+
     h, _ = _grid_hamiltonian(params, grid, "pseudospectral_matrix")
     m = grid.m_points
     # LinearOperator hands over (M,) or (M, 1)
@@ -346,6 +354,8 @@ def galerkin_spectrum(
             f"galerkin_spectrum: n_eigs={n_eigs} must lie in [1, n_trunc/8] = "
             f"[1, {n_trunc // 8}] at n_trunc={n_trunc}"
         )
+    from scipy import linalg
+
     # eigh reads the lower triangle in Fortran order: write only that (the
     # zeros above pass check_finite), and let the size-N solve overwrite it
     mat = np.zeros((n_trunc, n_trunc), order="F")
@@ -403,6 +413,8 @@ def _pseudospectral_solve(
             f"pseudospectral: n_eigs={n_eigs} must lie in [1, {largest}] "
             f"at m_points={m_points}"
         )
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
     h, v = _grid_hamiltonian(params, grid, "pseudospectral")
     shift = BIG_G_MIN + float(np.min(v)) - 1.0
     # eigsh passes 1-D x; the shift is subtracted last, so each product

@@ -190,13 +190,14 @@ class TestSpectrum:
     def test_pseudospectral_count_bounded_exit_2(self, capsys, monkeypatch):
         # --n 60000 on 65536 points would ask ARPACK for a ~63 GB basis; the
         # solve refuses it before Lanczos starts
-        import kab.operators
+        import scipy.sparse.linalg
+
         from kab.cli import main
 
         def eigsh(*args, **kwargs):
             pytest.fail("eigsh called for an unbounded eigenpair count")
 
-        monkeypatch.setattr(kab.operators, "eigsh", eigsh)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
         argv = ["spectrum", "--alpha", "2", "--beta", "2", "--n", "60000",
                 "--m-points", "65536"]
         assert main(argv) == 2
@@ -514,6 +515,47 @@ class TestImport:
         )
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[-1] == "[]"
+
+    def test_scipy_linalg_and_sparse_only_for_eigenproblems(self):
+        # scipy.linalg and scipy.sparse cost about 10 MB per process, and only
+        # the eigensolves need them: the import, the WKB table, the
+        # Mehler-Fock transform, both evolution backends and the evolution
+        # equation's right-hand side never load them; the spectrum, run last,
+        # does, which shows the check sees them
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from kab.cli import main\n"
+            "from kab.evolution import EvolutionState, PROFILES, default_xi_grid, mm_rhs\n"
+            "loaded = {}\n"
+            "def check(step):\n"
+            "    loaded[step] = [m for m in ('scipy.linalg', 'scipy.sparse')"
+            " if m in sys.modules]\n"
+            "check('import kab.cli')\n"
+            "for argv in (['wkb-table', '--alpha', '2', '--beta', '2', '--bohr-sommerfeld'],\n"
+            "             ['mehler-fock', '--profile', 'xi-sq'],\n"
+            "             ['evolve', '--tau', '1', '--backend', 'matrix'],\n"
+            "             ['evolve', '--tau', '1', '--backend', 'spectral'],\n"
+            "             ['spectrum', '--alpha', '2', '--beta', '2']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "    check(' '.join(argv[:1] + argv[-1:]))\n"
+            "    if argv[0] == 'evolve' and argv[-1] == 'spectral':\n"
+            "        xi = default_xi_grid(32)\n"
+            "        mm_rhs(EvolutionState(0.0, xi, PROFILES['xi-sq'](xi)), 0.5)\n"
+            "        check('mm_rhs')\n"
+            "print(json.dumps(loaded))\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert res.returncode == 0, res.stderr
+        loaded = json.loads(res.stdout.splitlines()[-1])
+        assert loaded.pop("spectrum 2") == ["scipy.linalg", "scipy.sparse"]
+        assert loaded == {
+            step: []
+            for step in ("import kab.cli", "wkb-table --bohr-sommerfeld",
+                         "mehler-fock xi-sq", "evolve matrix", "evolve spectral", "mm_rhs")
+        }
 
 
 class TestSchemaAndErrors:

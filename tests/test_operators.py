@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import legendre as npleg
 from scipy import integrate, linalg, special
+import scipy.sparse.linalg
 from scipy.sparse.linalg import LinearOperator
 from scipy.sparse.linalg import eigsh as sparse_eigsh
 
@@ -527,9 +528,8 @@ class TestPseudospectralSolve:
 
     def test_products_counted(self, monkeypatch):
         # ten states at M = 2048 on a basis of 28 vectors: ARPACK's default
-        # of 21 took 560 products of the operator here
-        import kab.operators
-
+        # of 21 took 560 products of the operator here; the solve imports
+        # eigsh when it runs, so the patch goes on scipy's module
         products = []
 
         def eigsh(a, **kwargs):
@@ -539,7 +539,7 @@ class TestPseudospectralSolve:
 
             return sparse_eigsh(LinearOperator(a.shape, matvec=matvec, dtype=float), **kwargs)
 
-        monkeypatch.setattr(kab.operators, "eigsh", eigsh)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
         pseudospectral_spectrum.__wrapped__(2.0, 2.0, 10, 40.0, 2048)
         assert len(products) <= 450
 
@@ -547,8 +547,6 @@ class TestPseudospectralSolve:
         # a solve needs room for 2 n_eigs + 1 basis vectors of M doubles; past
         # 2^26 cells (galerkin_matrix's largest matrix) it is refused
         # unstarted, and the basis eigsh is given stays within 2^26 cells
-        import kab.operators
-
         class Reached(Exception):
             pass
 
@@ -558,7 +556,7 @@ class TestPseudospectralSolve:
             bases.append((k, ncv, a.shape[0]))
             raise Reached
 
-        monkeypatch.setattr(kab.operators, "eigsh", eigsh)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
         solve = pseudospectral_spectrum.__wrapped__
         with pytest.raises(Reached):
             solve(2.0, 2.0, 511, 40.0, 65536)

@@ -5,6 +5,7 @@ incomplete-beta values; closed forms (Euler beta, known constants) elsewhere.
 """
 import math
 import re
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -192,6 +193,73 @@ class TestGaussNodes:
             assert abs(float(weight) - w[i]) <= 4e-15 * n * n * float(weight), i
             # the rule is symmetric about 0
             assert x[n - 1 - i] == -x[i] and w[n - 1 - i] == w[i]
+
+    def test_small_rules_closed_form(self):
+        r70, r107 = math.sqrt(70.0), math.sqrt(10.0 / 7.0)
+        rules = {
+            1: ([0.0], [2.0]),
+            2: ([-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0)], [1.0, 1.0]),
+            3: ([-math.sqrt(0.6), 0.0, math.sqrt(0.6)], [5 / 9, 8 / 9, 5 / 9]),
+            5: (
+                [-math.sqrt(5.0 + 2.0 * r107) / 3.0, -math.sqrt(5.0 - 2.0 * r107) / 3.0,
+                 0.0, math.sqrt(5.0 - 2.0 * r107) / 3.0, math.sqrt(5.0 + 2.0 * r107) / 3.0],
+                [(322 - 13 * r70) / 900, (322 + 13 * r70) / 900, 128 / 225,
+                 (322 + 13 * r70) / 900, (322 - 13 * r70) / 900],
+            ),
+        }
+        for n, (nodes, weights) in rules.items():
+            x, w = _gauss_nodes(n)
+            np.testing.assert_allclose(x, nodes, rtol=0.0, atol=2.3e-16)
+            np.testing.assert_allclose(w, weights, rtol=1e-15, atol=0.0)
+            if n % 2:
+                # the middle node is +0.0, not a rounded cos(pi/2)
+                assert x[n // 2] == 0.0 and math.copysign(1.0, x[n // 2]) == 1.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 64])
+    def test_exact_on_monomials(self, n):
+        # an n-node rule integrates x^k over [-1, 1] exactly for k <= 2n - 1
+        x, w = _gauss_nodes(n)
+        for k in range(2 * n):
+            exact = 0.0 if k % 2 else 2.0 / (k + 1)
+            assert abs(w @ x**k - exact) <= 4e-16 * n, k
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 17, 96, 97, 1024, 1025])
+    def test_mirror_symmetric(self, n):
+        x, w = _gauss_nodes(n)
+        assert np.all(np.diff(x) > 0.0) and -1.0 < x[0]
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+
+    def test_cached_arrays_read_only(self):
+        x, w = _gauss_nodes(24)
+        assert _gauss_nodes(24)[0] is x
+        for a in (x, w):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    @pytest.mark.parametrize("n", [2, 16, 96, 192, 1024, 4096, 8192])
+    def test_newton_stops_at_rounding(self, monkeypatch, n):
+        # Newton from Tricomi's guess stops once its steps reach rounding,
+        # within 4 recurrence passes at every n (well short of the cap), on
+        # O(n) memory: a dense n x n eigenproblem would take 8 n^2 bytes
+        import kab.specfun
+
+        passes = []
+        pair = kab.specfun._legendre_pair
+
+        def counted(n, x):
+            passes.append(1)
+            return pair(n, x)
+
+        monkeypatch.setattr(kab.specfun, "_legendre_pair", counted)
+        tracemalloc.start()
+        try:
+            x, w = _gauss_nodes.__wrapped__(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(passes) <= 4 < kab.specfun._NEWTON_MAX_STEPS
+        assert peak <= 200 * n + 4096
+        assert abs(w.sum() - 2.0) <= 4e-15 * math.sqrt(n)
 
 
 class TestSimpsonWeights:
