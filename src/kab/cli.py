@@ -44,8 +44,18 @@ _SCHEMAS = {
         "properties": {
             "k": {"type": "array", "items": {"type": "number"}},
             "c": {"type": "array", "items": {"type": "number"}},
-            "t_max": {"type": "number"},
-            "meta": {"type": "object"},
+            "t_max": {
+                "type": "number",
+                "description": "cosh(s_max), the end of the t-range integrated",
+            },
+            "meta": {
+                "type": "object",
+                "properties": {
+                    **dict.fromkeys(["tail_estimate", "r_quadrature_estimate", "s_max"],
+                                    {"type": "number"}),
+                    **dict.fromkeys(["s_nodes", "abel_nodes"], {"type": "integer"}),
+                },
+            },
         },
         "required": ["k", "c"],
     },
@@ -199,22 +209,16 @@ def _cmd_eigenfunction(args) -> None:
 
 
 def _cmd_mehler_fock(args) -> None:
-    coeffs = exact.mehler_fock_forward(
-        PROFILES[args.profile], k_max=args.k_max, dk=args.dk, t_max=args.t_max
-    )
-    estimate = _estimate(coeffs.meta["r_quadrature_estimate"])
+    coeffs = exact.mehler_fock_forward(PROFILES[args.profile], k_max=args.k_max, dk=args.dk)
+    keys = ("tail_estimate", "r_quadrature_estimate")
+    estimates = {key: _estimate(coeffs.meta[key]) for key in keys}
     if args.format == "json":
         doc = coeffs.to_json_dict()
-        doc["meta"] = {**coeffs.meta, "r_quadrature_estimate": estimate}
+        doc["meta"] = {**coeffs.meta, **estimates}
         _emit(args.output, json.dumps(doc, sort_keys=True) + "\n")
     else:
-        meta = {
-            "command": "mehler-fock",
-            "profile": args.profile,
-            "t_max": args.t_max,
-            "tail_estimate": coeffs.meta["tail_estimate"],
-            "r_quadrature_estimate": estimate,
-        }
+        meta = {"command": "mehler-fock", "profile": args.profile, "t_max": coeffs.t_max}
+        meta.update(estimates)
         _emit(args.output, _csv(meta, ["k", "c"], coeffs.to_csv_rows()))
 
 
@@ -355,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", choices=sorted(PROFILES), default="xi-sq")
     p.add_argument("--k-max", type=float, default=40.0)
     p.add_argument("--dk", type=float, default=0.05, help="k spacing; divides --k-max")
-    p.add_argument("--t-max", type=float, default=1e4)
     _add_common(p, resolution=False)
     p.set_defaults(func=_cmd_mehler_fock)
 

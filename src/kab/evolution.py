@@ -26,9 +26,11 @@ from scipy import special
 from .operators import _log_diagonal, harmonic_numbers, project, synthesize
 from .specfun import (
     _ABEL_NODES,
+    _ABEL_S_MAX,
     _BLOCK_CELLS,
     CONSTANTS,
     _abel_rule,
+    _abel_transform,
     _clenshaw,
     _gauss_nodes,
     lipatov_kappa,
@@ -450,7 +452,7 @@ def _abel_grid(dtau: float) -> tuple[float, int]:
     grows with dtau: S = max(60, 20 + 25 sqrt(dtau)), rounded up to a whole
     block of 32 spacings.  S = 60 and n = 640 for every dtau <= 2.5.
     """
-    half = 32 * math.ceil(max(60.0, 20.0 + 25.0 * math.sqrt(dtau)) / (32 * _S_STEP))
+    half = 32 * math.ceil(max(_ABEL_S_MAX, 20.0 + 25.0 * math.sqrt(dtau)) / (32 * _S_STEP))
     return half * _S_STEP, 2 * half
 
 
@@ -461,7 +463,7 @@ def _abel_fourier_step(
 
     With f(y) = u(2/(1 + y)) and y = cosh r (xi = sech^2(r/2), r < 17.2 < S):
       1. A(s) = integral_s^S f(cosh r) sinh r / sqrt(cosh r - cosh s) dr at
-         s_j = j S/(n/2), j = 0..n/2;
+         s_j = j S/(n/2), j = 0..n/2, by specfun._abel_transform;
       2. the real FFT of the even extension of A over [-S, S), a DCT-I,
          times exp(-kappa(k_m) dtau) at k_m = pi m/S;
       3. u(cosh r) = -(1/pi) integral_r^S A_dtau'(s) / sqrt(cosh s - cosh r) ds,
@@ -469,15 +471,9 @@ def _abel_fourier_step(
     """
     xi = state.xi_grid
     r = 2.0 * np.arcsinh(np.sqrt((1.0 - xi) / xi))
-    f = state_interpolant(state)
     half = n // 2
     s = (s_max / half) * np.arange(half + 1)
-    a = np.zeros(half + 1)  # the integral at s = S is empty
-    step = max(1, _BLOCK_CELLS // (_ABEL_NODES * (xi.size + 1)))
-    for j in range(0, half, step):
-        rows = slice(j, min(j + step, half))
-        t, weight = _abel_rule(s[rows], s_max)
-        a[rows] = np.sum(weight * np.sinh(t) * f(np.cosh(0.5 * t) ** -2.0), axis=1)
+    a, _ = _abel_transform(state_interpolant(state), s, s_max, u_cells=xi.size + 1)
     k = (math.pi / s_max) * np.arange(half + 1)
     a_hat = np.fft.rfft(np.concatenate((a, a[-2:0:-1]))).real
     # A_dtau'(s) = sum_m b_m sin(m theta), theta = pi s/S, the Nyquist term

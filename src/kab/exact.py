@@ -20,9 +20,10 @@ from scipy import special
 from .operators import OperatorParams, UGrid, apply_k_pointwise, galerkin_matrix
 from .specfun import (
     _ABEL_NODES,
+    _ABEL_S_MAX,
     _BLOCK_CELLS,
     CONSTANTS,
-    _abel_rule,
+    _abel_transform,
     _check_finite,
     _check_positive,
     _clenshaw,
@@ -147,15 +148,6 @@ def _mehler_panels(kr, caller: str) -> np.ndarray:
     return panels.astype(int)
 
 
-def _sqrt_rule(top: np.ndarray, panels: int):
-    """(w, s, weight) of integral_0^top g(s) ds, s = top - w^2, rows following
-    top: equal Gauss-Legendre panels in w over [0, sqrt(top)], ds = 2 w dw."""
-    z, wz = _gauss_nodes(_PANEL_NODES)
-    width = np.sqrt(top)[:, None] / panels
-    w = width * (np.arange(panels)[:, None] + 0.5 * (z + 1.0)).ravel()
-    return w, top[:, None] - w * w, width * np.tile(wz, panels) * w
-
-
 def _mehler_blocks(r: np.ndarray, k_max: float, caller: str):
     """Yield (rows, s, weight): P_{-1/2+ik}(cosh r[rows]) = sum weight cos(k s)
     along the last axis, for |k| <= k_max.
@@ -170,26 +162,20 @@ def _mehler_blocks(r: np.ndarray, k_max: float, caller: str):
     if zero.size:
         yield zero, np.zeros((zero.size, 1)), np.ones((zero.size, 1))
     panels = _mehler_panels(k_max * r, caller)
+    z, wz = _gauss_nodes(_PANEL_NODES)
     for p in np.unique(panels[r > 0.0]):
         group = np.nonzero((panels == p) & (r > 0.0))[0]
         step = max(1, _BLOCK_CELLS // (p * _PANEL_NODES))
         for j in range(0, group.size, step):
             rows = group[j : j + step]
-            w, s, weight = _sqrt_rule(r[rows], p)
+            # p equal Gauss-Legendre panels in w over [0, sqrt(r)], ds = 2 w dw
+            width = np.sqrt(r[rows])[:, None] / p
+            w = width * (np.arange(p)[:, None] + 0.5 * (z + 1.0)).ravel()
             b = 0.5 * w * w
             # each root taken apart, so that no product overflows
             root = np.sqrt(2.0 * np.sinh(r[rows, None] - b)) * np.sqrt(np.sinh(b))
-            yield rows, s, _SQRT2_PI * weight / root
-
-
-def _cosine_sums(k: np.ndarray, s: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """sum_j weight[i, j] cos(k_l s[i, j]), at most _BLOCK_CELLS cosines at once."""
-    out = np.empty((s.shape[0], k.size))
-    step = max(1, _BLOCK_CELLS // s.size)
-    for j in range(0, k.size, step):
-        cos = np.cos(k[j : j + step, None] * s[:, None])
-        out[:, j : j + step] = np.sum(weight[:, None] * cos, axis=-1)
-    return out
+            weight = width * np.tile(wz, p) * w
+            yield rows, r[rows, None] - w * w, _SQRT2_PI * weight / root
 
 
 def conical_legendre_grid(k, r) -> np.ndarray:
@@ -209,7 +195,10 @@ def conical_legendre_grid(k, r) -> np.ndarray:
     out = np.empty((r.size, k.size))
     k_max = float(np.max(np.abs(k), initial=0.0))
     for rows, s, weight in _mehler_blocks(r, k_max, "conical_legendre_grid"):
-        out[rows] = _cosine_sums(k, s, weight)
+        step = max(1, _BLOCK_CELLS // s.size)  # cosines at once
+        for j in range(0, k.size, step):
+            cos = np.cos(k[j : j + step, None] * s[:, None])
+            out[rows, j : j + step] = np.sum(weight[:, None] * cos, axis=-1)
     return out
 
 
@@ -427,84 +416,71 @@ def verify_g_of_ell(phi, x_grid) -> float:
 # Mehler-Fock transform
 
 
-def _default_k_grid(k_max: float, dk: float) -> np.ndarray:
-    _check_positive("mehler_fock_forward", k_max=k_max, dk=dk)
-    n = k_max / dk
-    if not n < _MAX_K_POINTS - 1:
-        raise ValueError(
-            f"mehler_fock_forward: k_max/dk = {n:.10g} asks for more than the "
-            f"{_MAX_K_POINTS} wavenumbers one transform may take"
-        )
-    if abs(n - round(n)) > 1e-9 * n:
-        raise ValueError(
-            f"mehler_fock_forward: k_max/dk = {n:.10g} must be a whole number, "
-            "so that the grid keeps the spacing dk"
-        )
-    return np.linspace(0.0, k_max, round(n) + 1)
-
-
-# the integrand magnitude at t_max above which the forward transform raises,
+# the integrand magnitude at s = S above which the forward transform raises,
 # and the full- versus half-grid disagreement above which the inverse warns
 _TAIL_TOL = 0.05
 _INVERSE_WARN_TOL = 1e-6
+#: the most s-nodes one forward transform may take (the defaults take 1147)
+_MAX_S_NODES = 1 << 17
 
 
-def mehler_fock_forward(
-    u_func,
-    *,
-    k_max: float = 40.0,
-    dk: float = 0.05,
-    t_max: float = 1e4,
-) -> MehlerFockCoeffs:
-    """c(k) = k tanh(pi k) * integral_1^t_max u(2/(1+t)) P_{-1/2+ik}(t) dt.
+def mehler_fock_forward(u_func, *, k_max: float = 40.0, dk: float = 0.05) -> MehlerFockCoeffs:
+    """c(k) = k tanh(pi k) * integral_1^cosh S u(2/(1+t)) P_{-1/2+ik}(t) dt.
 
-    With t = cosh r, F(r) = u(2/(1 + cosh r)) sinh r and R = acosh t_max,
-    Mehler's integral and a swap of the order of integration give
-    c(k) = k tanh(pi k) (sqrt 2/pi) integral_0^R cos(k s) A_R(s) ds with
-    A_R(s) = integral_s^R F(r) dr/sqrt(cosh r - cosh s): the Abel rule of
-    evolve_spectral, then the Mehler panels in sqrt(R - s), where A_R is
-    smooth; half the panels give the r-quadrature estimate.  The tail
-    estimate |F(R)| P_{-1/2}(t_max) >= |F(R) P_{-1/2+ik}(t_max)| must stay
-    below _TAIL_TOL.  u_func takes arrays (one call at the defaults).  The
-    k-grid is 0, dk, ..., k_max, so k_max/dk must be a whole number.
+    With t = cosh r and F(r) = u(2/(1 + cosh r)) sinh r, Mehler's integral
+    gives c(k) = k tanh(pi k) (sqrt 2/pi) integral_0^S cos(k s) A(s) ds, A
+    the Abel transform of evolve_spectral (specfun._abel_transform, S = 60).
+    A is smooth, even and decays, so the trapezoid rule converges
+    geometrically (Trefethen & Weideman, SIAM Review 56, 2014) unless its
+    sum at k aliases A's transform at 2 pi/ds - k, below rounding beyond 20:
+    c takes 2n intervals, n = ceil(S (k_max + 20)/2 pi), summed over k by
+    Clenshaw's recurrence; its gap to every second node is the r-quadrature
+    estimate.  A tail estimate |F(S)| P_{-1/2}(cosh S) above _TAIL_TOL, or a
+    c or estimate that is not finite, raises RuntimeError.  u_func takes
+    arrays (one call at the defaults).  The k-grid is 0, dk, ..., k_max; a
+    k_max/dk that is not whole, or more than _MAX_S_NODES s-nodes, raise
+    ValueError before u_func is called.
     """
-    if not (math.isfinite(t_max) and t_max > 1):
-        raise ValueError(f"mehler_fock_forward: t_max={t_max} must be finite and > 1")
-    kg = _default_k_grid(k_max, dk)
-    r_max = math.acosh(t_max)
-    panels = int(_mehler_panels(k_max * r_max, "mehler_fock_forward"))
-    (_, s, v), (_, s_half, v_half) = (
-        _sqrt_rule(np.array([r_max]), p) for p in (panels, -(-panels // 2))
-    )
-    nodes = np.concatenate((s[0], s_half[0]))
-    a = np.empty(nodes.size)
-    step = _BLOCK_CELLS // _ABEL_NODES
-    for j in range(0, nodes.size, step):
-        t, weight = _abel_rule(nodes[j : j + step], r_max)
-        t = np.append(t, r_max)  # F(R) for the tail estimate
-        f = np.asarray(u_func(np.cosh(0.5 * t) ** -2.0), dtype=float) * np.sinh(t)
-        a[j : j + step] = np.sum(weight * f[:-1].reshape(weight.shape), axis=1)
-    tail = abs(float(f[-1])) * float(conical_legendre_grid([0.0], [r_max])[0, 0])
+    _check_positive("mehler_fock_forward", k_max=k_max, dk=dk)
+    steps = k_max / dk
+    if not steps < _MAX_K_POINTS - 1:
+        raise ValueError(
+            f"mehler_fock_forward: k_max/dk = {steps:.10g} asks for more than the "
+            f"{_MAX_K_POINTS} wavenumbers one transform may take"
+        )
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        raise ValueError(
+            f"mehler_fock_forward: k_max/dk = {steps:.10g} must be a whole number, "
+            "so that the grid keeps the spacing dk"
+        )
+    kg = np.linspace(0.0, k_max, round(steps) + 1)
+    n = math.ceil(_ABEL_S_MAX * (k_max + 20.0) / (2.0 * math.pi))
+    if 2 * n + 1 > _MAX_S_NODES:
+        raise ValueError(
+            f"mehler_fock_forward: k_max = {k_max:g} needs {2 * n + 1} s-nodes, "
+            f"above the cap of {_MAX_S_NODES}"
+        )
+    a, f_end = _abel_transform(u_func, np.linspace(0.0, _ABEL_S_MAX, 2 * n + 1), _ABEL_S_MAX)
+    # |P_{-1/2+ik}| <= P_{-1/2}, so the tail bounds |F(S) P_{-1/2+ik}(cosh S)|
+    tail = abs(f_end) * float(conical_legendre_grid([0.0], [_ABEL_S_MAX])[0, 0])
     if tail > _TAIL_TOL:
         raise RuntimeError(
-            f"mehler_fock_forward: integrand magnitude {tail:.3e} at t_max={t_max:g} "
+            f"mehler_fock_forward: integrand magnitude {tail:.3e} at s = {_ABEL_S_MAX:g} "
             f"exceeds tail tolerance {_TAIL_TOL:g}; u decays too slowly"
         )
-    scale = _SQRT2_PI * kg * np.tanh(np.pi * kg)
-    c = scale * _cosine_sums(kg, s, v * a[: s.size])[0]
-    half = scale * _cosine_sums(kg, s_half, v_half * a[s.size :])[0]
-    return MehlerFockCoeffs(
-        k_grid=kg,
-        c=c,
-        t_max=t_max,
-        meta={
-            "tail_estimate": tail,
-            "r_quadrature_estimate": float(np.max(np.abs(c - half))),
-            "r_max": r_max,
-            "panels": panels,
-            "abel_nodes": _ABEL_NODES,
-        },
-    )
+    sums = []
+    for m in (1, 2):  # the trapezoid rule on every node, then every second
+        ds = m * _ABEL_S_MAX / (2 * n)
+        coef, two_cos = ds * a[::m], 2.0 * np.cos(ds * kg)
+        coef[[0, -1]] *= 0.5
+        b1, b2 = _clenshaw(coef, two_cos)
+        sums.append(_SQRT2_PI * kg * np.tanh(np.pi * kg) * (coef[0] - b2 + 0.5 * two_cos * b1))
+    c, estimate = sums[0], float(np.max(np.abs(sums[0] - sums[1])))
+    if not (np.all(np.isfinite(c)) and math.isfinite(estimate)):
+        raise RuntimeError("mehler_fock_forward: coefficients or their estimate are not finite")
+    meta = {"tail_estimate": tail, "r_quadrature_estimate": estimate, "s_max": _ABEL_S_MAX,
+            "s_nodes": 2 * n + 1, "abel_nodes": _ABEL_NODES}
+    return MehlerFockCoeffs(kg, c, math.cosh(_ABEL_S_MAX), meta)
 
 
 def mehler_fock_inverse(coeffs: MehlerFockCoeffs, xi):
@@ -517,7 +493,7 @@ def mehler_fock_inverse(coeffs: MehlerFockCoeffs, xi):
     """
     scalar = np.isscalar(xi)
     xa = np.atleast_1d(np.asarray(xi, dtype=float))
-    if np.any(xa <= 0) or np.any(xa > 1):
+    if not np.all((xa > 0) & (xa <= 1)):
         raise ValueError("mehler_fock_inverse: xi must lie in (0, 1]")
     kg = coeffs.k_grid
     h = (kg[-1] - kg[0]) / (kg.size - 1)

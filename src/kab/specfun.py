@@ -101,6 +101,9 @@ def _gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 #: Gauss-Legendre nodes per Abel integral, in w = sqrt(t - x)
 _ABEL_NODES = 96
+#: S of the forward Mehler-Fock transform's Abel transform on [0, S] and the
+#: least S of a spectral evolution step; F(t) of an xi^2 profile falls like e^-t
+_ABEL_S_MAX = 60.0
 #: array cells a blocked computation forms at once (1 MB of doubles), so the
 #: memory of one call does not grow with its inputs; every blocked kernel
 #: gives the same bits at any block size
@@ -123,6 +126,27 @@ def _abel_rule(x: np.ndarray, s_max: float) -> tuple[np.ndarray, np.ndarray]:
     b = 0.5 * w * w
     weight = (2.0 * half * wz) * w / np.sqrt(2.0 * np.sinh(x[:, None] + b) * np.sinh(b))
     return x[:, None] + 2.0 * b, weight
+
+
+def _abel_transform(u, s: np.ndarray, s_max: float, u_cells: int = 1):
+    """(A, F(s_max)): A(s_j) = integral_{s_j}^s_max F(t) dt/sqrt(cosh t - cosh s_j)
+    by _abel_rule, F(t) = u(sech^2(t/2)) sinh t, at nodes s_j <= s_max.
+
+    u takes a 1-d array, forms u_cells cells per sample (an interpolant
+    through m nodes forms m) and is called on _BLOCK_CELLS/u_cells cells at a
+    time, t = s_max appended: F(s_max) measures what the cut leaves out.
+    Each A(s_j) is summed on its own row, so no block changes a bit of it.
+    """
+    a = np.zeros(s.size)
+    inner = np.flatnonzero(s < s_max)  # A(s_max) = 0
+    step = max(1, _BLOCK_CELLS // (_ABEL_NODES * u_cells))
+    for j in range(0, inner.size, step):
+        rows = inner[j : j + step]
+        t, weight = _abel_rule(s[rows], s_max)
+        t = np.append(t, s_max)  # flat, F(s_max) last
+        f = np.append(weight, 1.0) * np.sinh(t) * u(np.cosh(0.5 * t) ** -2.0)
+        a[rows] = np.sum(f[:-1].reshape(weight.shape), axis=1)
+    return a, float(f[-1])
 
 
 def _clenshaw(a: np.ndarray, two_cos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

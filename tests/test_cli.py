@@ -333,16 +333,18 @@ class TestEigenfunction:
 
 
 class TestMehlerFock:
-    def test_slow_decay_exit_3(self, run_main):
-        # a very small t_max leaves a visible integrand tail; dk is kept
-        # large so the run stays fast
+    def test_t_max_option_refused(self, run_main):
+        # the transform runs on the half-line up to S, so no t_max is taken;
+        # the refusal of a slowly decaying profile is tested in test_exact
         res = run_main(
             "mehler-fock", "--profile", "xi-sq", "--t-max", "10",
             "--dk", "1.0", "--k-max", "4",
         )
-        assert res.returncode == 3
+        assert res.returncode == 2
+        assert res.stdout == ""
         err = json.loads(res.stderr)
-        assert err["kind"] == "numerical"
+        assert err["kind"] == "validation"
+        assert "unrecognized arguments: --t-max 10" in err["error"]
 
     def test_huge_k_max_exit_2_promptly(self):
         # 2e7 wavenumbers are refused before any grid is formed
@@ -370,13 +372,20 @@ class TestMehlerFock:
         doc = json.loads(res.stdout)
         assert set(doc) >= {"k", "c", "t_max", "meta"}
         assert len(doc["k"]) == len(doc["c"]) == 101
-        # the estimate prints as in the CSV header, to 3 significant digits
+        schema = json.loads(run_main("--schema").stdout)["mehler-fock"]["properties"]
+        assert set(doc["meta"]) == set(schema["meta"]["properties"])
+        assert "cosh(s_max)" in schema["t_max"]["description"]
+        assert doc["t_max"] == math.cosh(doc["meta"]["s_max"])
+        # the estimates print as in the CSV header, to 3 significant digits
         csv = run_main(
             "mehler-fock", "--profile", "xi-sq-sq", "--k-max", "10", "--dk", "0.1",
         )
-        est = doc["meta"]["r_quadrature_estimate"]
-        assert est == parse_csv(csv.stdout)[0]["r_quadrature_estimate"]
-        assert est == float(f"{est:.3g}")
+        header = parse_csv(csv.stdout)[0]
+        assert header["t_max"] == doc["t_max"]
+        for key in ("r_quadrature_estimate", "tail_estimate"):
+            est = doc["meta"][key]
+            assert est == header[key]
+            assert est == float(f"{est:.3g}")
 
     def test_csv_header_has_r_quadrature_estimate(self, run_main):
         args = ("mehler-fock", "--profile", "xi-sq", "--k-max", "5", "--dk", "0.25")
@@ -578,8 +587,8 @@ class TestSchemaAndErrors:
         "args",
         [
             ("mehler-fock", "--dk", "0"),
-            ("mehler-fock", "--t-max", "0.5"),
-            ("mehler-fock", "--t-max", "nan"),
+            ("mehler-fock", "--k-max", "nan"),
+            ("mehler-fock", "--k-max", "1e4", "--dk", "1"),
             ("wkb-table", "--alpha", "2", "--beta", "2", "--n", "-1"),
             ("spectrum", "--alpha", "0", "--beta", "0", "--backend", "galerkin"),
             ("spectrum", "--alpha", "0", "--beta", "0", "--backend", "pseudospectral"),

@@ -99,9 +99,8 @@ COMMANDS = {
     }),
     "mehler-fock": command_line("mehler-fock", {
         "--profile": PROFILE,
-        "--k-max": few([1.0, 5.0, 40.0], real(40.0)),
+        "--k-max": few([1.0, 5.0, 40.0, 60.0], real(40.0)),
         "--dk": few([0.05, 0.25], real(0.05)),
-        "--t-max": few([1e4], real(1e4)),
         "--format": FORMAT,
     }),
     "evolve": command_line("evolve", {

@@ -170,16 +170,31 @@ class TestMehlerFock:
             back = mehler_fock_inverse(coeffs, xi)
         assert np.max(np.abs(back - u(xi))) < 1e-4
 
+    @pytest.mark.parametrize("k_max,dk", [(40.0, 0.05), (20.0, 0.05), (40.0, 0.025), (60.0, 0.05)])
+    def test_round_trip_at_rounding(self, k_max, dk):
+        # A-7's round trip at rounding level on four k-grids; the s-spacing
+        # follows k_max (a fixed ds = 3/16 aliases to an error of 23 at
+        # k_max = 40)
+        u = lambda xi: xi**2 * (1.0 - xi)
+        coeffs = mehler_fock_forward(u, k_max=k_max, dk=dk)
+        xi = np.linspace(0.05, 1.0, 39)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = mehler_fock_inverse(coeffs, xi)
+        assert np.max(np.abs(back - u(xi))) <= 1e-12
+
     def test_blocked_matches_single_block(self, monkeypatch):
         # the Abel integrals, the cosine sums and the conical rows are formed
         # a block of _BLOCK_CELLS cells at a time; a tiny block must give the
         # default's coefficients bit for bit
         import kab.exact
+        import kab.specfun
 
         u = lambda xi: xi**2 * (1.0 - xi)
         whole = mehler_fock_forward(u, k_max=5.0, dk=0.25)
         grid = conical_legendre_grid([0.0, 2.0, 5.0], [0.5, 3.0, 9.0])
         monkeypatch.setattr(kab.exact, "_BLOCK_CELLS", 500)
+        monkeypatch.setattr(kab.specfun, "_BLOCK_CELLS", 500)
         blocked = mehler_fock_forward(u, k_max=5.0, dk=0.25)
         assert np.array_equal(blocked.c, whole.c)
         assert blocked.meta == whole.meta
@@ -195,47 +210,38 @@ class TestMehlerFock:
         mehler_fock_forward(u, k_max=5.0, dk=0.25)
         assert len(calls) == 1 and len(calls[0]) == 1
 
-    def test_huge_t_max(self):
-        # t up to 1e300 (r ~ 691) stays finite and silent; the coefficients
-        # move from the default t_max = 1e4 by the tail beyond it, ~2e-6
+    def test_matches_mpmath_on_half_line(self):
+        # the defining integral in r = acosh t up to S = 60, by mpmath
+        # quadrature at k = 1 and 4; the estimate must bound the error
         u = lambda xi: xi**2 * (1.0 - xi)
-        ref = mehler_fock_forward(u, k_max=5.0, dk=0.25)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            far = mehler_fock_forward(u, k_max=5.0, dk=0.25, t_max=1e300)
-        assert np.max(np.abs(far.c - ref.c)) < 1e-3 * np.max(np.abs(ref.c))
-
-    def test_r_quadrature_estimate_bounds_huge_t_max_error(self):
-        # the half-panel difference must bound the true error, against mpmath
-        # quadrature of the defining integral in r = acosh t at k = 1 and 4;
-        # the integrand ~ exp(-3r/2) is below 1e-26 beyond r = 40
-        u = lambda xi: xi**2 * (1.0 - xi)
-        r_near = math.acosh(1e4)
-        refs = {1e4: [], 1e300: []}
+        coeffs = mehler_fock_forward(u, k_max=5.0, dk=0.25)
+        ref = []
         for k in (1.0, 4.0):
             def f(r):
                 xi = 2 / (1 + mp.cosh(r))
                 p = mp.legenp(-0.5 + 1j * k, 0, mp.cosh(r), type=3)
                 return u(xi) * mp.sinh(r) * mp.re(p)
 
-            scale = k * math.tanh(math.pi * k)
             with mp.workdps(15):
-                near = mp.quad(f, [0, 1, 3, r_near])
-                far = mp.quad(f, [r_near, 20, 40])
-            refs[1e4].append(scale * float(near))
-            refs[1e300].append(scale * float(near + far))
-        for t_max, ref in refs.items():
-            coeffs = mehler_fock_forward(u, k_max=5.0, dk=0.25, t_max=t_max)
-            err = np.max(np.abs(coeffs.c[[4, 16]] - ref))
-            assert coeffs.meta["r_quadrature_estimate"] >= err
-            if t_max == 1e4:
-                scale = np.max(np.abs(coeffs.c))
-                assert coeffs.meta["r_quadrature_estimate"] < 1e-8 * scale
+                ref.append(k * math.tanh(math.pi * k) * float(mp.quad(f, [0, 3, 60])))
+        err = np.max(np.abs(coeffs.c[[4, 16]] - ref))
+        assert err <= 1e-13 * np.max(np.abs(coeffs.c))
+        assert coeffs.meta["r_quadrature_estimate"] >= err
 
     def test_slow_decay_raises(self):
         # u ~ const near xi = 0 maps to a non-decaying integrand
         with pytest.raises(RuntimeError):
-            mehler_fock_forward(lambda xi: 1.0 - xi, t_max=1e4)
+            mehler_fock_forward(lambda xi: 1.0 - xi)
+
+    def test_non_finite_profile_raises(self):
+        # one NaN sample spreads over every c(k); it is refused, not returned
+        def u(xi):
+            out = xi**2 * (1.0 - xi)
+            out[0] = math.nan
+            return out
+
+        with pytest.raises(RuntimeError, match="mehler_fock_forward: .* not finite"):
+            mehler_fock_forward(u, k_max=5.0, dk=0.25)
 
     @pytest.mark.parametrize(
         "k_max,dk", [(40.0, 0.0), (40.0, math.nan), (math.inf, 0.05)]
@@ -245,11 +251,11 @@ class TestMehlerFock:
             mehler_fock_forward(lambda xi: xi**2 * (1.0 - xi), k_max=k_max, dk=dk)
 
     @pytest.mark.parametrize(
-        "k_max,dk,match", [(1e6, 0.05, "k_max/dk = 20000000 "), (1e4, 1.0, "panels")]
+        "k_max,dk,match", [(1e6, 0.05, "k_max/dk = 20000000 "), (1e4, 1.0, "s-nodes")]
     )
     def test_oversized_grid_raises_before_work(self, k_max, dk, match):
-        # 2e7 wavenumbers, or 1e4 wavenumbers whose rule needs 4641 panels:
-        # both are refused before the profile is sampled
+        # 2e7 wavenumbers, or 1e4 wavenumbers whose s-grid needs 191 369
+        # nodes: both are refused before the profile is sampled
         def u(xi):
             raise AssertionError("sampled")
 
@@ -292,6 +298,12 @@ class TestMehlerFock:
         printed = np.array([float(f"{v:.10g}") for v in k])
         coeffs = MehlerFockCoeffs(printed, np.zeros_like(k), 1e4)
         assert coeffs.k_grid.size == 1101
+
+    @pytest.mark.parametrize("xi", [[0.5, math.nan], math.nan])
+    def test_inverse_nan_xi_raises(self, xi):
+        coeffs = mehler_fock_forward(lambda t: t**2 * (1.0 - t), k_max=5.0, dk=0.25)
+        with pytest.raises(ValueError, match=r"xi must lie in \(0, 1\]"):
+            mehler_fock_inverse(coeffs, xi)
 
     def test_underresolved_warns(self):
         u = lambda xi: xi**2 * (1.0 - xi)
