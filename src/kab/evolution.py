@@ -275,7 +275,7 @@ _LEAF = 16
 def _k01_product(n: int):
     """The product v -> K_{01} v at size n, by FFT, without the matrix.
 
-    At (alpha, beta) = (0, 1) the Galerkin matrix (operators._galerkin_rows)
+    At (alpha, beta) = (0, 1) the Galerkin matrix (operators._galerkin_fill)
     is diag(2 h_n + (n + 1/2) W_nn) - 2 S C S, with S = diag((-1)^n
     sqrt(n + 1/2)), W_nn = operators._log_diagonal and C_nm = 1/(|n - m|
     (n + m + 1)), zero on the diagonal.  (n - m)(n + m + 1) = n(n + 1) -

@@ -243,7 +243,7 @@ def mm_eigenfunction(k: float, xi) -> np.ndarray | float:
     """
     scalar = np.isscalar(xi)
     xa = np.atleast_1d(np.asarray(xi, dtype=float))
-    if np.any(xa <= 0) or np.any(xa > 1):
+    if not np.all((xa > 0) & (xa <= 1)):
         raise ValueError("mm_eigenfunction: xi must lie in (0, 1]")
     vals = conical_legendre_grid([k], np.arccosh(2.0 / xa - 1.0))[:, 0] / xa
     return float(vals[0]) if scalar else vals
@@ -257,7 +257,7 @@ def k00_eigenfunction(k: float, x) -> np.ndarray | complex:
     """
     scalar = np.isscalar(x)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(np.abs(xa) >= 1):
+    if not np.all(np.abs(xa) < 1):
         raise ValueError("k00_eigenfunction: x must lie in (-1, 1)")
     val = np.exp(
         (1j * k - 1.0) / 2.0 * np.log1p(xa) - (1j * k + 1.0) / 2.0 * np.log1p(-xa)
@@ -273,8 +273,8 @@ def mm_k01_residual(k: float, x_points) -> np.ndarray:
     |x| <= 0.95.
     """
     xs = np.atleast_1d(np.asarray(x_points, dtype=float))
-    if np.any(np.abs(xs) > 0.95):
-        raise ValueError("mm_k01_residual: |x| must be <= 0.95")
+    if not np.all(np.abs(xs) <= 0.95):
+        raise ValueError("mm_k01_residual: x_points must lie in [-0.95, 0.95]")
     phi_u = lambda u: mm_eigenfunction(k, special.expit(2.0 * u))
     lhs = apply_k_pointwise(OperatorParams(0.0, 1.0), phi_u, xs)
     rhs = (lipatov_kappa(k) + CONSTANTS.log2) * phi_u(np.arctanh(xs))
@@ -397,7 +397,7 @@ def verify_g_of_ell(phi, x_grid) -> float:
     if max(abs(complex(phi(edge))), abs(complex(phi(-edge)))) > 1e-6:
         raise ValueError("verify_g_of_ell: test function must decay at x = +-1")
     x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    if np.any(np.abs(x_grid) >= 1):
+    if not np.all(np.abs(x_grid) < 1):
         raise ValueError("verify_g_of_ell: x_grid must lie inside (-1, 1)")
     grid = UGrid(24.0, 2048)
     u = grid.nodes
@@ -539,8 +539,8 @@ def hyperbolic_similarity_check(k: float, r_grid) -> float:
     """
     h = 5e-3
     r_grid = np.atleast_1d(np.asarray(r_grid, dtype=float))
-    if np.any(r_grid <= 2 * h):
-        raise ValueError("hyperbolic_similarity_check: r must exceed the stencil width")
+    if not np.all(r_grid > 2 * h):
+        raise ValueError("hyperbolic_similarity_check: r_grid must exceed the stencil width")
     stencil = (r_grid[:, None] + h * np.arange(-2, 3)).ravel()
     vals = conical_legendre_grid([k], stencil).reshape(r_grid.size, 5)
     d1, d2 = vals @ _FD5_D1 / h, vals @ _FD5_D2 / (h * h)

@@ -7,9 +7,11 @@ space and the potential is diagonal on the grid.  The pseudospectral operator
 is applied matrix-free by real FFT; its lowest states come from Lanczos on
 one FFT operator that applies the shift too, with a basis of max(20,
 3 n_eigs - 2) vectors.  The Galerkin spectrum is a Richardson extrapolation
-of dense solves on the leading blocks of one size-N matrix, of which only the
-lower triangle is built, in Fortran order, and solved in place at size N;
-the spread of successive extrapolations is its error estimate.
+of dense solves at sizes N/8, N/4, N/2 and N, where each truncation is the
+leading block of the next; only the lower triangle of the N/2 and the N
+matrix is built, in place and in Fortran order, one after the other, so a
+solve holds one N x N array; the spread of successive extrapolations is its
+error estimate.
 """
 from __future__ import annotations
 
@@ -146,21 +148,35 @@ def _log_diagonal(n_trunc: int) -> np.ndarray:
     return diag
 
 
-def _galerkin_rows(params: OperatorParams, n_trunc: int):
-    """Yield (i, block) for rows [i, j) of galerkin_matrix(params, n_trunc),
-    in order, each block at most _BLOCK_CELLS cells: the first j columns,
-    which hold rows i..j-1 of the lower triangle.
+def _column_blocks(n: int):
+    """(i, j) for the blocks of columns [i, j) of an n x n lower triangle,
+    in order, each holding at most _BLOCK_CELLS cells of rows i..n-1 (at
+    least one column)."""
+    i = 0
+    while i < n:
+        j = min(n, i + max(1, _BLOCK_CELLS // (n - i)))
+        yield i, j
+        i = j
+
+
+def _galerkin_fill(params: OperatorParams, mat: np.ndarray, caller: str) -> None:
+    """Write the lower triangle of galerkin_matrix(params, n) into the
+    Fortran-ordered n x n array mat, in place, a block of columns
+    (_column_blocks) at a time: rows i..n-1 of columns i..j-1, contiguous.
+    The block also writes the part of its columns above the diagonal.
+    Raises ValueError naming caller when an entry overflows.
 
     The log part (1-a) L+ + (1-b) L-, with L+- the matrix of multiplication
     by log(1 +- x): in the unnormalized basis L+ has the off-diagonal entries
     2(-1)^(m+n+1)/((n-m)(n+m+1)) and the diagonal _log_diagonal.  L- = D L+ D
     with D = diag((-1)^n), so the sum is the sign-free matrix scaled by
     2 - a - b where m + n is even and by a - b where m + n is odd.  Every
-    entry is a function of its row and column alone, so a block's values do
-    not depend on n_trunc or on the block size, and the symmetric scalings
-    keep the matrix exactly symmetric.
+    entry is a function of its row and column alone, symmetric in the two
+    bit for bit, so a block's values do not depend on n or on the block size.
     """
+    n_trunc = mat.shape[0]
     idx = np.arange(n_trunc, dtype=float)
+    pronic = idx * (idx + 1.0)  # |(n - m)(n + m + 1)| = |n(n+1) - m(m+1)|, exact
     norm = np.sqrt(idx + 0.5)
     two_h = 2.0 * harmonic_numbers(n_trunc)
     free = params.alpha == params.beta == 1.0
@@ -168,43 +184,45 @@ def _galerkin_rows(params: OperatorParams, n_trunc: int):
         diag = _log_diagonal(n_trunc)
         w_plus, w_minus = 1.0 - params.alpha, 1.0 - params.beta
         even, odd = w_plus + w_minus, w_minus - w_plus
-    step = max(1, _BLOCK_CELLS // n_trunc)
-    for i in range(0, n_trunc, step):
-        j = min(i + step, n_trunc)
-        rows, cols = idx[i:j, None], idx[:j]
-        on_diag = (np.arange(j - i), np.arange(i, j))
+    cols_first = mat.T  # C-ordered: its row c is column c of mat
+    for i, j in _column_blocks(n_trunc):
+        block = cols_first[i:j, i:]
+        on_diag = (np.arange(j - i), np.arange(j - i))
         if free:
-            block = np.zeros((j - i, cols.size))
+            block[...] = 0.0
         else:
-            block = rows - cols
+            np.subtract(pronic[i:j, None], pronic[i:], out=block)
             np.abs(block, out=block)
-            block *= rows + (cols + 1.0)
             block[on_diag] = 1.0
             np.divide(-2.0, block, out=block)
             block[on_diag] = diag[i:j]
-            block *= norm[i:j, None] * norm[: cols.size]
-            r0 = i % 2  # block rows r0::2 hold the even rows
-            for r, c, w in ((r0, 0, even), (r0, 1, odd), (1 - r0, 0, odd), (1 - r0, 1, even)):
+            block *= norm[i:j, None] * norm[i:]
+            # entry (a, b) of the block has row + column = 2i + a + b
+            for a, b, w in ((0, 0, even), (0, 1, odd), (1, 0, odd), (1, 1, even)):
                 if w != 1.0:
-                    block[r::2, c::2] *= w
+                    block[a::2, b::2] *= w
         block[on_diag] += two_h[i:j]
-        yield i, block
+        if not np.all(np.isfinite(block)):
+            raise ValueError(
+                f"{caller}: the matrix overflows at alpha={params.alpha}, beta={params.beta}"
+            )
 
 
 def galerkin_matrix(params: OperatorParams, n_trunc: int) -> np.ndarray:
     """Truncated matrix of K_{alpha,beta}: diag(2 h_n) + (1-a) L+ + (1-b) L-.
 
-    Filled a block of lower-triangle rows (_galerkin_rows) and its transpose
-    at a time, so the build needs no temporary of the matrix's size; the
-    matrix is exactly symmetric, so the two writes agree where they meet.
-    At most 8192 modes, 512 MB.
+    _galerkin_fill writes the lower triangle of the transpose, which is the
+    upper triangle here, and each block is mirrored below the diagonal in
+    place, so the build needs no temporary of the matrix's size; the matrix
+    is exactly symmetric.  At most 8192 modes, 512 MB.  Raises ValueError
+    when an entry overflows.
     """
     if not 1 <= n_trunc <= 8192:
         raise ValueError(f"galerkin_matrix: n_trunc={n_trunc} must lie in [1, 8192]")
     mat = np.empty((n_trunc, n_trunc))
-    for i, block in _galerkin_rows(params, n_trunc):
-        mat[: block.shape[1], i : block.shape[1]] = block.T
-        mat[i : block.shape[1], : block.shape[1]] = block
+    _galerkin_fill(params, mat.T, "galerkin_matrix")
+    for i, j in _column_blocks(n_trunc):
+        mat[j:, i:j] = mat[i:j, j:].T
     return mat
 
 
@@ -316,11 +334,30 @@ def synthesize(coeffs: np.ndarray, x) -> np.ndarray:
 
 def project(phi, n_trunc: int, quad_order: int | None = None) -> np.ndarray:
     """Coefficient array of a callable on (-1,1) on the first n_trunc
-    orthonormal modes Phat_n = sqrt(n+1/2) P_n."""
+    orthonormal modes Phat_n = sqrt(n+1/2) P_n.
+
+    The Legendre-Vandermonde columns come from numpy's legvander recurrence
+    a block of at most _BLOCK_CELLS cells at a time, each summed over the
+    nodes alone, so every coefficient has the bits of the whole-array sum.
+    """
     x, w = _gauss_nodes(quad_order or max(2 * n_trunc, 64))
-    vals = phi(x)
-    vander = npleg.legvander(x, n_trunc - 1) * np.sqrt(np.arange(n_trunc) + 0.5)
-    return (vander * (w * vals)[:, None]).sum(axis=0)
+    weighted = w * phi(x)
+    norm = np.sqrt(np.arange(n_trunc) + 0.5)
+    out = np.empty(n_trunc)
+    step = max(1, _BLOCK_CELLS // x.size)
+    prev2 = prev = None
+    for k0 in range(0, n_trunc, step):
+        k1 = min(k0 + step, n_trunc)
+        legendre = np.empty((k1 - k0, x.size))  # row k - k0: P_k at the nodes
+        for k, row in enumerate(legendre, start=k0):
+            if k < 2:
+                row[...] = 1.0 if k == 0 else x
+            else:
+                row[...] = (prev * x * (2 * k - 1) - prev2 * (k - 1)) / k
+            prev2, prev = prev, row
+        terms = legendre.T * norm[k0:k1]  # nodes contiguous, as from legvander
+        out[k0:k1] = (terms * weighted[:, None]).sum(axis=0)
+    return out
 
 
 @lru_cache(maxsize=32)
@@ -335,8 +372,10 @@ def galerkin_spectrum(
     The |log(1 -+ x)|^d endpoint factors of the eigenfunctions make the
     truncation error fall like m^-2 in the size m, so the fixed-order
     Richardson step R(m, 2m) = (4 lam_2m - lam_m)/3 removes its leading term.
-    Dense solves of the leading blocks N/8, N/4, N/2 and N of one size-N
-    matrix give three neighbouring R.  Returns (R(N/2, N), per-state error
+    Dense solves at the sizes N/8, N/4, N/2 and N give three neighbouring R;
+    the two smallest are leading blocks of the N/2 matrix, which is dropped
+    before the N matrix is built, so the peak is one N x N array and a few
+    blocks of _BLOCK_CELLS cells.  Returns (R(N/2, N), per-state error
     estimates max(|R(N/2, N) - R(N/4, N/2)|, |R(N/4, N/2) - R(N/8, N/4)|/4));
     the second term covers a state whose successive R cross.  N = n_trunc is
     a multiple of 8 in [8, 4096] and 1 <= n_eigs <= N/8.  Raises ValueError
@@ -356,21 +395,19 @@ def galerkin_spectrum(
         )
     from scipy import linalg
 
-    # eigh reads the lower triangle in Fortran order: write only that (the
-    # zeros above pass check_finite), and let the size-N solve overwrite it
-    mat = np.zeros((n_trunc, n_trunc), order="F")
-    for i, block in _galerkin_rows(params, n_trunc):
-        mat[i : i + block.shape[0], : block.shape[1]] = block
-    try:
-        lam = [
-            linalg.eigh(mat[:m, :m], eigvals_only=True, subset_by_index=[0, n_eigs - 1],
-                        overwrite_a=(m == n_trunc))
-            for m in (n_trunc // 8, n_trunc // 4, n_trunc // 2, n_trunc)
-        ]
-    except ValueError as exc:  # check_finite: an entry overflowed
-        raise ValueError(
-            f"galerkin_spectrum: the matrix overflows at alpha={alpha}, beta={beta}"
-        ) from exc
+    def lowest(mat, overwrite):
+        return linalg.eigh(mat, eigvals_only=True, subset_by_index=[0, n_eigs - 1],
+                           overwrite_a=overwrite, check_finite=False)
+
+    def solved(size, coarse=()):
+        # eigh reads the lower triangle in Fortran order, which _galerkin_fill
+        # writes and checks; the coarse leading blocks are copied, the whole
+        # matrix is solved in place, and it is dropped on return
+        mat = np.empty((size, size), order="F")
+        _galerkin_fill(params, mat, "galerkin_spectrum")
+        return [lowest(mat[:m, :m], False) for m in coarse] + [lowest(mat, True)]
+
+    lam = solved(n_trunc // 2, (n_trunc // 8, n_trunc // 4)) + solved(n_trunc)
     r1, r2, r3 = ((4.0 * fine - coarse) / 3.0 for coarse, fine in zip(lam, lam[1:]))
     est = np.maximum(np.abs(r3 - r2), 0.25 * np.abs(r2 - r1))
     return tuple(map(float, r3)), tuple(map(float, est))

@@ -1,4 +1,6 @@
 """Shared reference data and fixtures for the test suite."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,18 @@ def printed_tolerance(entry: str) -> float:
     if "." not in entry:
         return 0.5
     return 0.5 * 10.0 ** (-len(entry.split(".")[1]))
+
+
+def traced_peak(fn, *args, **kw):
+    """(fn(*args, **kw), the peak of the memory tracemalloc traced in the call,
+    in bytes): tracing starts just before the call and stops after it."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,6 @@ independent backends, and exact preservation of a continuum eigenmode.
 """
 import math
 import time
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,6 +28,7 @@ from kab.evolution import (
 from kab.exact import mm_eigenfunction
 from kab.operators import galerkin_matrix, harmonic, project, OperatorParams
 from kab.specfun import CONSTANTS, lipatov_kappa
+from tests.conftest import traced_peak
 
 LOG2 = CONSTANTS.log2
 
@@ -176,12 +176,7 @@ class TestState:
         # on 200 000 points in one block it took 178 MB
         f = state_interpolant(make_state(lambda t: t * t * (1.0 - t)))
         x = np.linspace(0.0, 1.0, 200_000)
-        tracemalloc.start()
-        try:
-            vals = f(x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        vals, peak = traced_peak(f, x)
         assert peak < 50 * 2**20
         assert vals.shape == x.shape
         assert np.max(np.abs(vals - x * x * (1.0 - x))) < 1e-12
@@ -309,6 +304,34 @@ class TestProjection:
         assert np.all(right[n_points:] == 0.0)
         assert np.max(np.abs(right - full)) <= 1e-12 * np.max(np.abs(full))
 
+    @pytest.mark.parametrize("n_points,n_trunc", [(96, 192), (300, 600), (1000, 2000)])
+    @pytest.mark.parametrize("cells", [None, 1, 3 * 96 + 5])
+    def test_blocks_bitwise(self, monkeypatch, smooth_profiles, n_points, n_trunc, cells):
+        # the Vandermonde goes a block of degrees at a time (one degree with
+        # cells = 1); every block size gives the bits of the one-array sum
+        import kab.operators
+        from numpy.polynomial import legendre as npleg
+        from kab.specfun import _gauss_nodes
+
+        s = make_state(smooth_profiles["xi-sq"], n_points)
+        f, nodes = state_interpolant(s), s.xi_grid.size
+        x, w = _gauss_nodes(nodes)
+        xi = 0.5 * (1.0 + x)
+        vander = npleg.legvander(x, nodes - 1) * np.sqrt(np.arange(nodes) + 0.5)
+        whole = (vander * (w * (f(xi) / xi))[:, None]).sum(axis=0)
+        if cells is not None:
+            monkeypatch.setattr(kab.operators, "_BLOCK_CELLS", cells)
+        coeffs = _state_coeffs(s, n_trunc)
+        assert coeffs[:nodes].tobytes() == whole.tobytes()
+
+    def test_largest_grid_memory_bounded(self, smooth_profiles):
+        # 4097 modes on the 4097-node rule, a block of degrees at a time:
+        # the whole Vandermonde and its weighted copy took 256 MiB
+        s = make_state(smooth_profiles["xi-sq"], n_points=4096)
+        coeffs, peak = traced_peak(_state_coeffs, s, 8192)
+        assert peak <= 8 * 2**20
+        assert np.all(np.isfinite(coeffs))
+
 
 class TestK01Product:
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 100, 960, 1920])
@@ -333,12 +356,7 @@ class TestK01Product:
         # plan and one product stay within 4 MB, where the packed matrix
         # took 268 MB
         x = np.ones(8192)
-        tracemalloc.start()
-        try:
-            _k01_product.__wrapped__(8192)(x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: _k01_product.__wrapped__(8192)(x))
         assert peak <= 4 * 2**20
 
 
@@ -459,12 +477,7 @@ class TestMatrixBackend:
         evolve_matrix(s, 1.0, n_trunc=4096)
         elapsed = time.perf_counter() - start
         _k01_product.cache_clear()
-        tracemalloc.start()
-        try:
-            out = evolve_matrix(s, 1.0, n_trunc=4096)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(evolve_matrix, s, 1.0, n_trunc=4096)
         assert elapsed < 1.0
         assert peak <= 10 * 2**20
         assert np.all(np.isfinite(out.u_values))
@@ -536,12 +549,7 @@ class TestSpectralBackend:
     def test_largest_grid_memory(self, smooth_profiles):
         # one step on the largest grid stays within 50 MB of traced memory
         s = make_state(smooth_profiles["xi-sq"], n_points=4096)
-        tracemalloc.start()
-        try:
-            evolve_spectral(s, 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(evolve_spectral, s, 0.5)
         assert peak < 50e6
 
     def test_point_beyond_the_period_raises(self, smooth_profiles):

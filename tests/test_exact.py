@@ -159,6 +159,25 @@ class TestK00Eigenfunction:
             verify_g_of_ell(lambda x: np.ones_like(np.asarray(x, float)), [0.0])
 
 
+@pytest.mark.parametrize(
+    "fn,args,named",
+    [
+        (mm_eigenfunction, (1.0,), r"mm_eigenfunction: xi must lie in \(0, 1\]"),
+        (k00_eigenfunction, (1.0,), r"k00_eigenfunction: x must lie in \(-1, 1\)"),
+        (mm_k01_residual, (1.0,), r"mm_k01_residual: x_points must lie in"),
+        (verify_g_of_ell, (lambda x: 1.0 - np.asarray(x) ** 2,),
+         r"verify_g_of_ell: x_grid must lie inside \(-1, 1\)"),
+        (hyperbolic_similarity_check, (1.0,), r"hyperbolic_similarity_check: r_grid must"),
+    ],
+)
+@pytest.mark.parametrize("point", [[0.5, math.nan], math.nan])
+def test_nan_point_refused_by_name(fn, args, named, point):
+    # a NaN passes every range test written as "any value out of range",
+    # and then failed, or returned nan, further down
+    with pytest.raises(ValueError, match=named):
+        fn(*args, point)
+
+
 class TestMehlerFock:
     def test_round_trip(self):
         # forward then inverse on a smooth compact profile

@@ -6,7 +6,6 @@ elements, plane waves for the kinetic multiplier, and a dense circulant
 eigensolve for the matrix-free pseudospectral solve.
 """
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +35,7 @@ from kab.operators import (
 )
 from kab.exact import mm_eigenfunction
 from kab.specfun import CONSTANTS, _gauss_nodes, big_g, lipatov_kappa
+from tests.conftest import traced_peak
 
 LOG2 = CONSTANTS.log2
 
@@ -209,16 +209,20 @@ class TestGalerkin:
         assert mat.tobytes() == _whole_array_galerkin(p, n).tobytes()
 
     def test_build_memory_bounded(self):
-        # no temporary of the matrix's size: the build's peak is the matrix
-        # plus a few blocks of _BLOCK_CELLS cells (1 MB each)
-        n = 1920
-        tracemalloc.start()
-        try:
-            mat = galerkin_matrix(OperatorParams(0.77, 1.38), n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= mat.nbytes + 4 * 2**20
+        # no temporary of the matrix's size: the triangle is written and
+        # mirrored in place, so the build's peak is the matrix plus about one
+        # block of _BLOCK_CELLS cells (1 MB); row blocks took 3.1 MB more
+        mat, peak = traced_peak(galerkin_matrix, OperatorParams(0.77, 1.38), 1920)
+        assert peak <= mat.nbytes + 2 * 2**20
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_overflow_named(self, n):
+        # an entry that overflows is refused per block, by the caller's name
+        named = r": the matrix overflows at alpha=1e\+308, beta=1e\+308"
+        with pytest.raises(ValueError, match="galerkin_matrix" + named):
+            galerkin_matrix(OperatorParams(1e308, 1e308), n)
+        with pytest.raises(ValueError, match="galerkin_spectrum" + named):
+            galerkin_spectrum.__wrapped__(1e308, 1e308, 1, n)
 
     def test_k11_diagonal_harmonic(self):
         # A-3: the (1,1) matrix is diagonal with entries 2 h_n
@@ -333,16 +337,13 @@ class TestGalerkinSpectrum:
         assert [e.hex() for e in est] == [float(e).hex() for e in est_ref]
 
     def test_solve_memory_bounded(self):
-        # one size-N array, solved in place at size N: the peak is that array
-        # plus the copies of the smaller blocks and a few row blocks
-        n = 1024
-        tracemalloc.start()
-        try:
-            galerkin_spectrum.__wrapped__(0.7, 1.9, 10, n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * n * n + 4 * 2**20
+        # the N/2 matrix is dropped before the N matrix is built, and each is
+        # solved in place: the peak is one N x N array and about one block of
+        # _BLOCK_CELLS cells (1 MB); one matrix for all four sizes, with its
+        # row blocks and copies, took 11.2 and 41.3 MiB
+        for n in (1024, 2048):
+            _, peak = traced_peak(galerkin_spectrum.__wrapped__, 0.7, 1.9, 10, n)
+            assert peak <= 8 * n * n + 2 * 2**20
 
     @pytest.mark.parametrize("n_trunc", [0, 4097, 5000, 100])
     def test_size_bounds_name_callers_n(self, n_trunc):

@@ -6,7 +6,6 @@ Bessel form of the linear-potential solution at beta = 1.
 """
 import math
 import time
-import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -29,7 +28,7 @@ from kab.semiclassics import (
     wkb_table,
 )
 from kab.specfun import BIG_G_MIN, CONSTANTS, big_g_inverse
-from tests.conftest import printed_tolerance
+from tests.conftest import printed_tolerance, traced_peak
 
 GAMMA = CONSTANTS.euler_gamma
 LOG2 = CONSTANTS.log2
@@ -328,12 +327,7 @@ class TestLinearPotential:
     def test_memory_bounded(self):
         # the nodes go in blocks of at most _BLOCK_CELLS, and one u at a time
         u = np.linspace(0.0, 6.0, 100)
-        tracemalloc.start()
-        try:
-            vals = linear_potential_solution(1.0, 0.4, u)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        vals, peak = traced_peak(linear_potential_solution, 1.0, 0.4, u)
         assert peak < 64 * 2**20
         # the exact 2 y J0(2y), every eleventh point
         y = np.exp(-u[::11] + 0.2)

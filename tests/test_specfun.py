@@ -5,7 +5,6 @@ incomplete-beta values; closed forms (Euler beta, known constants) elsewhere.
 """
 import math
 import re
-import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -26,6 +25,7 @@ from kab.specfun import (
     phase_integral,
 )
 from kab.exact import conical_legendre, hyp2f1_conical
+from tests.conftest import traced_peak
 
 mp.mp.dps = 30
 
@@ -251,12 +251,7 @@ class TestGaussNodes:
             return pair(n, x)
 
         monkeypatch.setattr(kab.specfun, "_legendre_pair", counted)
-        tracemalloc.start()
-        try:
-            x, w = _gauss_nodes.__wrapped__(n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (x, w), peak = traced_peak(_gauss_nodes.__wrapped__, n)
         assert len(passes) <= 4 < kab.specfun._NEWTON_MAX_STEPS
         assert peak <= 200 * n + 4096
         assert abs(w.sum() - 2.0) <= 4e-15 * math.sqrt(n)
