@@ -25,11 +25,12 @@ from scipy import special
 
 from .operators import _log_diagonal, harmonic_numbers, project, synthesize
 from .specfun import (
-    _ABEL_NODES,
+    _ABEL_PANELS,
     _ABEL_S_MAX,
     _BLOCK_CELLS,
+    _PANEL_NODES,
     CONSTANTS,
-    _abel_rule,
+    _abel_blocks,
     _abel_transform,
     _clenshaw,
     _gauss_nodes,
@@ -467,7 +468,7 @@ def _abel_fourier_step(
       2. the real FFT of the even extension of A over [-S, S), a DCT-I,
          times exp(-kappa(k_m) dtau) at k_m = pi m/S;
       3. u(cosh r) = -(1/pi) integral_r^S A_dtau'(s) / sqrt(cosh s - cosh r) ds,
-         with A_dtau' summed from its sine series at the quadrature nodes.
+         with A_dtau' summed from its sine series at the nodes of step 1's rule.
     """
     xi = state.xi_grid
     r = 2.0 * np.arcsinh(np.sqrt((1.0 - xi) / xi))
@@ -481,10 +482,12 @@ def _abel_fourier_step(
     # and one sine per node
     b = (-2.0 / n) * k * a_hat * np.exp(-lipatov_kappa(k) * dtau)
     b[-1] *= 0.5
-    t, weight = _abel_rule(r, s_max)
-    theta = (math.pi / s_max) * t
-    c1, _ = _clenshaw(b, 2.0 * np.cos(theta))
-    return np.sum(weight * c1 * np.sin(theta), axis=1) / -math.pi
+    u = np.empty(r.size)
+    for rows, t, weight in _abel_blocks(r, s_max, _ABEL_PANELS):
+        theta = (math.pi / s_max) * t
+        c1, _ = _clenshaw(b, 2.0 * np.cos(theta))
+        u[rows] = np.sum(weight * c1 * np.sin(theta), axis=1)
+    return u / -math.pi
 
 
 def evolve_spectral(state: EvolutionState, tau_final: float) -> EvolutionState:
@@ -502,7 +505,7 @@ def evolve_spectral(state: EvolutionState, tau_final: float) -> EvolutionState:
 
     def step(dtau):
         s_max, n = _abel_grid(dtau)
-        meta = {"s_max": s_max, "n_fft": n, "abel_nodes": _ABEL_NODES}
+        meta = {"s_max": s_max, "n_fft": n, "abel_nodes": _ABEL_PANELS * _PANEL_NODES}
         return _abel_fourier_step(state, dtau, s_max, n), meta
 
     return _evolved(state, tau_final, "spectral", step)

@@ -6,6 +6,9 @@ whose eigenfunctions are conical Legendre functions, so its spectral
 decomposition is the Mehler-Fock transform.  K_{00} commutes with the first
 order operator ell and is the function g(ell), diagonal on plane waves in the
 variable u.
+Mehler's integral and the forward Mehler-Fock transform's Abel transform
+take their nodes from specfun._abel_blocks, the one rule for the kernel
+1/sqrt|cosh t - cosh x|.
 """
 from __future__ import annotations
 
@@ -19,15 +22,16 @@ from scipy import special
 
 from .operators import OperatorParams, UGrid, apply_k_pointwise, galerkin_matrix
 from .specfun import (
-    _ABEL_NODES,
+    _ABEL_PANELS,
     _ABEL_S_MAX,
     _BLOCK_CELLS,
+    _PANEL_NODES,
     CONSTANTS,
+    _abel_blocks,
     _abel_transform,
     _check_finite,
     _check_positive,
     _clenshaw,
-    _gauss_nodes,
     _simpson_weights,
     g_dispersion,
     lipatov_kappa,
@@ -100,6 +104,7 @@ class MehlerFockCoeffs:
     def __post_init__(self):
         self.k_grid = np.asarray(self.k_grid, dtype=float)
         self.c = np.asarray(self.c, dtype=float)
+        _check_finite("MehlerFockCoeffs", k_grid=self.k_grid, c=self.c, t_max=self.t_max)
         if self.k_grid.ndim != 1 or self.k_grid.size < 3:
             raise ValueError("MehlerFockCoeffs: k_grid must be 1-d with >= 3 points")
         steps = np.diff(self.k_grid)
@@ -125,8 +130,6 @@ class MehlerFockCoeffs:
 # ---------------------------------------------------------------------------
 # conical Legendre functions P_{-1/2+ik} by Mehler's integral
 
-#: Gauss-Legendre nodes per panel of the Mehler rule
-_PANEL_NODES = 32
 #: the most panels one Mehler integral may take (k = 40 at t = 1e300 takes 1298)
 _MAX_PANELS = 4096
 #: the most wavenumbers one forward transform may take (the defaults take 801)
@@ -148,43 +151,32 @@ def _mehler_panels(kr, caller: str) -> np.ndarray:
     return panels.astype(int)
 
 
-def _mehler_blocks(r: np.ndarray, k_max: float, caller: str):
-    """Yield (rows, s, weight): P_{-1/2+ik}(cosh r[rows]) = sum weight cos(k s)
-    along the last axis, for |k| <= k_max.
-
-    Mehler's integral P = (sqrt 2/pi) integral_0^r cos(k s) ds/sqrt(cosh r -
-    cosh s) (DLMF 14.20; Koornwinder 1984) in w = sqrt(r - s), where the
-    root sqrt(2 sinh(r - w^2/2) sinh(w^2/2)) vanishes like w, as ds does, so
-    the integrand is smooth.  Radii with equal panel counts come together,
-    at most _BLOCK_CELLS nodes at a time; r = 0 takes the node s = 0.
-    """
-    zero = np.nonzero(r == 0.0)[0]
-    if zero.size:
-        yield zero, np.zeros((zero.size, 1)), np.ones((zero.size, 1))
-    panels = _mehler_panels(k_max * r, caller)
-    z, wz = _gauss_nodes(_PANEL_NODES)
-    for p in np.unique(panels[r > 0.0]):
-        group = np.nonzero((panels == p) & (r > 0.0))[0]
-        step = max(1, _BLOCK_CELLS // (p * _PANEL_NODES))
-        for j in range(0, group.size, step):
-            rows = group[j : j + step]
-            # p equal Gauss-Legendre panels in w over [0, sqrt(r)], ds = 2 w dw
-            width = np.sqrt(r[rows])[:, None] / p
-            w = width * (np.arange(p)[:, None] + 0.5 * (z + 1.0)).ravel()
-            b = 0.5 * w * w
-            # each root taken apart, so that no product overflows
-            root = np.sqrt(2.0 * np.sinh(r[rows, None] - b)) * np.sqrt(np.sinh(b))
-            weight = width * np.tile(wz, p) * w
-            yield rows, r[rows, None] - w * w, _SQRT2_PI * weight / root
+def _xi_radius(where: str, xi) -> tuple[np.ndarray, np.ndarray]:
+    """(xi, r) for points xi in (0, 1] as a 1-d array and r = acosh(2/xi - 1);
+    a point outside, or one whose r passes _R_MAX (xi below ~1.1e-308),
+    raises ValueError naming the function where and xi."""
+    xa = np.atleast_1d(np.asarray(xi, dtype=float))
+    if not np.all((xa > 0) & (xa <= 1)):
+        raise ValueError(f"{where}: xi must lie in (0, 1]")
+    with np.errstate(over="ignore"):
+        r = np.arccosh(2.0 / xa - 1.0)
+    if not np.all(r <= _R_MAX):
+        raise ValueError(
+            f"{where}: xi={float(xa[r > _R_MAX][0])!r} puts r = acosh(2/xi - 1) "
+            f"beyond {_R_MAX:.6g}"
+        )
+    return xa, r
 
 
 def conical_legendre_grid(k, r) -> np.ndarray:
     """P_{-1/2+ik}(cosh r) for a vector of wavenumbers and radii at once.
 
-    Shape (len(r), len(k)).  Mehler's integral (_mehler_blocks), each row its
-    own quadrature of _mehler_panels(max|k| r) panels (above _MAX_PANELS
-    raises ValueError).  Within ~1e-14 of the envelope min(1, 1/sqrt(sinh r))
-    of mpmath; at large k r the rounding of r, ~eps k r of it, dominates.
+    Shape (len(r), len(k)).  Mehler's integral P = (sqrt 2/pi) integral_0^r
+    cos(k s) ds/sqrt(cosh r - cosh s) by specfun._abel_blocks toward 0, each
+    row its own quadrature of _mehler_panels(max|k| r) panels (above
+    _MAX_PANELS raises ValueError).  Within ~1e-14 of the envelope
+    min(1, 1/sqrt(sinh r)) of mpmath; at large k r the rounding of r,
+    ~eps k r of it, dominates.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
     r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -193,13 +185,13 @@ def conical_legendre_grid(k, r) -> np.ndarray:
             f"conical_legendre_grid: k must be finite and r lie in [0, {_R_MAX:.6g}]"
         )
     out = np.empty((r.size, k.size))
-    k_max = float(np.max(np.abs(k), initial=0.0))
-    for rows, s, weight in _mehler_blocks(r, k_max, "conical_legendre_grid"):
+    panels = _mehler_panels(np.max(np.abs(k), initial=0.0) * r, "conical_legendre_grid")
+    for rows, s, weight in _abel_blocks(r, 0.0, panels):
         step = max(1, _BLOCK_CELLS // s.size)  # cosines at once
         for j in range(0, k.size, step):
             cos = np.cos(k[j : j + step, None] * s[:, None])
             out[rows, j : j + step] = np.sum(weight[:, None] * cos, axis=-1)
-    return out
+    return _SQRT2_PI * out
 
 
 def conical_legendre(k: float, t: float) -> float:
@@ -241,11 +233,10 @@ def mm_eigenfunction(k: float, xi) -> np.ndarray | float:
     through one conical_legendre_grid call, whose rows do not depend on each
     other, so a value does not depend on the other points of the call.
     """
+    _check_finite("mm_eigenfunction", k=k)
     scalar = np.isscalar(xi)
-    xa = np.atleast_1d(np.asarray(xi, dtype=float))
-    if not np.all((xa > 0) & (xa <= 1)):
-        raise ValueError("mm_eigenfunction: xi must lie in (0, 1]")
-    vals = conical_legendre_grid([k], np.arccosh(2.0 / xa - 1.0))[:, 0] / xa
+    xa, r = _xi_radius("mm_eigenfunction", xi)
+    vals = conical_legendre_grid([k], r)[:, 0] / xa
     return float(vals[0]) if scalar else vals
 
 
@@ -255,6 +246,7 @@ def k00_eigenfunction(k: float, x) -> np.ndarray | complex:
     Satisfies ell phi = k phi and |phi|^2 = 1/(1 - x^2); its Schroedinger
     image is the plane wave e^{iku}.
     """
+    _check_finite("k00_eigenfunction", k=k)
     scalar = np.isscalar(x)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(np.abs(xa) < 1):
@@ -272,6 +264,7 @@ def mm_k01_residual(k: float, x_points) -> np.ndarray:
     xi = (1 + tanh u)/2 = expit(2u), so no xi is formed from a rounded x.
     |x| <= 0.95.
     """
+    _check_finite("mm_k01_residual", k=k)
     xs = np.atleast_1d(np.asarray(x_points, dtype=float))
     if not np.all(np.abs(xs) <= 0.95):
         raise ValueError("mm_k01_residual: x_points must lie in [-0.95, 0.95]")
@@ -479,7 +472,7 @@ def mehler_fock_forward(u_func, *, k_max: float = 40.0, dk: float = 0.05) -> Meh
     if not (np.all(np.isfinite(c)) and math.isfinite(estimate)):
         raise RuntimeError("mehler_fock_forward: coefficients or their estimate are not finite")
     meta = {"tail_estimate": tail, "r_quadrature_estimate": estimate, "s_max": _ABEL_S_MAX,
-            "s_nodes": 2 * n + 1, "abel_nodes": _ABEL_NODES}
+            "s_nodes": 2 * n + 1, "abel_nodes": _ABEL_PANELS * _PANEL_NODES}
     return MehlerFockCoeffs(kg, c, math.cosh(_ABEL_S_MAX), meta)
 
 
@@ -487,27 +480,26 @@ def mehler_fock_inverse(coeffs: MehlerFockCoeffs, xi):
     """u(xi) = integral_0^k_max P_{-1/2+ik}(2/xi - 1) c(k) dk.
 
     Simpson's rule on the stored uniform k-grid, inside Mehler's integral:
-    on the conical_legendre_grid nodes s the k-sum is a cosine series,
-    summed by Clenshaw's recurrence.  Simpson on every other grid point is
+    on its nodes s (specfun._abel_blocks toward 0, the rule of
+    conical_legendre_grid) the k-sum is a cosine series, summed by
+    Clenshaw's recurrence.  Simpson on every other grid point is
     compared, with a warning beyond _INVERSE_WARN_TOL (under-resolved k-grid).
     """
     scalar = np.isscalar(xi)
-    xa = np.atleast_1d(np.asarray(xi, dtype=float))
-    if not np.all((xa > 0) & (xa <= 1)):
-        raise ValueError("mehler_fock_inverse: xi must lie in (0, 1]")
+    xa, r = _xi_radius("mehler_fock_inverse", xi)
     kg = coeffs.k_grid
     h = (kg[-1] - kg[0]) / (kg.size - 1)
+    third = _SQRT2_PI * h / 3.0  # Mehler's factor sqrt 2/pi rides on the weights
     series = (
-        (_simpson_weights(kg.size) * (h / 3.0) * coeffs.c, h),
-        (_simpson_weights((kg.size + 1) // 2) * (2.0 * h / 3.0) * coeffs.c[::2], 2.0 * h),
+        (_simpson_weights(kg.size) * third * coeffs.c, h),
+        (_simpson_weights((kg.size + 1) // 2) * (2.0 * third) * coeffs.c[::2], 2.0 * h),
     )
-    r = np.arccosh(2.0 / xa - 1.0)
     # one Clenshaw pass over all nodes of a chunk of radii, <= _BLOCK_CELLS
     panels = _mehler_panels(kg[-1] * r, "mehler_fock_inverse")
     chunk = max(1, _BLOCK_CELLS // (_PANEL_NODES * int(np.max(panels, initial=1))))
     simps, coarse = np.empty(xa.size), np.empty(xa.size)
     for j in range(0, r.size, chunk):
-        blocks = list(_mehler_blocks(r[j : j + chunk], kg[-1], "mehler_fock_inverse"))
+        blocks = list(_abel_blocks(r[j : j + chunk], 0.0, panels[j : j + chunk]))
         rows = np.concatenate([np.repeat(i, s.shape[1]) for i, s, _ in blocks])
         s, weight = (np.concatenate([b[n].ravel() for b in blocks]) for n in (1, 2))
         for out, (a, step) in zip((simps, coarse), series):
@@ -537,11 +529,15 @@ def hyperbolic_similarity_check(k: float, r_grid) -> float:
     derivatives are taken by 5-point central differences of step 5e-3, all
     stencil points in one conical_legendre_grid call.
     """
+    _check_finite("hyperbolic_similarity_check", k=k)
     h = 5e-3
     r_grid = np.atleast_1d(np.asarray(r_grid, dtype=float))
-    if not np.all(r_grid > 2 * h):
-        raise ValueError("hyperbolic_similarity_check: r_grid must exceed the stencil width")
-    stencil = (r_grid[:, None] + h * np.arange(-2, 3)).ravel()
-    vals = conical_legendre_grid([k], stencil).reshape(r_grid.size, 5)
+    stencil = r_grid[:, None] + h * np.arange(-2, 3)
+    if not np.all((r_grid > 2 * h) & (stencil[:, -1] <= _R_MAX)):
+        raise ValueError(
+            f"hyperbolic_similarity_check: r_grid must exceed the stencil width {2 * h:g} "
+            f"and keep its stencil within {_R_MAX:.6g}"
+        )
+    vals = conical_legendre_grid([k], stencil.ravel()).reshape(r_grid.size, 5)
     d1, d2 = vals @ _FD5_D1 / h, vals @ _FD5_D2 / (h * h)
     return float(np.max(np.abs(d2 + d1 / np.tanh(r_grid) + (0.25 + k * k) * vals[:, 2])))

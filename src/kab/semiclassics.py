@@ -157,12 +157,16 @@ def bohr_sommerfeld_solve(n, alpha: float, beta: float):
 
 
 def _sc_amplitude(alpha: float, beta: float, kappa_prime: float) -> float:
-    """A fixing unit L2 norm of the WKB wavefunction, by the trapezoidal rule
-    on u in [-30, 30]."""
-    u = np.linspace(-30.0, 30.0, 6001)
-    raw = _sc_values(1.0, alpha, beta, kappa_prime, u)
-    norm2 = np.trapezoid(raw * raw, u)
-    return 1.0 / math.sqrt(norm2)
+    """A fixing unit L2 norm of the WKB wavefunction, in closed form.
+
+    The phase has d phase = e^((kappa' - V)/2) du, so sin^2(phase + pi/4)
+    e^(-V/2) du integrates over the line to e^(-kappa'/2) [Phi + (1 -
+    cos 2 Phi)/2]/2, Phi the full-line phase.  At the WKB level
+    Phi = pi(n + 1/2), and A = sqrt(2 e^(kappa'/2)/(pi(n + 1/2) + 1)).
+    """
+    phi = phase_integral(math.inf, alpha, beta, kappa_prime)
+    norm = phi + 0.5 * (1.0 - math.cos(2.0 * phi))  # times e^(-kappa'/2)/2
+    return math.sqrt(2.0 * math.exp(0.5 * kappa_prime) / norm)
 
 
 def _sc_values(amp, alpha, beta, kappa_prime, u: np.ndarray) -> np.ndarray:
@@ -177,8 +181,8 @@ def semiclassical_wavefunction(n: int, alpha: float, beta: float, u):
     """Psi_n(u) = A sin(phase(u) + pi/4) exp(-V(u)/4) at the WKB eigenvalue.
 
     phase(u) is the accumulated momentum integral from -infinity with
-    kappa'_n = kappa_n - 2 gamma_E.  A fixes unit norm on a wide u-grid
-    (_sc_amplitude).
+    kappa'_n = kappa_n - 2 gamma_E.  A fixes unit norm on the line, in
+    closed form (_sc_amplitude).
     """
     _check_positive("semiclassical_wavefunction", alpha=alpha, beta=beta)
     kp = wkb_eigenvalue(n, alpha, beta) - 2.0 * _GAMMA

@@ -1,9 +1,9 @@
 """Special functions: the dispersion functions kappa(k) and g(k), the
 shifted kinetic function G and its inverse, and the beta-type phase
-integral.  The conical Legendre functions live in module exact,
-beside the Mehler rule that evaluates them; the quadrature helpers shared
-by the other modules (Gauss nodes, the Abel rule, Clenshaw's recurrence)
-live here.
+integral.  The quadrature helpers shared by the other modules live here:
+Gauss nodes, Clenshaw's recurrence, and _abel_blocks, the one rule for the
+kernel 1/sqrt|cosh t - cosh x| of Mehler's integral (the conical Legendre
+functions of module exact) and of both Abel transforms.
 
 Digamma (psi), the incomplete beta function and the logistic map come from
 scipy.special; this module adds the argument checks and the closed forms
@@ -99,8 +99,10 @@ def _gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-#: Gauss-Legendre nodes per Abel integral, in w = sqrt(t - x)
-_ABEL_NODES = 96
+#: Gauss-Legendre nodes per panel of an Abel-kernel integral (_abel_blocks)
+_PANEL_NODES = 32
+#: panels per Abel integral of the Mehler-Fock transform and spectral step
+_ABEL_PANELS = 3
 #: S of the forward Mehler-Fock transform's Abel transform on [0, S] and the
 #: least S of a spectral evolution step; F(t) of an xi^2 profile falls like e^-t
 _ABEL_S_MAX = 60.0
@@ -110,27 +112,48 @@ _ABEL_S_MAX = 60.0
 _BLOCK_CELLS = 1 << 17
 
 
-def _abel_rule(x: np.ndarray, s_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes t and weights of integral_x^s_max g(t) dt / sqrt(cosh t - cosh x).
+def _abel_blocks(x: np.ndarray, end: float, panels, cells: int = 1):
+    """Yield (rows, t, weight): sum weight g(t) along the last axis is the
+    integral of g(t) dt/sqrt|cosh t - cosh x| from x[rows] to end: the Abel
+    transform toward end = S, Mehler's integral toward end = 0 (DLMF 14.20).
 
-    After t = x + w^2 the root is sqrt(2 sinh(x + w^2/2) sinh(w^2/2)).  For
-    x > 0 it vanishes like w, as dt = 2 w dw does; at x = 0 it vanishes like
-    w^2, and so do the integrands it serves, f(cosh t) sinh t and the odd
-    A'(t).  The integrand in w is therefore smooth at every x, and
-    Gauss-Legendre on [0, sqrt(s_max - x)] converges.  Rows of the returned
-    (x.size, _ABEL_NODES) arrays follow x.
+    In w = sqrt|t - x| the root sqrt(sinh(x +- w^2/2)) sqrt(2 sinh(w^2/2))
+    (apart, so no factor overflows below acosh of the largest double)
+    vanishes like w for x > 0, as dt does, and like w^2 at x = 0, as the
+    integrands summed there do: Gauss-Legendre on panels[j] (or a scalar)
+    equal panels of _PANEL_NODES nodes converges.  Rows with equal panel
+    counts come together, <= _BLOCK_CELLS/cells nodes at a time.  Only
+    Mehler's r = 0 has x = end (the Abel callers take x < S = end): it takes
+    the node 0 weighted by the kernel's limit pi/sqrt 2.
     """
-    z, wz = _gauss_nodes(_ABEL_NODES)
-    half = 0.5 * np.sqrt(s_max - x)[:, None]
-    w = half * (z + 1.0)
-    b = 0.5 * w * w
-    weight = (2.0 * half * wz) * w / np.sqrt(2.0 * np.sinh(x[:, None] + b) * np.sinh(b))
-    return x[:, None] + 2.0 * b, weight
+    panels = np.broadcast_to(panels, x.shape)
+    if np.any(empty := x == end):
+        rows = np.flatnonzero(empty)
+        yield rows, np.zeros((rows.size, 1)), np.full((rows.size, 1), math.pi / math.sqrt(2.0))
+    shift = np.add if end > 0.0 else np.subtract  # t = x + w^2 toward S, x - w^2 toward 0
+    z, wz = _gauss_nodes(_PANEL_NODES)
+    for p in np.unique(panels[~empty]):
+        group = np.flatnonzero((panels == p) & ~empty)
+        nodes, nodes_wz = (np.arange(p)[:, None] + 0.5 * (z + 1.0)).ravel(), np.tile(wz, p)
+        step = max(1, _BLOCK_CELLS // (cells * nodes.size))
+        for j in range(0, group.size, step):
+            rows = group[j : j + step]
+            xr = x[rows, None]
+            width = np.sqrt(np.abs(end - xr)) / p
+            w = width * nodes
+            ww = w * w
+            b = 0.5 * ww
+            root = np.sqrt(np.sinh(shift(xr, b)))
+            root *= np.sqrt(2.0 * np.sinh(b, out=b))
+            w *= width * nodes_wz
+            w /= root
+            yield rows, shift(xr, ww, out=ww), w
 
 
 def _abel_transform(u, s: np.ndarray, s_max: float, u_cells: int = 1):
     """(A, F(s_max)): A(s_j) = integral_{s_j}^s_max F(t) dt/sqrt(cosh t - cosh s_j)
-    by _abel_rule, F(t) = u(sech^2(t/2)) sinh t, at nodes s_j <= s_max.
+    by _abel_blocks, _ABEL_PANELS panels per row, F(t) = u(sech^2(t/2)) sinh t,
+    at nodes s_j <= s_max.
 
     u takes a 1-d array, forms u_cells cells per sample (an interpolant
     through m nodes forms m) and is called on _BLOCK_CELLS/u_cells cells at a
@@ -139,13 +162,10 @@ def _abel_transform(u, s: np.ndarray, s_max: float, u_cells: int = 1):
     """
     a = np.zeros(s.size)
     inner = np.flatnonzero(s < s_max)  # A(s_max) = 0
-    step = max(1, _BLOCK_CELLS // (_ABEL_NODES * u_cells))
-    for j in range(0, inner.size, step):
-        rows = inner[j : j + step]
-        t, weight = _abel_rule(s[rows], s_max)
+    for rows, t, weight in _abel_blocks(s[inner], s_max, _ABEL_PANELS, u_cells):
         t = np.append(t, s_max)  # flat, F(s_max) last
         f = np.append(weight, 1.0) * np.sinh(t) * u(np.cosh(0.5 * t) ** -2.0)
-        a[rows] = np.sum(f[:-1].reshape(weight.shape), axis=1)
+        a[inner[rows]] = np.sum(f[:-1].reshape(weight.shape), axis=1)
     return a, float(f[-1])
 
 

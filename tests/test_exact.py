@@ -178,6 +178,44 @@ def test_nan_point_refused_by_name(fn, args, named, point):
         fn(*args, point)
 
 
+_SMALL_COEFFS = MehlerFockCoeffs(np.array([0.0, 0.5, 1.0]), np.array([1.0, 2.0, 3.0]), 10.0)
+
+
+@pytest.mark.parametrize(
+    "fn,args,named",
+    [
+        (k00_eigenfunction, (math.nan, [0.5]), r"k00_eigenfunction: k must be finite"),
+        (k00_eigenfunction, (math.inf, [0.5]), r"k00_eigenfunction: k must be finite"),
+        (mm_eigenfunction, (math.inf, [0.5]), r"mm_eigenfunction: k must be finite"),
+        (mm_k01_residual, (math.nan, [0.5]), r"mm_k01_residual: k must be finite"),
+        (hyperbolic_similarity_check, (math.nan, [1.0]),
+         r"hyperbolic_similarity_check: k must be finite"),
+        (hyperbolic_similarity_check, (1.0, [800.0]), r"hyperbolic_similarity_check: r_grid"),
+        (hyperbolic_similarity_check, (1.0, [710.475]), r"hyperbolic_similarity_check: r_grid"),
+        (mm_eigenfunction, (1.0, [1e-320]), r"mm_eigenfunction: xi=1e-320"),
+        (mm_eigenfunction, (1.0, 1e-309), r"mm_eigenfunction: xi=1e-309"),
+        (mehler_fock_inverse, (_SMALL_COEFFS, [0.5, 1e-320]), r"mehler_fock_inverse: xi=1e-320"),
+    ],
+)
+def test_k_and_far_end_refused_by_name(fn, args, named):
+    # a non-finite k, or a point whose radius r passes acosh of the largest
+    # double, is refused by the function called, with no numpy warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=named):
+            fn(*args)
+
+
+def test_smallest_xi_accepted():
+    # xi = 1.2e-308 has r = 709.8, inside the domain of the conical rule
+    xi = 1.2e-308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mm_eigenfunction(1.0, xi)
+    want = conical_legendre_grid([1.0], [math.acosh(2.0 / xi - 1.0)])[0, 0] / xi
+    assert got == pytest.approx(want, rel=1e-15)
+
+
 class TestMehlerFock:
     def test_round_trip(self):
         # forward then inverse on a smooth compact profile
@@ -205,19 +243,33 @@ class TestMehlerFock:
     def test_blocked_matches_single_block(self, monkeypatch):
         # the Abel integrals, the cosine sums and the conical rows are formed
         # a block of _BLOCK_CELLS cells at a time; a tiny block must give the
-        # default's coefficients bit for bit
+        # default's coefficients, inverse and spectral step bit for bit
+        import kab.evolution
         import kab.exact
         import kab.specfun
 
         u = lambda xi: xi**2 * (1.0 - xi)
-        whole = mehler_fock_forward(u, k_max=5.0, dk=0.25)
-        grid = conical_legendre_grid([0.0, 2.0, 5.0], [0.5, 3.0, 9.0])
-        monkeypatch.setattr(kab.exact, "_BLOCK_CELLS", 500)
-        monkeypatch.setattr(kab.specfun, "_BLOCK_CELLS", 500)
-        blocked = mehler_fock_forward(u, k_max=5.0, dk=0.25)
-        assert np.array_equal(blocked.c, whole.c)
-        assert blocked.meta == whole.meta
-        assert np.array_equal(conical_legendre_grid([0.0, 2.0, 5.0], [0.5, 3.0, 9.0]), grid)
+        xi = np.concatenate((np.geomspace(1e-6, 1.0, 40), [0.5, 1.0]))
+        state = kab.evolution.EvolutionState(
+            0.0, kab.evolution.default_xi_grid(96), u(kab.evolution.default_xi_grid(96))
+        )
+
+        def run():
+            coeffs = mehler_fock_forward(u, k_max=5.0, dk=0.25)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # this k-grid is coarse for small xi
+                back = mehler_fock_inverse(coeffs, xi)
+            grid = conical_legendre_grid([0.0, 2.0, 5.0], [0.0, 0.5, 3.0, 9.0])
+            return coeffs, back, grid, kab.evolution.evolve_spectral(state, 1.0).u_values
+
+        whole = run()
+        for module in (kab.exact, kab.specfun, kab.evolution):
+            monkeypatch.setattr(module, "_BLOCK_CELLS", 500)
+        blocked = run()
+        assert np.array_equal(blocked[0].c, whole[0].c)
+        assert blocked[0].meta == whole[0].meta
+        for got, want in zip(blocked[1:], whole[1:]):
+            assert np.array_equal(got, want)
 
     def test_profile_called_once_on_array(self):
         calls = []
@@ -309,6 +361,18 @@ class TestMehlerFock:
         # the inverse's Simpson rule assumes one k spacing
         with pytest.raises(ValueError, match="uniform"):
             MehlerFockCoeffs(np.array([0.0, 0.5, 1.0, 2.0]), np.zeros(4), 1e4)
+        # a NaN in c passed the inverse's half-grid check and came back as
+        # nan; an infinite k fed the spacing test NaNs
+        for k_grid, c, t_max, name in [
+            ([0.0, 1.0, 2.0], [0.0, math.nan, 0.0], 10.0, "c"),
+            ([0.0, 1.0, 2.0], [0.0, math.inf, 0.0], 10.0, "c"),
+            ([0.0, 1.0, math.inf], [0.0, 0.0, 0.0], 10.0, "k_grid"),
+            ([0.0, 1.0, 2.0], [0.0, 0.0, 0.0], math.nan, "t_max"),
+        ]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=f"MehlerFockCoeffs: {name} must be finite"):
+                    MehlerFockCoeffs(k_grid, c, t_max)
 
     def test_coeffs_accept_printed_grid(self):
         # a grid written with 10 significant digits, as the CLI's CSV does,
@@ -342,9 +406,11 @@ class TestConicalLegendreGrid:
         # within 1e-12 of the envelope min(1, 1/sqrt(sinh r)); at large k r
         # the rounding of r to a double alone moves P by ~eps k r of it
         # (6e-12 at k = 40, t = 1e300), which the bound admits twice over.
-        # The repeated radius must land on its own row
+        # The repeated radius must land on its own row.  Near acosh of the
+        # largest double, 2 sinh r overflows: the root is formed without it
         k = np.array([0.0, 0.5, 3.0, 15.0, 40.0])
-        r = np.array([0.0, 0.1, 0.2, 0.7, 3.0, 3.0, 6.5, 9.9, 30.0, math.acosh(1e300)])
+        r = np.array([0.0, 0.1, 0.2, 0.7, 3.0, 3.0, 6.5, 9.9, 30.0, math.acosh(1e300),
+                      709.9, 710.4])
         grid = conical_legendre_grid(k, r)
         with mp.workdps(30):
             ref = np.array(

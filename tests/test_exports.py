@@ -1,6 +1,7 @@
 """Every name that a kab module lists in __all__ exists in that module, every
-function the benchmark's tracer wraps exists where it looks for it, and the
-library calls warn in one function only.
+function the benchmark's tracer wraps exists where it looks for it, the
+library calls warn in one function only, and no private helper or relative
+import is left unused.
 
 A stale entry fails only on `from kab.<module> import *`, and a stale tracer
 name only in `perfbench/run.py --trace 1`, so both are checked here.
@@ -83,3 +84,52 @@ def test_warn_only_in_mehler_fock_inverse():
     # the result, not on stderr (warn_explicit in cli.main re-issues, and is
     # not a warn call)
     assert set(_warn_sites()) == {("exact", "mehler_fock_inverse")}
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted(Path(kab.__file__).parent.glob("*.py"))}
+
+
+def _loaded(tree):
+    """Names a module reads (loads and attribute names)."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_private_names_referenced():
+    # a private module-level name of src/kab that nothing in src/kab reads or
+    # imports is dead code (no linter runs here to say so)
+    trees = _trees()
+    used = set().union(*map(_loaded, trees.values())) | {
+        alias.name for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level for alias in node.names}
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [f"{module}.{n}" for n in names
+                     if n.startswith("_") and not n.startswith("__") and n not in used]
+    assert dead == []
+
+
+def test_relative_imports_used():
+    # every name a module imports from a sibling is read there, or listed in
+    # its __all__; the package's __init__ imports to re-export
+    unused = []
+    for module, tree in _trees().items():
+        if module == "__init__":
+            continue
+        exported = set(getattr(importlib.import_module(f"kab.{module}"), "__all__", ()))
+        loaded = _loaded(tree) | exported
+        unused += [f"{module}: {alias.asname or alias.name}"
+                   for node in tree.body if isinstance(node, ast.ImportFrom) and node.level
+                   for alias in node.names if (alias.asname or alias.name) not in loaded]
+    assert unused == []

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate, special
 from scipy.special import j0
 
 from kab.semiclassics import (
@@ -253,6 +254,24 @@ class TestSemiclassicalWavefunction:
             assert _sc_amplitude(alpha, alpha, kp) == pytest.approx(
                 closed_form(n), rel=1e-12
             )
+
+    @pytest.mark.parametrize(
+        "alpha,beta,n",
+        [(0.2, 3.0, 1), (0.5, 3.0, 4), (2.0, 2.0, 3), (1.5, 2.5, 1), (0.7, 1.9, 2), (4.0, 4.0, 6)],
+    )
+    def test_amplitude_matches_weighted_quadrature(self, alpha, beta, n):
+        # the squared norm in x = (1 + tanh u)/2, where e^(-V/2) du carries
+        # the weight x^(a-1) (1-x)^(b-1), a = alpha/2, b = beta/2, that
+        # QUADPACK's algebraic rule integrates with no cut of the tails
+        kp = wkb_eigenvalue(n, alpha, beta) - 2.0 * GAMMA
+        a, b = 0.5 * alpha, 0.5 * beta
+        full = math.exp(0.5 * kp + (a + b - 1.0) * LOG2 + special.betaln(a, b))
+        f = lambda x: 2.0 ** (a + b - 1.0) * np.sin(
+            full * special.betainc(a, b, x) + 0.25 * math.pi) ** 2
+        norm2, err = integrate.quad(f, 0.0, 1.0, weight="alg", wvar=(a - 1.0, b - 1.0),
+                                    epsabs=0.0, epsrel=1e-13, limit=500)
+        assert err <= 1e-12 * norm2
+        assert _sc_amplitude(alpha, beta, kp) == pytest.approx(norm2**-0.5, rel=1e-12)
 
     def test_generic_normalization(self):
         # generic parameters: amplitude fixed by unit L2 norm

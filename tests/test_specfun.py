@@ -9,11 +9,14 @@ import re
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import simpson
 
 from kab.specfun import (
+    _ABEL_PANELS,
     BIG_G_MIN,
     CONSTANTS,
+    _abel_blocks,
     _check_positive,
     _gauss_nodes,
     _illinois,
@@ -266,6 +269,52 @@ class TestSimpsonWeights:
         h = x[1] - x[0]
         ref = simpson(y, x=x)
         assert y @ _simpson_weights(n) * (h / 3.0) == pytest.approx(ref, rel=1e-14)
+
+
+def _abel_sums(x, end, panels, g):
+    """sum weight g(t) of each row of _abel_blocks, in the order of x."""
+    out = np.full(x.size, np.nan)
+    for rows, t, weight in _abel_blocks(x, end, panels):
+        out[rows] = np.sum(weight * g(t), axis=1)
+    return out
+
+
+class TestAbelBlocks:
+    def test_toward_zero_is_mehler_at_k_zero(self):
+        # (sqrt 2/pi) integral_0^r ds/sqrt(cosh r - cosh s) = P_{-1/2}(cosh r)
+        # = (2/pi) sech(r/2) K(tanh^2(r/2)), with r = 0 the kernel's limit;
+        # two panels, the count the conical rule takes at k = 0
+        r = np.array([0.0, 1e-3, 0.5, 3.0, 30.0, 60.0, 700.0])
+        got = math.sqrt(2.0) / math.pi * _abel_sums(r, 0.0, 2, np.ones_like)
+        sech = 1.0 / np.cosh(0.5 * r)
+        want = (2.0 / math.pi) * sech * special.ellipkm1(sech * sech)
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+    def test_toward_s_closed_form(self):
+        # integral_x^S sinh t dt/sqrt(cosh t - cosh x) = 2 sqrt(cosh S - cosh x)
+        x = np.array([0.0, 0.3, 5.0, 59.0])
+        got = _abel_sums(x, 60.0, _ABEL_PANELS, np.sinh)
+        want = 2.0 * np.sqrt(np.cosh(60.0) - np.cosh(x))
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+    def test_rows_grouped_by_panels_and_blocked(self, monkeypatch):
+        # rows with equal panel counts come together, each block within
+        # _BLOCK_CELLS/cells nodes; every row comes once, with its own count
+        import kab.specfun
+
+        monkeypatch.setattr(kab.specfun, "_BLOCK_CELLS", 300)
+        x = np.array([2.0, 0.0, 1.0, 3.0, 0.5])
+        panels = np.array([1, 3, 1, 2, 3])
+        seen = []
+        for rows, t, weight in _abel_blocks(x, 0.0, panels, cells=2):
+            assert t.shape == weight.shape
+            if np.all(x[rows] == 0.0):
+                assert t.shape[1] == 1
+            else:
+                assert len(set(panels[rows])) == 1
+                assert t.shape[1] == 32 * panels[rows[0]] and t.size <= 150
+            seen.extend(rows)
+        assert sorted(seen) == list(range(x.size))
 
 
 class TestConicalLegendre:
