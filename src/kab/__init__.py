@@ -23,12 +23,9 @@ from .operators import (
     pseudospectral_spectrum,
 )
 from .exact import (
-    DiffOperatorL,
     MehlerFockCoeffs,
     apply_L,
     apply_ell,
-    conical_legendre,
-    hyp2f1_conical,
     k00_eigenfunction,
     mehler_fock_forward,
     mehler_fock_inverse,

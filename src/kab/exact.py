@@ -20,7 +20,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 from scipy import special
 
-from .operators import OperatorParams, UGrid, apply_k_pointwise, galerkin_matrix
+from .operators import _U_CUT, OperatorParams, UGrid, apply_k_pointwise, galerkin_matrix
 from .specfun import (
     _ABEL_PANELS,
     _ABEL_S_MAX,
@@ -38,20 +38,16 @@ from .specfun import (
 )
 
 __all__ = [
-    "DiffOperatorL",
     "MehlerFockCoeffs",
     "mm_eigenfunction",
     "mm_k01_residual",
     "k00_eigenfunction",
     "apply_L",
     "apply_L_legendre",
-    "apply_commutator_c_legendre",
     "mm_commutator_projections",
     "apply_ell",
     "verify_g_of_ell",
-    "conical_legendre",
     "conical_legendre_grid",
-    "hyp2f1_conical",
     "mehler_fock_forward",
     "mehler_fock_inverse",
     "hyperbolic_similarity_check",
@@ -60,32 +56,6 @@ __all__ = [
 # Legendre-coefficient representations of 1 - x^2 and 1 + x
 _ONE_MINUS_X2 = np.array([2.0 / 3.0, 0.0, -2.0 / 3.0])
 _ONE_PLUS_X = np.array([1.0, 1.0])
-
-
-class DiffOperatorL:
-    """The second order operator L = (1+x)L0 + (1-x^2)d/dx - (1+x), the one
-    member of (1+x)L0 + a(1-x^2)d/dx + b(1+x) that commutes with K_{01}.
-
-    The action on Legendre polynomials is tridiagonal:
-    L P_n = A_n P_{n+1} + B_n P_n + C_{n-1} P_{n-1}.
-    """
-
-    @staticmethod
-    def coeff_a(n: int) -> float:
-        """A_n = -(n+1)^3 / (2n+1)."""
-        return -((n + 1.0) ** 3) / (2.0 * n + 1.0)
-
-    @staticmethod
-    def coeff_c(n: int) -> float:
-        """C_{n-1} = -n^3 / (2n+1) for index n >= 1."""
-        if n < 1:
-            raise ValueError("coeff_c: defined for n >= 1")
-        return -(n**3) / (2.0 * n + 1.0)
-
-    @staticmethod
-    def eigenvalue(k: float) -> float:
-        """L phi(k,.) = lambda phi with lambda = -1/2 - 2k^2."""
-        return -0.5 - 2.0 * k * k
 
 
 @dataclass
@@ -194,32 +164,6 @@ def conical_legendre_grid(k, r) -> np.ndarray:
     return _SQRT2_PI * out
 
 
-def conical_legendre(k: float, t: float) -> float:
-    """Conical Legendre function P_{-1/2+ik}(t) for t >= 1 and real k.
-
-    The one-radius view of conical_legendre_grid at r = acosh t (exactly 1
-    at t = 1).
-    """
-    _check_finite("conical_legendre", k=k, t=t)
-    if t < 1.0:
-        raise ValueError(f"conical_legendre: t={t} < 1 outside the domain")
-    return float(conical_legendre_grid([k], [math.acosh(t)])[0, 0])
-
-
-def hyp2f1_conical(k: float, z: float) -> complex:
-    """F(1/2 + ik, 1/2 + ik; 1; z) for 0 <= z < 1.
-
-    Pfaff's transformation (DLMF 15.8.1) makes it exactly the conical view
-    x^(-1/2-ik) P_{-1/2+ik}(2/x - 1) with x = 1 - z, at every z.
-    """
-    _check_finite("hyp2f1_conical", k=k, z=z)
-    if not 0.0 <= z < 1.0:
-        raise ValueError(f"hyp2f1_conical: z={z} outside [0, 1)")
-    x = 1.0 - z
-    p = conical_legendre(k, 2.0 / x - 1.0)
-    return complex(p * np.exp((-0.5 - 1j * k) * math.log(x)))
-
-
 # ---------------------------------------------------------------------------
 # eigenfunctions
 
@@ -236,6 +180,7 @@ def mm_eigenfunction(k: float, xi) -> np.ndarray | float:
     _check_finite("mm_eigenfunction", k=k)
     scalar = np.isscalar(xi)
     xa, r = _xi_radius("mm_eigenfunction", xi)
+    _mehler_panels(abs(k) * r, "mm_eigenfunction")
     vals = conical_legendre_grid([k], r)[:, 0] / xa
     return float(vals[0]) if scalar else vals
 
@@ -268,6 +213,8 @@ def mm_k01_residual(k: float, x_points) -> np.ndarray:
     xs = np.atleast_1d(np.asarray(x_points, dtype=float))
     if not np.all(np.abs(xs) <= 0.95):
         raise ValueError("mm_k01_residual: x_points must lie in [-0.95, 0.95]")
+    # the farthest radius: xi = expit(-2 _U_CUT) at apply_k_pointwise's last node
+    _mehler_panels(abs(k) * math.acosh(1.0 + 2.0 * math.exp(2.0 * _U_CUT)), "mm_k01_residual")
     phi_u = lambda u: mm_eigenfunction(k, special.expit(2.0 * u))
     lhs = apply_k_pointwise(OperatorParams(0.0, 1.0), phi_u, xs)
     rhs = (lipatov_kappa(k) + CONSTANTS.log2) * phi_u(np.arctanh(xs))
@@ -275,7 +222,7 @@ def mm_k01_residual(k: float, x_points) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# differential operators L, C and ell
+# differential operators L and ell
 
 _FD5_D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 _FD5_D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
@@ -306,7 +253,14 @@ def apply_L(phi, x: float) -> float:
 
 
 def apply_L_legendre(coeffs: np.ndarray) -> np.ndarray:
-    """Exact action of L on a polynomial given by Legendre coefficients."""
+    """Exact action of L on a polynomial given by Legendre coefficients.
+
+    L = (1+x)L0 + (1-x^2)d/dx - (1+x), with L0 = d/dx (1-x^2) d/dx, is the
+    one member of (1+x)L0 + a(1-x^2)d/dx + b(1+x) that commutes with K_{01}
+    (Sec. 3).  Its action is tridiagonal, L P_n = A_n P_{n+1} + B_n P_n +
+    C_{n-1} P_{n-1} with A_n = -(n+1)^3/(2n+1) and C_{n-1} = -n^3/(2n+1),
+    and L phi(k) = (-1/2 - 2k^2) phi(k) on K_{01}'s eigenfunctions.
+    """
     c = np.asarray(coeffs, dtype=float)
     d1 = npleg.legder(c)
     d2 = npleg.legder(c, 2) if c.size > 2 else np.zeros(1)
@@ -318,28 +272,18 @@ def apply_L_legendre(coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_commutator_c_legendre(coeffs: np.ndarray) -> np.ndarray:
-    """Exact action of C = [L, log(1+x)] = 2(1-x^2) d/dx - 2x on a polynomial.
-
-    C P_n = R_n P_{n+1} + S_{n-1} P_{n-1} with R_n = -2(n+1)^2/(2n+1) and
-    S_{n-1} = 2n^2/(2n+1).
-    """
-    c = np.asarray(coeffs, dtype=float)
-    d1 = npleg.legder(c)
-    out = 2.0 * npleg.legmul(_ONE_MINUS_X2, d1)
-    return npleg.legsub(out, 2.0 * npleg.legmul(np.array([0.0, 1.0]), c))
-
-
 def mm_commutator_projections(n: int) -> tuple[float, float]:
     """Projections of [L, M] P_n onto P_{n+1} and P_{n-1} (M = K_{01} - log 2).
 
-    [L, M] P_n = [L, 2H] P_n + C P_n; the P_{n+1} component is
-    -2 A_n/(n+1) + R_n and the P_{n-1} component is 2 C_{n-1}/n + S_{n-1},
-    both identically zero.  Computed here as entries of L G - G L, with L
-    from its exact polynomial action on P_0 .. P_{n+3} rescaled to the
-    orthonormal basis and G the Galerkin matrix of K_{01} that the solvers
-    use, so the result tests the assembled machinery rather than the algebra
-    alone.  L is tridiagonal, so the size-(n+4) truncation is exact for
+    [L, M] P_n = [L, 2H] P_n + C P_n with C = [L, log(1+x)] = 2(1-x^2) d/dx
+    - 2x, and C P_n = R_n P_{n+1} + S_{n-1} P_{n-1} with R_n = -2(n+1)^2/(2n+1)
+    and S_{n-1} = 2n^2/(2n+1); the P_{n+1} component is -2 A_n/(n+1) + R_n
+    and the P_{n-1} component is 2 C_{n-1}/n + S_{n-1} (A_n, C_{n-1} of
+    apply_L_legendre), both identically zero.  Computed here as entries of
+    L G - G L, with L from its exact polynomial action on P_0 .. P_{n+3}
+    rescaled to the orthonormal basis and G the Galerkin matrix of K_{01}
+    that the solvers use, so the result tests the assembled machinery rather
+    than the algebra alone.  L is tridiagonal, so the size-(n+4) truncation is exact for
     these two entries, and the constant log 2 of M commutes with L.
     """
     if n < 1:
@@ -538,6 +482,7 @@ def hyperbolic_similarity_check(k: float, r_grid) -> float:
             f"hyperbolic_similarity_check: r_grid must exceed the stencil width {2 * h:g} "
             f"and keep its stencil within {_R_MAX:.6g}"
         )
+    _mehler_panels(abs(k) * stencil[:, -1], "hyperbolic_similarity_check")
     vals = conical_legendre_grid([k], stencil.ravel()).reshape(r_grid.size, 5)
     d1, d2 = vals @ _FD5_D1 / h, vals @ _FD5_D2 / (h * h)
     return float(np.max(np.abs(d2 + d1 / np.tanh(r_grid) + (0.25 + k * k) * vals[:, 2])))

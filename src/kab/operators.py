@@ -179,28 +179,23 @@ def _galerkin_fill(params: OperatorParams, mat: np.ndarray, caller: str) -> None
     pronic = idx * (idx + 1.0)  # |(n - m)(n + m + 1)| = |n(n+1) - m(m+1)|, exact
     norm = np.sqrt(idx + 0.5)
     two_h = 2.0 * harmonic_numbers(n_trunc)
-    free = params.alpha == params.beta == 1.0
-    if not free:
-        diag = _log_diagonal(n_trunc)
-        w_plus, w_minus = 1.0 - params.alpha, 1.0 - params.beta
-        even, odd = w_plus + w_minus, w_minus - w_plus
+    diag = _log_diagonal(n_trunc)
+    w_plus, w_minus = 1.0 - params.alpha, 1.0 - params.beta
+    even, odd = w_plus + w_minus, w_minus - w_plus
     cols_first = mat.T  # C-ordered: its row c is column c of mat
     for i, j in _column_blocks(n_trunc):
         block = cols_first[i:j, i:]
         on_diag = (np.arange(j - i), np.arange(j - i))
-        if free:
-            block[...] = 0.0
-        else:
-            np.subtract(pronic[i:j, None], pronic[i:], out=block)
-            np.abs(block, out=block)
-            block[on_diag] = 1.0
-            np.divide(-2.0, block, out=block)
-            block[on_diag] = diag[i:j]
-            block *= norm[i:j, None] * norm[i:]
-            # entry (a, b) of the block has row + column = 2i + a + b
-            for a, b, w in ((0, 0, even), (0, 1, odd), (1, 0, odd), (1, 1, even)):
-                if w != 1.0:
-                    block[a::2, b::2] *= w
+        np.subtract(pronic[i:j, None], pronic[i:], out=block)
+        np.abs(block, out=block)
+        block[on_diag] = 1.0
+        np.divide(-2.0, block, out=block)
+        block[on_diag] = diag[i:j]
+        block *= norm[i:j, None] * norm[i:]
+        # entry (a, b) of the block has row + column = 2i + a + b
+        for a, b, w in ((0, 0, even), (0, 1, odd), (1, 0, odd), (1, 1, even)):
+            if w != 1.0:
+                block[a::2, b::2] *= w
         block[on_diag] += two_h[i:j]
         if not np.all(np.isfinite(block)):
             raise ValueError(

@@ -17,13 +17,10 @@ from hypothesis import strategies as st
 from numpy.polynomial import legendre as npleg
 
 from kab.exact import (
-    DiffOperatorL,
     MehlerFockCoeffs,
     apply_L,
     apply_L_legendre,
-    apply_commutator_c_legendre,
     apply_ell,
-    conical_legendre,
     conical_legendre_grid,
     hyperbolic_similarity_check,
     k00_eigenfunction,
@@ -39,28 +36,24 @@ from kab.specfun import lipatov_kappa
 
 class TestDiffOperatorL:
     def test_tridiagonal_action(self):
-        # L P_n has only the P_{n-1}, P_n, P_{n+1} components
-        op = DiffOperatorL()
+        # L P_n has only the P_{n-1}, P_n, P_{n+1} components, with the
+        # closed forms A_n = -(n+1)^3/(2n+1) and C_{n-1} = -n^3/(2n+1)
         for n in range(1, 10):
             c = np.zeros(n + 1)
             c[n] = 1.0
             lc = apply_L_legendre(c)
             assert lc.size <= n + 2
-            assert abs(lc[n + 1] - op.coeff_a(n)) < 1e-12
-            assert abs(lc[n - 1] - op.coeff_c(n)) < 1e-12
+            assert abs(lc[n + 1] + (n + 1.0) ** 3 / (2.0 * n + 1.0)) < 1e-12
+            assert abs(lc[n - 1] + n**3 / (2.0 * n + 1.0)) < 1e-12
             if n >= 2:
                 assert np.max(np.abs(lc[: n - 1])) < 1e-12
 
-    def test_eigenvalue_formula(self):
-        assert DiffOperatorL.eigenvalue(0.0) == -0.5
-        assert DiffOperatorL.eigenvalue(2.0) == -8.5
-
-    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 2.0])
     def test_eigenrelation_on_continuum_modes(self, k):
         # Section 3: L phi(k) = (-1/2 - 2k^2) phi(k) for the K_01 eigenfunctions
         # phi(k, x) = mm_eigenfunction(k, (1 + x)/2), so L and K_01 share them
         phi = lambda x: mm_eigenfunction(k, 0.5 * (1.0 + x))
-        lam = DiffOperatorL.eigenvalue(k)
+        lam = -0.5 - 2.0 * k * k
         for x in (-0.5, 0.0, 0.5):
             assert apply_L(phi, x) == pytest.approx(lam * phi(x), rel=1e-7)
 
@@ -75,17 +68,6 @@ class TestDiffOperatorL:
 
 
 class TestCommutator:
-    def test_c_action_coefficients(self):
-        # C P_n = R_n P_{n+1} + S_{n-1} P_{n-1}
-        for n in range(1, 12):
-            c = np.zeros(n + 1)
-            c[n] = 1.0
-            cc = apply_commutator_c_legendre(c)
-            r_n = -2.0 * (n + 1.0) ** 2 / (2.0 * n + 1.0)
-            s_nm1 = 2.0 * n**2 / (2.0 * n + 1.0)
-            assert abs(cc[n + 1] - r_n) < 1e-12
-            assert abs(cc[n - 1] - s_nm1) < 1e-12
-
     def test_commutator_identities(self):
         # the P_{n+1} projection of [L, M] P_n is R_n - 2 A_n/(n+1) and the
         # P_{n-1} projection is 2 C_{n-1}/n + S_{n-1}; both vanish identically
@@ -94,19 +76,11 @@ class TestCommutator:
             assert abs(up) < 1e-10
             assert abs(down) < 1e-10
 
-    def test_algebraic_cancellation(self):
-        op = DiffOperatorL()
-        for n in range(1, 13):
-            r_n = -2.0 * (n + 1.0) ** 2 / (2.0 * n + 1.0)
-            s_nm1 = 2.0 * n**2 / (2.0 * n + 1.0)
-            assert abs(r_n - 2.0 * op.coeff_a(n) / (n + 1.0)) < 1e-12
-            assert abs(2.0 * op.coeff_c(n) / n + s_nm1) < 1e-12
-
 
 class TestMMEigenfunction:
     def test_value_is_conical_over_xi(self):
         for k, xi in [(0.5, 0.3), (1.0, 0.9), (2.0, 0.05)]:
-            ref = conical_legendre(k, 2.0 / xi - 1.0) / xi
+            ref = conical_legendre_grid([k], [math.acosh(2.0 / xi - 1.0)])[0, 0] / xi
             assert mm_eigenfunction(k, xi) == pytest.approx(ref, rel=1e-10)
 
     def test_value_independent_of_batch(self):
@@ -195,11 +169,17 @@ _SMALL_COEFFS = MehlerFockCoeffs(np.array([0.0, 0.5, 1.0]), np.array([1.0, 2.0, 
         (mm_eigenfunction, (1.0, [1e-320]), r"mm_eigenfunction: xi=1e-320"),
         (mm_eigenfunction, (1.0, 1e-309), r"mm_eigenfunction: xi=1e-309"),
         (mehler_fock_inverse, (_SMALL_COEFFS, [0.5, 1e-320]), r"mehler_fock_inverse: xi=1e-320"),
+        (mm_eigenfunction, (1e6, [1e-300]), r"^mm_eigenfunction: k \* r = .* panels"),
+        (mm_k01_residual, (1e5, [0.5]), r"^mm_k01_residual: k \* r = .* panels"),
+        (hyperbolic_similarity_check, (1e6, [700.0]),
+         r"^hyperbolic_similarity_check: k \* r = .* panels"),
     ],
 )
 def test_k_and_far_end_refused_by_name(fn, args, named):
-    # a non-finite k, or a point whose radius r passes acosh of the largest
-    # double, is refused by the function called, with no numpy warning first
+    # a non-finite k, a point whose radius r passes acosh of the largest
+    # double, or a k r past the conical rule's panel cap at the farthest
+    # radius handed on (for mm_k01_residual, apply_k_pointwise's last node)
+    # is refused by the function called, with no numpy warning first
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=named):
@@ -426,6 +406,7 @@ class TestConicalLegendreGrid:
         tol = (1e-12 + 2.0 * np.finfo(float).eps * np.outer(r, k)) * envelope
         assert np.all(np.abs(grid - ref) <= tol)
         assert np.array_equal(grid[4], grid[5])
+        assert np.all(grid[0] == 1.0)
 
     def test_permuted_radii_give_permuted_rows(self, rng):
         # each radius is its own quadrature: rows come in the caller's order

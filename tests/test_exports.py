@@ -5,6 +5,12 @@ import is left unused.
 
 A stale entry fails only on `from kab.<module> import *`, and a stale tracer
 name only in `perfbench/run.py --trace 1`, so both are checked here.
+
+Every public name earns its place: each name in a module's __all__ is read
+somewhere in src/kab outside its own definition, or is listed in
+UNREAD_EXPORTS with the paper section whose identity it checks, or another
+reason.  kab/__init__.py's re-exports are not reads.  A listed name that no
+__all__ holds, or that src/kab reads, fails too, so the list cannot go stale.
 """
 import ast
 import importlib
@@ -133,3 +139,46 @@ def test_relative_imports_used():
                    for node in tree.body if isinstance(node, ast.ImportFrom) and node.level
                    for alias in node.names if (alias.asname or alias.name) not in loaded]
     assert unused == []
+
+
+# public names that only tests and users call, each with its reason
+UNREAD_EXPORTS = {
+    "evolution.mm_rhs": "Sec. 2: right side of the evolution equation, point by point",
+    "exact.mm_k01_residual": "Sec. 2: K_01 eigenrelation of the conical modes (A-5)",
+    "exact.apply_L": "Sec. 3: L by finite differences, against its exact action",
+    "exact.apply_ell": "Sec. 3: ell, whose function g(ell) is K_00",
+    "exact.k00_eigenfunction": "Sec. 3: the plane waves of K_00",
+    "exact.verify_g_of_ell": "Sec. 3: K_00 = g(ell)",
+    "exact.mm_commutator_projections": "Sec. 3: [L, K_01] = 0 (A-6)",
+    "exact.mehler_fock_inverse": "Sec. 3: inverse Mehler-Fock transform (A-7)",
+    "semiclassics.linear_potential_solution": "Sec. 4: Bessel check of the boundary model (A-10)",
+    "exact.hyperbolic_similarity_check": "Appendix A: conical modes solve the hyperbolic Laplacian",
+    "operators.monomial_action_k11": "Appendix B: K_11 on monomials",
+    "operators.pseudospectral_matrix": "not a paper identity: perfbench/tracer.py wraps it",
+}
+
+
+def _reads_by_definition():
+    """(module, top-level name defined or None, names read) for each
+    top-level statement of src/kab but __init__; a relative import reads
+    the names it imports."""
+    return [
+        (module, getattr(node, "name", None), _loaded(node) | {
+            alias.name for alias in getattr(node, "names", ())
+            if isinstance(node, ast.ImportFrom) and node.level})
+        for module, tree in _trees().items() if module != "__init__"
+        for node in tree.body
+    ]
+
+
+def test_exports_read_or_listed():
+    reads = _reads_by_definition()
+    unread = {
+        f"{module}.{name}"
+        for module in MODULES
+        for name in getattr(importlib.import_module(f"kab.{module}"), "__all__", ())
+        if not any(name in names and (where, defined) != (module, name)
+                   for where, defined, names in reads)
+    }
+    assert sorted(unread - UNREAD_EXPORTS.keys()) == []  # unread and not listed
+    assert sorted(UNREAD_EXPORTS.keys() - unread) == []  # listed, but read or gone

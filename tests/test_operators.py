@@ -167,27 +167,25 @@ def _whole_array_galerkin(params, n):
     """galerkin_matrix by whole-matrix operations, in the order the row
     blocks apply them: the reference for the blocked build."""
     idx = np.arange(n, dtype=float)
-    mat = np.zeros((n, n))
-    if params.alpha != 1.0 or params.beta != 1.0:
-        mat = np.abs(np.subtract.outer(idx, idx))
-        mat *= np.add.outer(idx, idx + 1.0)
-        np.fill_diagonal(mat, 1.0)
-        np.divide(-2.0, mat, out=mat)
-        diag = np.empty(n)
-        diag[0] = 2.0 * LOG2 - 2.0
-        for k in range(1, n):
-            diag[k] = (
-                (2 * k - 1) / (2 * k + 1) * (-(k + 1) / (2 * k + 1) + k * diag[k - 1])
-                + (k - 1) / (2 * k - 1)
-            ) / k
-        np.fill_diagonal(mat, diag)
-        mat *= np.outer(np.sqrt(idx + 0.5), np.sqrt(idx + 0.5))
-        w_plus, w_minus = 1.0 - params.alpha, 1.0 - params.beta
-        even, odd = w_plus + w_minus, w_minus - w_plus
-        s0, s1 = slice(0, None, 2), slice(1, None, 2)
-        for rows, cols, w in ((s0, s0, even), (s1, s1, even), (s0, s1, odd), (s1, s0, odd)):
-            if w != 1.0:
-                mat[rows, cols] *= w
+    mat = np.abs(np.subtract.outer(idx, idx))
+    mat *= np.add.outer(idx, idx + 1.0)
+    np.fill_diagonal(mat, 1.0)
+    np.divide(-2.0, mat, out=mat)
+    diag = np.empty(n)
+    diag[0] = 2.0 * LOG2 - 2.0
+    for k in range(1, n):
+        diag[k] = (
+            (2 * k - 1) / (2 * k + 1) * (-(k + 1) / (2 * k + 1) + k * diag[k - 1])
+            + (k - 1) / (2 * k - 1)
+        ) / k
+    np.fill_diagonal(mat, diag)
+    mat *= np.outer(np.sqrt(idx + 0.5), np.sqrt(idx + 0.5))
+    w_plus, w_minus = 1.0 - params.alpha, 1.0 - params.beta
+    even, odd = w_plus + w_minus, w_minus - w_plus
+    s0, s1 = slice(0, None, 2), slice(1, None, 2)
+    for rows, cols, w in ((s0, s0, even), (s1, s1, even), (s0, s1, odd), (s1, s0, odd)):
+        if w != 1.0:
+            mat[rows, cols] *= w
     mat[np.diag_indices(n)] += 2.0 * harmonic_numbers(n)
     return mat
 
