@@ -5,13 +5,15 @@ basis Phat_n = sqrt(n + 1/2) P_n, and a Fourier pseudospectral grid in the
 variable u (x = tanh u) where the kinetic part G(p) is diagonal in frequency
 space and the potential is diagonal on the grid.  The pseudospectral operator
 is applied matrix-free by real FFT; its lowest states come from Lanczos on
-one FFT operator that applies the shift too, with a basis of max(20,
-3 n_eigs - 2) vectors.  The Galerkin spectrum is a Richardson extrapolation
-of dense solves at sizes N/8, N/4, N/2 and N, where each truncation is the
-leading block of the next; only the lower triangle of the N/2 and the N
-matrix is built, in place and in Fortran order, one after the other, so a
-solve holds one N x N array; the spread of successive extrapolations is its
-error estimate.
+the folded operator T_2((H - c)/e) = 2 ((H - c)/e)^2 - 1, two FFT products
+a step, which puts them at its largest eigenvalues and the rest of the grid
+spectrum in [-1, 1], with a basis of max(20, 3 n_eigs - 2) vectors.  The
+Galerkin spectrum is a Richardson extrapolation of dense solves at sizes
+N/8, N/4, N/2 and N, where each truncation is the leading block of the
+next; only the lower triangle of the N/2 and the N matrix is built, in
+place and in Fortran order, one after the other, so a solve holds one
+N x N array; the spread of successive extrapolations is its error
+estimate.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .specfun import _BLOCK_CELLS, BIG_G_MIN, CONSTANTS, _gauss_nodes, big_g
+from .specfun import _BLOCK_CELLS, CONSTANTS, _gauss_nodes, big_g
 
 # scipy.linalg and scipy.sparse.linalg cost about 10 MB and 0.1 s per process,
 # so the three functions that solve or pose an eigenproblem import them
@@ -233,7 +235,8 @@ def potential_v(u: np.ndarray | float, params: OperatorParams) -> np.ndarray | f
 
 
 def _grid_hamiltonian(params: OperatorParams, grid: UGrid, caller: str):
-    """(h, v): h(x) = G(p) x + V x along the last axis of x, and V on the grid.
+    """(h, v, g): h(x) = G(p) x + V x along the last axis of x, V on the grid
+    and G on the M/2 + 1 non-negative frequencies.
 
     The kinetic part is the Fourier multiplier G(p), applied by real FFT on
     the M/2 + 1 non-negative frequencies (G is even), and the potential is
@@ -255,7 +258,7 @@ def _grid_hamiltonian(params: OperatorParams, grid: UGrid, caller: str):
     def h(x):
         return np.fft.irfft(g * np.fft.rfft(x), n=m) + v * x
 
-    return h, v
+    return h, v, g
 
 
 def pseudospectral_matrix(params: OperatorParams, grid: UGrid) -> LinearOperator:
@@ -267,7 +270,7 @@ def pseudospectral_matrix(params: OperatorParams, grid: UGrid) -> LinearOperator
     """
     from scipy.sparse.linalg import LinearOperator
 
-    h, _ = _grid_hamiltonian(params, grid, "pseudospectral_matrix")
+    h, _, _ = _grid_hamiltonian(params, grid, "pseudospectral_matrix")
     m = grid.m_points
     # LinearOperator hands over (M,) or (M, 1)
     return LinearOperator((m, m), matvec=lambda x: h(np.ravel(x)), dtype=float)
@@ -416,25 +419,37 @@ _LANCZOS_CELLS = 1 << 26
 def _pseudospectral_solve(
     alpha: float, beta: float, n_eigs: int, u_max: float, m_points: int
 ) -> tuple[UGrid, np.ndarray, np.ndarray]:
-    """Lowest n_eigs eigenpairs of G(p) + V(u), ascending; each vector's
+    """Lowest n_eigs eigenpairs of H = G(p) + V(u), ascending; each vector's
     first entry above 1e-8 in modulus is positive.
 
-    ARPACK's implicitly restarted Lanczos runs on G + V - shift I, one FFT
-    operator, from a fixed generic start vector (the default start is
-    random, and a symmetric one would miss the odd states when alpha =
-    beta).  With tol = 0 ARPACK accepts a Ritz value theta only once its
-    error bound falls below eps max(eps^(2/3), |theta|), which a state at
-    theta ~ 0 can miss; G >= G(0) and V is diagonal, so the shift G(0) +
-    min V - 1 puts the spectrum at 1 or above.  Each pair must satisfy
-    ||h v - lam v|| <= 1e-8 max(1, max |lam|); a failed pair, or an
-    ARPACK error, raises RuntimeError naming alpha, beta, u_max and m_points.
+    The grid spectrum reaches up to max V + max G (56-240 at u_max = 40),
+    far above the wanted levels, so ARPACK's implicitly restarted Lanczos
+    runs on the folded operator T_2(X) = 2 X^2 - 1, X = (H - c)/e, whose
+    largest eigenvalues it finds in about half the restarts that H's
+    smallest take, at two FFT products a step.  top = max V + max G bounds
+    the spectrum, and the Gershgorin bound cut of the n_eigs x n_eigs block
+    of H on the nodes nearest min V bounds level n_eigs (Cauchy
+    interlacing), so c = (top + cut)/2, e = (top - cut)/2 maps every level
+    below cut above 1 and the rest into [-1, 1]: T_2's n_eigs largest are
+    H's n_eigs lowest, and at 1 or above they pass ARPACK's relative
+    convergence test (tol = 0), which a value near 0 can miss.  A block of
+    nearly all the nodes can put cut above top; every level then lies below
+    cut and maps to |X| >= 1, in order still.  Scaled, the products stay
+    finite wherever V does.  ARPACK starts from a fixed generic vector (the
+    default start is random, and a symmetric one would miss the odd states
+    when alpha = beta) and has 5 M - 1 restarts: at two products of H a
+    step, a solve that does not converge makes no more of them than
+    ARPACK's default of 10 M restarts would on H itself.
+
+    The eigenvalues are the Rayleigh quotients v^T H v.  Each pair must
+    satisfy ||H v - lam v|| <= 1e-8 max(1, max |lam|) and the top level
+    must lie below cut; a failed check, or an ARPACK error, raises
+    RuntimeError naming alpha, beta, u_max and m_points.
 
     The basis holds ncv = max(20, 3 n_eigs - 2) vectors of M points, at
-    most M and at most _LANCZOS_CELLS cells.  Up to n_eigs = 7 that is
-    ARPACK's default max(2 n_eigs + 1, 20); at n_eigs = 10 and M = 2048 it
-    is 28 in place of 21 and saves about a fifth of the products, where a
-    larger basis saves almost none more.  A solve needs room for at least
-    2 n_eigs + 1 vectors and is refused unstarted without it.
+    most M and at most _LANCZOS_CELLS cells; up to n_eigs = 7 that is
+    ARPACK's default max(2 n_eigs + 1, 20).  A solve needs room for at
+    least 2 n_eigs + 1 vectors and is refused unstarted without it.
     """
     params = OperatorParams(alpha, beta)
     grid = UGrid(u_max, m_points)
@@ -447,24 +462,43 @@ def _pseudospectral_solve(
         )
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-    h, v = _grid_hamiltonian(params, grid, "pseudospectral")
-    shift = BIG_G_MIN + float(np.min(v)) - 1.0
-    # eigsh passes 1-D x; the shift is subtracted last, so each product
-    # rounds as (G + V) x - shift x, which test_frozen_values_and_signs pins
-    op = LinearOperator((m_points, m_points), matvec=lambda x: h(x) - shift * x, dtype=float)
+    h, v, g = _grid_hamiltonian(params, grid, "pseudospectral")
+    top = float(np.max(v) + np.max(g))
+    # the block on the nodes lo, ..., lo + n_eigs - 1 has entries kernel[(i -
+    # j) mod M] + V_i delta_ij, so the off-diagonal radius of its row r sums
+    # |kernel| over the n_eigs offsets r - n_eigs + 1, ..., r less offset 0
+    kernel = np.fft.irfft(g, n=m_points)
+    lo = min(max(int(np.argmin(v)) - n_eigs // 2, 0), m_points - n_eigs)
+    spread = np.abs(kernel[np.arange(1 - n_eigs, n_eigs) % m_points])
+    radii = np.convolve(spread, np.ones(n_eigs), "valid") - spread[n_eigs - 1]
+    cut = float(np.max(v[lo : lo + n_eigs] + kernel[0] + radii))
+    c, e = 0.5 * top + 0.5 * cut, 0.5 * top - 0.5 * cut
+
+    def scaled(x):
+        return (h(x) - c * x) / e
+
+    op = LinearOperator(
+        (m_points, m_points), matvec=lambda x: 2.0 * scaled(scaled(x)) - x, dtype=float
+    )
     v0 = np.random.default_rng(0).standard_normal(m_points)
     ncv = min(m_points, room, max(20, 3 * n_eigs - 2))
     where = f"pseudospectral: at alpha={alpha}, beta={beta}, u_max={u_max}, m_points={m_points}"
     try:
-        vals, vecs = eigsh(op, k=n_eigs, ncv=ncv, which="SA", tol=0, v0=v0)
+        _, vecs = eigsh(op, k=n_eigs, ncv=ncv, which="LA", tol=0, v0=v0,
+                        maxiter=5 * m_points - 1)
     except ArpackError as exc:
         raise RuntimeError(f"{where}: {exc}") from exc
+    rows = h(vecs.T)  # row j: H times vector j
+    vals = np.sum(rows * vecs.T, axis=1)
+    resid = np.linalg.norm(rows - (vecs * vals).T, axis=1)
     order = np.argsort(vals)
-    vals, vecs = vals[order] + shift, vecs[:, order]
+    vals, vecs = vals[order], vecs[:, order]
     scale = max(1.0, float(np.max(np.abs(vals))))
-    resid = np.linalg.norm(h(vecs.T) - (vecs * vals).T, axis=1)
-    if np.any(resid > 1e-8 * scale):
+    if not np.all(resid <= 1e-8 * scale):  # a NaN fails too
         raise RuntimeError(f"{where}: eigenpair residual {resid.max():.3e} exceeds tolerance")
+    if not vals[-1] < cut:
+        raise RuntimeError(f"{where}: level {n_eigs} at {vals[-1]:.6e} is not below the "
+                           f"bound {cut:.6e} that it must lie under")
     # a unit vector has an entry of at least M^(-1/2) > 1e-8, so each has one
     first = vecs[np.argmax(np.abs(vecs) > 1e-8, axis=0), np.arange(n_eigs)]
     return grid, vals, np.where(first < 0.0, -vecs, vecs)

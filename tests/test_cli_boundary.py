@@ -186,14 +186,16 @@ def test_exit_contract(command):
     check()
 
 
-@pytest.mark.parametrize("alpha,beta", [("1e300", "1e300"), ("1e306", "1e306"), ("1e305", "1")])
+@pytest.mark.parametrize("alpha,beta", [("1e160", "1e160"), ("1e200", "1"), ("1e300", "1e300"),
+                                        ("1e306", "1e306"), ("1e305", "1")])
 def test_pseudospectral_failure_names_parameters(alpha, beta):
-    # a potential still finite on the grid but too steep for Lanczos: a
-    # residual of inf, ARPACK error -9999 and ARPACK error -1 (no convergence)
-    # each exit 3 with one JSON line that names the inputs
-    code, out, err, _, _ = run(["spectrum", "--alpha", alpha, "--beta", beta, "--n", "2",
-                                "--m-points", "256"])
-    assert (code, out, err.count("\n")) == (3, "", 1)
+    # a potential still finite on the grid but too steep for Lanczos, from
+    # where an unscaled square of it would overflow (1e160) up to where it
+    # nearly overflows itself, exits 3 with one JSON line that names the
+    # inputs and no warning
+    code, out, err, caught, _ = run(["spectrum", "--alpha", alpha, "--beta", beta, "--n", "2",
+                                     "--m-points", "256"])
+    assert (code, out, err.count("\n"), caught) == (3, "", 1, [])
     doc = json.loads(err)
     assert doc["kind"] == "numerical"
     assert doc["error"].startswith(f"pseudospectral: at alpha={float(alpha)}, ")

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from numpy.polynomial import legendre as npleg
 from scipy import integrate, linalg, special
 import scipy.sparse.linalg
-from scipy.sparse.linalg import LinearOperator
 from scipy.sparse.linalg import eigsh as sparse_eigsh
 
 from kab.operators import (
@@ -409,11 +408,16 @@ class TestPseudospectral:
             assert 0.5 * eigs[n] == pytest.approx(harmonic(n), abs=1e-4)
 
 
-def _dense_eigensystem(params, grid, n_eigs):
-    """Oracle: the dense circulant of G(p) plus diag(V), solved by eigh, with
-    the first entry of magnitude > 1e-8 of each eigenvector made positive."""
+def _dense_hamiltonian(params, grid):
+    """The dense circulant of G(p) plus diag(V)."""
     col = np.fft.ifft(big_g(grid.frequencies)).real
-    h = linalg.circulant(col) + np.diag(potential_v(grid.nodes, params))
+    return linalg.circulant(col) + np.diag(potential_v(grid.nodes, params))
+
+
+def _dense_eigensystem(params, grid, n_eigs):
+    """Oracle: _dense_hamiltonian solved by eigh, with the first entry of
+    magnitude > 1e-8 of each eigenvector made positive."""
+    h = _dense_hamiltonian(params, grid)
     vals, vecs = linalg.eigh(h, subset_by_index=[0, n_eigs - 1])
     for j in range(n_eigs):
         first = vecs[np.abs(vecs[:, j]) > 1e-8, j][0]
@@ -422,23 +426,31 @@ def _dense_eigensystem(params, grid, n_eigs):
 
 
 class TestPseudospectralSolve:
-    @pytest.mark.parametrize("alpha,beta", [(2.0, 2.0), (1.0, 2.0), (0.7, 1.9)])
-    def test_matches_dense_oracle(self, alpha, beta):
-        grid = UGrid(20.0, 256)
-        dense_vals, dense_vecs = _dense_eigensystem(OperatorParams(alpha, beta), grid, 10)
+    @pytest.mark.parametrize(
+        "alpha,beta,m_points,n_eigs",
+        [pytest.param(a, b, 256, 10, id=f"{a}-{b}") for a, b in ((2.0, 2.0), (1.0, 2.0), (0.7, 1.9))]
+        + [(1.0, 1.0, 256, 10), (0.5, 3.0, 256, 10), (3.0, 0.5, 256, 10), (2.0, 2.0, 64, 31),
+           (2.0, 2.0, 64, 63), (0.1, 0.1, 64, 63)],
+    )
+    def test_matches_dense_oracle(self, alpha, beta, m_points, n_eigs):
+        # level by level, so a level dropped or out of order fails; at (0.1,
+        # 0.1) the Gershgorin bound on 63 of the 64 nodes, 8.3, lies above
+        # max V + max G = 7.1, and every level maps to |X| >= 1
+        grid = UGrid(20.0, m_points)
+        dense_vals, dense_vecs = _dense_eigensystem(OperatorParams(alpha, beta), grid, n_eigs)
         nodes, kappas, vecs = pseudospectral_eigensystem.__wrapped__(
-            alpha, beta, 10, grid.u_max, grid.m_points
+            alpha, beta, n_eigs, grid.u_max, grid.m_points
         )
         assert np.array_equal(nodes, grid.nodes)
         vals = kappas - 2.0 * CONSTANTS.euler_gamma
         assert np.max(np.abs(vals - dense_vals)) <= 1e-12
         assert np.max(np.abs(vecs - dense_vecs)) <= 1e-10
-        for j in range(10):
+        for j in range(n_eigs):
             assert vecs[np.abs(vecs[:, j]) > 1e-8, j][0] > 0
 
     def test_near_zero_level_found(self):
         # at this pair level 1 sits at about -1e-14 on the kappa' scale, where
-        # ARPACK's relative convergence test is hardest to meet without a shift
+        # a relative convergence test on H itself is hardest to meet
         a = b = 0.5042489734855321
         grid = UGrid(40.0, 2048)
         h = pseudospectral_matrix(OperatorParams(a, b), grid)
@@ -460,6 +472,49 @@ class TestPseudospectralSolve:
     # scale, then per state the first entry above 1e-8 in modulus (the sign
     # rule makes it positive) and the entry of largest modulus, all as hex
     FROZEN = {
+        (2.0, 2.0, 4, 20.0, 128): (
+            ["0x1.dd9f7eba9dd94p-2", "0x1.7194c6114e2c7p+1", "0x1.f0dde844ff524p+1",
+             "0x1.2458c04a02016p+2"],
+            [(12, "0x1.a4246aace4f8cp-27", "0x1.d991365d84656p-2"),
+             (12, "0x1.b8b70d6a91a6bp-27", "-0x1.b4009f3723d73p-2"),
+             (0, "0x1.40326a07bbb3dp-25", "-0x1.2a4aa18e23450p-1"),
+             (9, "0x1.7ab569503e838p-27", "-0x1.11db966f1e988p-1")],
+        ),
+        (1.0, 2.0, 3, 30.0, 256): (
+            ["0x1.2ede11c05ac40p-6", "0x1.175747195898ap+1", "0x1.9994d04b48834p+1"],
+            [(50, "0x1.8f3273a86da21p-27", "0x1.7420cf8741487p-2"),
+             (47, "0x1.7127a7f375344p-27", "-0x1.565fc2606b89bp-2"),
+             (46, "0x1.712422d4bd830p-27", "-0x1.adf2d810ddb8bp-2")],
+        ),
+        (0.7, 1.9, 5, 40.0, 256): (
+            ["-0x1.0ea7d9e034330p-2", "0x1.b4a094ae1d072p+0", "0x1.5c8a1902a60f0p+1",
+             "0x1.b1f103ed8fbfep+1", "0x1.f221d39bebc2ap+1"],
+            [(65, "0x1.9cb4c150785b7p-27", "0x1.951a701f423c2p-2"),
+             (62, "0x1.ba43b3f750f82p-27", "-0x1.6c3ff2e648a31p-2"),
+             (60, "0x1.7b08b7b5ed533p-27", "-0x1.aa70c5f7c9b35p-2"),
+             (58, "0x1.83e9a4b884087p-27", "0x1.afb25ebc2c02dp-2"),
+             (23, "0x1.5cbd764b50ae2p-27", "0x1.a2f48e1a5cfc8p-2")],
+        ),
+        (3.0, 0.5, 2, 16.0, 64): (
+            ["-0x1.0efabeb30f173p+0", "0x1.772876a561ad8p-1"],
+            [(0, "0x1.cd83730927609p-22", "0x1.e8e71e1ceb748p-2"),
+             (0, "0x1.84152a4a36cccp-20", "-0x1.b8819b1887f7ep-2")],
+        ),
+        (1.0, 1.0, 6, 40.0, 512): (
+            ["-0x1.c000000000000p-50", "0x1.0000000000003p+1", "0x1.7fffffffffffcp+1",
+             "0x1.d555555555554p+1", "0x1.0aaaaaaaaaab1p+2", "0x1.244444444444bp+2"],
+            [(142, "0x1.60dc91dc5201dp-27", "0x1.1e3779b97f4afp-2"),
+             (139, "0x1.7e768ab2c545ap-27", "-0x1.ee3e0658343bfp-3"),
+             (137, "0x1.693da729d57c6p-27", "-0x1.4000000000bbfp-2"),
+             (136, "0x1.6d98c525a3a20p-27", "-0x1.3059696005caep-2"),
+             (135, "0x1.629501050fdb0p-27", "0x1.41fe68f14aa4dp-2"),
+             (135, "0x1.88010c8c4cc8ep-27", "0x1.38082eafd46d7p-2")],
+        ),
+    }
+
+    # the same pins from the solve that ran Lanczos on H - shift, which
+    # test_shift_solve_pins_agree holds the folded solve to within rounding
+    SHIFT_SOLVE = {
         (2.0, 2.0, 4, 20.0, 128): (
             ["0x1.dd9f7eba9de14p-2", "0x1.7194c6114e286p+1", "0x1.f0dde844ff516p+1",
              "0x1.2458c04a02006p+2"],
@@ -503,7 +558,7 @@ class TestPseudospectralSolve:
     @pytest.mark.parametrize("case", sorted(FROZEN))
     def test_frozen_values_and_signs(self, case):
         # both entry points return bitwise the values and sign-fixed vectors
-        # that the solve gave before its sign rule was vectorised
+        # that the folded solve gave when these were pinned
         want_vals, want_cols = self.FROZEN[case]
         spectrum = pseudospectral_spectrum.__wrapped__(*case)
         nodes, kappas, vecs = pseudospectral_eigensystem.__wrapped__(*case)
@@ -515,6 +570,23 @@ class TestPseudospectralSolve:
             assert float(col[first]).hex() == entry
             assert float(col[np.argmax(np.abs(col))]).hex() == peak
 
+    @pytest.mark.parametrize("case", sorted(SHIFT_SOLVE))
+    def test_shift_solve_pins_agree(self, case):
+        # the folded solve moves each value by rounding alone and keeps each
+        # state's first entry above 1e-8; at alpha = beta the peak ties
+        # between mirrored nodes of either sign, so peaks compare by modulus
+        want_vals, want_cols = self.SHIFT_SOLVE[case]
+        _, kappas, vecs = pseudospectral_eigensystem.__wrapped__(*case)
+        want = np.array([float.fromhex(v) for v in want_vals])
+        assert np.all(np.abs(kappas - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+        for j, (first, _, peak) in enumerate(want_cols):
+            col = vecs[:, j]
+            assert np.flatnonzero(np.abs(col) > 1e-8)[0] == first
+            got, want_peak = col[np.argmax(np.abs(col))], float.fromhex(peak)
+            if case[0] == case[1]:
+                got, want_peak = abs(got), abs(want_peak)
+            assert got == pytest.approx(want_peak, abs=1e-12)
+
     def test_cached_arrays_read_only(self):
         # the cache hands the same arrays to every caller: an in-place edit
         # by one is refused, so the next call returns the first values
@@ -525,22 +597,57 @@ class TestPseudospectralSolve:
         again = pseudospectral_eigensystem(2.0, 2.0, 3, 40.0, 256)
         assert all(np.array_equal(a, b) for a, b in zip(again, first))
 
-    def test_products_counted(self, monkeypatch):
-        # ten states at M = 2048 on a basis of 28 vectors: ARPACK's default
-        # of 21 took 560 products of the operator here; the solve imports
-        # eigsh when it runs, so the patch goes on scipy's module
+    @staticmethod
+    def _count_products(monkeypatch):
+        """A list that gets one entry per product of H that Lanczos makes,
+        two per product of the folded operator, each one forward real FFT
+        of the product's shape less its last axis; the solve imports eigsh
+        when it runs, so the patch goes on scipy's module."""
         products = []
+        rfft = np.fft.rfft
+
+        def counted_rfft(x, *args, **kwargs):
+            products.append(np.shape(x)[:-1])
+            return rfft(x, *args, **kwargs)
 
         def eigsh(a, **kwargs):
-            def matvec(x):
-                products.append(1)
-                return a.matvec(x)
-
-            return sparse_eigsh(LinearOperator(a.shape, matvec=matvec, dtype=float), **kwargs)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.fft, "rfft", counted_rfft)
+                return sparse_eigsh(a, **kwargs)
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
+        return products
+
+    def test_products_counted(self, monkeypatch):
+        # ten states at M = 2048 on a basis of 28 vectors: Lanczos on
+        # H - shift made 560 products with ARPACK's default basis of 21 and
+        # 431 with 28
+        products = self._count_products(monkeypatch)
         pseudospectral_spectrum.__wrapped__(2.0, 2.0, 10, 40.0, 2048)
+        assert set(products) == {()}  # one vector a product
         assert len(products) <= 450
+
+    def test_refused_solve_products_bounded(self, monkeypatch):
+        # a solve that never converges stops within the 46101 products that
+        # ARPACK's default of 10 M restarts made on H - shift
+        products = self._count_products(monkeypatch)
+        with pytest.raises(RuntimeError, match="ARPACK error -1"):
+            pseudospectral_spectrum.__wrapped__(1e305, 1.0, 2, 40.0, 256)
+        assert set(products) == {()}
+        assert len(products) <= 46101
+
+    def test_level_above_the_bound_refused(self, monkeypatch):
+        # Lanczos vectors that pass the residual check but are not the lowest
+        # states (here the highest, from a dense solve) sit above the
+        # Gershgorin bound on level n_eigs and are refused
+        dense = _dense_hamiltonian(OperatorParams(2.0, 2.0), UGrid(20.0, 64))
+
+        def eigsh(a, k, **kwargs):
+            return linalg.eigh(dense, subset_by_index=[64 - k, 63])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
+        with pytest.raises(RuntimeError, match=r"alpha=2\.0, .* level 3 at .* not below"):
+            pseudospectral_spectrum.__wrapped__(2.0, 2.0, 3, 20.0, 64)
 
     def test_eigenpair_count_bounded(self, monkeypatch):
         # a solve needs room for 2 n_eigs + 1 basis vectors of M doubles; past
