@@ -12,7 +12,8 @@ The spectral backend evolves each Mehler-Fock mode of u at the rate
 exp(-kappa(k) tau) without forming a conical function: Mehler's integral
 factors the transform into an Abel transform followed by a cosine transform
 (Koornwinder 1984; DLMF 14.20), so the evolution is a Fourier multiplier on
-the Abel transform of u.
+the Abel transform of u.  Both Abel transforms are matrices fixed by the
+state's grid and the s-grid, built once per grid pair and cached.
 """
 from __future__ import annotations
 
@@ -31,8 +32,6 @@ from .specfun import (
     _PANEL_NODES,
     CONSTANTS,
     _abel_blocks,
-    _abel_transform,
-    _clenshaw,
     _gauss_nodes,
     lipatov_kappa,
 )
@@ -135,6 +134,28 @@ def default_xi_grid(n_points: int = 96) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(math.pi * j / n_points))
 
 
+def _lobatto_nodes(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights): 0 and the grid xi, and their closed-form barycentric
+    weights (-1)^j, halved at both ends (Salzer 1972)."""
+    nodes = np.concatenate(([0.0], xi))
+    weights = np.where(np.arange(nodes.size) % 2, -1.0, 1.0)
+    weights[[0, -1]] *= 0.5
+    return nodes, weights
+
+
+def _cauchy(nodes: np.ndarray, weights: np.ndarray, x: np.ndarray):
+    """(c, hit, at): c[i, j] = weights[j]/(x_i - nodes[j]), except that a point
+    x_i on a node, listed in hit, takes 1 there, at that node's index at."""
+    # x - x_k vanishes only at x = x_k; the nodes increase, so a point's one
+    # candidate is its insertion index
+    k = np.minimum(np.searchsorted(nodes, x), nodes.size - 1)
+    hit = np.flatnonzero(nodes[k] == x)
+    c = x[:, None] - nodes
+    c[hit, k[hit]] = 1.0
+    np.divide(weights, c, out=c)
+    return c, hit, k[hit]
+
+
 def state_interpolant(state: EvolutionState):
     """Polynomial interpolant through the state samples with u(0) pinned to 0.
 
@@ -144,10 +165,8 @@ def state_interpolant(state: EvolutionState):
     j = 0 and n (Salzer 1972; Berrut & Trefethen, SIAM Review 46, 2004).  A
     point that lands on a node returns that node's sample.
     """
-    nodes = np.concatenate(([0.0], state.xi_grid))
+    nodes, weights = _lobatto_nodes(state.xi_grid)
     vals = np.concatenate(([0.0], state.u_values))
-    weights = np.where(np.arange(nodes.size) % 2, -1.0, 1.0)
-    weights[[0, -1]] *= 0.5
 
     # the interpolant takes O(_BLOCK_CELLS) cells at a time.  gemv sums rows
     # in groups (of 4 in OpenBLAS) and a lone row in another order, so a block
@@ -160,16 +179,9 @@ def state_interpolant(state: EvolutionState):
         p = np.empty(flat.size)
         for j in range(0, max(1, flat.size - 1), points):
             end = flat.size if j + points >= flat.size - 1 else j + points
-            xb = flat[j:end]
-            # x - x_k vanishes only at x = x_k; the nodes increase, so a
-            # point's one candidate is its insertion index
-            k = np.minimum(np.searchsorted(nodes, xb), nodes.size - 1)
-            hit = np.flatnonzero(nodes[k] == xb)
-            c = xb[:, None] - nodes
-            c[hit, k[hit]] = 1.0
-            np.divide(weights, c, out=c)
+            c, hit, at = _cauchy(nodes, weights, flat[j:end])
             block = (c @ vals) / np.sum(c, axis=1)
-            block[hit] = vals[k[hit]]
+            block[hit] = vals[at]
             p[j:end] = block
         return p.reshape(xa.shape)
 
@@ -416,8 +428,8 @@ def evolve_matrix(
     on the points-node rule.  No K_{01} matrix is formed: its product at
     sizes n_trunc and 2 n_trunc is applied by FFT (_k01_product, O(n log^2 n)
     time and O(n log n) memory), from plans that depend on neither tau nor the profile
-    and are cached.  Both steps are summed on the grid in one Clenshaw pass
-    (synthesize on two columns).
+    and are cached.  Both steps are summed on the grid together (synthesize
+    on two columns).
     The log-potential matrix couples all mode pairs with 1/(n-m) decay, so the
     truncation error falls off like 1/n_trunc; the step is therefore run at
     n_trunc and 2 n_trunc and Richardson-extrapolated, with the difference of
@@ -430,8 +442,8 @@ def evolve_matrix(
     def step(dtau):
         growth = math.exp(dtau * _LOG2)
         coeffs = _state_coeffs(state, 2 * n_trunc)
-        # the size-N step zero-padded to 2N beside the size-2N step (Clenshaw's
-        # recurrence reaches degree N - 1 in the state the unpadded sum starts from)
+        # the size-N step zero-padded to 2N beside the size-2N step (synthesize
+        # sums by degree in order, so the padding leaves the size-N sum's bits)
         evolved = np.zeros((2 * n_trunc, 2))
         for col, n in enumerate((n_trunc, 2 * n_trunc)):
             evolved[:n, col] = _krylov_exp(_k01_product(n), coeffs[:n], dtau)
@@ -457,6 +469,54 @@ def _abel_grid(dtau: float) -> tuple[float, int]:
     return half * _S_STEP, 2 * half
 
 
+@lru_cache(maxsize=2)
+def _abel_plan(grid: bytes, s_max: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(B, R), read-only: the linear maps of _abel_fourier_step on the grid
+    xi (the bytes of a state's xi_grid) and the s-grid (s_max, n).
+
+    B, (n/2 + 1) x points, takes the samples to A(s_j): specfun._abel_blocks'
+    rule composed with state_interpolant's barycentric basis at the rule's
+    nodes (Berrut & Trefethen, SIAM Review 46, 2004).  R, points x n/2,
+    takes the multiplied cosine modes m = 1..n/2 of A to u: the same rule
+    on sin(m theta), theta = pi s/S, by the recurrence sin((m + 1) theta) =
+    2 cos theta sin(m theta) - sin((m - 1) theta), times the factor
+    -(1/pi)(-2/n) k_m of the sine series of A', the Nyquist mode halved.
+    The plan holds (n + 1) points doubles: 0.5 MB at 96 points for every
+    dtau <= 2.5 (n = 640); at 4096 points 78 MB at dtau = 64 and 147 MB at
+    dtau = 256, max|u| = 1's longest step (206 MB at _delta_tau's longest).
+    Its build forms blocks of at most a quarter of _BLOCK_CELLS cells (whole
+    ones added 1 MB to a process's peak memory at 96 points) and costs
+    O(points) per Abel node and basis node or sine mode; a step, O(points n).
+    """
+    xi = np.frombuffer(grid)
+    nodes, weights = _lobatto_nodes(xi)
+    half = n // 2
+    forward = np.zeros((half + 1, xi.size))  # A(S) = 0
+    s = (s_max / half) * np.arange(half)
+    for rows, t, w in _abel_blocks(s, s_max, _ABEL_PANELS, 4 * nodes.size):
+        # c's rows become the Lagrange basis at the nodes t, times the rule's
+        # weight and sinh t; u(0) = 0, so the basis of x_0 = 0 drops out
+        c, hit, at = _cauchy(nodes, weights, np.cosh(0.5 * t.ravel()) ** -2.0)
+        c[hit] = 0.0
+        c[hit, at] = 1.0
+        c *= ((w * np.sinh(t)).ravel() / np.sum(c, axis=1))[:, None]
+        forward[rows] = c.reshape(*t.shape, nodes.size).sum(axis=1)[:, 1:]
+    inverse = np.empty((xi.size, half))
+    r = 2.0 * np.arcsinh(np.sqrt((1.0 - xi) / xi))
+    for rows, t, w in _abel_blocks(r, s_max, _ABEL_PANELS, 8):
+        theta = (math.pi / s_max) * t
+        two_cos = 2.0 * np.cos(theta)
+        prev, mode = np.zeros_like(theta), np.sin(theta)
+        for m in range(half):
+            inverse[rows, m] = np.einsum("ij,ij->i", w, mode)
+            prev, mode = mode, two_cos * mode - prev
+    scale = (2.0 / (n * s_max)) * np.arange(1, half + 1)
+    scale[-1] *= 0.5
+    inverse *= scale
+    forward.flags.writeable = inverse.flags.writeable = False
+    return forward, inverse
+
+
 def _abel_fourier_step(
     state: EvolutionState, dtau: float, s_max: float, n: int
 ) -> np.ndarray:
@@ -464,30 +524,18 @@ def _abel_fourier_step(
 
     With f(y) = u(2/(1 + y)) and y = cosh r (xi = sech^2(r/2), r < 17.2 < S):
       1. A(s) = integral_s^S f(cosh r) sinh r / sqrt(cosh r - cosh s) dr at
-         s_j = j S/(n/2), j = 0..n/2, by specfun._abel_transform;
+         s_j = j S/(n/2), j = 0..n/2, of the state's interpolant, B u;
       2. the real FFT of the even extension of A over [-S, S), a DCT-I,
          times exp(-kappa(k_m) dtau) at k_m = pi m/S;
       3. u(cosh r) = -(1/pi) integral_r^S A_dtau'(s) / sqrt(cosh s - cosh r) ds,
-         with A_dtau' summed from its sine series at the nodes of step 1's rule.
+         A_dtau' summed from its sine series, R times step 2's modes m >= 1.
+    B and R come from the cached _abel_plan.
     """
-    xi = state.xi_grid
-    r = 2.0 * np.arcsinh(np.sqrt((1.0 - xi) / xi))
-    half = n // 2
-    s = (s_max / half) * np.arange(half + 1)
-    a, _ = _abel_transform(state_interpolant(state), s, s_max, u_cells=xi.size + 1)
-    k = (math.pi / s_max) * np.arange(half + 1)
+    forward, inverse = _abel_plan(state.xi_grid.tobytes(), s_max, n)
+    a = forward @ state.u_values
     a_hat = np.fft.rfft(np.concatenate((a, a[-2:0:-1]))).real
-    # A_dtau'(s) = sum_m b_m sin(m theta), theta = pi s/S, the Nyquist term
-    # at half weight; summed by Clenshaw's recurrence, which needs one cosine
-    # and one sine per node
-    b = (-2.0 / n) * k * a_hat * np.exp(-lipatov_kappa(k) * dtau)
-    b[-1] *= 0.5
-    u = np.empty(r.size)
-    for rows, t, weight in _abel_blocks(r, s_max, _ABEL_PANELS):
-        theta = (math.pi / s_max) * t
-        c1, _ = _clenshaw(b, 2.0 * np.cos(theta))
-        u[rows] = np.sum(weight * c1 * np.sin(theta), axis=1)
-    return u / -math.pi
+    k = (math.pi / s_max) * np.arange(1, n // 2 + 1)
+    return inverse @ (a_hat[1:] * np.exp(-lipatov_kappa(k) * dtau))
 
 
 def evolve_spectral(state: EvolutionState, tau_final: float) -> EvolutionState:
@@ -500,7 +548,10 @@ def evolve_spectral(state: EvolutionState, tau_final: float) -> EvolutionState:
     even periodic extension of A, and an inverse Abel transform (see
     _abel_fourier_step); no conical function is formed.  The s-grid depends
     on dtau alone (_abel_grid), and meta states it: the half-period s_max,
-    the FFT length n_fft and the Gauss nodes per Abel integral.
+    the FFT length n_fft and the Gauss nodes per Abel integral.  Both Abel
+    transforms are linear maps fixed by the grid and the s-grid, built on
+    the first step there (_abel_plan) and cached, so a later step on the
+    same grids costs two matrix-vector products and one real FFT.
     """
 
     def step(dtau):

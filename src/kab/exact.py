@@ -366,7 +366,8 @@ def mehler_fock_forward(u_func, *, k_max: float = 40.0, dk: float = 0.05) -> Meh
 
     With t = cosh r and F(r) = u(2/(1 + cosh r)) sinh r, Mehler's integral
     gives c(k) = k tanh(pi k) (sqrt 2/pi) integral_0^S cos(k s) A(s) ds, A
-    the Abel transform of evolve_spectral (specfun._abel_transform, S = 60).
+    the Abel transform (specfun._abel_transform, S = 60; evolve_spectral's
+    plan applies the same rule).
     A is smooth, even and decays, so the trapezoid rule converges
     geometrically (Trefethen & Weideman, SIAM Review 56, 2014) unless its
     sum at k aliases A's transform at 2 pi/ds - k, below rounding beyond 20:

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.polynomial import legendre as npleg
+from scipy import special
 
 from .specfun import _BLOCK_CELLS, CONSTANTS, _gauss_nodes, big_g
 
@@ -323,11 +323,27 @@ def apply_k_pointwise(params: OperatorParams, phi_u, x):
 
 def synthesize(coeffs: np.ndarray, x) -> np.ndarray:
     """Evaluate sum_n c_n Phat_n(x), Phat_n = sqrt(n+1/2) P_n, from the
-    coefficient array c.  An (n, k) array sums its k columns in one Clenshaw
-    pass and returns k rows of values, each bit for bit the column's own sum."""
-    c = np.asarray(coeffs)
-    scaled = (c.T * np.sqrt(np.arange(len(c)) + 0.5)).T
-    return npleg.legval(np.asarray(x, dtype=float), scaled)
+    coefficient array c.  An (n, k) array sums its k columns together and
+    returns k rows of values, each bit for bit the column's own sum.
+
+    P_0..P_{n-1} come from scipy.special.legendre_p_all on 16 points at a
+    time, or more while a block holds at most a quarter of _BLOCK_CELLS
+    cells (a block of n <= 8192 degrees stays within _BLOCK_CELLS), and
+    einsum (no BLAS) sums the terms degree by degree in order for every
+    point and column, so zero coefficients past a column's end leave its
+    bits alone.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    xa = np.asarray(x, dtype=float)
+    flat = xa.ravel()
+    n = c.shape[0]
+    cols = (c.T * np.sqrt(np.arange(n) + 0.5)).T.reshape(n, -1)
+    out = np.empty((cols.shape[1], flat.size))
+    step = max(16, _BLOCK_CELLS // (4 * n))
+    for j in range(0, flat.size, step):
+        legendre = special.legendre_p_all(n - 1, flat[j : j + step])[0]
+        out[:, j : j + step] = np.einsum("dp,dk->kp", legendre, cols)
+    return out.reshape(c.shape[1:] + xa.shape)[()]  # a scalar x gives a scalar
 
 
 def project(phi, n_trunc: int, quad_order: int | None = None) -> np.ndarray:
@@ -442,9 +458,11 @@ def _pseudospectral_solve(
     ARPACK's default of 10 M restarts would on H itself.
 
     The eigenvalues are the Rayleigh quotients v^T H v.  Each pair must
-    satisfy ||H v - lam v|| <= 1e-8 max(1, max |lam|) and the top level
-    must lie below cut; a failed check, or an ARPACK error, raises
-    RuntimeError naming alpha, beta, u_max and m_points.
+    satisfy ||H v - lam v|| <= 1e-8 max(1, max |lam|), the norm taken on
+    the row scaled by its largest modulus so that no square overflows, and
+    the top level must lie below cut; a failed check, an ARPACK error or a
+    product of H that overflows raises RuntimeError naming alpha, beta,
+    u_max and m_points.
 
     The basis holds ncv = max(20, 3 n_eigs - 2) vectors of M points, at
     most M and at most _LANCZOS_CELLS cells; up to n_eigs = 7 that is
@@ -484,13 +502,19 @@ def _pseudospectral_solve(
     ncv = min(m_points, room, max(20, 3 * n_eigs - 2))
     where = f"pseudospectral: at alpha={alpha}, beta={beta}, u_max={u_max}, m_points={m_points}"
     try:
-        _, vecs = eigsh(op, k=n_eigs, ncv=ncv, which="LA", tol=0, v0=v0,
-                        maxiter=5 * m_points - 1)
+        with np.errstate(over="raise", invalid="raise"):
+            _, vecs = eigsh(op, k=n_eigs, ncv=ncv, which="LA", tol=0, v0=v0,
+                            maxiter=5 * m_points - 1)
+            rows = h(vecs.T)  # row j: H times vector j
     except ArpackError as exc:
         raise RuntimeError(f"{where}: {exc}") from exc
-    rows = h(vecs.T)  # row j: H times vector j
+    except FloatingPointError as exc:
+        raise RuntimeError(f"{where}: a product of H overflows a double (its grid "
+                           f"spectrum reaches {top:.3e})") from exc
     vals = np.sum(rows * vecs.T, axis=1)
-    resid = np.linalg.norm(rows - (vecs * vals).T, axis=1)
+    rows -= (vecs * vals).T
+    big = np.max(np.abs(rows), axis=1)
+    resid = big * np.linalg.norm(rows / np.where(big > 0.0, big, 1.0)[:, None], axis=1)
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     scale = max(1.0, float(np.max(np.abs(vals))))

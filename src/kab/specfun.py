@@ -150,19 +150,18 @@ def _abel_blocks(x: np.ndarray, end: float, panels, cells: int = 1):
             yield rows, shift(xr, ww, out=ww), w
 
 
-def _abel_transform(u, s: np.ndarray, s_max: float, u_cells: int = 1):
+def _abel_transform(u, s: np.ndarray, s_max: float):
     """(A, F(s_max)): A(s_j) = integral_{s_j}^s_max F(t) dt/sqrt(cosh t - cosh s_j)
     by _abel_blocks, _ABEL_PANELS panels per row, F(t) = u(sech^2(t/2)) sinh t,
     at nodes s_j <= s_max.
 
-    u takes a 1-d array, forms u_cells cells per sample (an interpolant
-    through m nodes forms m) and is called on _BLOCK_CELLS/u_cells cells at a
+    u takes a 1-d array and is called on at most _BLOCK_CELLS nodes at a
     time, t = s_max appended: F(s_max) measures what the cut leaves out.
     Each A(s_j) is summed on its own row, so no block changes a bit of it.
     """
     a = np.zeros(s.size)
     inner = np.flatnonzero(s < s_max)  # A(s_max) = 0
-    for rows, t, weight in _abel_blocks(s[inner], s_max, _ABEL_PANELS, u_cells):
+    for rows, t, weight in _abel_blocks(s[inner], s_max, _ABEL_PANELS):
         t = np.append(t, s_max)  # flat, F(s_max) last
         f = np.append(weight, 1.0) * np.sinh(t) * u(np.cosh(0.5 * t) ** -2.0)
         a[inner[rows]] = np.sum(f[:-1].reshape(weight.shape), axis=1)

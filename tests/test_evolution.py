@@ -16,6 +16,7 @@ from kab.evolution import (
     EvolutionState,
     _abel_fourier_step,
     _abel_grid,
+    _abel_plan,
     _k01_product,
     _krylov_exp,
     _state_coeffs,
@@ -27,7 +28,14 @@ from kab.evolution import (
 )
 from kab.exact import mm_eigenfunction
 from kab.operators import galerkin_matrix, harmonic, project, OperatorParams
-from kab.specfun import CONSTANTS, lipatov_kappa
+from kab.specfun import (
+    _ABEL_PANELS,
+    CONSTANTS,
+    _abel_blocks,
+    _abel_transform,
+    _clenshaw,
+    lipatov_kappa,
+)
 from tests.conftest import traced_peak
 
 LOG2 = CONSTANTS.log2
@@ -547,8 +555,10 @@ class TestSpectralBackend:
             evolve(EvolutionState(0.0, xi, smooth_profiles["xi-sq"](xi)), tau)
 
     def test_largest_grid_memory(self, smooth_profiles):
-        # one step on the largest grid stays within 50 MB of traced memory
+        # one step on the largest grid, its plan built, stays within 50 MB of
+        # traced memory
         s = make_state(smooth_profiles["xi-sq"], n_points=4096)
+        _abel_plan.cache_clear()
         _, peak = traced_peak(evolve_spectral, s, 0.5)
         assert peak < 50e6
 
@@ -563,6 +573,76 @@ class TestSpectralBackend:
         xi0 = default_xi_grid(4096)[0]
         assert 2.0 * math.asinh(math.sqrt((1.0 - xi0) / xi0)) < 17.2
         assert _abel_grid(0.0)[0] == 60.0
+
+
+def _interpolant_clenshaw_step(state, dtau, s_max, n):
+    """The spectral step without a plan, the oracle for _abel_plan: the
+    forward Abel transform of the state's interpolant evaluated at every
+    node of the rule, and the sine series of A' summed at every node of
+    the inverse rule by Clenshaw's recurrence."""
+    xi = state.xi_grid
+    r = 2.0 * np.arcsinh(np.sqrt((1.0 - xi) / xi))
+    half = n // 2
+    s = (s_max / half) * np.arange(half + 1)
+    a, _ = _abel_transform(state_interpolant(state), s, s_max)
+    k = (math.pi / s_max) * np.arange(half + 1)
+    a_hat = np.fft.rfft(np.concatenate((a, a[-2:0:-1]))).real
+    b = (-2.0 / n) * k * a_hat * np.exp(-lipatov_kappa(k) * dtau)
+    b[-1] *= 0.5
+    u = np.empty(r.size)
+    for rows, t, weight in _abel_blocks(r, s_max, _ABEL_PANELS):
+        theta = (math.pi / s_max) * t
+        c1, _ = _clenshaw(b, 2.0 * np.cos(theta))
+        u[rows] = np.sum(weight * c1 * np.sin(theta), axis=1)
+    return u / -math.pi
+
+
+class TestAbelPlan:
+    @pytest.mark.parametrize("n_points", [96, 200, 1000])
+    @pytest.mark.parametrize("dtau", [0.25, 2.5, 10.0])
+    def test_matches_interpolant_clenshaw_step(self, smooth_profiles, n_points, dtau):
+        # the plan's two products against the same rule applied to the
+        # interpolant and summed by Clenshaw: 1.3e-14 of max|u| at worst
+        s_max, n = _abel_grid(dtau)
+        for profile in smooth_profiles.values():
+            s = make_state(profile, n_points)
+            want = _interpolant_clenshaw_step(s, dtau, s_max, n)
+            got = _abel_fourier_step(s, dtau, s_max, n)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_built_once_per_grid(self, smooth_profiles):
+        # a step on a grid pair with a plan builds nothing, whatever the
+        # profile or the step up to 2.5; another state grid or s-grid builds
+        _abel_plan.cache_clear()
+        s = make_state(smooth_profiles["xi-sq"])
+        evolve_spectral(s, 1.0)
+        assert _abel_plan.cache_info()[:2] == (0, 1)  # (hits, misses)
+        evolve_spectral(make_state(smooth_profiles["xi-cube"]), 2.5)
+        evolve_spectral(evolve_spectral(s, 0.5), 2.0)
+        assert _abel_plan.cache_info()[:2] == (3, 1)
+        evolve_spectral(make_state(smooth_profiles["xi-sq"], n_points=64), 1.0)
+        evolve_spectral(s, 10.0)
+        assert _abel_plan.cache_info()[:2] == (3, 3)
+
+    def test_plan_read_only(self, smooth_profiles):
+        s = make_state(smooth_profiles["xi-sq"], n_points=16)
+        for a in _abel_plan(s.xi_grid.tobytes(), *_abel_grid(1.0)):
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.0
+
+    def test_plan_memory_bounded(self, smooth_profiles):
+        # the plan holds (n + 1) points doubles, 78 MB at 4096 points and
+        # dtau = 64 (n = 2368); its build adds blocks of at most a quarter of
+        # _BLOCK_CELLS cells (5 MB above the plan in all)
+        s = make_state(smooth_profiles["xi-sq"], n_points=4096)
+        n = _abel_grid(64.0)[1]
+        _abel_plan.cache_clear()
+        try:
+            out, peak = traced_peak(evolve_spectral, s, 64.0)
+        finally:
+            _abel_plan.cache_clear()
+        assert peak <= 8 * (n + 1) * 4096 + 8 * 2**20
+        assert np.all(np.isfinite(out.u_values))
 
 
 class TestBackendAgreement:

@@ -6,6 +6,8 @@ elements, plane waves for the kinetic multiplier, and a dense circulant
 eigensolve for the matrix-free pseudospectral solve.
 """
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -649,6 +651,22 @@ class TestPseudospectralSolve:
         with pytest.raises(RuntimeError, match=r"alpha=2\.0, .* level 3 at .* not below"):
             pseudospectral_spectrum.__wrapped__(2.0, 2.0, 3, 20.0, 64)
 
+    @pytest.mark.parametrize("steep,reason", [
+        (1e160, r"eigenpair residual 9\.\d{3}e\+160 exceeds tolerance$"),
+        (1e306, r"a product of H overflows a double \(its grid spectrum reaches 7\.\d{3}e\+307\)$"),
+    ])
+    def test_steep_potential_refused_with_finite_figure(self, steep, reason):
+        # on potentials steep enough that squares of H v - lam v overflow
+        # (1e160) or that products of H do (1e306), the solve warns of
+        # nothing and either returns pairs that pass its gate or names the
+        # failure with a finite figure: the residual norm is taken on rows
+        # scaled by their largest modulus, and an overflowing product is
+        # reported as such rather than as an infinite residual
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match=re.escape(f"alpha={steep}, ") + ".*: " + reason):
+                pseudospectral_spectrum.__wrapped__(steep, steep, 2, 40.0, 256)
+
     def test_eigenpair_count_bounded(self, monkeypatch):
         # a solve needs room for 2 n_eigs + 1 basis vectors of M doubles; past
         # 2^26 cells (galerkin_matrix's largest matrix) it is refused
@@ -739,6 +757,58 @@ class TestProjectSynthesize:
         assert all(np.array_equal(a, b) for a, b in zip(_gauss_nodes(64), rule))
         coeffs = project(lambda x: np.ones_like(x), 3)
         assert np.max(np.abs(coeffs - [math.sqrt(2.0), 0.0, 0.0])) < 1e-14
+
+    @pytest.mark.parametrize("n_points,n_trunc", [(96, 960), (100, 1000), (128, 1024)])
+    def test_matches_legval(self, smooth_profiles, n_points, n_trunc):
+        # numpy's legval (Clenshaw's recurrence) is the oracle, on the columns
+        # evolve_matrix sums: each profile evolved at sizes N (zero-padded)
+        # and 2N, on A-8's grids; worst 4.6e-14 of the largest value
+        from kab.evolution import EvolutionState, _k01_product, _krylov_exp, _state_coeffs
+        from kab.evolution import default_xi_grid
+
+        xi = default_xi_grid(n_points)
+        x = 2.0 * xi - 1.0
+        for profile in smooth_profiles.values():
+            c = _state_coeffs(EvolutionState(0.0, xi, profile(xi)), 2 * n_trunc)
+            for tau in (0.25, 2.5, 10.0):
+                cols = np.zeros((2 * n_trunc, 2))
+                for col, n in enumerate((n_trunc, 2 * n_trunc)):
+                    cols[:n, col] = _krylov_exp(_k01_product(n), c[:n], tau)
+                want = npleg.legval(x, (cols.T * np.sqrt(np.arange(2 * n_trunc) + 0.5)).T)
+                got = synthesize(cols, x)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+                assert np.array_equal(got[0], synthesize(cols[:n_trunc, 0], x))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 17, 64])
+    def test_random_coefficients_match_legval(self, rng, n):
+        x = np.concatenate(([-1.0, 1.0, 0.0], rng.uniform(-1.0, 1.0, 200)))
+        c = rng.standard_normal((n, 3))
+        want = npleg.legval(x, (c.T * np.sqrt(np.arange(n) + 0.5)).T)
+        assert np.max(np.abs(synthesize(c, x) - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("degree", [4095, 8191])
+    def test_high_degree_matches_mpmath(self, degree):
+        # one mode at the largest degrees evolve_matrix sums (2N - 1); the
+        # three-term recurrence is off by 1.7e-11 at x = 1 (legval by 4.9e-11)
+        import mpmath as mp
+
+        x = np.array([-1.0, -0.999, -0.7, -0.123, 0.0, 0.3, 0.9, 0.99999, 1.0])
+        c = np.zeros(degree + 1)
+        c[degree] = 1.0
+        norm = math.sqrt(degree + 0.5)
+        with mp.workdps(30):
+            want = np.array([float(mp.legendre(degree, mp.mpf(v))) for v in x])
+        assert np.max(np.abs(synthesize(c, x) / norm - want)) <= 5e-11
+
+    def test_largest_sum_memory_bounded(self):
+        # 2N = 8192 degrees on 4096 points in two columns: P_n at every point
+        # at once would take 256 MiB; the blocks of 16 points take 1 MiB
+        c = np.random.default_rng(8192).standard_normal((8192, 2)) / np.arange(1.0, 8193.0)[:, None]
+        x = np.linspace(-1.0, 1.0, 4096)
+        vals, peak = traced_peak(synthesize, c, x)
+        assert peak <= 4 * 2**20
+        want = npleg.legval(x, (c.T * np.sqrt(np.arange(8192) + 0.5)).T)
+        assert np.max(np.abs(vals - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 class TestApplyKPointwise:
