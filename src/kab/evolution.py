@@ -6,8 +6,7 @@ d phi / d tau = -K_{01} phi.  (Direct algebra on the integral equation gives
 d u/d tau = -xi (K_{01} - log 2) phi, fixing the sign of the exponent; the
 u = xi test profile, where the right-hand side is -xi log xi, confirms it.)
 The matrix backend exponentiates the truncated Galerkin operator by Lanczos,
-applying it by FFT: the log(1 + x) part of K_{01} is a Cauchy matrix that
-splits into Toeplitz and Hankel parts, so no matrix is formed.
+applying it by FFT (operators._k01_product), so no matrix is formed.
 The spectral backend evolves each Mehler-Fock mode of u at the rate
 exp(-kappa(k) tau) without forming a conical function: Mehler's integral
 factors the transform into an Abel transform followed by a cosine transform
@@ -24,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .operators import _log_diagonal, harmonic_numbers, project, synthesize
+from .operators import _k01_product, project, synthesize
 from .specfun import (
     _ABEL_PANELS,
     _ABEL_S_MAX,
@@ -279,75 +278,6 @@ def _state_coeffs(state: EvolutionState, n_trunc: int) -> np.ndarray:
     return coeffs
 
 
-#: rows of the dense leaves that finish the halving of _k01_product: the
-#: leaves hold _LEAF doubles per row, 1 MB at the largest size 2N = 8192
-_LEAF = 16
-
-
-@lru_cache(maxsize=2)
-def _k01_product(n: int):
-    """The product v -> K_{01} v at size n, by FFT, without the matrix.
-
-    At (alpha, beta) = (0, 1) the Galerkin matrix (operators._galerkin_fill)
-    is diag(2 h_n + (n + 1/2) W_nn) - 2 S C S, with S = diag((-1)^n
-    sqrt(n + 1/2)), W_nn = operators._log_diagonal and C_nm = 1/(|n - m|
-    (n + m + 1)), zero on the diagonal.  (n - m)(n + m + 1) = n(n + 1) -
-    m(m + 1), so C is a Cauchy matrix, and 1/|n - m| + 1/(n + m + 1) =
-    (2 max(n, m) + 1) C_nm splits it into Toeplitz and Hankel parts
-    (Townsend, Webb & Olver, Math. Comp. 87, 2018):
-      (2n + 1)(C y)_n = (T y)_n + 2 (L y)_n - (H y)_n + y_n/(2n + 1),
-    T the Toeplitz matrix 1/|n - m| with a zero diagonal, H the Hankel matrix
-    1/(n + m + 1) and L its part below the diagonal.  T y - H y is one real
-    FFT pair of length 2n; H y is a correlation, on conj(rfft y).  L y comes
-    by halving: on each range [lo, lo + 2s) the rows lo + s.. against the
-    columns lo.. form a full Hankel block, the blocks of one level go
-    through one batched FFT pair, and dense leaves of _LEAF rows finish.
-    The plan holds the kernels' FFTs and the leaves, O(n log n) doubles.
-    """
-    idx = np.arange(n, dtype=float)
-    norm = np.sqrt(idx + 0.5)
-    diag = _log_diagonal(n) * (norm * norm) + 2.0 * harmonic_numbers(n)
-    odd = 2.0 * idx + 1.0
-    sign = np.where(idx % 2, -norm, norm)
-    scale = -2.0 * sign / odd
-    p = 2 * n
-    toeplitz = np.zeros(p)
-    toeplitz[1:n] = 1.0 / np.arange(1.0, n)
-    toeplitz[n + 1 :] = toeplitz[n - 1 : 0 : -1]
-    t_hat = np.fft.rfft(toeplitz).real  # T is symmetric: its multiplier is real
-    h_hat = np.fft.rfft(1.0 / np.arange(1.0, p + 1))
-    n_pad = _LEAF  # the least _LEAF 2^j >= n
-    while n_pad < n:
-        n_pad *= 2
-    levels = []
-    s = n_pad // 2
-    while s >= _LEAF:
-        lo = np.arange(0, n_pad, 2 * s)[:, None]
-        levels.append((s, np.fft.rfft(1.0 / (2 * lo + s + 1.0 + np.arange(2 * s)), axis=1)))
-        s //= 2
-    leaves = np.arange(0.0, 2 * n_pad, 2 * _LEAF)[:, None, None] + np.add.outer(
-        np.arange(_LEAF), np.arange(1.0, _LEAF + 1)
-    )
-    np.reciprocal(leaves, out=leaves)
-    leaves *= np.tri(_LEAF, k=-1)
-
-    def product(v):
-        y = sign * v
-        y_hat = np.fft.rfft(y, p)
-        acc = np.fft.irfft(t_hat * y_hat - h_hat * y_hat.conj(), p)[:n]
-        ypad = np.zeros(n_pad)
-        ypad[:n] = y
-        lower = (leaves @ ypad.reshape(-1, _LEAF, 1)).ravel()
-        for s, g_hat in levels:
-            block = np.fft.rfft(ypad.reshape(-1, 2 * s)[:, :s], 2 * s, axis=1)
-            corr = np.fft.irfft(g_hat * block.conj(), 2 * s, axis=1)
-            lower.reshape(-1, 2 * s)[:, s:] += corr[:, :s]
-        acc += 2.0 * lower[:n] + y / odd
-        return diag * v + scale * acc
-
-    return product
-
-
 #: Lanczos stops once its a-posteriori error estimate is this share of |y|:
 #: rounding in the mat-vecs already leaves an error of a few ulps
 _KRYLOV_TOL = 1e-15
@@ -426,9 +356,9 @@ def evolve_matrix(
     points, so phi has degree points - 1, only its first points coefficients
     are nonzero, and their integrands, of degree <= 2 points - 2, are exact
     on the points-node rule.  No K_{01} matrix is formed: its product at
-    sizes n_trunc and 2 n_trunc is applied by FFT (_k01_product, O(n log^2 n)
-    time and O(n log n) memory), from plans that depend on neither tau nor the profile
-    and are cached.  Both steps are summed on the grid together (synthesize
+    sizes n_trunc and 2 n_trunc is applied by FFT (operators._k01_product,
+    O(n log^2 n) time and O(n log n) memory), from plans that depend on
+    neither tau nor the profile and are cached.  Both steps are summed on the grid together (synthesize
     on two columns).
     The log-potential matrix couples all mode pairs with 1/(n-m) decay, so the
     truncation error falls off like 1/n_trunc; the step is therefore run at

@@ -13,7 +13,8 @@ N/8, N/4, N/2 and N, where each truncation is the leading block of the
 next; only the lower triangle of the N/2 and the N matrix is built, in
 place and in Fortran order, one after the other, so a solve holds one
 N x N array; the spread of successive extrapolations is its error
-estimate.
+estimate.  The matrix's diagonal (_galerkin_diagonal, closed form) also
+serves the evolution's K_{01} product by FFT (_k01_product).
 """
 from __future__ import annotations
 
@@ -117,8 +118,10 @@ def harmonic(n: int) -> float:
 
 
 def harmonic_numbers(n: int) -> np.ndarray:
-    """h_0, ..., h_{n-1} from one running sum (scalar harmonic is the reference)."""
-    return np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, n))))[:n]
+    """h_0, ..., h_{n-1} as psi(k + 1) + gamma_E (DLMF 5.4.14; harmonic is the reference)."""
+    if n < 0:
+        raise ValueError(f"harmonic_numbers: n={n} must be >= 0")
+    return special.psi(np.arange(1.0, n + 1.0)) + CONSTANTS.euler_gamma
 
 
 def monomial_action_k11(n: int) -> np.ndarray:
@@ -136,18 +139,13 @@ def monomial_action_k11(n: int) -> np.ndarray:
     return out
 
 
-def _log_diagonal(n_trunc: int) -> np.ndarray:
-    """W_00, ..., W_{n-1,n-1}: the diagonal of multiplication by log(1 + x) in
-    the unnormalized Legendre basis, from its three-term recurrence seeded by
-    W_00 = 2 log 2 - 2."""
-    diag = np.empty(n_trunc)
-    diag[0] = 2.0 * CONSTANTS.log2 - 2.0
-    for n in range(1, n_trunc):
-        diag[n] = (
-            (2 * n - 1) / (2 * n + 1) * (-(n + 1) / (2 * n + 1) + n * diag[n - 1])
-            + (n - 1) / (2 * n - 1)
-        ) / n
-    return diag
+def _galerkin_diagonal(params: OperatorParams, n: int) -> np.ndarray:
+    """The diagonal D_k = 2 h_k + (2 - a - b) (k + 1/2) W_kk of
+    galerkin_matrix(params, n), W_kk the diagonal of log(1 + x) in the
+    unnormalized basis: (k + 1/2) W_kk = log 2 - 2 (h_{2k+1} - h_k) + 1/(2k + 1)."""
+    h = harmonic_numbers(2 * n)
+    log_part = CONSTANTS.log2 - 2.0 * (h[1::2] - h[:n]) + 1.0 / (2.0 * np.arange(n) + 1.0)
+    return 2.0 * h[:n] + ((1.0 - params.alpha) + (1.0 - params.beta)) * log_part
 
 
 def _column_blocks(n: int):
@@ -170,8 +168,8 @@ def _galerkin_fill(params: OperatorParams, mat: np.ndarray, caller: str) -> None
 
     The log part (1-a) L+ + (1-b) L-, with L+- the matrix of multiplication
     by log(1 +- x): in the unnormalized basis L+ has the off-diagonal entries
-    2(-1)^(m+n+1)/((n-m)(n+m+1)) and the diagonal _log_diagonal.  L- = D L+ D
-    with D = diag((-1)^n), so the sum is the sign-free matrix scaled by
+    2(-1)^(m+n+1)/((n-m)(n+m+1)), diagonal from _galerkin_diagonal.  L- =
+    D L+ D with D = diag((-1)^n), so the sum is the sign-free matrix scaled by
     2 - a - b where m + n is even and by a - b where m + n is odd.  Every
     entry is a function of its row and column alone, symmetric in the two
     bit for bit, so a block's values do not depend on n or on the block size.
@@ -180,8 +178,7 @@ def _galerkin_fill(params: OperatorParams, mat: np.ndarray, caller: str) -> None
     idx = np.arange(n_trunc, dtype=float)
     pronic = idx * (idx + 1.0)  # |(n - m)(n + m + 1)| = |n(n+1) - m(m+1)|, exact
     norm = np.sqrt(idx + 0.5)
-    two_h = 2.0 * harmonic_numbers(n_trunc)
-    diag = _log_diagonal(n_trunc)
+    diag = _galerkin_diagonal(params, n_trunc)
     w_plus, w_minus = 1.0 - params.alpha, 1.0 - params.beta
     even, odd = w_plus + w_minus, w_minus - w_plus
     cols_first = mat.T  # C-ordered: its row c is column c of mat
@@ -192,13 +189,12 @@ def _galerkin_fill(params: OperatorParams, mat: np.ndarray, caller: str) -> None
         np.abs(block, out=block)
         block[on_diag] = 1.0
         np.divide(-2.0, block, out=block)
-        block[on_diag] = diag[i:j]
         block *= norm[i:j, None] * norm[i:]
         # entry (a, b) of the block has row + column = 2i + a + b
         for a, b, w in ((0, 0, even), (0, 1, odd), (1, 0, odd), (1, 1, even)):
             if w != 1.0:
                 block[a::2, b::2] *= w
-        block[on_diag] += two_h[i:j]
+        block[on_diag] = diag[i:j]
         if not np.all(np.isfinite(block)):
             raise ValueError(
                 f"{caller}: the matrix overflows at alpha={params.alpha}, beta={params.beta}"
@@ -221,6 +217,74 @@ def galerkin_matrix(params: OperatorParams, n_trunc: int) -> np.ndarray:
     for i, j in _column_blocks(n_trunc):
         mat[j:, i:j] = mat[i:j, j:].T
     return mat
+
+
+#: rows of the dense leaves that finish the halving of _k01_product: the
+#: leaves hold _LEAF doubles per row, 1 MB at the largest size 2N = 8192
+_LEAF = 16
+
+
+@lru_cache(maxsize=2)
+def _k01_product(n: int):
+    """The product v -> K_{01} v at size n, by FFT, without the matrix.
+
+    At (alpha, beta) = (0, 1) the Galerkin matrix (_galerkin_fill) is
+    diag(D_n) - 2 S C S, with D_n from _galerkin_diagonal, S = diag((-1)^n
+    sqrt(n + 1/2)) and C_nm = 1/(|n - m| (n + m + 1)), zero on the diagonal.
+    (n - m)(n + m + 1) = n(n + 1) - m(m + 1), so C is a Cauchy matrix, and
+    1/|n - m| + 1/(n + m + 1) = (2 max(n, m) + 1) C_nm splits it into
+    Toeplitz and Hankel parts (Townsend, Webb & Olver, Math. Comp. 87, 2018):
+      (2n + 1)(C y)_n = (T y)_n + 2 (L y)_n - (H y)_n + y_n/(2n + 1),
+    T the Toeplitz matrix 1/|n - m| with a zero diagonal, H the Hankel matrix
+    1/(n + m + 1) and L its part below the diagonal.  T y - H y is one real
+    FFT pair of length 2n; H y is a correlation, on conj(rfft y).  L y comes
+    by halving: on each range [lo, lo + 2s) the rows lo + s.. against the
+    columns lo.. form a full Hankel block, the blocks of one level go
+    through one batched FFT pair, and dense leaves of _LEAF rows finish.
+    The plan holds the kernels' FFTs and the leaves, O(n log n) doubles.
+    """
+    idx = np.arange(n, dtype=float)
+    norm = np.sqrt(idx + 0.5)
+    diag = _galerkin_diagonal(OperatorParams(0.0, 1.0), n)
+    odd = 2.0 * idx + 1.0
+    sign = np.where(idx % 2, -norm, norm)
+    scale = -2.0 * sign / odd
+    p = 2 * n
+    toeplitz = np.zeros(p)
+    toeplitz[1:n] = 1.0 / np.arange(1.0, n)
+    toeplitz[n + 1 :] = toeplitz[n - 1 : 0 : -1]
+    t_hat = np.fft.rfft(toeplitz).real  # T is symmetric: its multiplier is real
+    h_hat = np.fft.rfft(1.0 / np.arange(1.0, p + 1))
+    n_pad = _LEAF  # the least _LEAF 2^j >= n
+    while n_pad < n:
+        n_pad *= 2
+    levels = []
+    s = n_pad // 2
+    while s >= _LEAF:
+        lo = np.arange(0, n_pad, 2 * s)[:, None]
+        levels.append((s, np.fft.rfft(1.0 / (2 * lo + s + 1.0 + np.arange(2 * s)), axis=1)))
+        s //= 2
+    leaves = np.arange(0.0, 2 * n_pad, 2 * _LEAF)[:, None, None] + np.add.outer(
+        np.arange(_LEAF), np.arange(1.0, _LEAF + 1)
+    )
+    np.reciprocal(leaves, out=leaves)
+    leaves *= np.tri(_LEAF, k=-1)
+
+    def product(v):
+        y = sign * v
+        y_hat = np.fft.rfft(y, p)
+        acc = np.fft.irfft(t_hat * y_hat - h_hat * y_hat.conj(), p)[:n]
+        ypad = np.zeros(n_pad)
+        ypad[:n] = y
+        lower = (leaves @ ypad.reshape(-1, _LEAF, 1)).ravel()
+        for s, g_hat in levels:
+            block = np.fft.rfft(ypad.reshape(-1, 2 * s)[:, :s], 2 * s, axis=1)
+            corr = np.fft.irfft(g_hat * block.conj(), 2 * s, axis=1)
+            lower.reshape(-1, 2 * s)[:, s:] += corr[:, :s]
+        acc += 2.0 * lower[:n] + y / odd
+        return diag * v + scale * acc
+
+    return product
 
 
 def potential_v(u: np.ndarray | float, params: OperatorParams) -> np.ndarray | float:
@@ -331,9 +395,11 @@ def synthesize(coeffs: np.ndarray, x) -> np.ndarray:
     cells (a block of n <= 8192 degrees stays within _BLOCK_CELLS), and
     einsum (no BLAS) sums the terms degree by degree in order for every
     point and column, so zero coefficients past a column's end leave its
-    bits alone.
+    bits alone.  Raises ValueError when the first axis is missing or empty.
     """
     c = np.asarray(coeffs, dtype=float)
+    if c.shape[:1] in ((), (0,)):
+        raise ValueError(f"synthesize: coeffs has no first-axis coefficient, shape {c.shape}")
     xa = np.asarray(x, dtype=float)
     flat = xa.ravel()
     n = c.shape[0]
@@ -353,8 +419,13 @@ def project(phi, n_trunc: int, quad_order: int | None = None) -> np.ndarray:
     The Legendre-Vandermonde columns come from numpy's legvander recurrence
     a block of at most _BLOCK_CELLS cells at a time, each summed over the
     nodes alone, so every coefficient has the bits of the whole-array sum.
+    The rule has quad_order nodes, max(2 n_trunc, 64) by default; both >= 1.
     """
-    x, w = _gauss_nodes(quad_order or max(2 * n_trunc, 64))
+    quad_order = max(2 * n_trunc, 64) if quad_order is None else quad_order
+    for name, v in (("n_trunc", n_trunc), ("quad_order", quad_order)):
+        if v < 1:
+            raise ValueError(f"project: {name}={v} must be >= 1")
+    x, w = _gauss_nodes(quad_order)
     weighted = w * phi(x)
     norm = np.sqrt(np.arange(n_trunc) + 0.5)
     out = np.empty(n_trunc)

@@ -1,8 +1,8 @@
 """Special functions: the dispersion functions kappa(k) and g(k), the
 shifted kinetic function G and its inverse, and the beta-type phase
 integral.  The quadrature helpers shared by the other modules live here:
-Gauss nodes, Clenshaw's recurrence, and _abel_blocks, the one rule for the
-kernel 1/sqrt|cosh t - cosh x| of Mehler's integral (the conical Legendre
+Gauss nodes and _abel_blocks, the one rule for the kernel
+1/sqrt|cosh t - cosh x| of Mehler's integral (the conical Legendre
 functions of module exact) and of both Abel transforms.
 
 Digamma (psi), the incomplete beta function and the logistic map come from
@@ -148,57 +148,6 @@ def _abel_blocks(x: np.ndarray, end: float, panels, cells: int = 1):
             w *= width * nodes_wz
             w /= root
             yield rows, shift(xr, ww, out=ww), w
-
-
-def _abel_transform(u, s: np.ndarray, s_max: float):
-    """(A, F(s_max)): A(s_j) = integral_{s_j}^s_max F(t) dt/sqrt(cosh t - cosh s_j)
-    by _abel_blocks, _ABEL_PANELS panels per row, F(t) = u(sech^2(t/2)) sinh t,
-    at nodes s_j <= s_max.
-
-    u takes a 1-d array and is called on at most _BLOCK_CELLS nodes at a
-    time, t = s_max appended: F(s_max) measures what the cut leaves out.
-    Each A(s_j) is summed on its own row, so no block changes a bit of it.
-    """
-    a = np.zeros(s.size)
-    inner = np.flatnonzero(s < s_max)  # A(s_max) = 0
-    for rows, t, weight in _abel_blocks(s[inner], s_max, _ABEL_PANELS):
-        t = np.append(t, s_max)  # flat, F(s_max) last
-        f = np.append(weight, 1.0) * np.sinh(t) * u(np.cosh(0.5 * t) ** -2.0)
-        a[inner[rows]] = np.sum(f[:-1].reshape(weight.shape), axis=1)
-    return a, float(f[-1])
-
-
-def _clenshaw(a: np.ndarray, two_cos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(b_1, b_2) of Clenshaw's recurrence b_m = a_m + two_cos b_(m+1) - b_(m+2).
-
-    For F_m = cos(phi + m theta) and two_cos = 2 cos theta, the series
-    sum_m a_m F_m is F_0 (a_0 - b_2) + F_1 b_1; one cosine per node serves
-    every term.
-    """
-    b1, b2 = np.zeros_like(two_cos), np.zeros_like(two_cos)
-    for am in a[:0:-1]:
-        b1, b2 = am + two_cos * b1 - b2, b1
-    return b1, b2
-
-
-def _simpson_weights(n: int) -> np.ndarray:
-    """Weights of Simpson's rule on n >= 2 uniform points, in units of h/3.
-
-    Odd n: [1, 4, 2, ..., 2, 4, 1].  Even n: that rule on the first n - 1
-    points plus (-1, 8, 5)/4 on the last three (the parabola through them,
-    integrated over the last interval), as scipy.integrate.simpson does;
-    n = 2 is the trapezoid.
-    """
-    if n == 2:
-        return np.array([1.5, 1.5])
-    m = n - 1 + n % 2
-    w = np.zeros(n)
-    w[:m] = 2.0
-    w[1:m:2] = 4.0
-    w[[0, m - 1]] = 1.0
-    if m < n:
-        w[-3:] += np.array([-0.25, 2.0, 1.25])
-    return w
 
 
 def _check_finite(where: str, **named) -> None:

@@ -17,7 +17,6 @@ from kab.evolution import (
     _abel_fourier_step,
     _abel_grid,
     _abel_plan,
-    _k01_product,
     _krylov_exp,
     _state_coeffs,
     default_xi_grid,
@@ -26,14 +25,12 @@ from kab.evolution import (
     mm_rhs,
     state_interpolant,
 )
-from kab.exact import mm_eigenfunction
-from kab.operators import galerkin_matrix, harmonic, project, OperatorParams
+from kab.exact import _abel_transform, _clenshaw, mm_eigenfunction
+from kab.operators import _k01_product, galerkin_matrix, harmonic, project, OperatorParams
 from kab.specfun import (
     _ABEL_PANELS,
     CONSTANTS,
     _abel_blocks,
-    _abel_transform,
-    _clenshaw,
     lipatov_kappa,
 )
 from tests.conftest import traced_peak

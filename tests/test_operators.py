@@ -21,6 +21,7 @@ from scipy.sparse.linalg import eigsh as sparse_eigsh
 from kab.operators import (
     OperatorParams,
     UGrid,
+    _galerkin_diagonal,
     apply_k_pointwise,
     galerkin_matrix,
     galerkin_spectrum,
@@ -74,13 +75,19 @@ class TestHarmonic:
     def test_recurrence(self, n):
         assert harmonic(n) == pytest.approx(harmonic(n - 1) + 1.0 / n, abs=1e-14)
 
-    def test_running_sum_matches_scalar(self):
-        # the running sum behind the Galerkin diagonal against the fsum
-        # reference, at A-3's 1e-12; its rounding grows like n eps h_n at worst
+    def test_digamma_matches_scalar(self):
+        # psi(n + 1) + gamma_E, behind the Galerkin diagonal, against the fsum
+        # reference, at A-3's 1e-12
         assert harmonic_numbers(1).tolist() == [0.0]
         n = 2048
         ref = np.array([harmonic(k) for k in range(n)])
         assert np.max(np.abs(harmonic_numbers(n) - ref)) < 1e-12
+
+    def test_negative_count_refused(self):
+        # a negative count returned an empty array
+        with pytest.raises(ValueError, match=r"harmonic_numbers: n=-1 must be >= 0"):
+            harmonic_numbers(-1)
+        assert harmonic_numbers(0).size == 0
 
 
 class TestMonomialAction:
@@ -166,20 +173,13 @@ class TestLogMatrix:
 
 def _whole_array_galerkin(params, n):
     """galerkin_matrix by whole-matrix operations, in the order the row
-    blocks apply them: the reference for the blocked build."""
+    blocks apply them: the reference for the blocked build.  The diagonal is
+    _galerkin_diagonal's, checked against mpmath on its own."""
     idx = np.arange(n, dtype=float)
     mat = np.abs(np.subtract.outer(idx, idx))
     mat *= np.add.outer(idx, idx + 1.0)
     np.fill_diagonal(mat, 1.0)
     np.divide(-2.0, mat, out=mat)
-    diag = np.empty(n)
-    diag[0] = 2.0 * LOG2 - 2.0
-    for k in range(1, n):
-        diag[k] = (
-            (2 * k - 1) / (2 * k + 1) * (-(k + 1) / (2 * k + 1) + k * diag[k - 1])
-            + (k - 1) / (2 * k - 1)
-        ) / k
-    np.fill_diagonal(mat, diag)
     mat *= np.outer(np.sqrt(idx + 0.5), np.sqrt(idx + 0.5))
     w_plus, w_minus = 1.0 - params.alpha, 1.0 - params.beta
     even, odd = w_plus + w_minus, w_minus - w_plus
@@ -187,7 +187,7 @@ def _whole_array_galerkin(params, n):
     for rows, cols, w in ((s0, s0, even), (s1, s1, even), (s0, s1, odd), (s1, s0, odd)):
         if w != 1.0:
             mat[rows, cols] *= w
-    mat[np.diag_indices(n)] += 2.0 * harmonic_numbers(n)
+    np.fill_diagonal(mat, _galerkin_diagonal(params, n))
     return mat
 
 
@@ -214,20 +214,52 @@ class TestGalerkin:
         mat, peak = traced_peak(galerkin_matrix, OperatorParams(0.77, 1.38), 1920)
         assert peak <= mat.nbytes + 2 * 2**20
 
-    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("n", [1, 8, 64])
     def test_overflow_named(self, n):
-        # an entry that overflows is refused per block, by the caller's name
+        # an entry that overflows is refused per block, by the caller's name;
+        # at n = 1 the matrix is the closed-form diagonal alone
         named = r": the matrix overflows at alpha=1e\+308, beta=1e\+308"
         with pytest.raises(ValueError, match="galerkin_matrix" + named):
             galerkin_matrix(OperatorParams(1e308, 1e308), n)
-        with pytest.raises(ValueError, match="galerkin_spectrum" + named):
-            galerkin_spectrum.__wrapped__(1e308, 1e308, 1, n)
+        if n % 8 == 0:
+            with pytest.raises(ValueError, match="galerkin_spectrum" + named):
+                galerkin_spectrum.__wrapped__(1e308, 1e308, 1, n)
 
     def test_k11_diagonal_harmonic(self):
         # A-3: the (1,1) matrix is diagonal with entries 2 h_n
         mat = galerkin_matrix(OperatorParams(1.0, 1.0), 64)
         target = np.diag([2.0 * harmonic(n) for n in range(64)])
         assert np.max(np.abs(mat - target)) < 1e-12
+
+    def test_k11_diagonal_to_rounding_at_4096(self):
+        # psi(n + 1) + gamma_E is within 2 ulps of h_n at every n < 4096 (a
+        # running sum of 1/k drifts to 24 ulps, 8.6e-14, of 2 h_n)
+        mat = galerkin_matrix(OperatorParams(1.0, 1.0), 4096)
+        diag = np.diag(mat).copy()
+        assert not np.any(mat - np.diag(diag))
+        ref = 2.0 * np.array([harmonic(n) for n in range(4096)])
+        assert np.all(np.abs(diag - ref) <= 4.0 * np.spacing(ref))
+
+    @pytest.mark.parametrize(
+        "alpha,beta", [(0.0, 1.0), (1.0, 1.0), (2.0, 2.0), (0.7, 1.9), (2.9, 2.95), (0.0, 0.0)]
+    )
+    def test_diagonal_matches_mpmath(self, alpha, beta):
+        # D_n = 2 h_n + (2 - a - b)(log 2 - 2 (h_{2n+1} - h_n) + 1/(2n + 1)) in
+        # 30 digits; each h carries up to 2 ulps of rounding, so D is within a
+        # few ulps of the scale of its terms (under 6 at every n < 8192 tried)
+        import mpmath as mp
+
+        eps = np.finfo(float).eps
+        ns = sorted({0, 1, 2, 10, 1000, 4095, 8191} | set(range(3, 8192, 97)))
+        got = _galerkin_diagonal(OperatorParams(alpha, beta), 8192)
+        weight = (1 - mp.mpf(alpha)) + (1 - mp.mpf(beta))
+        with mp.workdps(30):
+            for n in ns:
+                h = mp.harmonic(n)
+                log_part = mp.log(2) - 2 * (mp.harmonic(2 * n + 1) - h) + mp.mpf(1) / (2 * n + 1)
+                scale = max(1.0, float(2 * h + abs(weight * log_part)))
+                err = abs(mp.mpf(float(got[n])) - (2 * h + weight * log_part))
+                assert err <= 8.0 * eps * scale, n
 
     @pytest.mark.parametrize("alpha,beta", [(0.7, 1.9), (0.0, 1.0), (2.0, 2.0)])
     @pytest.mark.parametrize("n", [96, 97])
@@ -763,8 +795,9 @@ class TestProjectSynthesize:
         # numpy's legval (Clenshaw's recurrence) is the oracle, on the columns
         # evolve_matrix sums: each profile evolved at sizes N (zero-padded)
         # and 2N, on A-8's grids; worst 4.6e-14 of the largest value
-        from kab.evolution import EvolutionState, _k01_product, _krylov_exp, _state_coeffs
+        from kab.evolution import EvolutionState, _krylov_exp, _state_coeffs
         from kab.evolution import default_xi_grid
+        from kab.operators import _k01_product
 
         xi = default_xi_grid(n_points)
         x = 2.0 * xi - 1.0
@@ -778,6 +811,21 @@ class TestProjectSynthesize:
                 got = synthesize(cols, x)
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
                 assert np.array_equal(got[0], synthesize(cols[:n_trunc, 0], x))
+
+    @pytest.mark.parametrize("coeffs", [np.zeros(0), np.zeros((0, 2)), np.float64(1.0)])
+    def test_no_coefficient_refused(self, coeffs):
+        # an empty first axis failed in a reshape; a scalar has none
+        with pytest.raises(ValueError, match=r"synthesize: coeffs has no first-axis coefficient, shape \("):
+            synthesize(coeffs, [0.1, 0.2])
+
+    def test_negative_n_trunc_refused(self):
+        with pytest.raises(ValueError, match=r"project: n_trunc=-1 must be >= 1"):
+            project(np.cos, -1)
+
+    def test_zero_quad_order_refused(self):
+        # quad_order=0 fell back to the default rule
+        with pytest.raises(ValueError, match=r"project: quad_order=0 must be >= 1"):
+            project(np.cos, 4, quad_order=0)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 17, 64])
     def test_random_coefficients_match_legval(self, rng, n):

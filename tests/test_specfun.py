@@ -20,14 +20,13 @@ from kab.specfun import (
     _check_positive,
     _gauss_nodes,
     _illinois,
-    _simpson_weights,
     big_g,
     big_g_inverse,
     g_dispersion,
     lipatov_kappa,
     phase_integral,
 )
-from kab.exact import conical_legendre_grid
+from kab.exact import _simpson_weights, conical_legendre_grid
 from tests.conftest import traced_peak
 
 mp.mp.dps = 30
