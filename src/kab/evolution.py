@@ -6,7 +6,7 @@ d phi / d tau = -K_{01} phi.  (Direct algebra on the integral equation gives
 d u/d tau = -xi (K_{01} - log 2) phi, fixing the sign of the exponent; the
 u = xi test profile, where the right-hand side is -xi log xi, confirms it.)
 The matrix backend exponentiates the truncated Galerkin operator by Lanczos,
-applying it by FFT (operators._k01_product), so no matrix is formed.
+applying it by FFT (operators._galerkin_product), so no matrix is formed.
 The spectral backend evolves each Mehler-Fock mode of u at the rate
 exp(-kappa(k) tau) without forming a conical function: Mehler's integral
 factors the transform into an Abel transform followed by a cosine transform
@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .operators import _k01_product, project, synthesize
+from .operators import OperatorParams, _galerkin_product, project, synthesize
 from .specfun import (
     _ABEL_PANELS,
     _ABEL_S_MAX,
@@ -290,7 +290,7 @@ _KRYLOV_BLOCK = 16
 
 def _krylov_exp(product, v: np.ndarray, dtau: float) -> np.ndarray:
     """exp(-dtau K) v by the Lanczos approximation, for the symmetric K of
-    size n = v.size applied by product (_k01_product(n)).
+    size n = v.size applied by product (_galerkin_product).
 
     With V_m the orthonormal Krylov basis started from v/|v| and T_m = V_m' K
     V_m tridiagonal, exp(-dtau K) v ~ |v| V_m exp(-dtau T_m) e_1
@@ -356,7 +356,7 @@ def evolve_matrix(
     points, so phi has degree points - 1, only its first points coefficients
     are nonzero, and their integrands, of degree <= 2 points - 2, are exact
     on the points-node rule.  No K_{01} matrix is formed: its product at
-    sizes n_trunc and 2 n_trunc is applied by FFT (operators._k01_product,
+    sizes n_trunc and 2 n_trunc is applied by FFT (operators._galerkin_product,
     O(n log^2 n) time and O(n log n) memory), from plans that depend on
     neither tau nor the profile and are cached.  Both steps are summed on the grid together (synthesize
     on two columns).
@@ -376,7 +376,8 @@ def evolve_matrix(
         # sums by degree in order, so the padding leaves the size-N sum's bits)
         evolved = np.zeros((2 * n_trunc, 2))
         for col, n in enumerate((n_trunc, 2 * n_trunc)):
-            evolved[:n, col] = _krylov_exp(_k01_product(n), coeffs[:n], dtau)
+            product = _galerkin_product(OperatorParams(0.0, 1.0), n)
+            evolved[:n, col] = _krylov_exp(product, coeffs[:n], dtau)
         xi = state.xi_grid
         u_coarse, u_fine = xi * synthesize(evolved, 2.0 * xi - 1.0)
         err = growth * float(np.max(np.abs(u_fine - u_coarse)))

@@ -8,13 +8,17 @@ is applied matrix-free by real FFT; its lowest states come from Lanczos on
 the folded operator T_2((H - c)/e) = 2 ((H - c)/e)^2 - 1, two FFT products
 a step, which puts them at its largest eigenvalues and the rest of the grid
 spectrum in [-1, 1], with a basis of max(20, 3 n_eigs - 2) vectors.  The
-Galerkin spectrum is a Richardson extrapolation of dense solves at sizes
-N/8, N/4, N/2 and N, where each truncation is the leading block of the
-next; only the lower triangle of the N/2 and the N matrix is built, in
-place and in Fortran order, one after the other, so a solve holds one
-N x N array; the spread of successive extrapolations is its error
-estimate.  The matrix's diagonal (_galerkin_diagonal, closed form) also
-serves the evolution's K_{01} product by FFT (_k01_product).
+Galerkin spectrum is a Richardson extrapolation of solves at sizes N/8, N/4,
+N/2 and N, where each truncation is the leading block of the next; the
+spread of successive extrapolations is its error estimate.  The coarse
+sizes are dense: only the lower triangle of each is built, in place and in
+Fortran order, in one N/2 x N/2 buffer.  The top size is found by Lanczos
+on K - s (s a Gershgorin bound) applied by FFT (_galerkin_product), so a
+solve holds no N x N array; above 10 (N // 1024)^2 states, where Lanczos
+is slower, it is dense too.  The product splits the log part into a Cauchy
+matrix applied by Toeplitz and Hankel FFTs (_cauchy_product), shared by
+the Galerkin spectrum and the evolution's K_{01}; the diagonal
+(_galerkin_diagonal, closed form) serves it and the dense fill.
 """
 from __future__ import annotations
 
@@ -219,36 +223,32 @@ def galerkin_matrix(params: OperatorParams, n_trunc: int) -> np.ndarray:
     return mat
 
 
-#: rows of the dense leaves that finish the halving of _k01_product: the
-#: leaves hold _LEAF doubles per row, 1 MB at the largest size 2N = 8192
-_LEAF = 16
+#: rows of the dense leaves that finish the halving of _cauchy_product: the
+#: leaves hold _LEAF doubles per row, 2 MB at the largest size 2N = 8192;
+#: at 16 rows a K_01 product took 10-15% longer, with one halving more
+_LEAF = 32
 
 
 @lru_cache(maxsize=2)
-def _k01_product(n: int):
-    """The product v -> K_{01} v at size n, by FFT, without the matrix.
+def _cauchy_product(n: int):
+    """The product y -> (2k + 1)(C y)_k along the last axis of y, by FFT,
+    for the n x n Cauchy matrix C_km = 1/|k(k + 1) - m(m + 1)|, zero on the
+    diagonal.
 
-    At (alpha, beta) = (0, 1) the Galerkin matrix (_galerkin_fill) is
-    diag(D_n) - 2 S C S, with D_n from _galerkin_diagonal, S = diag((-1)^n
-    sqrt(n + 1/2)) and C_nm = 1/(|n - m| (n + m + 1)), zero on the diagonal.
-    (n - m)(n + m + 1) = n(n + 1) - m(m + 1), so C is a Cauchy matrix, and
-    1/|n - m| + 1/(n + m + 1) = (2 max(n, m) + 1) C_nm splits it into
-    Toeplitz and Hankel parts (Townsend, Webb & Olver, Math. Comp. 87, 2018):
-      (2n + 1)(C y)_n = (T y)_n + 2 (L y)_n - (H y)_n + y_n/(2n + 1),
-    T the Toeplitz matrix 1/|n - m| with a zero diagonal, H the Hankel matrix
-    1/(n + m + 1) and L its part below the diagonal.  T y - H y is one real
+    k(k + 1) - m(m + 1) = (k - m)(k + m + 1), and 1/|k - m| + 1/(k + m + 1)
+    = (2 max(k, m) + 1) C_km splits C into Toeplitz and Hankel parts
+    (Townsend, Webb & Olver, Math. Comp. 87, 2018):
+      (2k + 1)(C y)_k = (T y)_k + 2 (L y)_k - (H y)_k + y_k/(2k + 1),
+    T the Toeplitz matrix 1/|k - m| with a zero diagonal, H the Hankel matrix
+    1/(k + m + 1) and L its part below the diagonal.  T y - H y is one real
     FFT pair of length 2n; H y is a correlation, on conj(rfft y).  L y comes
     by halving: on each range [lo, lo + 2s) the rows lo + s.. against the
     columns lo.. form a full Hankel block, the blocks of one level go
-    through one batched FFT pair, and dense leaves of _LEAF rows finish.
+    through one batched FFT pair, and dense leaves of _LEAF rows finish, by
+    einsum (no BLAS).  Leading axes of y are batched through every FFT.
     The plan holds the kernels' FFTs and the leaves, O(n log n) doubles.
     """
-    idx = np.arange(n, dtype=float)
-    norm = np.sqrt(idx + 0.5)
-    diag = _galerkin_diagonal(OperatorParams(0.0, 1.0), n)
-    odd = 2.0 * idx + 1.0
-    sign = np.where(idx % 2, -norm, norm)
-    scale = -2.0 * sign / odd
+    odd = 2.0 * np.arange(n, dtype=float) + 1.0
     p = 2 * n
     toeplitz = np.zeros(p)
     toeplitz[1:n] = 1.0 / np.arange(1.0, n)
@@ -270,19 +270,48 @@ def _k01_product(n: int):
     np.reciprocal(leaves, out=leaves)
     leaves *= np.tri(_LEAF, k=-1)
 
-    def product(v):
-        y = sign * v
+    def product(y):
+        lead = y.shape[:-1]
         y_hat = np.fft.rfft(y, p)
-        acc = np.fft.irfft(t_hat * y_hat - h_hat * y_hat.conj(), p)[:n]
-        ypad = np.zeros(n_pad)
-        ypad[:n] = y
-        lower = (leaves @ ypad.reshape(-1, _LEAF, 1)).ravel()
+        acc = np.fft.irfft(t_hat * y_hat - h_hat * y_hat.conj(), p)[..., :n]
+        ypad = np.zeros(lead + (n_pad,))
+        ypad[..., :n] = y
+        blocks = ypad.reshape(lead + (n_pad // _LEAF, _LEAF))
+        lower = np.einsum("bij,...bj->...bi", leaves, blocks).reshape(lead + (n_pad,))
         for s, g_hat in levels:
-            block = np.fft.rfft(ypad.reshape(-1, 2 * s)[:, :s], 2 * s, axis=1)
-            corr = np.fft.irfft(g_hat * block.conj(), 2 * s, axis=1)
-            lower.reshape(-1, 2 * s)[:, s:] += corr[:, :s]
-        acc += 2.0 * lower[:n] + y / odd
-        return diag * v + scale * acc
+            halves = lead + (n_pad // (2 * s), 2 * s)
+            block = np.fft.rfft(ypad.reshape(halves)[..., :s], 2 * s)
+            corr = np.fft.irfft(g_hat * block.conj(), 2 * s)
+            lower.reshape(halves)[..., s:] += corr[..., :s]
+        acc += 2.0 * lower[..., :n] + y / odd
+        return acc
+
+    return product
+
+
+def _galerkin_product(params: OperatorParams, n: int):
+    """The product v -> K v of galerkin_matrix(params, n) along the last
+    axis of v, by FFT, without the matrix.
+
+    Off its diagonal D (_galerkin_diagonal) the matrix (_galerkin_fill) is
+    -2 S (w- C + w+ P C P) S, with S = diag(sqrt(k + 1/2)), P =
+    diag((-1)^k), w+ = 1 - alpha, w- = 1 - beta and C the Cauchy matrix of
+    _cauchy_product.  C goes over the rows P S v and S v whose weight is
+    not zero in one batched pass: K_01 takes one row, K_11 none.
+    """
+    idx = np.arange(n, dtype=float)
+    norm = np.sqrt(idx + 0.5)
+    odd = 2.0 * idx + 1.0
+    sign = np.where(idx % 2, -norm, norm)
+    diag = _galerkin_diagonal(params, n)
+    weighted = [(w, s) for w, s in ((1.0 - params.alpha, sign), (1.0 - params.beta, norm))
+                if w != 0.0]
+    rows = np.array([s for _, s in weighted]).reshape(-1, n)
+    scale = np.array([-2.0 * w * s / odd for w, s in weighted]).reshape(-1, n)
+    cauchy = _cauchy_product(n)
+
+    def product(v):
+        return diag * v + np.einsum("rk,...rk->...k", scale, cauchy(v[..., None, :] * rows))
 
     return product
 
@@ -445,6 +474,81 @@ def project(phi, n_trunc: int, quad_order: int | None = None) -> np.ndarray:
     return out
 
 
+def _rayleigh_checked(rows, vecs, where):
+    """(values ascending, vectors in that order) of the eigenpairs in the
+    columns of vecs, given rows, whose row j is the operator times column j
+    (rows is overwritten).
+
+    The values are the Rayleigh quotients v^T A v.  Each pair must satisfy
+    ||A v - lam v|| <= 1e-8 max(1, max |lam|), the norm taken on the row
+    scaled by its largest modulus so that no square overflows; a pair that
+    fails, NaN included, raises RuntimeError starting with where.  Every sum
+    runs along rows in numpy's own loops, without BLAS.
+    """
+    vals = np.sum(rows * vecs.T, axis=1)
+    rows -= (vecs * vals).T
+    big = np.max(np.abs(rows), axis=1)
+    resid = big * np.linalg.norm(rows / np.where(big > 0.0, big, 1.0)[:, None], axis=1)
+    scale = max(1.0, float(np.max(np.abs(vals))))
+    if not np.all(resid <= 1e-8 * scale):  # a NaN fails too
+        raise RuntimeError(f"{where}: eigenpair residual {resid.max():.3e} exceeds tolerance")
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
+
+
+def _galerkin_lanczos(params: OperatorParams, n_eigs: int, n: int, coarse: np.ndarray):
+    """Lowest n_eigs eigenvalues of galerkin_matrix(params, n), ascending,
+    by Lanczos on its FFT product (_galerkin_product), with no n x n array.
+
+    ARPACK (which="SA", tol=0) runs on K - s, from a fixed generic start
+    (a symmetric one would miss the odd states when alpha = beta), with
+    s = min(D_k - r_k) - 1 and r_k = 2 (|1 - a| + |1 - b|) sqrt(k + 1/2)
+    (C S 1)_k, a Gershgorin bound on row k's off-diagonal sum (S =
+    diag(sqrt(k + 1/2)); C >= 0, so one product of C gives every r_k).
+    Every level of K - s then lies at 1 or above, where ARPACK's relative
+    test converges: unshifted, the (1, 1) matrix diag(2 h_k) loses its
+    level 0.  The basis holds min(n, max(20, 3 n_eigs - 2)) vectors.  The
+    values are the Rayleigh quotients, under _rayleigh_checked's gate; each
+    must also lie at or below the same level of coarse, the spectrum of the
+    leading n/2 block (Cauchy interlacing), beyond rounding, or a state was
+    missed.  A failure, or an ARPACK error, raises RuntimeError naming
+    alpha, beta and n.
+    """
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+    where = f"galerkin_spectrum: at alpha={params.alpha}, beta={params.beta}, n_trunc={n}"
+    product = _galerkin_product(params, n)
+    idx = np.arange(n, dtype=float)
+    norm = np.sqrt(idx + 0.5)
+    weight = abs(1.0 - params.alpha) + abs(1.0 - params.beta)
+    radii = 2.0 * weight * norm * _cauchy_product(n)(norm) / (2.0 * idx + 1.0)
+    shift = float(np.min(_galerkin_diagonal(params, n) - radii)) - 1.0
+
+    def shifted(x):
+        x = np.ravel(x)  # LinearOperator hands over (n,) or (n, 1)
+        return product(x) - shift * x
+
+    op = LinearOperator((n, n), matvec=shifted, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        _, vecs = eigsh(op, k=n_eigs, ncv=min(n, max(20, 3 * n_eigs - 2)), which="SA",
+                        tol=0, v0=v0)
+    except ArpackError as exc:
+        raise RuntimeError(f"{where}: {exc}") from exc
+    vals, _ = _rayleigh_checked(product(vecs.T), vecs, where)
+    missed = np.flatnonzero(vals > coarse + 1e-12 * np.maximum(1.0, np.abs(coarse)))
+    if missed.size:
+        j = missed[0]
+        raise RuntimeError(f"{where}: level {j} at {vals[j]:.15e} lies above level {j} of "
+                           f"the size-{n // 2} matrix, {coarse[j]:.15e}: a state was missed")
+    return vals
+
+
+#: the top size N runs Lanczos for n_eigs <= _LANCZOS_STATES (N // 1024)^2
+#: states and dense eigh for more (the crossover in galerkin_spectrum)
+_LANCZOS_STATES = 10
+
+
 @lru_cache(maxsize=32)
 def galerkin_spectrum(
     alpha: float,
@@ -457,15 +561,25 @@ def galerkin_spectrum(
     The |log(1 -+ x)|^d endpoint factors of the eigenfunctions make the
     truncation error fall like m^-2 in the size m, so the fixed-order
     Richardson step R(m, 2m) = (4 lam_2m - lam_m)/3 removes its leading term.
-    Dense solves at the sizes N/8, N/4, N/2 and N give three neighbouring R;
-    the two smallest are leading blocks of the N/2 matrix, which is dropped
-    before the N matrix is built, so the peak is one N x N array and a few
-    blocks of _BLOCK_CELLS cells.  Returns (R(N/2, N), per-state error
-    estimates max(|R(N/2, N) - R(N/4, N/2)|, |R(N/4, N/2) - R(N/8, N/4)|/4));
-    the second term covers a state whose successive R cross.  N = n_trunc is
-    a multiple of 8 in [8, 4096] and 1 <= n_eigs <= N/8.  Raises ValueError
+    Solves at the sizes N/8, N/4, N/2 and N give three neighbouring R.  The
+    coarse sizes are dense eigh, each matrix written in turn into the head
+    of one buffer of N/2 x N/2 doubles and solved there in place.  The top
+    size runs Lanczos on the FFT product (_galerkin_lanczos), with no
+    N x N array, for n_eigs <= 10 (N // 1024)^2, and dense eigh in one
+    N x N buffer for more states, where Lanczos loses.  On a 2-core
+    machine a whole solve of 10 states at (0.7, 1.9) took 0.07, 0.18 and
+    0.75 s at N = 1024, 2048 and 4096 against 0.08, 0.52 and 4.3-4.9 s
+    all dense; but 0.43 against 0.17 s for 64 states at N = 1024 and 7.5
+    against 5.3 s for 256 at N = 4096.  With Lanczos the traced peak is
+    3.2, 9.2 and 33.2 MiB at N = 1024, 2048 and 4096, where the dense top
+    size took 9.2, 33.2 and 129.3 MiB.
+    Returns (R(N/2, N), per-state error estimates
+    max(|R(N/2, N) - R(N/4, N/2)|, |R(N/4, N/2) - R(N/8, N/4)|/4)); the
+    second term covers a state whose successive R cross.  N = n_trunc is a
+    multiple of 8 in [8, 4096] and 1 <= n_eigs <= N/8.  Raises ValueError
     when the spectrum is continuous, as the pseudospectral backend does, and
-    when alpha or beta is so large that a matrix entry overflows.
+    when alpha or beta is so large that a matrix entry overflows, and
+    RuntimeError when the Lanczos solve fails its checks.
     """
     params = OperatorParams(alpha, beta)
     params.require_discrete("galerkin_spectrum")
@@ -480,19 +594,20 @@ def galerkin_spectrum(
         )
     from scipy import linalg
 
-    def lowest(mat, overwrite):
-        return linalg.eigh(mat, eigvals_only=True, subset_by_index=[0, n_eigs - 1],
-                           overwrite_a=overwrite, check_finite=False)
-
-    def solved(size, coarse=()):
-        # eigh reads the lower triangle in Fortran order, which _galerkin_fill
-        # writes and checks; the coarse leading blocks are copied, the whole
-        # matrix is solved in place, and it is dropped on return
-        mat = np.empty((size, size), order="F")
+    lanczos = n_eigs <= _LANCZOS_STATES * (n_trunc // 1024) ** 2
+    sizes = [n_trunc // 8, n_trunc // 4, n_trunc // 2] + ([] if lanczos else [n_trunc])
+    # eigh reads the lower triangle in Fortran order, which _galerkin_fill
+    # writes and checks; no leading block is copied
+    buf = np.empty(sizes[-1] ** 2)
+    lam = []
+    for m in sizes:
+        mat = buf[: m * m].reshape(m, m, order="F")
         _galerkin_fill(params, mat, "galerkin_spectrum")
-        return [lowest(mat[:m, :m], False) for m in coarse] + [lowest(mat, True)]
-
-    lam = solved(n_trunc // 2, (n_trunc // 8, n_trunc // 4)) + solved(n_trunc)
+        lam.append(linalg.eigh(mat, eigvals_only=True, subset_by_index=[0, n_eigs - 1],
+                               overwrite_a=True, check_finite=False))
+    del buf, mat
+    if lanczos:
+        lam.append(_galerkin_lanczos(params, n_eigs, n_trunc, lam[-1]))
     r1, r2, r3 = ((4.0 * fine - coarse) / 3.0 for coarse, fine in zip(lam, lam[1:]))
     est = np.maximum(np.abs(r3 - r2), 0.25 * np.abs(r2 - r1))
     return tuple(map(float, r3)), tuple(map(float, est))
@@ -528,9 +643,8 @@ def _pseudospectral_solve(
     step, a solve that does not converge makes no more of them than
     ARPACK's default of 10 M restarts would on H itself.
 
-    The eigenvalues are the Rayleigh quotients v^T H v.  Each pair must
-    satisfy ||H v - lam v|| <= 1e-8 max(1, max |lam|), the norm taken on
-    the row scaled by its largest modulus so that no square overflows, and
+    The eigenvalues are the Rayleigh quotients v^T H v under
+    _rayleigh_checked's residual gate, which galerkin_spectrum shares, and
     the top level must lie below cut; a failed check, an ARPACK error or a
     product of H that overflows raises RuntimeError naming alpha, beta,
     u_max and m_points.
@@ -582,15 +696,7 @@ def _pseudospectral_solve(
     except FloatingPointError as exc:
         raise RuntimeError(f"{where}: a product of H overflows a double (its grid "
                            f"spectrum reaches {top:.3e})") from exc
-    vals = np.sum(rows * vecs.T, axis=1)
-    rows -= (vecs * vals).T
-    big = np.max(np.abs(rows), axis=1)
-    resid = big * np.linalg.norm(rows / np.where(big > 0.0, big, 1.0)[:, None], axis=1)
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if not np.all(resid <= 1e-8 * scale):  # a NaN fails too
-        raise RuntimeError(f"{where}: eigenpair residual {resid.max():.3e} exceeds tolerance")
+    vals, vecs = _rayleigh_checked(rows, vecs, where)
     if not vals[-1] < cut:
         raise RuntimeError(f"{where}: level {n_eigs} at {vals[-1]:.6e} is not below the "
                            f"bound {cut:.6e} that it must lie under")

@@ -26,7 +26,14 @@ from kab.evolution import (
     state_interpolant,
 )
 from kab.exact import _abel_transform, _clenshaw, mm_eigenfunction
-from kab.operators import _k01_product, galerkin_matrix, harmonic, project, OperatorParams
+from kab.operators import (
+    OperatorParams,
+    _cauchy_product,
+    _galerkin_product,
+    galerkin_matrix,
+    harmonic,
+    project,
+)
 from kab.specfun import (
     _ABEL_PANELS,
     CONSTANTS,
@@ -36,6 +43,7 @@ from kab.specfun import (
 from tests.conftest import traced_peak
 
 LOG2 = CONSTANTS.log2
+K01 = OperatorParams(0.0, 1.0)
 
 WINDOW = slice(None)  # refined per test via masks on xi in [0.05, 0.95]
 
@@ -345,7 +353,7 @@ class TestK01Product:
         # mode is populated, with sizes spread over four decades
         x = np.random.default_rng(n).standard_normal(n) * np.logspace(0, -4, n)
         ref = galerkin_matrix(OperatorParams(0.0, 1.0), n) @ x
-        out = _k01_product(n)(x)
+        out = _galerkin_product(K01, n)(x)
         assert np.linalg.norm(out - ref) <= 1e-14 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("n", [1, 7, 960])
@@ -353,7 +361,7 @@ class TestK01Product:
         # the size-N step applies the leading N x N block of the size-2N matrix
         x = np.random.default_rng(n).standard_normal(n)
         ref = galerkin_matrix(OperatorParams(0.0, 1.0), 2 * n)[:n, :n] @ x
-        out = _k01_product(n)(x)
+        out = _galerkin_product(K01, n)(x)
         assert np.linalg.norm(out - ref) <= 1e-14 * np.linalg.norm(ref)
 
     def test_memory_bounded(self):
@@ -361,7 +369,9 @@ class TestK01Product:
         # plan and one product stay within 4 MB, where the packed matrix
         # took 268 MB
         x = np.ones(8192)
-        _, peak = traced_peak(lambda: _k01_product.__wrapped__(8192)(x))
+        _cauchy_product.cache_clear()
+        _, peak = traced_peak(lambda: _galerkin_product(K01, 8192)(x))
+        _cauchy_product.cache_clear()
         assert peak <= 4 * 2**20
 
 
@@ -371,7 +381,7 @@ class TestKrylovExp:
         # exp(-tau K) c from the full eigendecomposition of the dense K; both
         # sides carry rounding of order tau |K| eps, 3e-13 at tau = 100
         lam, vec = np.linalg.eigh(galerkin_matrix(OperatorParams(0.0, 1.0), n))
-        product = _k01_product(n)
+        product = _galerkin_product(K01, n)
         c = _state_coeffs(make_state(smooth_profiles["xi-sq"]), n)
         for tau in (0.25, 1.0, 2.5, 10.0, 100.0):
             ref = vec @ (np.exp(-tau * lam) * (vec.T @ c))
@@ -379,7 +389,7 @@ class TestKrylovExp:
             assert err <= 1e-12 * np.max(np.abs(ref)), tau
 
     def test_zero_vector(self):
-        out = _krylov_exp(_k01_product(64), np.zeros(64), 1.0)
+        out = _krylov_exp(_galerkin_product(K01, 64), np.zeros(64), 1.0)
         assert np.array_equal(out, np.zeros(64))
 
     def test_exhausted_space_is_exact(self):
@@ -417,7 +427,7 @@ class TestKrylovExp:
         monkeypatch.setattr(kab.evolution, "_KRYLOV_MAX_STEPS", 3)
         c = _state_coeffs(make_state(lambda t: t * t * (1.0 - t)), 64)
         with pytest.raises(RuntimeError, match=r"dtau=1.*64"):
-            _krylov_exp(_k01_product(64), c, 1.0)
+            _krylov_exp(_galerkin_product(K01, 64), c, 1.0)
 
     def test_long_step_is_prompt(self, smooth_profiles):
         # the Lanczos cost stops growing with tau (41 steps at 2N = 1920 from
@@ -477,11 +487,11 @@ class TestMatrixBackend:
         # Each grows with the steps taken (7.1 MB at peak here), where one
         # reserved for 200 steps took 16.6 MB
         s = make_state(smooth_profiles["xi-sq"])
-        _k01_product.cache_clear()
+        _cauchy_product.cache_clear()
         start = time.perf_counter()
         evolve_matrix(s, 1.0, n_trunc=4096)
         elapsed = time.perf_counter() - start
-        _k01_product.cache_clear()
+        _cauchy_product.cache_clear()
         out, peak = traced_peak(evolve_matrix, s, 1.0, n_trunc=4096)
         assert elapsed < 1.0
         assert peak <= 10 * 2**20

@@ -22,6 +22,7 @@ from kab.operators import (
     OperatorParams,
     UGrid,
     _galerkin_diagonal,
+    _galerkin_product,
     apply_k_pointwise,
     galerkin_matrix,
     galerkin_spectrum,
@@ -225,6 +226,21 @@ class TestGalerkin:
             with pytest.raises(ValueError, match="galerkin_spectrum" + named):
                 galerkin_spectrum.__wrapped__(1e308, 1e308, 1, n)
 
+    @pytest.mark.parametrize(
+        "alpha,beta", [(1.0, 1.0), (0.0, 1.0), (2.0, 2.0), (0.7, 1.9), (1.0, 0.3), (2.9, 2.95)]
+    )
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    def test_product_matches_dense(self, alpha, beta, n):
+        # the FFT product against the dense matrix on a stack of three
+        # vectors, each row with the bits of its own product
+        p = OperatorParams(alpha, beta)
+        x = np.random.default_rng(n).standard_normal((3, n))
+        ref = x @ galerkin_matrix(p, n)  # the matrix is symmetric
+        out = _galerkin_product(p, n)(x)
+        err = np.linalg.norm(out - ref, axis=1)
+        assert np.all(err <= 1e-14 * np.linalg.norm(ref, axis=1))
+        assert np.array_equal(out[1], _galerkin_product(p, n)(x[1]))
+
     def test_k11_diagonal_harmonic(self):
         # A-3: the (1,1) matrix is diagonal with entries 2 h_n
         mat = galerkin_matrix(OperatorParams(1.0, 1.0), 64)
@@ -350,22 +366,72 @@ class TestGalerkinSpectrum:
         assert np.all(np.abs(np.array(vals) - r3) <= 1e-12 * scale)
         assert np.all(np.abs(np.array(est) - est_ref) <= 1e-12 * scale)
 
-    @pytest.mark.parametrize("alpha,beta", [(0.7, 1.9), (2.0, 2.0), (1.0, 1.0)])
-    @pytest.mark.parametrize("n_trunc", [8, 64, 1024])
-    def test_dense_blocks_bitwise(self, alpha, beta, n_trunc):
-        # the lower-triangle Fortran-order build gives the bits of eigh on
-        # the leading blocks of the full dense galerkin_matrix
-        n_eigs = min(10, n_trunc // 8)
-        mat = galerkin_matrix(OperatorParams(alpha, beta), n_trunc)
+    @staticmethod
+    def _dense_reference(mat, n_eigs, n_trunc):
+        """(R(N/2, N), estimates) from eigh on the leading blocks of mat."""
         lam = [
             linalg.eigh(mat[:m, :m], eigvals_only=True, subset_by_index=[0, n_eigs - 1])
             for m in (n_trunc // 8, n_trunc // 4, n_trunc // 2, n_trunc)
         ]
         r1, r2, r3 = ((4.0 * fine - coarse) / 3.0 for coarse, fine in zip(lam, lam[1:]))
-        est_ref = np.maximum(np.abs(r3 - r2), 0.25 * np.abs(r2 - r1))
+        return r3, np.maximum(np.abs(r3 - r2), 0.25 * np.abs(r2 - r1))
+
+    @pytest.mark.parametrize("alpha,beta", [(0.7, 1.9), (2.0, 2.0), (1.0, 1.0)])
+    @pytest.mark.parametrize("n_trunc", [8, 64, 1024])
+    def test_dense_blocks_bitwise(self, alpha, beta, n_trunc):
+        # where every size is dense (N < 1024, or N = 1024 and n_eigs > 10),
+        # each matrix written into the head of one buffer gives the bits of
+        # eigh on the leading blocks of the full dense galerkin_matrix; ten
+        # states at N = 1024 take Lanczos (test_lanczos_top_matches_dense)
+        n_eigs = min(10, n_trunc // 8) if n_trunc < 1024 else 16
+        mat = galerkin_matrix(OperatorParams(alpha, beta), n_trunc)
+        r3, est_ref = self._dense_reference(mat, n_eigs, n_trunc)
         vals, est = galerkin_spectrum.__wrapped__(alpha, beta, n_eigs, n_trunc)
         assert [v.hex() for v in vals] == [float(v).hex() for v in r3]
         assert [e.hex() for e in est] == [float(e).hex() for e in est_ref]
+
+    @pytest.mark.parametrize("alpha,beta", [
+        (1.0, 1.0), (2.0, 2.0), (1.0, 2.0), (2.0, 1.0), (0.7, 1.9), (1.3, 2.6),
+        (2.9, 2.95), (0.55, 0.6), (0.5, 3.0)])
+    def test_lanczos_top_matches_dense(self, alpha, beta):
+        # ten states at N = 1024 and 2048 take the top size from Lanczos on
+        # the FFT product (N = 256 stays dense): values and estimates within
+        # 1e-12 max(1, |lam|) of eigh on the leading blocks of one dense
+        # matrix (up to 2.4e-14 seen)
+        mat = galerkin_matrix(OperatorParams(alpha, beta), 2048)
+        for n_trunc in (256, 1024, 2048):
+            r3, est_ref = self._dense_reference(mat, 10, n_trunc)
+            vals, est = galerkin_spectrum.__wrapped__(alpha, beta, 10, n_trunc)
+            scale = 1e-12 * np.maximum(1.0, np.abs(r3))
+            assert np.all(np.abs(np.array(vals) - r3) <= scale)
+            assert np.all(np.abs(np.array(est) - est_ref) <= scale)
+
+    @pytest.mark.parametrize("n_eigs,called", [(10, True), (128, False)])
+    def test_top_path_from_size(self, monkeypatch, n_eigs, called):
+        # the top size N = 1024 runs Lanczos for n_eigs <= 10 and dense eigh
+        # above, where Lanczos lost (0.43 against 0.17 s at 64 states)
+        calls = []
+
+        def eigsh(a, **kwargs):
+            calls.append(kwargs["k"])
+            return sparse_eigsh(a, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
+        galerkin_spectrum.__wrapped__(2.0, 2.0, n_eigs, 1024)
+        assert calls == ([n_eigs] if called else [])
+
+    def test_missed_state_refused(self, monkeypatch):
+        # Lanczos pairs that pass the residual gate but skip the lowest state
+        # put every level above the same level of the dense N/2 solve, which
+        # interlacing forbids
+        def eigsh(a, k, **kwargs):
+            vals, vecs = sparse_eigsh(a, k=k + 1, **kwargs)
+            return vals[1:], vecs[:, 1:]
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
+        with pytest.raises(RuntimeError, match=r"galerkin_spectrum: at alpha=0\.7, beta=1\.9, "
+                                               r"n_trunc=1024: level 0 .* a state was missed"):
+            galerkin_spectrum.__wrapped__(0.7, 1.9, 10, 1024)
 
     def test_solve_memory_bounded(self):
         # the N/2 matrix is dropped before the N matrix is built, and each is
@@ -375,6 +441,15 @@ class TestGalerkinSpectrum:
         for n in (1024, 2048):
             _, peak = traced_peak(galerkin_spectrum.__wrapped__, 0.7, 1.9, 10, n)
             assert peak <= 8 * n * n + 2 * 2**20
+
+    @pytest.mark.parametrize("n", [1024, 2048, 4096])
+    def test_no_top_size_matrix(self, n):
+        # ten states take the top size from Lanczos, and the coarse sizes are
+        # written in turn into one N/2 x N/2 buffer (2 N^2 bytes), so nothing
+        # holds an N x N array: 3.2, 9.2 and 33.2 MiB traced, where the dense
+        # top size took 9.2, 33.2 and 129.3 MiB
+        _, peak = traced_peak(galerkin_spectrum.__wrapped__, 0.7, 1.9, 10, n)
+        assert peak <= 2 * n * n + 4 * 2**20
 
     @pytest.mark.parametrize("n_trunc", [0, 4097, 5000, 100])
     def test_size_bounds_name_callers_n(self, n_trunc):
@@ -797,7 +872,6 @@ class TestProjectSynthesize:
         # and 2N, on A-8's grids; worst 4.6e-14 of the largest value
         from kab.evolution import EvolutionState, _krylov_exp, _state_coeffs
         from kab.evolution import default_xi_grid
-        from kab.operators import _k01_product
 
         xi = default_xi_grid(n_points)
         x = 2.0 * xi - 1.0
@@ -806,7 +880,8 @@ class TestProjectSynthesize:
             for tau in (0.25, 2.5, 10.0):
                 cols = np.zeros((2 * n_trunc, 2))
                 for col, n in enumerate((n_trunc, 2 * n_trunc)):
-                    cols[:n, col] = _krylov_exp(_k01_product(n), c[:n], tau)
+                    product = _galerkin_product(OperatorParams(0.0, 1.0), n)
+                    cols[:n, col] = _krylov_exp(product, c[:n], tau)
                 want = npleg.legval(x, (cols.T * np.sqrt(np.arange(2 * n_trunc) + 0.5)).T)
                 got = synthesize(cols, x)
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
