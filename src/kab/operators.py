@@ -7,17 +7,16 @@ space and the potential is diagonal on the grid.  The pseudospectral operator
 is applied matrix-free by real FFT; its lowest states come from Lanczos on
 the folded operator T_2((H - c)/e) = 2 ((H - c)/e)^2 - 1, two FFT products
 a step, which puts them at its largest eigenvalues and the rest of the grid
-spectrum in [-1, 1], with a basis of max(20, 3 n_eigs - 2) vectors.  The
-Galerkin spectrum is a Richardson extrapolation of solves at sizes N/8, N/4,
-N/2 and N, where each truncation is the leading block of the next; the
-spread of successive extrapolations is its error estimate.  The coarse
-sizes are dense: only the lower triangle of each is built, in place and in
-Fortran order, in one N/2 x N/2 buffer.  The top size is found by Lanczos
-on K - s (s a Gershgorin bound) applied by FFT (_galerkin_product), so a
-solve holds no N x N array; above 10 (N // 1024)^2 states, where Lanczos
-is slower, it is dense too.  The product splits the log part into a Cauchy
-matrix applied by Toeplitz and Hankel FFTs (_cauchy_product), shared by
-the Galerkin spectrum and the evolution's K_{01}; the diagonal
+spectrum in [-1, 1].  The Galerkin spectrum is a Richardson extrapolation of
+solves at sizes N/8, N/4, N/2 and N, where each truncation is the leading
+block of the next; the spread of successive extrapolations is its error
+estimate.  Each size m is dense eigh on the lower triangle of the matrix,
+built in place and in Fortran order in one buffer, or, for at most
+10 (m // 1024)^2 states, Lanczos on K - s (s a Gershgorin bound) applied by
+FFT (_galerkin_product) without the matrix.  Both backends run ARPACK
+through one helper, _lanczos.  The product splits the log part into a
+Cauchy matrix applied by Toeplitz and Hankel FFTs (_cauchy_product), shared
+by the Galerkin spectrum and the evolution's K_{01}; the diagonal
 (_galerkin_diagonal, closed form) serves it and the dense fill.
 """
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .specfun import _BLOCK_CELLS, CONSTANTS, _gauss_nodes, big_g
 
 # scipy.linalg and scipy.sparse.linalg cost about 10 MB and 0.1 s per process,
 # so the three functions that solve or pose an eigenproblem import them
-# (galerkin_spectrum, _pseudospectral_solve, pseudospectral_matrix); evolution,
+# (galerkin_spectrum, _lanczos, pseudospectral_matrix); evolution,
 # semiclassics and the Mehler-Fock transform never load them
 if TYPE_CHECKING:
     from scipy.sparse.linalg import LinearOperator
@@ -168,7 +167,8 @@ def _galerkin_fill(params: OperatorParams, mat: np.ndarray, caller: str) -> None
     Fortran-ordered n x n array mat, in place, a block of columns
     (_column_blocks) at a time: rows i..n-1 of columns i..j-1, contiguous.
     The block also writes the part of its columns above the diagonal.
-    Raises ValueError naming caller when an entry overflows.
+    Raises ValueError naming caller when an entry overflows, with no numpy
+    warning.
 
     The log part (1-a) L+ + (1-b) L-, with L+- the matrix of multiplication
     by log(1 +- x): in the unnormalized basis L+ has the off-diagonal entries
@@ -193,11 +193,12 @@ def _galerkin_fill(params: OperatorParams, mat: np.ndarray, caller: str) -> None
         np.abs(block, out=block)
         block[on_diag] = 1.0
         np.divide(-2.0, block, out=block)
-        block *= norm[i:j, None] * norm[i:]
-        # entry (a, b) of the block has row + column = 2i + a + b
-        for a, b, w in ((0, 0, even), (0, 1, odd), (1, 0, odd), (1, 1, even)):
-            if w != 1.0:
-                block[a::2, b::2] *= w
+        with np.errstate(over="ignore"):  # an overflowing entry is refused below
+            block *= norm[i:j, None] * norm[i:]
+            # entry (a, b) of the block has row + column = 2i + a + b
+            for a, b, w in ((0, 0, even), (0, 1, odd), (1, 0, odd), (1, 1, even)):
+                if w != 1.0:
+                    block[a::2, b::2] *= w
         block[on_diag] = diag[i:j]
         if not np.all(np.isfinite(block)):
             raise ValueError(
@@ -474,17 +475,42 @@ def project(phi, n_trunc: int, quad_order: int | None = None) -> np.ndarray:
     return out
 
 
-def _rayleigh_checked(rows, vecs, where):
-    """(values ascending, vectors in that order) of the eigenpairs in the
-    columns of vecs, given rows, whose row j is the operator times column j
-    (rows is overwritten).
+def _lanczos(apply, product, n, n_eigs, which, where, overflow, room=None, maxiter=None):
+    """(values ascending, vectors in that order) of n_eigs eigenpairs of a
+    symmetric n x n operator A, whose product along the last axis is
+    product, from ARPACK's implicitly restarted Lanczos (scipy's eigsh) at
+    the which end ("SA" smallest, "LA" largest) of apply, a spectral map of
+    A with the same eigenvectors.
 
-    The values are the Rayleigh quotients v^T A v.  Each pair must satisfy
-    ||A v - lam v|| <= 1e-8 max(1, max |lam|), the norm taken on the row
-    scaled by its largest modulus so that no square overflows; a pair that
-    fails, NaN included, raises RuntimeError starting with where.  Every sum
-    runs along rows in numpy's own loops, without BLAS.
+    ARPACK starts from a fixed generic vector, default_rng(0)'s normal
+    draws (its default start is random, and a symmetric one would miss the
+    odd states when alpha = beta), and runs to tol = 0: machine precision
+    relative to each Ritz value, which a value near 0 can miss, so apply
+    puts the wanted ones at 1 or above.  The basis holds min(n, room,
+    max(20, 3 n_eigs - 2)) vectors, room n by default: ARPACK's default
+    max(2 n_eigs + 1, 20) up to n_eigs = 7.  maxiter caps the restarts
+    (ARPACK's default 10 n).  The values are the Rayleigh quotients
+    v^T A v.  Each pair must satisfy ||A v - lam v|| <= 1e-8 max(1,
+    max |lam|), the norm taken on the row scaled by its largest modulus so
+    that no square overflows; every sum runs along rows in numpy's own
+    loops, without BLAS.  A pair that fails, NaN included, an ARPACK error,
+    and an overflow or invalid operation in apply or product (reported as
+    overflow) raise RuntimeError starting with where.
     """
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+    # LinearOperator hands over (n,) or (n, 1)
+    op = LinearOperator((n, n), matvec=lambda x: apply(np.ravel(x)), dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    ncv = min(n, room or n, max(20, 3 * n_eigs - 2))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            _, vecs = eigsh(op, k=n_eigs, ncv=ncv, which=which, tol=0, v0=v0, maxiter=maxiter)
+            rows = product(vecs.T)  # row j: A times vector j
+    except ArpackError as exc:
+        raise RuntimeError(f"{where}: {exc}") from exc
+    except FloatingPointError as exc:
+        raise RuntimeError(f"{where}: {overflow}") from exc
     vals = np.sum(rows * vecs.T, axis=1)
     rows -= (vecs * vals).T
     big = np.max(np.abs(rows), axis=1)
@@ -496,56 +522,8 @@ def _rayleigh_checked(rows, vecs, where):
     return vals[order], vecs[:, order]
 
 
-def _galerkin_lanczos(params: OperatorParams, n_eigs: int, n: int, coarse: np.ndarray):
-    """Lowest n_eigs eigenvalues of galerkin_matrix(params, n), ascending,
-    by Lanczos on its FFT product (_galerkin_product), with no n x n array.
-
-    ARPACK (which="SA", tol=0) runs on K - s, from a fixed generic start
-    (a symmetric one would miss the odd states when alpha = beta), with
-    s = min(D_k - r_k) - 1 and r_k = 2 (|1 - a| + |1 - b|) sqrt(k + 1/2)
-    (C S 1)_k, a Gershgorin bound on row k's off-diagonal sum (S =
-    diag(sqrt(k + 1/2)); C >= 0, so one product of C gives every r_k).
-    Every level of K - s then lies at 1 or above, where ARPACK's relative
-    test converges: unshifted, the (1, 1) matrix diag(2 h_k) loses its
-    level 0.  The basis holds min(n, max(20, 3 n_eigs - 2)) vectors.  The
-    values are the Rayleigh quotients, under _rayleigh_checked's gate; each
-    must also lie at or below the same level of coarse, the spectrum of the
-    leading n/2 block (Cauchy interlacing), beyond rounding, or a state was
-    missed.  A failure, or an ARPACK error, raises RuntimeError naming
-    alpha, beta and n.
-    """
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
-
-    where = f"galerkin_spectrum: at alpha={params.alpha}, beta={params.beta}, n_trunc={n}"
-    product = _galerkin_product(params, n)
-    idx = np.arange(n, dtype=float)
-    norm = np.sqrt(idx + 0.5)
-    weight = abs(1.0 - params.alpha) + abs(1.0 - params.beta)
-    radii = 2.0 * weight * norm * _cauchy_product(n)(norm) / (2.0 * idx + 1.0)
-    shift = float(np.min(_galerkin_diagonal(params, n) - radii)) - 1.0
-
-    def shifted(x):
-        x = np.ravel(x)  # LinearOperator hands over (n,) or (n, 1)
-        return product(x) - shift * x
-
-    op = LinearOperator((n, n), matvec=shifted, dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(n)
-    try:
-        _, vecs = eigsh(op, k=n_eigs, ncv=min(n, max(20, 3 * n_eigs - 2)), which="SA",
-                        tol=0, v0=v0)
-    except ArpackError as exc:
-        raise RuntimeError(f"{where}: {exc}") from exc
-    vals, _ = _rayleigh_checked(product(vecs.T), vecs, where)
-    missed = np.flatnonzero(vals > coarse + 1e-12 * np.maximum(1.0, np.abs(coarse)))
-    if missed.size:
-        j = missed[0]
-        raise RuntimeError(f"{where}: level {j} at {vals[j]:.15e} lies above level {j} of "
-                           f"the size-{n // 2} matrix, {coarse[j]:.15e}: a state was missed")
-    return vals
-
-
-#: the top size N runs Lanczos for n_eigs <= _LANCZOS_STATES (N // 1024)^2
-#: states and dense eigh for more (the crossover in galerkin_spectrum)
+#: a Galerkin size m runs Lanczos for n_eigs <= _LANCZOS_STATES (m // 1024)^2
+#: states and dense eigh for more
 _LANCZOS_STATES = 10
 
 
@@ -561,25 +539,28 @@ def galerkin_spectrum(
     The |log(1 -+ x)|^d endpoint factors of the eigenfunctions make the
     truncation error fall like m^-2 in the size m, so the fixed-order
     Richardson step R(m, 2m) = (4 lam_2m - lam_m)/3 removes its leading term.
-    Solves at the sizes N/8, N/4, N/2 and N give three neighbouring R.  The
-    coarse sizes are dense eigh, each matrix written in turn into the head
-    of one buffer of N/2 x N/2 doubles and solved there in place.  The top
-    size runs Lanczos on the FFT product (_galerkin_lanczos), with no
-    N x N array, for n_eigs <= 10 (N // 1024)^2, and dense eigh in one
-    N x N buffer for more states, where Lanczos loses.  On a 2-core
-    machine a whole solve of 10 states at (0.7, 1.9) took 0.07, 0.18 and
-    0.75 s at N = 1024, 2048 and 4096 against 0.08, 0.52 and 4.3-4.9 s
-    all dense; but 0.43 against 0.17 s for 64 states at N = 1024 and 7.5
-    against 5.3 s for 256 at N = 4096.  With Lanczos the traced peak is
-    3.2, 9.2 and 33.2 MiB at N = 1024, 2048 and 4096, where the dense top
-    size took 9.2, 33.2 and 129.3 MiB.
+    Solves at the sizes N/8, N/4, N/2 and N give three neighbouring R.  A
+    size m is dense eigh for n_eigs > 10 (m // 1024)^2, so always below
+    1024: each matrix is written in turn into the head of one buffer of the
+    largest dense size and solved there in place.  The buffer is freed, and
+    every larger size runs _lanczos on K - s, applied by FFT
+    (_galerkin_product) with no m x m array.  s = min(D_k - r_k) - 1, with
+    r_k = 2 (|1 - a| + |1 - b|) sqrt(k + 1/2) (C S 1)_k a Gershgorin bound
+    on row k's off-diagonal sum (S = diag(sqrt(k + 1/2)); C >= 0, so one
+    product of C gives every r_k), puts every level at 1 or above: the
+    unshifted (1, 1) matrix diag(2 h_k) loses its level 0.  No Lanczos level
+    may lie above the same level of the largest dense size beyond rounding
+    (Cauchy interlacing, which holds for any leading block), or a state was
+    missed.
     Returns (R(N/2, N), per-state error estimates
     max(|R(N/2, N) - R(N/4, N/2)|, |R(N/4, N/2) - R(N/8, N/4)|/4)); the
     second term covers a state whose successive R cross.  N = n_trunc is a
     multiple of 8 in [8, 4096] and 1 <= n_eigs <= N/8.  Raises ValueError
     when the spectrum is continuous, as the pseudospectral backend does, and
     when alpha or beta is so large that a matrix entry overflows, and
-    RuntimeError when the Lanczos solve fails its checks.
+    RuntimeError naming alpha, beta and N when a Richardson value overflows,
+    and the size too when a Lanczos solve fails its checks or its shift or
+    a product overflows.
     """
     params = OperatorParams(alpha, beta)
     params.require_discrete("galerkin_spectrum")
@@ -594,22 +575,46 @@ def galerkin_spectrum(
         )
     from scipy import linalg
 
-    lanczos = n_eigs <= _LANCZOS_STATES * (n_trunc // 1024) ** 2
-    sizes = [n_trunc // 8, n_trunc // 4, n_trunc // 2] + ([] if lanczos else [n_trunc])
+    sizes = [n_trunc // 8, n_trunc // 4, n_trunc // 2, n_trunc]
+    dense = [m for m in sizes if n_eigs > _LANCZOS_STATES * (m // 1024) ** 2]
     # eigh reads the lower triangle in Fortran order, which _galerkin_fill
     # writes and checks; no leading block is copied
-    buf = np.empty(sizes[-1] ** 2)
+    buf = np.empty(dense[-1] ** 2)
     lam = []
-    for m in sizes:
+    for m in dense:
         mat = buf[: m * m].reshape(m, m, order="F")
         _galerkin_fill(params, mat, "galerkin_spectrum")
         lam.append(linalg.eigh(mat, eigvals_only=True, subset_by_index=[0, n_eigs - 1],
                                overwrite_a=True, check_finite=False))
     del buf, mat
-    if lanczos:
-        lam.append(_galerkin_lanczos(params, n_eigs, n_trunc, lam[-1]))
-    r1, r2, r3 = ((4.0 * fine - coarse) / 3.0 for coarse, fine in zip(lam, lam[1:]))
-    est = np.maximum(np.abs(r3 - r2), 0.25 * np.abs(r2 - r1))
+    bound = lam[-1]
+    weight = abs(1.0 - alpha) + abs(1.0 - beta)
+    at = f"galerkin_spectrum: at alpha={alpha}, beta={beta}, n_trunc={n_trunc}"
+    for m in sizes[len(dense):]:
+        where = f"{at}, size {m}"
+        idx = np.arange(m, dtype=float)
+        norm = np.sqrt(idx + 0.5)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            radii = 2.0 * weight * norm * _cauchy_product(m)(norm) / (2.0 * idx + 1.0)
+            shift = float(np.min(_galerkin_diagonal(params, m) - radii)) - 1.0
+        if not math.isfinite(shift):
+            raise RuntimeError(f"{where}: the Gershgorin shift overflows a double")
+        # no overflow: its weights 2 |1 - a| sqrt(k + 1/2) and 2 |1 - b| sqrt(k +
+        # 1/2) lie below the radii's factor 2 weight sqrt(k + 1/2), finite here
+        product = _galerkin_product(params, m)
+        vals, _ = _lanczos(lambda x: product(x) - shift * x, product, m, n_eigs, "SA", where,
+                           "a product of K overflows a double")
+        missed = np.flatnonzero(vals > bound + 1e-12 * np.maximum(1.0, np.abs(bound)))
+        if missed.size:
+            j = missed[0]
+            raise RuntimeError(f"{where}: level {j} at {vals[j]:.15e} lies above level {j} of "
+                               f"the size-{dense[-1]} matrix, {bound[j]:.15e}: a state was missed")
+        lam.append(vals)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        r1, r2, r3 = ((4.0 * fine - coarse) / 3.0 for coarse, fine in zip(lam, lam[1:]))
+        est = np.maximum(np.abs(r3 - r2), 0.25 * np.abs(r2 - r1))
+    if not np.all(np.isfinite(est)):  # as it is wherever an R is not finite
+        raise RuntimeError(f"{at}: a Richardson value overflows a double")
     return tuple(map(float, r3)), tuple(map(float, est))
 
 
@@ -625,34 +630,25 @@ def _pseudospectral_solve(
     first entry above 1e-8 in modulus is positive.
 
     The grid spectrum reaches up to max V + max G (56-240 at u_max = 40),
-    far above the wanted levels, so ARPACK's implicitly restarted Lanczos
-    runs on the folded operator T_2(X) = 2 X^2 - 1, X = (H - c)/e, whose
-    largest eigenvalues it finds in about half the restarts that H's
-    smallest take, at two FFT products a step.  top = max V + max G bounds
-    the spectrum, and the Gershgorin bound cut of the n_eigs x n_eigs block
-    of H on the nodes nearest min V bounds level n_eigs (Cauchy
-    interlacing), so c = (top + cut)/2, e = (top - cut)/2 maps every level
-    below cut above 1 and the rest into [-1, 1]: T_2's n_eigs largest are
-    H's n_eigs lowest, and at 1 or above they pass ARPACK's relative
-    convergence test (tol = 0), which a value near 0 can miss.  A block of
-    nearly all the nodes can put cut above top; every level then lies below
-    cut and maps to |X| >= 1, in order still.  Scaled, the products stay
-    finite wherever V does.  ARPACK starts from a fixed generic vector (the
-    default start is random, and a symmetric one would miss the odd states
-    when alpha = beta) and has 5 M - 1 restarts: at two products of H a
-    step, a solve that does not converge makes no more of them than
-    ARPACK's default of 10 M restarts would on H itself.
+    far above the wanted levels, so _lanczos runs on the folded operator
+    T_2(X) = 2 X^2 - 1, X = (H - c)/e, whose largest eigenvalues ARPACK
+    finds in about half the restarts that H's smallest take, at two FFT
+    products a step.  top = max V + max G bounds the spectrum, and the
+    Gershgorin bound cut of the n_eigs x n_eigs block of H on the nodes
+    nearest min V bounds level n_eigs (Cauchy interlacing), so c = (top +
+    cut)/2, e = (top - cut)/2 maps every level below cut above 1 and the
+    rest into [-1, 1]: T_2's n_eigs largest are H's n_eigs lowest.  A block
+    of nearly all the nodes can put cut above top; every level then lies
+    below cut and maps to |X| >= 1, in order still.  Scaled, the products
+    stay finite wherever V does.  ARPACK has 5 M - 1 restarts: at two
+    products of H a step, a solve that does not converge makes no more of
+    them than ARPACK's default of 10 M restarts would on H itself.
 
-    The eigenvalues are the Rayleigh quotients v^T H v under
-    _rayleigh_checked's residual gate, which galerkin_spectrum shares, and
-    the top level must lie below cut; a failed check, an ARPACK error or a
-    product of H that overflows raises RuntimeError naming alpha, beta,
-    u_max and m_points.
-
-    The basis holds ncv = max(20, 3 n_eigs - 2) vectors of M points, at
-    most M and at most _LANCZOS_CELLS cells; up to n_eigs = 7 that is
-    ARPACK's default max(2 n_eigs + 1, 20).  A solve needs room for at
-    least 2 n_eigs + 1 vectors and is refused unstarted without it.
+    The top level must also lie below cut; a failed check, an ARPACK error
+    or a product of H that overflows raises RuntimeError naming alpha,
+    beta, u_max and m_points.  The basis holds at most _LANCZOS_CELLS
+    cells; a solve needs room for at least 2 n_eigs + 1 vectors of M
+    points and is refused unstarted without it.
     """
     params = OperatorParams(alpha, beta)
     grid = UGrid(u_max, m_points)
@@ -663,8 +659,6 @@ def _pseudospectral_solve(
             f"pseudospectral: n_eigs={n_eigs} must lie in [1, {largest}] "
             f"at m_points={m_points}"
         )
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
-
     h, v, g = _grid_hamiltonian(params, grid, "pseudospectral")
     top = float(np.max(v) + np.max(g))
     # the block on the nodes lo, ..., lo + n_eigs - 1 has entries kernel[(i -
@@ -680,23 +674,10 @@ def _pseudospectral_solve(
     def scaled(x):
         return (h(x) - c * x) / e
 
-    op = LinearOperator(
-        (m_points, m_points), matvec=lambda x: 2.0 * scaled(scaled(x)) - x, dtype=float
-    )
-    v0 = np.random.default_rng(0).standard_normal(m_points)
-    ncv = min(m_points, room, max(20, 3 * n_eigs - 2))
     where = f"pseudospectral: at alpha={alpha}, beta={beta}, u_max={u_max}, m_points={m_points}"
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            _, vecs = eigsh(op, k=n_eigs, ncv=ncv, which="LA", tol=0, v0=v0,
-                            maxiter=5 * m_points - 1)
-            rows = h(vecs.T)  # row j: H times vector j
-    except ArpackError as exc:
-        raise RuntimeError(f"{where}: {exc}") from exc
-    except FloatingPointError as exc:
-        raise RuntimeError(f"{where}: a product of H overflows a double (its grid "
-                           f"spectrum reaches {top:.3e})") from exc
-    vals, vecs = _rayleigh_checked(rows, vecs, where)
+    vals, vecs = _lanczos(lambda x: 2.0 * scaled(scaled(x)) - x, h, m_points, n_eigs, "LA",
+                          where, f"a product of H overflows a double (its grid spectrum "
+                          f"reaches {top:.3e})", room=room, maxiter=5 * m_points - 1)
     if not vals[-1] < cut:
         raise RuntimeError(f"{where}: level {n_eigs} at {vals[-1]:.6e} is not below the "
                            f"bound {cut:.6e} that it must lie under")

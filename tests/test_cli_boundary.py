@@ -199,3 +199,19 @@ def test_pseudospectral_failure_names_parameters(alpha, beta):
     doc = json.loads(err)
     assert doc["kind"] == "numerical"
     assert doc["error"].startswith(f"pseudospectral: at alpha={float(alpha)}, ")
+
+
+@pytest.mark.parametrize("alpha,n_trunc", [("1e306", []), ("1e306", ["--n-trunc", "256"]),
+                                            ("8e307", ["--n-trunc", "256"])])
+def test_galerkin_steep_potential_clean(alpha, n_trunc):
+    # every entry is finite at these alpha, but a Lanczos size's Gershgorin
+    # shift (1e306, N = 1024) or a Richardson value (8e307) is not: the run
+    # exits 0, or 3 with one JSON line, and no warning
+    code, out, err, caught, _ = run(["spectrum", "--backend", "galerkin", "--alpha", alpha,
+                                     "--beta", "2"] + n_trunc)
+    assert code in (0, 3) and caught == []
+    if code == 0:
+        assert out and err == ""
+    else:
+        assert (out, err.count("\n")) == ("", 1)
+        assert json.loads(err)["kind"] == "numerical"

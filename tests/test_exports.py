@@ -141,6 +141,15 @@ def test_relative_imports_used():
     assert unused == []
 
 
+def test_one_arpack_call_site():
+    # both eigensolvers run ARPACK through operators._lanczos, the one place
+    # that seeds it, sets its tolerance and basis and checks its pairs
+    calls = [f"{module}:{node.lineno}" for module, tree in _trees().items()
+             for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None)) == "eigsh"]
+    assert len(calls) == 1, calls
+
+
 # public names that only tests and users call, each with its reason
 UNREAD_EXPORTS = {
     "evolution.mm_rhs": "Sec. 2: right side of the evolution equation, point by point",

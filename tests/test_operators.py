@@ -394,44 +394,72 @@ class TestGalerkinSpectrum:
         (1.0, 1.0), (2.0, 2.0), (1.0, 2.0), (2.0, 1.0), (0.7, 1.9), (1.3, 2.6),
         (2.9, 2.95), (0.55, 0.6), (0.5, 3.0)])
     def test_lanczos_top_matches_dense(self, alpha, beta):
-        # ten states at N = 1024 and 2048 take the top size from Lanczos on
-        # the FFT product (N = 256 stays dense): values and estimates within
+        # ten states take every size from 1024 up from Lanczos on the FFT
+        # product (N = 256 stays dense): values and estimates within
         # 1e-12 max(1, |lam|) of eigh on the leading blocks of one dense
-        # matrix (up to 2.4e-14 seen)
-        mat = galerkin_matrix(OperatorParams(alpha, beta), 2048)
-        for n_trunc in (256, 1024, 2048):
+        # matrix (up to 2.4e-14 seen); N = 4096 runs Lanczos at 1024, 2048
+        # and 4096, and its dense reference costs seconds, so one pair takes it
+        sizes = (256, 1024, 2048) + ((4096,) if (alpha, beta) == (0.7, 1.9) else ())
+        mat = galerkin_matrix(OperatorParams(alpha, beta), sizes[-1])
+        for n_trunc in sizes:
             r3, est_ref = self._dense_reference(mat, 10, n_trunc)
             vals, est = galerkin_spectrum.__wrapped__(alpha, beta, 10, n_trunc)
             scale = 1e-12 * np.maximum(1.0, np.abs(r3))
             assert np.all(np.abs(np.array(vals) - r3) <= scale)
             assert np.all(np.abs(np.array(est) - est_ref) <= scale)
 
-    @pytest.mark.parametrize("n_eigs,called", [(10, True), (128, False)])
-    def test_top_path_from_size(self, monkeypatch, n_eigs, called):
-        # the top size N = 1024 runs Lanczos for n_eigs <= 10 and dense eigh
-        # above, where Lanczos lost (0.43 against 0.17 s at 64 states)
-        calls = []
+    @pytest.mark.parametrize("n_trunc,n_eigs,calls", [
+        (1024, 10, [10]), (1024, 128, []), (4096, 10, [10, 10, 10]), (4096, 64, [64])],
+        ids=["1024-10", "1024-128", "4096-10", "4096-64"])
+    def test_top_path_from_size(self, monkeypatch, n_trunc, n_eigs, calls):
+        # each size m of N/8, N/4, N/2 and N runs Lanczos for n_eigs <=
+        # 10 (m // 1024)^2 and dense eigh above, where Lanczos lost (0.43
+        # against 0.17 s at 64 states and m = 1024)
+        seen = []
 
         def eigsh(a, **kwargs):
-            calls.append(kwargs["k"])
+            seen.append(kwargs["k"])
             return sparse_eigsh(a, **kwargs)
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
-        galerkin_spectrum.__wrapped__(2.0, 2.0, n_eigs, 1024)
-        assert calls == ([n_eigs] if called else [])
+        galerkin_spectrum.__wrapped__(2.0, 2.0, n_eigs, n_trunc)
+        assert seen == calls
 
     def test_missed_state_refused(self, monkeypatch):
         # Lanczos pairs that pass the residual gate but skip the lowest state
-        # put every level above the same level of the dense N/2 solve, which
-        # interlacing forbids
+        # put every level above the same level of the largest dense size,
+        # N/8 = 512, which interlacing forbids; every Lanczos size is checked
+        # against it, so the first one, 1024, is refused
         def eigsh(a, k, **kwargs):
             vals, vecs = sparse_eigsh(a, k=k + 1, **kwargs)
             return vals[1:], vecs[:, 1:]
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
         with pytest.raises(RuntimeError, match=r"galerkin_spectrum: at alpha=0\.7, beta=1\.9, "
-                                               r"n_trunc=1024: level 0 .* a state was missed"):
-            galerkin_spectrum.__wrapped__(0.7, 1.9, 10, 1024)
+                                               r"n_trunc=4096, size 1024: level 0 .* of the "
+                                               r"size-512 matrix, .*: a state was missed"):
+            galerkin_spectrum.__wrapped__(0.7, 1.9, 10, 4096)
+
+    @pytest.mark.parametrize("alpha,n_trunc,reason", [
+        (1e306, 256, None),
+        (1e306, 1024, r"n_trunc=1024, size 1024: the Gershgorin shift overflows a double"),
+        (8e307, 256, r"n_trunc=256: a Richardson value overflows a double")])
+    def test_steep_potential_finite_or_named(self, alpha, n_trunc, reason):
+        # every entry is finite at these alpha (beta = 2), and the solve warns
+        # of nothing: at 1e306, N = 256 (all dense) returns finite values near
+        # -alpha log 2, and at N = 1024 the Gershgorin shift of the Lanczos
+        # size overflows; at 8e307, 4 lam_N overflows in the Richardson step;
+        # each overflow is refused by name
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if reason is None:
+                vals, est = galerkin_spectrum.__wrapped__(alpha, 2.0, 10, n_trunc)
+                assert np.all(np.isfinite(vals + est))
+                assert vals[0] == pytest.approx(-alpha * LOG2, rel=1e-6)
+            else:
+                with pytest.raises(RuntimeError, match=re.escape(
+                        f"galerkin_spectrum: at alpha={alpha}, beta=2.0, ") + reason + "$"):
+                    galerkin_spectrum.__wrapped__(alpha, 2.0, 10, n_trunc)
 
     def test_solve_memory_bounded(self):
         # the N/2 matrix is dropped before the N matrix is built, and each is
@@ -444,12 +472,14 @@ class TestGalerkinSpectrum:
 
     @pytest.mark.parametrize("n", [1024, 2048, 4096])
     def test_no_top_size_matrix(self, n):
-        # ten states take the top size from Lanczos, and the coarse sizes are
-        # written in turn into one N/2 x N/2 buffer (2 N^2 bytes), so nothing
-        # holds an N x N array: 3.2, 9.2 and 33.2 MiB traced, where the dense
-        # top size took 9.2, 33.2 and 129.3 MiB
+        # ten states take every size from 1024 up from Lanczos, and the
+        # smaller sizes are written in turn into one buffer of at most
+        # 512 x 512, freed before the first Lanczos size, so nothing holds an
+        # N x N or N/2 x N/2 array: 3.2, 4.1 and 10.2 MiB traced, where an
+        # N/2 x N/2 buffer took 3.2, 9.2 and 33.2 MiB and the dense top size
+        # 9.2, 33.2 and 129.3 MiB
         _, peak = traced_peak(galerkin_spectrum.__wrapped__, 0.7, 1.9, 10, n)
-        assert peak <= 2 * n * n + 4 * 2**20
+        assert peak <= min(2 * n * n + 4 * 2**20, 16 * 2**20)
 
     @pytest.mark.parametrize("n_trunc", [0, 4097, 5000, 100])
     def test_size_bounds_name_callers_n(self, n_trunc):
