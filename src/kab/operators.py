@@ -10,10 +10,11 @@ a step, which puts them at its largest eigenvalues and the rest of the grid
 spectrum in [-1, 1].  The Galerkin spectrum is a Richardson extrapolation of
 solves at sizes N/8, N/4, N/2 and N, where each truncation is the leading
 block of the next; the spread of successive extrapolations is its error
-estimate.  Each size m is dense eigh on the lower triangle of the matrix,
-built in place and in Fortran order in one buffer, or, for at most
-10 (m // 1024)^2 states, Lanczos on K - s (s a Gershgorin bound) applied by
-FFT (_galerkin_product) without the matrix.  Both backends run ARPACK
+estimate.  Each size m is dense eigvalsh on the lower triangle of the
+matrix, built in place and in Fortran order in one buffer, or, for at most
+10 (m // 1024)^2 states and |1 - alpha| + |1 - beta| <= 20, Lanczos on K - s
+(s a Gershgorin bound) applied by FFT (_galerkin_product) without the matrix.
+Both backends run one thick-restart Lanczos in numpy (_thick_restart_lanczos)
 through one helper, _lanczos.  The product splits the log part into a
 Cauchy matrix applied by Toeplitz and Hankel FFTs (_cauchy_product), shared
 by the Galerkin spectrum and the evolution's K_{01}; the diagonal
@@ -31,10 +32,10 @@ from scipy import special
 
 from .specfun import _BLOCK_CELLS, CONSTANTS, _gauss_nodes, big_g
 
-# scipy.linalg and scipy.sparse.linalg cost about 10 MB and 0.1 s per process,
-# so the three functions that solve or pose an eigenproblem import them
-# (galerkin_spectrum, _lanczos, pseudospectral_matrix); evolution,
-# semiclassics and the Mehler-Fock transform never load them
+# scipy.linalg and scipy.sparse cost about 9 MB and 0.1 s per process, and no
+# solve needs them: the eigensolvers are numpy's eigvalsh and the Lanczos
+# below; only pseudospectral_matrix, which returns a LinearOperator, imports
+# scipy.sparse.linalg when called
 if TYPE_CHECKING:
     from scipy.sparse.linalg import LinearOperator
 
@@ -475,56 +476,141 @@ def project(phi, n_trunc: int, quad_order: int | None = None) -> np.ndarray:
     return out
 
 
+#: DGKS (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976): a
+#: Gram-Schmidt pass that leaves less than this share of the vector's norm
+#: has cancelled, and the vector gets one pass more
+_DGKS = 0.717
+
+
+def _thick_restart_lanczos(apply, v0, n_eigs, which, ncv, max_restarts):
+    """(values, vectors as rows) of the n_eigs eigenpairs at the which end
+    ("SA" smallest, "LA" largest) of the symmetric operator apply, in that
+    order, by thick-restart Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl.
+    22, 2000) on a basis of ncv > n_eigs rows from the start v0.
+
+    Each step takes the three-term recurrence (after a restart, the
+    couplings to every kept vector) off A v_j, then one classical
+    Gram-Schmidt pass against the whole basis, and a second pass only where
+    the first leaves less than _DGKS of the norm.  A vector that the second
+    pass cancels too lies in the span of the basis, an invariant subspace:
+    its coupling is 0, and a fresh normal vector continues the basis, or,
+    with the basis full, the Ritz pairs are exact.  After ncv steps the
+    Ritz pairs of the projected matrix are checked by ARPACK's rule for
+    tol = 0, |beta y_i| <= eps max(|theta_i|, eps^(2/3)) with y_i the last
+    entry of Ritz vector i and beta the residual's norm.  Otherwise the
+    basis restarts from the n_eigs + (ncv - n_eigs) // 2 Ritz vectors
+    nearest the wanted end and the residual, so the projected matrix is
+    their Ritz values, a row of couplings beta y_i, and a tridiagonal part,
+    solved by eigh at ncv x ncv.  Norms are sqrt(w . w): apply's norm must
+    stay below about 1e154, or numpy's overflow error state is raised.
+    Raises RuntimeError, stating the restarts and products made, when
+    max_restarts restarts leave a wanted pair unconverged.
+    """
+    n = v0.size
+    eps = np.finfo(float).eps
+    basis = np.empty((ncv, n))
+    basis[0] = v0 / np.linalg.norm(v0)
+    proj = np.zeros((ncv, ncv))  # its lower triangle: the projected operator
+    step = max(1, _BLOCK_CELLS // ncv)  # columns a restart rotates at a time
+    start = products = 0
+    for restart in range(max_restarts + 1):
+        for j in range(start, ncv):
+            w = apply(basis[j])
+            products += 1
+            # row j of the projected matrix below its diagonal holds beta
+            # of step j - 1, or the couplings of the first step of a restart
+            proj[j, j] = basis[j] @ w
+            lo = 0 if j == start else j - 1
+            w -= proj[j, lo : j + 1] @ basis[lo : j + 1]
+            norm = math.sqrt(w @ w)
+            for _ in range(2):
+                coef = basis[: j + 1] @ w
+                w -= coef @ basis[: j + 1]
+                proj[j, j] += coef[j]
+                beta = math.sqrt(w @ w)
+                if beta > _DGKS * norm:
+                    break
+                norm = beta
+            else:  # w lies in the span of the basis
+                beta = 0.0
+            if j + 1 == ncv:
+                break
+            if beta == 0.0:
+                w = np.random.default_rng(products).standard_normal(n)  # reproducible
+                for _ in range(2):
+                    w -= (basis[: j + 1] @ w) @ basis[: j + 1]
+                basis[j + 1] = w / np.linalg.norm(w)
+            else:
+                proj[j + 1, j] = beta
+                basis[j + 1] = w / beta
+        theta, y = np.linalg.eigh(proj)
+        if which == "LA":
+            theta, y = theta[::-1], y[:, ::-1]
+        bound = np.abs(beta * y[-1, :n_eigs])
+        if np.all(bound <= eps * np.maximum(np.abs(theta[:n_eigs]), eps ** (2.0 / 3.0))):
+            return theta[:n_eigs], y[:, :n_eigs].T @ basis
+        keep = n_eigs + (ncv - n_eigs) // 2
+        for col in range(0, n, step):
+            basis[:keep, col : col + step] = y[:, :keep].T @ basis[:, col : col + step]
+        basis[keep] = w / beta
+        proj[...] = 0.0
+        proj[np.arange(keep), np.arange(keep)] = theta[:keep]
+        proj[keep, :keep] = beta * y[-1, :keep]
+        start = keep
+    raise RuntimeError(f"Lanczos did not converge in {max_restarts} restarts "
+                       f"({products} products)")
+
+
 def _lanczos(apply, product, n, n_eigs, which, where, overflow, room=None, maxiter=None):
     """(values ascending, vectors in that order) of n_eigs eigenpairs of a
     symmetric n x n operator A, whose product along the last axis is
-    product, from ARPACK's implicitly restarted Lanczos (scipy's eigsh) at
-    the which end ("SA" smallest, "LA" largest) of apply, a spectral map of
-    A with the same eigenvectors.
+    product, from thick-restart Lanczos (_thick_restart_lanczos) at the
+    which end ("SA" smallest, "LA" largest) of apply, a spectral map of A
+    with the same eigenvectors.
 
-    ARPACK starts from a fixed generic vector, default_rng(0)'s normal
-    draws (its default start is random, and a symmetric one would miss the
-    odd states when alpha = beta), and runs to tol = 0: machine precision
-    relative to each Ritz value, which a value near 0 can miss, so apply
-    puts the wanted ones at 1 or above.  The basis holds min(n, room,
-    max(20, 3 n_eigs - 2)) vectors, room n by default: ARPACK's default
-    max(2 n_eigs + 1, 20) up to n_eigs = 7.  maxiter caps the restarts
-    (ARPACK's default 10 n).  The values are the Rayleigh quotients
-    v^T A v.  Each pair must satisfy ||A v - lam v|| <= 1e-8 max(1,
-    max |lam|), the norm taken on the row scaled by its largest modulus so
-    that no square overflows; every sum runs along rows in numpy's own
-    loops, without BLAS.  A pair that fails, NaN included, an ARPACK error,
-    and an overflow or invalid operation in apply or product (reported as
-    overflow) raise RuntimeError starting with where.
+    Lanczos starts from a fixed generic vector, default_rng(0)'s normal
+    draws (a symmetric one would miss the odd states when alpha = beta),
+    and stops at machine precision relative to each Ritz value, which a
+    value near 0 can miss, so apply puts the wanted ones at 1 or above.
+    The basis holds min(n, room, max(20, 3 n_eigs - 2)) vectors, room n by
+    default.  maxiter caps the restarts, 10 n by default; a restart makes
+    ncv - n_eigs - (ncv - n_eigs) // 2 products, no more than the
+    ncv - n_eigs of an implicit restart (ARPACK's), so a solve that never
+    converges makes no more products than ARPACK allowed under the same
+    cap.  The values are the Rayleigh quotients v^T A v.  Each pair must
+    satisfy ||A v - lam v|| <= 1e-8 max(1, max |lam|), the norm taken on
+    the row scaled by its largest modulus so that no square overflows;
+    every sum runs along rows in numpy's own loops, without BLAS.  A pair
+    that fails, NaN included, a solve that does not converge, and an
+    overflow or invalid operation in apply, product or the recurrence
+    (reported as overflow) raise RuntimeError starting with where.
     """
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
-
-    # LinearOperator hands over (n,) or (n, 1)
-    op = LinearOperator((n, n), matvec=lambda x: apply(np.ravel(x)), dtype=float)
     v0 = np.random.default_rng(0).standard_normal(n)
     ncv = min(n, room or n, max(20, 3 * n_eigs - 2))
     try:
         with np.errstate(over="raise", invalid="raise"):
-            _, vecs = eigsh(op, k=n_eigs, ncv=ncv, which=which, tol=0, v0=v0, maxiter=maxiter)
-            rows = product(vecs.T)  # row j: A times vector j
-    except ArpackError as exc:
+            _, vecs = _thick_restart_lanczos(apply, v0, n_eigs, which, ncv, maxiter or 10 * n)
+            rows = product(vecs)  # row j: A times vector j
+    except RuntimeError as exc:
         raise RuntimeError(f"{where}: {exc}") from exc
     except FloatingPointError as exc:
         raise RuntimeError(f"{where}: {overflow}") from exc
-    vals = np.sum(rows * vecs.T, axis=1)
-    rows -= (vecs * vals).T
+    vals = np.sum(rows * vecs, axis=1)
+    rows -= vecs * vals[:, None]
     big = np.max(np.abs(rows), axis=1)
     resid = big * np.linalg.norm(rows / np.where(big > 0.0, big, 1.0)[:, None], axis=1)
     scale = max(1.0, float(np.max(np.abs(vals))))
     if not np.all(resid <= 1e-8 * scale):  # a NaN fails too
         raise RuntimeError(f"{where}: eigenpair residual {resid.max():.3e} exceeds tolerance")
     order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+    return vals[order], vecs[order].T
 
 
 #: a Galerkin size m runs Lanczos for n_eigs <= _LANCZOS_STATES (m // 1024)^2
-#: states and dense eigh for more
+#: states where |1 - alpha| + |1 - beta| <= _LANCZOS_WEIGHT, and dense
+#: eigvalsh otherwise
 _LANCZOS_STATES = 10
+_LANCZOS_WEIGHT = 20.0
 
 
 @lru_cache(maxsize=32)
@@ -540,9 +626,11 @@ def galerkin_spectrum(
     truncation error fall like m^-2 in the size m, so the fixed-order
     Richardson step R(m, 2m) = (4 lam_2m - lam_m)/3 removes its leading term.
     Solves at the sizes N/8, N/4, N/2 and N give three neighbouring R.  A
-    size m is dense eigh for n_eigs > 10 (m // 1024)^2, so always below
-    1024: each matrix is written in turn into the head of one buffer of the
-    largest dense size and solved there in place.  The buffer is freed, and
+    size m is dense eigvalsh for n_eigs > 10 (m // 1024)^2, so always below
+    1024, and every size is where |1 - a| + |1 - b| exceeds 20: each matrix
+    is written in turn into the head of one buffer of the largest dense size
+    and solved there by eigvalsh, which works on a copy, so a dense size
+    holds twice its matrix.  The buffer is freed, and
     every larger size runs _lanczos on K - s, applied by FFT
     (_galerkin_product) with no m x m array.  s = min(D_k - r_k) - 1, with
     r_k = 2 (|1 - a| + |1 - b|) sqrt(k + 1/2) (C S 1)_k a Gershgorin bound
@@ -559,8 +647,7 @@ def galerkin_spectrum(
     when the spectrum is continuous, as the pseudospectral backend does, and
     when alpha or beta is so large that a matrix entry overflows, and
     RuntimeError naming alpha, beta and N when a Richardson value overflows,
-    and the size too when a Lanczos solve fails its checks or its shift or
-    a product overflows.
+    and the size too when a Lanczos solve fails its checks.
     """
     params = OperatorParams(alpha, beta)
     params.require_discrete("galerkin_spectrum")
@@ -573,34 +660,31 @@ def galerkin_spectrum(
             f"galerkin_spectrum: n_eigs={n_eigs} must lie in [1, n_trunc/8] = "
             f"[1, {n_trunc // 8}] at n_trunc={n_trunc}"
         )
-    from scipy import linalg
-
     sizes = [n_trunc // 8, n_trunc // 4, n_trunc // 2, n_trunc]
-    dense = [m for m in sizes if n_eigs > _LANCZOS_STATES * (m // 1024) ** 2]
-    # eigh reads the lower triangle in Fortran order, which _galerkin_fill
-    # writes and checks; no leading block is copied
+    weight = abs(1.0 - alpha) + abs(1.0 - beta)
+    # the wanted levels of a steep potential cluster near -alpha log 2, and
+    # Lanczos needs ever more products to part them (17,056 at a weight of
+    # 1e3, N = 1024): dense is faster from a weight of about 4 at N = 1024,
+    # 15 at 2048 and 60 at 4096
+    dense = [m for m in sizes
+             if weight > _LANCZOS_WEIGHT or n_eigs > _LANCZOS_STATES * (m // 1024) ** 2]
+    # eigvalsh reads the lower triangle, which _galerkin_fill writes and
+    # checks in Fortran order; no leading block is copied
     buf = np.empty(dense[-1] ** 2)
     lam = []
     for m in dense:
         mat = buf[: m * m].reshape(m, m, order="F")
         _galerkin_fill(params, mat, "galerkin_spectrum")
-        lam.append(linalg.eigh(mat, eigvals_only=True, subset_by_index=[0, n_eigs - 1],
-                               overwrite_a=True, check_finite=False))
+        lam.append(np.linalg.eigvalsh(mat, UPLO="L")[:n_eigs])
     del buf, mat
     bound = lam[-1]
-    weight = abs(1.0 - alpha) + abs(1.0 - beta)
     at = f"galerkin_spectrum: at alpha={alpha}, beta={beta}, n_trunc={n_trunc}"
     for m in sizes[len(dense):]:
         where = f"{at}, size {m}"
         idx = np.arange(m, dtype=float)
         norm = np.sqrt(idx + 0.5)
-        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            radii = 2.0 * weight * norm * _cauchy_product(m)(norm) / (2.0 * idx + 1.0)
-            shift = float(np.min(_galerkin_diagonal(params, m) - radii)) - 1.0
-        if not math.isfinite(shift):
-            raise RuntimeError(f"{where}: the Gershgorin shift overflows a double")
-        # no overflow: its weights 2 |1 - a| sqrt(k + 1/2) and 2 |1 - b| sqrt(k +
-        # 1/2) lie below the radii's factor 2 weight sqrt(k + 1/2), finite here
+        radii = weight * (2.0 * norm * _cauchy_product(m)(norm) / (2.0 * idx + 1.0))
+        shift = float(np.min(_galerkin_diagonal(params, m) - radii)) - 1.0
         product = _galerkin_product(params, m)
         vals, _ = _lanczos(lambda x: product(x) - shift * x, product, m, n_eigs, "SA", where,
                            "a product of K overflows a double")
@@ -631,7 +715,7 @@ def _pseudospectral_solve(
 
     The grid spectrum reaches up to max V + max G (56-240 at u_max = 40),
     far above the wanted levels, so _lanczos runs on the folded operator
-    T_2(X) = 2 X^2 - 1, X = (H - c)/e, whose largest eigenvalues ARPACK
+    T_2(X) = 2 X^2 - 1, X = (H - c)/e, whose largest eigenvalues Lanczos
     finds in about half the restarts that H's smallest take, at two FFT
     products a step.  top = max V + max G bounds the spectrum, and the
     Gershgorin bound cut of the n_eigs x n_eigs block of H on the nodes
@@ -639,16 +723,17 @@ def _pseudospectral_solve(
     cut)/2, e = (top - cut)/2 maps every level below cut above 1 and the
     rest into [-1, 1]: T_2's n_eigs largest are H's n_eigs lowest.  A block
     of nearly all the nodes can put cut above top; every level then lies
-    below cut and maps to |X| >= 1, in order still.  Scaled, the products
-    stay finite wherever V does.  ARPACK has 5 M - 1 restarts: at two
-    products of H a step, a solve that does not converge makes no more of
-    them than ARPACK's default of 10 M restarts would on H itself.
+    below cut and maps to |X| >= 1, in order still.  X is the multiplier
+    g/e and the potential (v - c)/e, so its products stay finite wherever V
+    does.  Lanczos has 5 M - 1 restarts: at two products of H a step, a
+    solve that does not converge makes no more of them than the default
+    10 M restarts would on H itself.
 
-    The top level must also lie below cut; a failed check, an ARPACK error
-    or a product of H that overflows raises RuntimeError naming alpha,
-    beta, u_max and m_points.  The basis holds at most _LANCZOS_CELLS
-    cells; a solve needs room for at least 2 n_eigs + 1 vectors of M
-    points and is refused unstarted without it.
+    The top level must also lie below cut; a failed check, a solve that
+    does not converge or a product of H that overflows raises RuntimeError
+    naming alpha, beta, u_max and m_points.  The basis holds at most
+    _LANCZOS_CELLS cells; a solve needs room for at least 2 n_eigs + 1
+    vectors of M points and is refused unstarted without it.
     """
     params = OperatorParams(alpha, beta)
     grid = UGrid(u_max, m_points)
@@ -670,13 +755,17 @@ def _pseudospectral_solve(
     radii = np.convolve(spread, np.ones(n_eigs), "valid") - spread[n_eigs - 1]
     cut = float(np.max(v[lo : lo + n_eigs] + kernel[0] + radii))
     c, e = 0.5 * top + 0.5 * cut, 0.5 * top - 0.5 * cut
+    # X = (H - c)/e is the multiplier g/e and the potential (v - c)/e
+    g_x, v_x = g / e, (v - c) / e
+    g_2x, v_2x = 2.0 * g_x, 2.0 * v_x
 
-    def scaled(x):
-        return (h(x) - c * x) / e
+    def fold(x):
+        y = np.fft.irfft(g_x * np.fft.rfft(x), m_points) + v_x * x
+        return np.fft.irfft(g_2x * np.fft.rfft(y), m_points) + v_2x * y - x
 
     where = f"pseudospectral: at alpha={alpha}, beta={beta}, u_max={u_max}, m_points={m_points}"
-    vals, vecs = _lanczos(lambda x: 2.0 * scaled(scaled(x)) - x, h, m_points, n_eigs, "LA",
-                          where, f"a product of H overflows a double (its grid spectrum "
+    vals, vecs = _lanczos(fold, h, m_points, n_eigs, "LA", where,
+                          f"a product of H overflows a double (its grid spectrum "
                           f"reaches {top:.3e})", room=room, maxiter=5 * m_points - 1)
     if not vals[-1] < cut:
         raise RuntimeError(f"{where}: level {n_eigs} at {vals[-1]:.6e} is not below the "

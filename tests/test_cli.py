@@ -188,16 +188,15 @@ class TestSpectrum:
             assert name in doc["error"]
 
     def test_pseudospectral_count_bounded_exit_2(self, capsys, monkeypatch):
-        # --n 60000 on 65536 points would ask ARPACK for a ~63 GB basis; the
+        # --n 60000 on 65536 points would ask Lanczos for a ~63 GB basis; the
         # solve refuses it before Lanczos starts
-        import scipy.sparse.linalg
-
+        import kab.operators
         from kab.cli import main
 
-        def eigsh(*args, **kwargs):
-            pytest.fail("eigsh called for an unbounded eigenpair count")
+        def lanczos(*args):
+            pytest.fail("Lanczos called for an unbounded eigenpair count")
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
+        monkeypatch.setattr(kab.operators, "_thick_restart_lanczos", lanczos)
         argv = ["spectrum", "--alpha", "2", "--beta", "2", "--n", "60000",
                 "--m-points", "65536"]
         assert main(argv) == 2
@@ -525,12 +524,12 @@ class TestImport:
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[-1] == "[]"
 
-    def test_scipy_linalg_and_sparse_only_for_eigenproblems(self):
-        # scipy.linalg and scipy.sparse cost about 10 MB per process, and only
-        # the eigensolves need them: the import, the WKB table, the
-        # Mehler-Fock transform, both evolution backends and the evolution
-        # equation's right-hand side never load them; the spectrum, run last,
-        # does, which shows the check sees them
+    def test_scipy_linalg_and_sparse_never_loaded(self):
+        # scipy.linalg and scipy.sparse cost about 9 MB and 0.1 s per process,
+        # and nothing needs them: both eigensolvers run on numpy alone.  One
+        # fresh process runs the import, the seven README command lines, the
+        # Galerkin spectrum, the spectral evolution and the evolution
+        # equation's right-hand side, and neither module is loaded after any
         code = (
             "import contextlib, io, json, sys\n"
             "from kab.cli import main\n"
@@ -540,18 +539,15 @@ class TestImport:
             "    loaded[step] = [m for m in ('scipy.linalg', 'scipy.sparse')"
             " if m in sys.modules]\n"
             "check('import kab.cli')\n"
-            "for argv in (['wkb-table', '--alpha', '2', '--beta', '2', '--bohr-sommerfeld'],\n"
-            "             ['mehler-fock', '--profile', 'xi-sq'],\n"
-            "             ['evolve', '--tau', '1', '--backend', 'matrix'],\n"
-            "             ['evolve', '--tau', '1', '--backend', 'spectral'],\n"
-            "             ['spectrum', '--alpha', '2', '--beta', '2']):\n"
+            f"for argv in {README_COMMANDS!r} + [\n"
+            "        ['spectrum', '--alpha', '2', '--beta', '2', '--backend', 'galerkin'],\n"
+            "        ['evolve', '--tau', '1', '--backend', 'spectral']]:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert main(argv) == 0, argv\n"
-            "    check(' '.join(argv[:1] + argv[-1:]))\n"
-            "    if argv[0] == 'evolve' and argv[-1] == 'spectral':\n"
-            "        xi = default_xi_grid(32)\n"
-            "        mm_rhs(EvolutionState(0.0, xi, PROFILES['xi-sq'](xi)), 0.5)\n"
-            "        check('mm_rhs')\n"
+            "    check(' '.join(argv))\n"
+            "xi = default_xi_grid(32)\n"
+            "mm_rhs(EvolutionState(0.0, xi, PROFILES['xi-sq'](xi)), 0.5)\n"
+            "check('mm_rhs')\n"
             "print(json.dumps(loaded))\n"
         )
         res = subprocess.run(
@@ -559,12 +555,8 @@ class TestImport:
         )
         assert res.returncode == 0, res.stderr
         loaded = json.loads(res.stdout.splitlines()[-1])
-        assert loaded.pop("spectrum 2") == ["scipy.linalg", "scipy.sparse"]
-        assert loaded == {
-            step: []
-            for step in ("import kab.cli", "wkb-table --bohr-sommerfeld",
-                         "mehler-fock xi-sq", "evolve matrix", "evolve spectral", "mm_rhs")
-        }
+        assert len(loaded) == 1 + len(README_COMMANDS) + 3
+        assert loaded == {step: [] for step in loaded}
 
 
 class TestSchemaAndErrors:

@@ -204,9 +204,10 @@ def test_pseudospectral_failure_names_parameters(alpha, beta):
 @pytest.mark.parametrize("alpha,n_trunc", [("1e306", []), ("1e306", ["--n-trunc", "256"]),
                                             ("8e307", ["--n-trunc", "256"])])
 def test_galerkin_steep_potential_clean(alpha, n_trunc):
-    # every entry is finite at these alpha, but a Lanczos size's Gershgorin
-    # shift (1e306, N = 1024) or a Richardson value (8e307) is not: the run
-    # exits 0, or 3 with one JSON line, and no warning
+    # every entry is finite at these alpha; at 1e306 every size is dense and
+    # the run returns finite values, at 8e307 a Richardson value overflows
+    # and is refused by name: the run exits 0, or 3 with one JSON line, and
+    # no warning
     code, out, err, caught, _ = run(["spectrum", "--backend", "galerkin", "--alpha", alpha,
                                      "--beta", "2"] + n_trunc)
     assert code in (0, 3) and caught == []

@@ -141,13 +141,20 @@ def test_relative_imports_used():
     assert unused == []
 
 
-def test_one_arpack_call_site():
-    # both eigensolvers run ARPACK through operators._lanczos, the one place
-    # that seeds it, sets its tolerance and basis and checks its pairs
-    calls = [f"{module}:{node.lineno}" for module, tree in _trees().items()
-             for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and getattr(node.func, "attr", getattr(node.func, "id", None)) == "eigsh"]
-    assert len(calls) == 1, calls
+def test_one_lanczos_call_site():
+    # both eigensolvers run operators._thick_restart_lanczos through
+    # operators._lanczos, the one place that seeds it, sets its basis and
+    # restart cap and checks its pairs; nothing calls ARPACK's eigsh
+    def calls(tree, name):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == name]
+
+    trees = _trees()
+    helper = next(node for node in trees["operators"].body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_lanczos")
+    sites = [node for tree in trees.values() for node in calls(tree, "_thick_restart_lanczos")]
+    assert len(sites) == 1 and calls(helper, "_thick_restart_lanczos") == sites
+    assert [node.lineno for tree in trees.values() for node in calls(tree, "eigsh")] == []
 
 
 # public names that only tests and users call, each with its reason

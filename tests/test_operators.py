@@ -7,6 +7,9 @@ eigensolve for the matrix-free pseudospectral solve.
 """
 import math
 import re
+import subprocess
+import sys
+import time
 import warnings
 
 import numpy as np
@@ -15,14 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import legendre as npleg
 from scipy import integrate, linalg, special
-import scipy.sparse.linalg
-from scipy.sparse.linalg import eigsh as sparse_eigsh
 
+import kab.operators
 from kab.operators import (
     OperatorParams,
     UGrid,
     _galerkin_diagonal,
     _galerkin_product,
+    _thick_restart_lanczos,
     apply_k_pointwise,
     galerkin_matrix,
     galerkin_spectrum,
@@ -368,9 +371,9 @@ class TestGalerkinSpectrum:
 
     @staticmethod
     def _dense_reference(mat, n_eigs, n_trunc):
-        """(R(N/2, N), estimates) from eigh on the leading blocks of mat."""
+        """(R(N/2, N), estimates) from eigvalsh on the leading blocks of mat."""
         lam = [
-            linalg.eigh(mat[:m, :m], eigvals_only=True, subset_by_index=[0, n_eigs - 1])
+            np.linalg.eigvalsh(mat[:m, :m], UPLO="L")[:n_eigs]
             for m in (n_trunc // 8, n_trunc // 4, n_trunc // 2, n_trunc)
         ]
         r1, r2, r3 = ((4.0 * fine - coarse) / 3.0 for coarse, fine in zip(lam, lam[1:]))
@@ -381,7 +384,7 @@ class TestGalerkinSpectrum:
     def test_dense_blocks_bitwise(self, alpha, beta, n_trunc):
         # where every size is dense (N < 1024, or N = 1024 and n_eigs > 10),
         # each matrix written into the head of one buffer gives the bits of
-        # eigh on the leading blocks of the full dense galerkin_matrix; ten
+        # eigvalsh on the leading blocks of the full dense galerkin_matrix; ten
         # states at N = 1024 take Lanczos (test_lanczos_top_matches_dense)
         n_eigs = min(10, n_trunc // 8) if n_trunc < 1024 else 16
         mat = galerkin_matrix(OperatorParams(alpha, beta), n_trunc)
@@ -396,7 +399,7 @@ class TestGalerkinSpectrum:
     def test_lanczos_top_matches_dense(self, alpha, beta):
         # ten states take every size from 1024 up from Lanczos on the FFT
         # product (N = 256 stays dense): values and estimates within
-        # 1e-12 max(1, |lam|) of eigh on the leading blocks of one dense
+        # 1e-12 max(1, |lam|) of eigvalsh on the leading blocks of one dense
         # matrix (up to 2.4e-14 seen); N = 4096 runs Lanczos at 1024, 2048
         # and 4096, and its dense reference costs seconds, so one pair takes it
         sizes = (256, 1024, 2048) + ((4096,) if (alpha, beta) == (0.7, 1.9) else ())
@@ -417,24 +420,46 @@ class TestGalerkinSpectrum:
         # against 0.17 s at 64 states and m = 1024)
         seen = []
 
-        def eigsh(a, **kwargs):
-            seen.append(kwargs["k"])
-            return sparse_eigsh(a, **kwargs)
+        def lanczos(apply, v0, n_eigs, *args):
+            seen.append(n_eigs)
+            return _thick_restart_lanczos(apply, v0, n_eigs, *args)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
+        monkeypatch.setattr(kab.operators, "_thick_restart_lanczos", lanczos)
         galerkin_spectrum.__wrapped__(2.0, 2.0, n_eigs, n_trunc)
         assert seen == calls
+
+    @pytest.mark.parametrize("alpha,calls", [(19.0, [10]), (20.5, []), (1e5, []), (1e10, []),
+                                             (1e100, [])])
+    def test_steep_potential_dense(self, monkeypatch, alpha, calls):
+        # past a weight |1 - alpha| + |1 - beta| of 20 every size is dense:
+        # the wanted levels cluster near -alpha log 2, and Lanczos took 17,056
+        # products at 1e3 and ARPACK 30-35 s from 1e5 to 1e100 (N = 1024),
+        # where the dense solves take 0.15 s
+        seen = []
+
+        def lanczos(apply, v0, n_eigs, *args):
+            seen.append(n_eigs)
+            return _thick_restart_lanczos(apply, v0, n_eigs, *args)
+
+        monkeypatch.setattr(kab.operators, "_thick_restart_lanczos", lanczos)
+        start = time.perf_counter()
+        vals, est = galerkin_spectrum.__wrapped__(alpha, 2.0, 10, 1024)
+        assert time.perf_counter() - start <= 30.0
+        assert seen == calls
+        assert np.all(np.isfinite(np.array(vals) + est))
+        if alpha >= 1e5:
+            assert vals[0] == pytest.approx(-alpha * LOG2, rel=1e-3)
 
     def test_missed_state_refused(self, monkeypatch):
         # Lanczos pairs that pass the residual gate but skip the lowest state
         # put every level above the same level of the largest dense size,
         # N/8 = 512, which interlacing forbids; every Lanczos size is checked
         # against it, so the first one, 1024, is refused
-        def eigsh(a, k, **kwargs):
-            vals, vecs = sparse_eigsh(a, k=k + 1, **kwargs)
-            return vals[1:], vecs[:, 1:]
+        def lanczos(apply, v0, n_eigs, *args):
+            vals, vecs = _thick_restart_lanczos(apply, v0, n_eigs + 1, *args)
+            return vals[1:], vecs[1:]
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
+        monkeypatch.setattr(kab.operators, "_thick_restart_lanczos", lanczos)
         with pytest.raises(RuntimeError, match=r"galerkin_spectrum: at alpha=0\.7, beta=1\.9, "
                                                r"n_trunc=4096, size 1024: level 0 .* of the "
                                                r"size-512 matrix, .*: a state was missed"):
@@ -442,14 +467,13 @@ class TestGalerkinSpectrum:
 
     @pytest.mark.parametrize("alpha,n_trunc,reason", [
         (1e306, 256, None),
-        (1e306, 1024, r"n_trunc=1024, size 1024: the Gershgorin shift overflows a double"),
+        (1e306, 1024, None),
         (8e307, 256, r"n_trunc=256: a Richardson value overflows a double")])
     def test_steep_potential_finite_or_named(self, alpha, n_trunc, reason):
         # every entry is finite at these alpha (beta = 2), and the solve warns
-        # of nothing: at 1e306, N = 256 (all dense) returns finite values near
-        # -alpha log 2, and at N = 1024 the Gershgorin shift of the Lanczos
-        # size overflows; at 8e307, 4 lam_N overflows in the Richardson step;
-        # each overflow is refused by name
+        # of nothing: at 1e306, N = 256 and N = 1024 (all dense, as at every
+        # weight past 20) return finite values near -alpha log 2; at 8e307,
+        # 4 lam_N overflows in the Richardson step, which is refused by name
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if reason is None:
@@ -463,12 +487,36 @@ class TestGalerkinSpectrum:
 
     def test_solve_memory_bounded(self):
         # the N/2 matrix is dropped before the N matrix is built, and each is
-        # solved in place: the peak is one N x N array and about one block of
-        # _BLOCK_CELLS cells (1 MB); one matrix for all four sizes, with its
-        # row blocks and copies, took 11.2 and 41.3 MiB
+        # solved by eigvalsh on a copy that tracemalloc does not see (see
+        # test_dense_solve_rss_bounded): the peak is one N x N array and about
+        # one block of _BLOCK_CELLS cells (1 MB); one matrix for all four
+        # sizes, with its row blocks and copies, took 11.2 and 41.3 MiB
         for n in (1024, 2048):
             _, peak = traced_peak(galerkin_spectrum.__wrapped__, 0.7, 1.9, 10, n)
             assert peak <= 8 * n * n + 2 * 2**20
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_dense_solve_rss_bounded(self):
+        # eigvalsh works on its own copy of the matrix, which tracemalloc
+        # does not see, so a dense size holds twice its matrix: at N = 2048
+        # and 200 states (every size dense) the process's resident peak
+        # (VmHWM, which unlike ru_maxrss starts afresh at exec) grows by
+        # 65 MB, two 2048 x 2048 arrays, where scipy's in-place eigh grew it
+        # by 33 MB; a third copy would pass 96 MB
+        code = (
+            "from kab.operators import galerkin_spectrum\n"
+            "def kb(key):\n"
+            "    with open('/proc/self/status') as f:\n"
+            "        return next(int(r.split()[1]) for r in f if r.startswith(key))\n"
+            "galerkin_spectrum.__wrapped__(0.7, 1.9, 20, 256)\n"
+            "before = kb('VmRSS:')\n"
+            "galerkin_spectrum.__wrapped__(0.7, 1.9, 200, 2048)\n"
+            "print(kb('VmHWM:') - before)\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert int(res.stdout) * 1024 <= 16 * 2048**2 + 8 * 2**20
 
     @pytest.mark.parametrize("n", [1024, 2048, 4096])
     def test_no_top_size_matrix(self, n):
@@ -612,42 +660,42 @@ class TestPseudospectralSolve:
     # rule makes it positive) and the entry of largest modulus, all as hex
     FROZEN = {
         (2.0, 2.0, 4, 20.0, 128): (
-            ["0x1.dd9f7eba9dd94p-2", "0x1.7194c6114e2c7p+1", "0x1.f0dde844ff524p+1",
-             "0x1.2458c04a02016p+2"],
-            [(12, "0x1.a4246aace4f8cp-27", "0x1.d991365d84656p-2"),
-             (12, "0x1.b8b70d6a91a6bp-27", "-0x1.b4009f3723d73p-2"),
-             (0, "0x1.40326a07bbb3dp-25", "-0x1.2a4aa18e23450p-1"),
-             (9, "0x1.7ab569503e838p-27", "-0x1.11db966f1e988p-1")],
+            ["0x1.dd9f7eba9ddd0p-2", "0x1.7194c6114e2c2p+1", "0x1.f0dde844ff520p+1",
+             "0x1.2458c04a02012p+2"],
+            [(12, "0x1.a4246a9acaf61p-27", "0x1.d991365d84649p-2"),
+             (12, "0x1.b8b70d3413031p-27", "-0x1.b4009f3723d6ap-2"),
+             (0, "0x1.403269fe5022ap-25", "-0x1.2a4aa18e2346bp-1"),
+             (9, "0x1.7ab56954ae49dp-27", "-0x1.11db966f1e9e6p-1")],
         ),
         (1.0, 2.0, 3, 30.0, 256): (
-            ["0x1.2ede11c05ac40p-6", "0x1.175747195898ap+1", "0x1.9994d04b48834p+1"],
-            [(50, "0x1.8f3273a86da21p-27", "0x1.7420cf8741487p-2"),
-             (47, "0x1.7127a7f375344p-27", "-0x1.565fc2606b89bp-2"),
-             (46, "0x1.712422d4bd830p-27", "-0x1.adf2d810ddb8bp-2")],
+            ["0x1.2ede11c05acc0p-6", "0x1.175747195897cp+1", "0x1.9994d04b4881cp+1"],
+            [(50, "0x1.8f3273a82e5a9p-27", "0x1.7420cf874149dp-2"),
+             (47, "0x1.7127a81ade009p-27", "-0x1.565fc2606b872p-2"),
+             (46, "0x1.712422ca92e49p-27", "-0x1.adf2d810ddaf3p-2")],
         ),
         (0.7, 1.9, 5, 40.0, 256): (
-            ["-0x1.0ea7d9e034330p-2", "0x1.b4a094ae1d072p+0", "0x1.5c8a1902a60f0p+1",
-             "0x1.b1f103ed8fbfep+1", "0x1.f221d39bebc2ap+1"],
-            [(65, "0x1.9cb4c150785b7p-27", "0x1.951a701f423c2p-2"),
-             (62, "0x1.ba43b3f750f82p-27", "-0x1.6c3ff2e648a31p-2"),
-             (60, "0x1.7b08b7b5ed533p-27", "-0x1.aa70c5f7c9b35p-2"),
-             (58, "0x1.83e9a4b884087p-27", "0x1.afb25ebc2c02dp-2"),
-             (23, "0x1.5cbd764b50ae2p-27", "0x1.a2f48e1a5cfc8p-2")],
+            ["-0x1.0ea7d9e03433cp-2", "0x1.b4a094ae1d070p+0", "0x1.5c8a1902a60edp+1",
+             "0x1.b1f103ed8fbfcp+1", "0x1.f221d39bebc44p+1"],
+            [(65, "0x1.9cb4c18de4770p-27", "0x1.951a701f423e6p-2"),
+             (62, "0x1.ba43b3e4d7086p-27", "-0x1.6c3ff2e648a08p-2"),
+             (60, "0x1.7b08b79e32eaep-27", "-0x1.aa70c5f7c9b53p-2"),
+             (58, "0x1.83e9a4c4921d6p-27", "0x1.afb25ebc2bf29p-2"),
+             (23, "0x1.5cbd763e87b5ap-27", "0x1.a2f48e1a5cfd7p-2")],
         ),
         (3.0, 0.5, 2, 16.0, 64): (
-            ["-0x1.0efabeb30f173p+0", "0x1.772876a561ad8p-1"],
-            [(0, "0x1.cd83730927609p-22", "0x1.e8e71e1ceb748p-2"),
-             (0, "0x1.84152a4a36cccp-20", "-0x1.b8819b1887f7ep-2")],
+            ["-0x1.0efabeb30f179p+0", "0x1.772876a561ac9p-1"],
+            [(0, "0x1.cd837309b1b04p-22", "0x1.e8e71e1ceb754p-2"),
+             (0, "0x1.84152a4bfcfafp-20", "-0x1.b8819b1887f97p-2")],
         ),
         (1.0, 1.0, 6, 40.0, 512): (
-            ["-0x1.c000000000000p-50", "0x1.0000000000003p+1", "0x1.7fffffffffffcp+1",
-             "0x1.d555555555554p+1", "0x1.0aaaaaaaaaab1p+2", "0x1.244444444444bp+2"],
-            [(142, "0x1.60dc91dc5201dp-27", "0x1.1e3779b97f4afp-2"),
-             (139, "0x1.7e768ab2c545ap-27", "-0x1.ee3e0658343bfp-3"),
-             (137, "0x1.693da729d57c6p-27", "-0x1.4000000000bbfp-2"),
-             (136, "0x1.6d98c525a3a20p-27", "-0x1.3059696005caep-2"),
-             (135, "0x1.629501050fdb0p-27", "0x1.41fe68f14aa4dp-2"),
-             (135, "0x1.88010c8c4cc8ep-27", "0x1.38082eafd46d7p-2")],
+            ["-0x1.c000000000000p-50", "0x1.0000000000003p+1", "0x1.8000000000012p+1",
+             "0x1.d55555555556ap+1", "0x1.0aaaaaaaaaab5p+2", "0x1.2444444444446p+2"],
+            [(142, "0x1.60dc91e9767afp-27", "0x1.1e3779b97f4b0p-2"),
+             (139, "0x1.7e768ac3955e5p-27", "0x1.ee3e0658343e4p-3"),
+             (137, "0x1.693da724e251ep-27", "-0x1.4000000000bcdp-2"),
+             (136, "0x1.6d98c5204b54bp-27", "0x1.3059696005cacp-2"),
+             (135, "0x1.6295010f10fd3p-27", "0x1.41fe68f14a9fdp-2"),
+             (135, "0x1.88010c95e9321p-27", "0x1.38082eafd46fep-2")],
         ),
     }
 
@@ -697,7 +745,9 @@ class TestPseudospectralSolve:
     @pytest.mark.parametrize("case", sorted(FROZEN))
     def test_frozen_values_and_signs(self, case):
         # both entry points return bitwise the values and sign-fixed vectors
-        # that the folded solve gave when these were pinned
+        # that the folded thick-restart solve gave when these were pinned (the
+        # folded ARPACK solve's pins differed from these by at most 3.4e-15
+        # relative, with the same first entries)
         want_vals, want_cols = self.FROZEN[case]
         spectrum = pseudospectral_spectrum.__wrapped__(*case)
         nodes, kappas, vecs = pseudospectral_eigensystem.__wrapped__(*case)
@@ -740,8 +790,8 @@ class TestPseudospectralSolve:
     def _count_products(monkeypatch):
         """A list that gets one entry per product of H that Lanczos makes,
         two per product of the folded operator, each one forward real FFT
-        of the product's shape less its last axis; the solve imports eigsh
-        when it runs, so the patch goes on scipy's module."""
+        of the product's shape less its last axis, counted inside the
+        Lanczos recurrence alone (not the residual check)."""
         products = []
         rfft = np.fft.rfft
 
@@ -749,18 +799,18 @@ class TestPseudospectralSolve:
             products.append(np.shape(x)[:-1])
             return rfft(x, *args, **kwargs)
 
-        def eigsh(a, **kwargs):
+        def lanczos(*args):
             with monkeypatch.context() as patch:
                 patch.setattr(np.fft, "rfft", counted_rfft)
-                return sparse_eigsh(a, **kwargs)
+                return _thick_restart_lanczos(*args)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
+        monkeypatch.setattr(kab.operators, "_thick_restart_lanczos", lanczos)
         return products
 
     def test_products_counted(self, monkeypatch):
-        # ten states at M = 2048 on a basis of 28 vectors: Lanczos on
-        # H - shift made 560 products with ARPACK's default basis of 21 and
-        # 431 with 28
+        # ten states at M = 2048 on a basis of 28 vectors: ARPACK on H - shift
+        # made 560 products with its default basis of 21 and 431 with 28, and
+        # 418 on the fold; thick restart on the fold makes 434
         products = self._count_products(monkeypatch)
         pseudospectral_spectrum.__wrapped__(2.0, 2.0, 10, 40.0, 2048)
         assert set(products) == {()}  # one vector a product
@@ -768,9 +818,11 @@ class TestPseudospectralSolve:
 
     def test_refused_solve_products_bounded(self, monkeypatch):
         # a solve that never converges stops within the 46101 products that
-        # ARPACK's default of 10 M restarts made on H - shift
+        # ARPACK's default of 10 M restarts made on H - shift: here its 1279
+        # restarts of 9 products on the fold, 2 products of H each
         products = self._count_products(monkeypatch)
-        with pytest.raises(RuntimeError, match="ARPACK error -1"):
+        with pytest.raises(RuntimeError, match=r"Lanczos did not converge in 1279 restarts "
+                                               r"\(\d+ products\)$"):
             pseudospectral_spectrum.__wrapped__(1e305, 1.0, 2, 40.0, 256)
         assert set(products) == {()}
         assert len(products) <= 46101
@@ -781,24 +833,25 @@ class TestPseudospectralSolve:
         # Gershgorin bound on level n_eigs and are refused
         dense = _dense_hamiltonian(OperatorParams(2.0, 2.0), UGrid(20.0, 64))
 
-        def eigsh(a, k, **kwargs):
-            return linalg.eigh(dense, subset_by_index=[64 - k, 63])
+        def lanczos(apply, v0, n_eigs, *args):
+            vals, vecs = linalg.eigh(dense, subset_by_index=[64 - n_eigs, 63])
+            return vals, vecs.T
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
+        monkeypatch.setattr(kab.operators, "_thick_restart_lanczos", lanczos)
         with pytest.raises(RuntimeError, match=r"alpha=2\.0, .* level 3 at .* not below"):
             pseudospectral_spectrum.__wrapped__(2.0, 2.0, 3, 20.0, 64)
 
     @pytest.mark.parametrize("steep,reason", [
         (1e160, r"eigenpair residual 9\.\d{3}e\+160 exceeds tolerance$"),
-        (1e306, r"a product of H overflows a double \(its grid spectrum reaches 7\.\d{3}e\+307\)$"),
+        (1e306, r"eigenpair residual 9\.\d{3}e\+306 exceeds tolerance$"),
     ])
     def test_steep_potential_refused_with_finite_figure(self, steep, reason):
         # on potentials steep enough that squares of H v - lam v overflow
-        # (1e160) or that products of H do (1e306), the solve warns of
-        # nothing and either returns pairs that pass its gate or names the
-        # failure with a finite figure: the residual norm is taken on rows
-        # scaled by their largest modulus, and an overflowing product is
-        # reported as such rather than as an infinite residual
+        # (1e160, 1e306), the solve warns of nothing and either returns pairs
+        # that pass its gate or names the failure with a finite figure: the
+        # residual norm is taken on rows scaled by their largest modulus, and
+        # the fold's multiplier g/e and potential (v - c)/e keep its products
+        # finite wherever V is
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(RuntimeError, match=re.escape(f"alpha={steep}, ") + ".*: " + reason):
@@ -807,17 +860,17 @@ class TestPseudospectralSolve:
     def test_eigenpair_count_bounded(self, monkeypatch):
         # a solve needs room for 2 n_eigs + 1 basis vectors of M doubles; past
         # 2^26 cells (galerkin_matrix's largest matrix) it is refused
-        # unstarted, and the basis eigsh is given stays within 2^26 cells
+        # unstarted, and the basis Lanczos is given stays within 2^26 cells
         class Reached(Exception):
             pass
 
         bases = []
 
-        def eigsh(a, k, ncv, **kwargs):
-            bases.append((k, ncv, a.shape[0]))
+        def lanczos(apply, v0, n_eigs, which, ncv, max_restarts):
+            bases.append((n_eigs, ncv, v0.size))
             raise Reached
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
+        monkeypatch.setattr(kab.operators, "_thick_restart_lanczos", lanczos)
         solve = pseudospectral_spectrum.__wrapped__
         with pytest.raises(Reached):
             solve(2.0, 2.0, 511, 40.0, 65536)
@@ -837,6 +890,70 @@ class TestPseudospectralSolve:
             msg = str(info.value)
             for part in (f"n_eigs={n_eigs}", f"m_points={m_points}", f"[1, {largest}]"):
                 assert part in msg
+
+
+class TestThickRestartLanczos:
+    """The Lanczos routine alone, on dense symmetric matrices of known
+    spectrum: Q diag(d) Q^T with Q orthogonal from a seeded QR."""
+
+    @staticmethod
+    def _matrix(d, seed=0):
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d.size, d.size)))
+        return (q * d) @ q.T, q
+
+    # a cluster of three levels 1e-6 apart at each end, then a gap
+    SPECTRUM = np.concatenate(([-5.0, -5.0 + 1e-6, -5.0 + 2e-6],
+                               np.linspace(-4.0, 4.0, 194), [5.0 - 2e-6, 5.0 - 1e-6, 5.0]))
+
+    @pytest.mark.parametrize("which", ["SA", "LA"])
+    def test_known_spectrum_with_clusters(self, which):
+        # the six levels at the which end, clusters included, in that order,
+        # to rounding, with orthonormal vectors that satisfy A v = lam v
+        a, _ = self._matrix(self.SPECTRUM)
+        v0 = np.random.default_rng(1).standard_normal(a.shape[0])
+        vals, vecs = _thick_restart_lanczos(lambda x: a @ x, v0, 6, which, 20, 2000)
+        want = np.sort(self.SPECTRUM)[:6] if which == "SA" else np.sort(self.SPECTRUM)[::-1][:6]
+        assert np.max(np.abs(vals - want)) <= 1e-13
+        assert np.max(np.abs(vecs @ vecs.T - np.eye(6))) <= 1e-12
+        assert np.max(np.abs(vecs @ a - vecs * vals[:, None])) <= 1e-12
+
+    def test_full_basis_breaks_down_exactly(self):
+        # ncv = n: the basis spans the whole space after n products, the
+        # residual lies in its span, and the Ritz pairs are exact with no
+        # restart
+        d = np.arange(1.0, 13.0) ** 2
+        a, _ = self._matrix(d)
+        products = []
+
+        def apply(x):
+            products.append(1)
+            return a @ x
+
+        vals, vecs = _thick_restart_lanczos(apply, np.ones(12), 5, "SA", 12, 0)
+        assert len(products) == 12
+        assert np.max(np.abs(vals - d[:5])) <= 1e-12 * d[-1]
+        assert np.max(np.abs(vecs @ a - vecs * vals[:, None])) <= 1e-12 * d[-1]
+
+    @pytest.mark.parametrize("rotated", [False, True], ids=["exact", "rounded"])
+    def test_invariant_start(self, rotated):
+        # a start that is an eigenvector spans an invariant subspace: on a
+        # diagonal matrix A e_5 - lam e_5 is exactly 0 and a fresh vector
+        # continues the basis; rotated, the remainder is rounding, which
+        # the second Gram-Schmidt pass keeps as a new direction; either way
+        # the lowest four levels are found
+        d = np.linspace(1.0, 200.0, 200)
+        a, q = self._matrix(d) if rotated else (np.diag(d), np.eye(200))
+        vals, _ = _thick_restart_lanczos(lambda x: a @ x, q[:, 5].copy(), 4, "SA", 20, 2000)
+        assert np.max(np.abs(vals - d[:4])) <= 1e-11
+
+    def test_too_few_restarts_refused(self):
+        # one restart cannot resolve the clusters: the refusal states the
+        # restarts and the products, 20 + (20 - 13) for 6 levels on 20 vectors
+        a, _ = self._matrix(self.SPECTRUM)
+        v0 = np.random.default_rng(1).standard_normal(a.shape[0])
+        with pytest.raises(RuntimeError, match=r"^Lanczos did not converge in 1 restarts "
+                                               r"\(27 products\)$"):
+            _thick_restart_lanczos(lambda x: a @ x, v0, 6, "SA", 20, 1)
 
 
 class TestProjectSynthesize:
